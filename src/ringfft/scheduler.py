@@ -27,27 +27,26 @@ coverage, operand distance, and in-range addresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .transform import Direction, DomainError
-from .twiddles import S_MAX, gray_rank
+from .twiddles import S_MAX, gray_rank, stage_rom_bases
 
 
 class ScheduleError(ValueError):
     """A configuration or generated schedule violates its invariants."""
 
 
-def rev_bits(x: int, k: int, l: int) -> int:
-    """Reverse the order of bits k..l of x (bit 0 = least significant)."""
-    if k > l or k < 0:
-        raise DomainError(f"invalid bit range [{k}, {l}]")
-    width = l - k + 1
-    seg = (x >> k) & ((1 << width) - 1)
-    rev = 0
-    for _ in range(width):
-        rev = (rev << 1) | (seg & 1)
-        seg >>= 1
-    return (x & ~(((1 << width) - 1) << k)) | (rev << k)
+def _partner_mask(sg: int, s_sg: int, s_m: int) -> int:
+    """Offset bits complemented to reach stage sg's second operand."""
+    if sg <= s_sg:
+        return 0
+    width = s_m.bit_length() - 1
+    flip = sg - s_sg
+    if flip > width:
+        raise DomainError(f"stage {sg} deeper than the offset width allows")
+    return (s_m - 1) & ~((1 << (width - flip)) - 1)
 
 
 def mem_addr(bt_pe: int, sg: int, s_sg: int, s_m: int) -> tuple[int, int]:
@@ -59,14 +58,7 @@ def mem_addr(bt_pe: int, sg: int, s_sg: int, s_m: int) -> tuple[int, int]:
     """
     if not 0 <= bt_pe < s_m:
         raise DomainError(f"bt_pe {bt_pe} out of range for S_M={s_m}")
-    if sg <= s_sg:
-        return bt_pe, bt_pe
-    width = s_m.bit_length() - 1
-    flip = sg - s_sg
-    if flip > width:
-        raise DomainError(f"stage {sg} deeper than the offset width allows")
-    mask = (s_m - 1) & ~((1 << (width - flip)) - 1)
-    return bt_pe, bt_pe ^ mask
+    return bt_pe, bt_pe ^ _partner_mask(sg, s_sg, s_m)
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ class ScheduleConfig:
         return (self.n // 4) // self.active_pes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ButterflyDispatch:
     stage: int
     bt: int                 # in-stage dispatch index: BT_PE * pe + bt_PE
@@ -148,9 +140,12 @@ def mem_select(sg: int, bt: int, s_m: int, cfg: ScheduleConfig) -> tuple[int, in
     """Banks read by in-stage dispatch bt of stage sg."""
     if not 0 <= bt < cfg.n // 4:
         raise DomainError(f"bt {bt} out of range")
-    p_bits = cfg.s_sg
-    pe = bt // cfg.bt_pe_count
-    c = bt % cfg.bt_pe_count
+    bt_pe_count = cfg.bt_pe_count
+    return _bank_pair(sg, bt // bt_pe_count, bt % bt_pe_count, cfg.s_sg)
+
+
+def _bank_pair(sg: int, pe: int, c: int, p_bits: int) -> tuple[int, int]:
+    """Banks read by PE pe in cycle c of stage sg (p_bits = S_sg)."""
     if sg > p_bits:
         return 2 * pe, 2 * pe + 1
     g = 0 if sg == 0 else (pe >> (p_bits - sg)) ^ (c & 1)
@@ -159,30 +154,26 @@ def mem_select(sg: int, bt: int, s_m: int, cfg: ScheduleConfig) -> tuple[int, in
     return bank0, bank0 | (1 << (p_bits - sg))
 
 
-def _stage_rom_base(cfg: ScheduleConfig, sg: int) -> int:
-    """Base offset of stage sg's block in each per-PE ROM (sg >= 1)."""
-    p_bits = cfg.n_pe.bit_length() - 1
-    base = 0
-    for s in range(1, sg):
-        base += 2 if s <= p_bits else 1 << (s - p_bits)
-    return base
+def _rom_addr(sg: int, pe: int, g: int, base: int, p_bits: int) -> int:
+    """Logical per-PE ROM address of twiddle (sg, g); -1 when wired.
 
-
-def _rom_addr(cfg: ScheduleConfig, sg: int, pe: int, g: int) -> int:
-    """Logical per-PE ROM address of twiddle (sg, g); -1 when wired."""
+    base is stage sg's block base and p_bits = log2(n_pe) of the ROM set.
+    """
     if sg == 0:
         return -1
-    p_bits = cfg.n_pe.bit_length() - 1
-    base = _stage_rom_base(cfg, sg)
     if sg <= p_bits:
-        base_g = pe >> (p_bits - sg)
-        return base + (0 if g == base_g else 1)
-    width = sg - p_bits
-    return base + gray_rank(g - (pe << width))
+        return base + (0 if g == pe >> (p_bits - sg) else 1)
+    return base + gray_rank(g - (pe << (sg - p_bits)))
 
 
+@lru_cache(maxsize=None)
 def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
-    """Generate the dispatch trace for cfg, validating as it goes."""
+    """Generate the dispatch trace for cfg, validating as it goes.
+
+    A trace depends on cfg only, so it is built once per configuration
+    and the same immutable object is handed to every caller.  The
+    inverse starts from the forward trace's final placement.
+    """
     n = cfg.n
     hn = n // 2
     n_pe = cfg.active_pes
@@ -190,24 +181,37 @@ def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
     s_m = cfg.s_m
     s_sg = cfg.s_sg
     bt_pe_count = cfg.bt_pe_count
+    rom_p_bits = cfg.n_pe.bit_length() - 1
+    rom_bases = stage_rom_bases(cfg.n_pe, stages)
 
-    slot_of = list(range(hn))
-    word_at = list(range(hn))
+    if cfg.direction is Direction.FORWARD:
+        initial = tuple(range(hn))
+        order = range(stages)
+    else:
+        fwd = build_schedule(replace(cfg, direction=Direction.FORWARD))
+        initial = fwd.final_slots
+        order = range(stages - 1, -1, -1)
+    slot_of = list(initial)
+    word_at = [0] * hn
+    for w, slot in enumerate(slot_of):
+        word_at[slot] = w
 
-    def gen_stage(sg: int, collect: list | None) -> None:
-        """Emit stage sg's batches into collect (or placement-only when
-        None), then apply its output exchanges to the tracking state."""
+    batches = []
+    for sg in order:
         sg_r = stages - sg - 1
         delta = 1 << sg_r
         ex_bit = stages - sg - 2
-        stage_dispatches = []
+        exchanging = sg >= s_sg and ex_bit >= 0
+        mask = _partner_mask(sg, s_sg, s_m)
+        rom_base = rom_bases[sg]
+        moves = []
         for c in range(bt_pe_count):
+            addr0, addr1 = c, c ^ mask
             batch = []
             banks_seen = set()
             for pe in range(n_pe):
                 bt = bt_pe_count * pe + c
-                bank0, bank1 = mem_select(sg, bt, s_m, cfg)
-                addr0, addr1 = mem_addr(c, sg, s_sg, s_m)
+                bank0, bank1 = _bank_pair(sg, pe, c, s_sg)
                 wa = word_at[bank0 * s_m + addr0]
                 wb = wa ^ delta
                 w0, w1 = (wa, wb) if wa < wb else (wb, wa)
@@ -222,34 +226,19 @@ def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
                         f"bank conflict at n={n} n_pe={n_pe} sg={sg} c={c}")
                 banks_seen.update((bank0, bank1))
                 g = w0 >> (sg_r + 1)
-                flag = sg >= s_sg and ex_bit >= 0 and (bt >> ex_bit) & 1
-                d = ButterflyDispatch(
+                flag = exchanging and bool((bt >> ex_bit) & 1)
+                batch.append(ButterflyDispatch(
                     stage=sg, bt=bt, pe=pe,
                     bank0=bank0, addr0=addr0, bank1=bank1, addr1=addr1,
-                    rom_addr=_rom_addr(cfg, sg, pe, g), group=g,
-                    input_exchanged=wa != w0, output_exchanged=bool(flag))
-                batch.append(d)
-                stage_dispatches.append((d, w0, w1))
-            if collect is not None:
-                collect.append(tuple(batch))
-        for d, w0, w1 in stage_dispatches:
-            if d.output_exchanged:
-                sa, sb = slot_of[w0], slot_of[w1]
-                slot_of[w0], slot_of[w1] = sb, sa
-                word_at[sa], word_at[sb] = w1, w0
-
-    batches: list = []
-    if cfg.direction is Direction.FORWARD:
-        initial = tuple(slot_of)
-        for sg in range(stages):
-            gen_stage(sg, batches)
-    else:
-        # the inverse starts from the forward's final placement
-        for sg in range(stages):
-            gen_stage(sg, None)
-        initial = tuple(slot_of)
-        for sg in range(stages - 1, -1, -1):
-            gen_stage(sg, batches)
+                    rom_addr=_rom_addr(sg, pe, g, rom_base, rom_p_bits),
+                    group=g, input_exchanged=wa != w0, output_exchanged=flag))
+                if flag:
+                    moves.append((w0, w1))
+            batches.append(tuple(batch))
+        for w0, w1 in moves:
+            sa, sb = slot_of[w0], slot_of[w1]
+            slot_of[w0], slot_of[w1] = sb, sa
+            word_at[sa], word_at[sb] = w1, w0
 
     return ScheduleTrace(config=cfg, batches=tuple(batches),
                          initial_slots=initial, final_slots=tuple(slot_of))

@@ -67,16 +67,7 @@ class Spectrum:
         return len(self.values)
 
 
-_table: TwiddleTable | None = None
-
 _butterflies_executed = 0
-
-
-def _twiddle_table() -> TwiddleTable:
-    global _table
-    if _table is None:
-        _table = build_twiddle_table(S_MAX)
-    return _table
 
 
 def butterflies_executed() -> int:
@@ -98,6 +89,13 @@ def validate_polynomial(a: Sequence[float]) -> list[float]:
     if not all(math.isfinite(x) for x in coeffs):
         raise DomainError("polynomial coefficients must be finite")
     return coeffs
+
+
+def _validate_spectrum_length(hn: int) -> None:
+    if hn < 1 or hn & (hn - 1) or 2 * hn > S_MAX:
+        raise DomainError(
+            f"spectrum length must be a power of two in 1..{S_MAX // 2}, "
+            f"got {hn}")
 
 
 def omega(k: int, n: int) -> complex:
@@ -143,28 +141,31 @@ def ifft_ref(s: Spectrum) -> list[float]:
     if s.order_tag is not OrderTag.NATURAL_EVAL:
         raise OrderTagError("ifft_ref expects a NATURAL_EVAL spectrum")
     hn = len(s.values)
+    _validate_spectrum_length(hn)
     n = 2 * hn
     vals = np.asarray(s.values, dtype=np.complex128)
     out = (2.0 / n) * (_ref_inverse_matrix(n) @ vals).real
     return [float(x) for x in out]
 
 
-def slot_eval_map(hn: int) -> list[tuple[int, bool]]:
+@lru_cache(maxsize=None)
+def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
     """Per-slot (evaluation index k, conjugated?) of the raw network.
 
     Output slot 2m of the packed network holds a(w(2*rev(m))) directly
     and slot 2m+1 holds conj(a(w(hn-1-2*rev(m)))); conjugation lands
-    exactly on the odd evaluation indices.
+    exactly on the odd evaluation indices.  Built once per hn.
     """
+    _validate_spectrum_length(hn)
     if hn == 1:
-        return [(0, False)]
+        return ((0, False),)
     w = hn.bit_length() - 2
     out = []
     for m in range(hn // 2):
         k = 2 * bit_reverse(m, w)
         out.append((k, False))
         out.append((hn - 1 - k, True))
-    return out
+    return tuple(out)
 
 
 def pack(a: Sequence[float]) -> list[complex]:
@@ -213,7 +214,7 @@ def _run_inverse_network(vals: list[complex], table: TwiddleTable) -> None:
 def fft_inplace(a: Sequence[float]) -> Spectrum:
     """Iterative in-place transform in the internal (scrambled) order."""
     vals = pack(a)
-    _run_forward_network(vals, _twiddle_table())
+    _run_forward_network(vals, build_twiddle_table(S_MAX))
     out = [z.conjugate() if conj else z
            for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
     return Spectrum(values=tuple(out), order_tag=OrderTag.FALCON_INTERNAL)
@@ -225,12 +226,11 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     if s.order_tag is not OrderTag.FALCON_INTERNAL:
         raise OrderTagError("ifft_inplace expects a FALCON_INTERNAL spectrum")
     hn = len(s.values)
+    _validate_spectrum_length(hn)
     n = 2 * hn
-    if hn & (hn - 1) or n > S_MAX:
-        raise DomainError(f"unsupported spectrum length {hn}")
     vals = [z.conjugate() if conj else z
             for z, (_k, conj) in zip(s.values, slot_eval_map(hn))]
-    _run_inverse_network(vals, _twiddle_table())
+    _run_inverse_network(vals, build_twiddle_table(S_MAX))
     scale = 2.0 / n
     out = [0.0] * n
     for k, z in enumerate(vals):

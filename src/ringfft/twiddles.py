@@ -30,7 +30,8 @@ in the README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 S_MAX = 1024
 
@@ -163,13 +164,6 @@ class TwiddleTable:
     def stages(self) -> int:
         return self.n_max.bit_length() - 2
 
-    def stage_slice(self, sg: int) -> tuple:
-        if not 0 <= sg < self.stages:
-            raise TwiddleError(f"stage {sg} out of range for n_max={self.n_max}")
-        if sg == 0:
-            return (self.entries[1],)
-        return self.entries[1 << sg:2 << sg]
-
     def lookup(self, sg: int, g: int) -> complex:
         """Twiddle of stage sg, group g (production accessor)."""
         if sg == 0:
@@ -179,8 +173,13 @@ class TwiddleTable:
         return self.entries[(1 << sg) + gray_rank(g)]
 
 
+@lru_cache(maxsize=None)
 def build_twiddle_table(n_max: int = S_MAX) -> TwiddleTable:
-    """Reference table -> block permutation -> consumed-half filter."""
+    """Reference table -> block permutation -> consumed-half filter.
+
+    Built once per n_max; the ROM sets and the in-place transform share
+    the same immutable table.
+    """
     full = _canonical_full_table(n_max)
     perm = permute_twiddles(full, n_max)
     bits = n_max.bit_length() - 1
@@ -196,25 +195,35 @@ def build_twiddle_table(n_max: int = S_MAX) -> TwiddleTable:
     return TwiddleTable(n_max=n_max, entries=tuple(half))
 
 
+def stage_rom_bases(n_pe: int, stages: int) -> tuple:
+    """Base offset of each stage's block in every per-PE ROM.
+
+    Entry sg (0 <= sg < stages) is where stage sg's block starts.  Stage
+    0 has an empty block, its constant being wired; stages
+    1..log2(n_pe) store their paired +/-i groups (2 entries) and a later
+    stage sg stores the 2^(sg-log2(n_pe)) groups its PE owns.  The
+    layout of a smaller transform is a prefix of the n_max layout.
+    """
+    p_bits = n_pe.bit_length() - 1
+    bases = [0]
+    for sg in range(stages - 1):
+        size = 0 if sg == 0 else 2 if sg <= p_bits else 1 << (sg - p_bits)
+        bases.append(bases[-1] + size)
+    return tuple(bases)
+
+
 @dataclass(frozen=True)
 class RomImage:
     """Uncompressed per-PE ROM: logical entries in consumption order.
 
-    stage_bases[sg] is the per-stage base offset added to the in-stage
-    ROM address the scheduler emits (stage 0 has no block: its constant
-    is wired).
+    stage_bases[sg] is the per-stage base offset (see `stage_rom_bases`)
+    added to the in-stage ROM address the scheduler emits.
     """
     pe: int
     n_pe: int
     n_max: int
     entries: tuple
-    stage_bases: dict = field(hash=False)
-
-    def stage_len(self, sg: int) -> int:
-        p_bits = self.n_pe.bit_length() - 1
-        if sg == 0:
-            return 0
-        return 2 if sg <= p_bits else 1 << (sg - p_bits)
+    stage_bases: tuple
 
 
 def split_roms(table: TwiddleTable, n_pe: int) -> list[RomImage]:
@@ -229,12 +238,11 @@ def split_roms(table: TwiddleTable, n_pe: int) -> list[RomImage]:
         raise TwiddleError(f"n_pe must be a power of two in 1..8, got {n_pe}")
     p_bits = n_pe.bit_length() - 1
     stages = table.stages
+    bases = stage_rom_bases(n_pe, stages)
     images = []
     for pe in range(n_pe):
         entries: list[complex] = []
-        bases: dict[int, int] = {}
         for sg in range(1, stages):
-            bases[sg] = len(entries)
             if sg <= p_bits:
                 base_g = pe >> (p_bits - sg)
                 entries.append(table.lookup(sg, base_g))
@@ -260,7 +268,7 @@ class CompressedRom:
     pe_index: int
     stored: tuple
     pair_signs: tuple
-    stage_bases: dict = field(hash=False)
+    stage_bases: tuple
 
     @property
     def logical_len(self) -> int:
@@ -290,7 +298,7 @@ def compress_rom(rom: RomImage) -> CompressedRom:
         stored.append(a)
     return CompressedRom(pe_index=rom.pe, stored=tuple(stored),
                          pair_signs=tuple(signs),
-                         stage_bases=dict(rom.stage_bases))
+                         stage_bases=rom.stage_bases)
 
 
 def decompress_rom(rom: CompressedRom) -> tuple:
@@ -322,11 +330,17 @@ def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> comple
     return a
 
 
-def build_rom_set(n_max: int = S_MAX, n_pe: int = 2):
-    """Convenience: table -> per-PE images -> compressed ROMs."""
+@lru_cache(maxsize=None)
+def build_rom_set(n_max: int = S_MAX, n_pe: int = 2) -> tuple:
+    """Table -> per-PE images -> compressed ROMs, as
+    (table, images, roms) with tuples of per-PE objects.
+
+    Built once per (n_max, n_pe) and shared by every caller; all parts
+    are immutable.
+    """
     table = build_twiddle_table(n_max)
-    images = split_roms(table, n_pe)
-    return table, images, [compress_rom(img) for img in images]
+    images = tuple(split_roms(table, n_pe))
+    return table, images, tuple(compress_rom(img) for img in images)
 
 
 def dump_rom(rom: CompressedRom, data_path, sidecar_path) -> None:
@@ -342,5 +356,5 @@ def dump_rom(rom: CompressedRom, data_path, sidecar_path) -> None:
         f.write(f"stored_entries {len(rom.stored)}\n")
         f.write("pair_signs " +
                 "".join("+" if s > 0 else "-" for s in rom.pair_signs) + "\n")
-        for sg in sorted(rom.stage_bases):
+        for sg in range(1, len(rom.stage_bases)):
             f.write(f"stage_base {sg} {rom.stage_bases[sg]}\n")

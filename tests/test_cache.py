@@ -1,0 +1,97 @@
+"""Config-only artifacts are built once per process and never mutated."""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from ringfft.scheduler import (
+    ScheduleConfig,
+    ScheduleError,
+    build_schedule,
+    trace_csv_rows,
+)
+from ringfft.transform import Direction, slot_eval_map
+from ringfft.twiddles import S_MAX, build_rom_set, build_twiddle_table
+
+# SHA-256 over every valid configuration's trace (placements and CSV
+# rows, in _all_configs order); any change to a generated schedule,
+# however it is built, changes it.
+SCHEDULE_DIGEST = \
+    "9888b0319a400b6af885a6cfbff59bc9972cddd3793172a32a7f83157e0b899b"
+
+
+def _all_configs():
+    for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
+        for npe in (1, 2, 4, 8):
+            for direction in (Direction.FORWARD, Direction.INVERSE):
+                try:
+                    yield ScheduleConfig(n=n, n_pe=npe, direction=direction)
+                except ScheduleError:
+                    pass
+
+
+def test_schedule_digest_pinned():
+    h = hashlib.sha256()
+    configs = list(_all_configs())
+    assert len(configs) == 66
+    for cfg in configs:
+        trace = build_schedule(cfg)
+        h.update(repr((cfg.n, cfg.n_pe, cfg.direction.value,
+                       trace.initial_slots, trace.final_slots,
+                       list(trace_csv_rows(trace)))).encode())
+    assert h.hexdigest() == SCHEDULE_DIGEST
+
+
+def test_schedule_built_once_per_config():
+    cfg = ScheduleConfig(n=64, n_pe=2, direction=Direction.INVERSE)
+    assert build_schedule(cfg) is build_schedule(cfg)
+    assert build_schedule(cfg) is build_schedule(
+        ScheduleConfig(64, 2, Direction.INVERSE))
+
+
+def test_inverse_on_cold_cache_equals_inverse_after_forward():
+    inv_cfg = ScheduleConfig(n=256, n_pe=4, direction=Direction.INVERSE)
+    build_schedule(dataclasses.replace(inv_cfg, direction=Direction.FORWARD))
+    warm = build_schedule(inv_cfg)
+    build_schedule.cache_clear()
+    cold = build_schedule(inv_cfg)
+    assert cold is not warm
+    assert cold == warm
+
+
+def test_rom_set_and_tables_built_once():
+    assert build_rom_set(S_MAX, 2) is build_rom_set(S_MAX, 2)
+    assert build_rom_set(S_MAX, 4) is not build_rom_set(S_MAX, 2)
+    assert build_rom_set(S_MAX, 4)[0] is build_rom_set(S_MAX, 2)[0]
+    assert build_twiddle_table(S_MAX) is build_rom_set(S_MAX, 2)[0]
+    assert slot_eval_map(512) is slot_eval_map(512)
+
+
+def test_cached_trace_is_immutable():
+    trace = build_schedule(ScheduleConfig(n=32, n_pe=2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.final_slots = ()
+    assert isinstance(trace.batches, tuple)
+    assert all(isinstance(batch, tuple) for batch in trace.batches)
+    d = trace.batches[0][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.rom_addr = 0
+    with pytest.raises((AttributeError, TypeError)):
+        d.extra = 1  # slotted records carry no __dict__
+    with pytest.raises(TypeError):
+        trace.initial_slots[0] = 1
+
+
+def test_cached_rom_set_is_immutable():
+    table, images, roms = build_rom_set(S_MAX, 2)
+    assert isinstance(images, tuple) and isinstance(roms, tuple)
+    for obj in (table, images[0], roms[0]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.stage_bases = ()
+    for obj in (table.entries, images[0].entries, images[0].stage_bases,
+                roms[0].stored, roms[0].pair_signs, roms[0].stage_bases):
+        with pytest.raises(TypeError):
+            obj[0] = obj[0]
+    with pytest.raises(TypeError):
+        slot_eval_map(8)[0] = (0, False)

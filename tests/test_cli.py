@@ -174,3 +174,14 @@ def test_verify_quick(capsys):
     out = capsys.readouterr().out
     assert "ALL CHECKS PASSED" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("engine,order", [("inplace", "falcon_internal"),
+                                          ("simulator", "falcon_internal"),
+                                          ("reference", "natural_eval")])
+def test_ifft_rejects_empty_spectrum(tmp_path, capsys, engine, order):
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"order": order, "values": []}))
+    assert main(["ifft", str(spec), "--engine", engine]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got 0" in err

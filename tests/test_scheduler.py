@@ -7,22 +7,12 @@ from ringfft.scheduler import (
     cycle_count,
     mem_addr,
     mem_select,
-    rev_bits,
     trace_csv_rows,
 )
 from ringfft.transform import Direction, DomainError
 
 ALL_CONFIGS = [(n, npe) for n in (8, 16, 32, 64, 128, 256, 512, 1024)
                for npe in (1, 2, 4) if npe <= n // 4]
-
-
-def test_rev_bits_examples(rng):
-    assert rev_bits(0b0110, 2, 2) == 0b0110
-    assert rev_bits(0b0110, 2, 3) == 0b1010
-    for x in rng.integers(0, 1 << 16, 32).tolist():
-        assert rev_bits(rev_bits(x, 3, 9), 3, 9) == x
-    with pytest.raises(DomainError):
-        rev_bits(1, 3, 2)
 
 
 def test_mem_addr_safe_stage():

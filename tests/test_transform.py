@@ -166,7 +166,8 @@ def test_fft_inplace_is_fixed_permutation_of_natural_order(rng):
 def test_slot_eval_map_against_network_probe():
     # feed exp(-i*pi*e*j/n) words: exactly one output slot sums to n/2,
     # identifying which evaluation each slot carries
-    from ringfft.transform import _run_forward_network, _twiddle_table
+    from ringfft.transform import _run_forward_network
+    from ringfft.twiddles import build_twiddle_table
 
     for n in (4, 8, 16, 32):
         hn = n // 2
@@ -174,10 +175,16 @@ def test_slot_eval_map_against_network_probe():
         for k in range(hn):
             e = (2 * k + 1) if k % 2 == 0 else (2 * n - (2 * k + 1))
             vals = [cmath.exp(-1j * math.pi * e * j / n) for j in range(hn)]
-            _run_forward_network(vals, _twiddle_table())
+            _run_forward_network(vals, build_twiddle_table(1024))
             hits = [s for s, z in enumerate(vals) if abs(z - hn) < 1e-6]
             assert len(hits) == 1
             assert got[hits[0]] == (k, k % 2 == 1)
+
+
+@pytest.mark.parametrize("hn", [0, 3, 1024])
+def test_slot_eval_map_rejects_unsupported_sizes(hn):
+    with pytest.raises(DomainError):
+        slot_eval_map(hn)
 
 
 def test_ifft_inplace_roundtrip_small():

@@ -18,6 +18,7 @@ from ringfft.twiddles import (
     reference_table,
     split_roms,
     stage0_constant,
+    stage_rom_bases,
     stage_twiddle,
 )
 
@@ -136,12 +137,14 @@ def test_split_roms_npe2_budget_and_bases():
     total_stored = sum(len(r.stored) for r in roms)
     assert total_stored == 256  # 4 KB at 16 bytes/entry, 4x below 16 KB
     assert total_stored * 16 == 4096
-    for img in images:
-        base = 0
-        for sg in range(1, 9):
-            assert img.stage_bases[sg] == base
-            base += img.stage_len(sg)
-        assert base == len(img.entries)
+    # stage 0 is wired; stage 1 stores its +/-i pair, stage sg >= 2 the
+    # 2^(sg-1) groups its PE owns
+    sizes = [0, 2] + [1 << (sg - 1) for sg in range(2, 9)]
+    bases = tuple(sum(sizes[:sg]) for sg in range(9))
+    assert stage_rom_bases(2, 9) == bases
+    for img, rom in zip(images, roms):
+        assert img.stage_bases == rom.stage_bases == bases
+        assert bases[-1] + sizes[-1] == len(img.entries)
 
 
 def test_split_roms_cover_all_consumed_twiddles():
@@ -169,7 +172,7 @@ def test_compress_example_pair():
 
     from ringfft.twiddles import RomImage
     rom = compress_rom(RomImage(pe=0, n_pe=1, n_max=16,
-                                entries=img_entries, stage_bases={}))
+                                entries=img_entries, stage_bases=()))
     assert rom.stored == (w, u)
     assert rom.pair_signs == (1, 1)
     assert decompress_rom(rom) == img_entries
@@ -180,7 +183,7 @@ def test_compress_flags_adjacency_violation():
     bad = (stage_twiddle(3, 0), stage_twiddle(3, 2))
     with pytest.raises(TwiddleError, match="adjacency"):
         compress_rom(RomImage(pe=0, n_pe=1, n_max=16,
-                              entries=bad, stage_bases={}))
+                              entries=bad, stage_bases=()))
 
 
 @pytest.mark.parametrize("n_pe", [1, 2, 4])

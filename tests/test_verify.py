@@ -1,0 +1,55 @@
+"""`ringfft verify` keeps each failure on its own report line."""
+
+from ringfft import verify
+from ringfft.banksim import BankConflictError, Simulator
+from ringfft.transform import Spectrum
+from ringfft.twiddles import RomImage
+
+
+def _run(monkeypatch, sim_class):
+    monkeypatch.setattr(verify, "Simulator", sim_class)
+    lines = []
+    ok = verify.run_verification(seed=5, quick=True, echo=lines.append)
+    return ok, "\n".join(lines)
+
+
+def test_uncompressed_mismatch_fails_only_its_own_check(monkeypatch):
+    class SkewedTable(Simulator):
+        def read_result(self):
+            out = super().read_result()
+            if isinstance(out, Spectrum) and isinstance(self.roms[0], RomImage):
+                return Spectrum(values=(out.values[0] + 1,) + out.values[1:],
+                                order_tag=out.order_tag)
+            return out
+
+    ok, out = _run(monkeypatch, SkewedTable)
+    assert not ok
+    assert "FAIL  compressed ROM == uncompressed table, bit-exact" in out
+    assert "PASS  simulator == in-place transform, bit-exact" in out
+
+
+def test_other_exceptions_are_errors_not_conflicts(monkeypatch):
+    class Broken(Simulator):
+        def run(self, stage_hook=None):
+            if self.cfg.n == 32 and self.cfg.n_pe == 4:
+                raise KeyError("boom")
+            return super().run(stage_hook)
+
+    ok, out = _run(monkeypatch, Broken)
+    assert not ok
+    assert "FAIL  simulator runs completed without error  (n=32 npe=4)" in out
+    assert "error at n=32 npe=4: KeyError" in out
+    assert "PASS  conflict-free execution" in out
+
+
+def test_bank_conflicts_are_reported_as_conflicts(monkeypatch):
+    class Conflicting(Simulator):
+        def run(self, stage_hook=None):
+            if self.cfg.n == 8:
+                raise BankConflictError(0, 1, (0, 1))
+            return super().run(stage_hook)
+
+    ok, out = _run(monkeypatch, Conflicting)
+    assert not ok
+    assert "FAIL  conflict-free execution" in out
+    assert "PASS  simulator runs completed without error" in out
