@@ -8,19 +8,31 @@ two cycles: all operand reads land in one ledger epoch and all result
 writes in the next, and a second access to any bank within an epoch
 aborts the run with a conflict report.  There is no pipelining, so
 epochs never overlap.
+
+A trace is lowered once into flat per-stage index arrays (operand read
+slots, result write slots, twiddle indices and the banks each epoch
+touches), and `execute` runs every stage as one gather -> butterfly ->
+scatter after the port ledger has granted all of that stage's epochs.
+Lowering checks that no stage touches a word slot twice, which is what
+makes running a stage at once equal to running it batch by batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple
 
-from .scheduler import ScheduleConfig, ScheduleTrace, build_schedule
+import numpy as np
+
+from .scheduler import ScheduleConfig, ScheduleError, ScheduleTrace, build_schedule
 from .transform import (
     Direction,
     DomainError,
     OrderTag,
     Spectrum,
-    pack,
     slot_eval_map,
     validate_polynomial,
 )
@@ -52,46 +64,92 @@ def pe_butterfly(u: complex, v: complex, w: complex,
     return u + v, (u - v) * w
 
 
+def _butterflies(uv: np.ndarray, w: np.ndarray, forward: bool) -> np.ndarray:
+    """`pe_butterfly` over k dispatches at once.
+
+    uv holds the k first operands followed by the k second operands;
+    the result holds the k x outputs followed by the k y outputs.  The
+    arithmetic is split into float64 operations in the order CPython's
+    complex multiply uses, (ar*br - ai*bi, ar*bi + ai*br), so every
+    product rounds exactly as the scalar butterfly's does (no fused
+    multiply-add).
+    """
+    k = len(w)
+    u, v = uv[:k], uv[k:]
+    ur, ui, vr, vi, wr, wi = u.real, u.imag, v.real, v.imag, w.real, w.imag
+    out = np.empty(2 * k, np.complex128)
+    x, y = out[:k], out[k:]
+    if forward:
+        tr = wr * vr - wi * vi
+        ti = wr * vi + wi * vr
+        np.add(ur, tr, out=x.real)
+        np.add(ui, ti, out=x.imag)
+        np.subtract(ur, tr, out=y.real)
+        np.subtract(ui, ti, out=y.imag)
+    else:
+        np.add(ur, vr, out=x.real)
+        np.add(ui, vi, out=x.imag)
+        dr, di = ur - vr, ui - vi
+        np.subtract(dr * wr, di * wi, out=y.real)
+        np.add(dr * wi, di * wr, out=y.imag)
+    return out
+
+
 class BankedMemory:
-    """M single-port banks of complex words with per-cycle port ledger."""
+    """M single-port banks of complex words with per-cycle port ledger.
+
+    The words live in one complex128 array, bank-major: (bank, addr) is
+    element bank * capacity + addr of `words`.
+    """
 
     def __init__(self, n_banks: int, s_max: int = S_MAX):
         self.n_banks = n_banks
         self.capacity = s_max // (2 * n_banks)
-        self.banks = [[0j] * self.capacity for _ in range(n_banks)]
-        self._epoch = None
-        self._epoch_users: dict[int, int] = {}
+        self.words = np.zeros(n_banks * self.capacity, np.complex128)
         self.port_accesses = 0
 
-    def _claim(self, bank: int, cycle: int, pe: int) -> None:
-        if cycle != self._epoch:
-            self._epoch = cycle
-            self._epoch_users = {}
-        if bank in self._epoch_users:
-            raise BankConflictError(cycle, bank, (self._epoch_users[bank], pe))
-        self._epoch_users[bank] = pe
-        self.port_accesses += 1
+    def claim(self, banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
+              first_cycle: int) -> None:
+        """Grant a run of port accesses, listed in the order they are made.
 
-    def read(self, bank: int, addr: int, cycle: int, pe: int) -> complex:
-        self._claim(bank, cycle, pe)
-        return self.banks[bank][addr]
+        Access j uses bank banks[j] (in range(n_banks)) in cycle
+        first_cycle + epochs[j] on behalf of PE pes[j]; epochs never
+        decrease.  A bank serves one access per cycle: the first access
+        to a bank already used in its cycle raises BankConflictError
+        with that cycle, the bank and (first user, second user), and
+        only the accesses before it count as granted.
+        """
+        keys = epochs * self.n_banks + banks
+        if len(keys) and np.bincount(keys).max() > 1:
+            first_user: dict[int, int] = {}
+            for j, key in enumerate(keys.tolist()):
+                if key in first_user:
+                    self.port_accesses += j
+                    epoch, bank = divmod(key, self.n_banks)
+                    raise BankConflictError(
+                        first_cycle + epoch, bank,
+                        (int(pes[first_user[key]]), int(pes[j])))
+                first_user[key] = j
+        self.port_accesses += len(keys)
 
-    def write(self, bank: int, addr: int, value: complex,
-              cycle: int, pe: int) -> None:
-        self._claim(bank, cycle, pe)
-        self.banks[bank][addr] = value
+    def _index(self, bank: int, addr: int) -> int:
+        if not (0 <= bank < self.n_banks and 0 <= addr < self.capacity):
+            raise IndexError(f"no word at bank {bank}, offset {addr}")
+        return bank * self.capacity + addr
 
     def poke(self, bank: int, addr: int, value: complex) -> None:
         """Out-of-band store (initial load; no port accounting)."""
-        self.banks[bank][addr] = value
+        self.words[self._index(bank, addr)] = value
 
     def peek(self, bank: int, addr: int) -> complex:
-        return self.banks[bank][addr]
+        return self.words[self._index(bank, addr)].item()
 
     def snapshot(self, s_m: int):
         """(bank, offset, value) over the run-effective region."""
-        return [(b, o, self.banks[b][o])
-                for b in range(self.n_banks) for o in range(s_m)]
+        if s_m > self.capacity:
+            raise IndexError(f"S_M={s_m} exceeds bank capacity {self.capacity}")
+        rows = self.words.reshape(self.n_banks, self.capacity)[:, :s_m].tolist()
+        return [(b, o, z) for b, row in enumerate(rows) for o, z in enumerate(row)]
 
 
 class _RomFetcher:
@@ -117,13 +175,157 @@ class _RomFetcher:
         raise TypeError(f"unsupported ROM object {type(rom)!r}")
 
 
+class _Stage(NamedTuple):
+    """One stage of a lowered trace; all arrays are read-only."""
+    stage: int
+    cycles: int
+    banks: np.ndarray       # port accesses, in order: bank,
+    epochs: np.ndarray      # cycle within the stage,
+    pes: np.ndarray         # and requesting PE
+    uv: np.ndarray          # read slots: first operands, then second operands
+    lohi: np.ndarray        # write slots: x outputs, then y outputs
+    pairs: tuple            # distinct (pe, rom_addr) fetched by the stage
+    tw: np.ndarray          # per dispatch, its index into pairs
+    rereads: bool           # some word slot is read by two dispatches
+
+
+class _Lowered(NamedTuple):
+    stages: tuple
+    initial: np.ndarray     # word -> memory index before the first stage
+    final: np.ndarray       # word -> memory index after the last stage
+
+
+_DISPATCH_FIELDS = attrgetter("pe", "bank0", "addr0", "bank1", "addr1",
+                              "rom_addr", "input_exchanged", "output_exchanged")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a (np.unique, without its lazy import
+    of numpy.ma, which a cold CLI process would pay for)."""
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
+    """Flatten trace into per-stage index arrays for one memory geometry."""
+    s_m = trace.config.s_m
+
+    def memory_index(slots):
+        slots = np.asarray(slots, np.int64)
+        return _frozen(slots // s_m * capacity + slots % s_m)
+
+    batches = trace.batches
+    if not all(batches):
+        raise ScheduleError("a dispatch batch is empty")
+    widths = np.fromiter(map(len, batches), np.int64, len(batches))
+    dispatches = chain.from_iterable(batches)
+    cols = np.fromiter(chain.from_iterable(map(_DISPATCH_FIELDS, dispatches)),
+                       np.int64, 8 * int(widths.sum())).reshape(-1, 8)
+    pe, bank0, addr0, bank1, addr1, rom, in_ex, out_ex = cols.T
+    if len(cols) and (
+            min(bank0.min(), bank1.min(), addr0.min(), addr1.min()) < 0
+            or max(bank0.max(), bank1.max()) >= n_banks
+            or max(addr0.max(), addr1.max()) >= capacity):
+        raise ScheduleError("a dispatch addresses a word outside the memory")
+
+    s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
+    u = np.where(in_ex, s1, s0)
+    v = np.where(in_ex, s0, s1)
+    lo = np.where(out_ex, v, u)
+    hi = np.where(out_ex, u, v)
+
+    # Port accesses in the order they are made: per batch, every
+    # dispatch's two reads (bank0, bank1), then every dispatch's two
+    # writes (lo, hi).
+    batch = np.repeat(np.arange(len(batches)), widths)
+    first = np.cumsum(widths) - widths
+    rank = np.arange(len(cols)) - first[batch]
+    at_read = 4 * first[batch] + 2 * rank
+    at_write = at_read + 2 * widths[batch]
+    banks = np.empty(4 * len(cols), np.int32)  # int32 halves the cache
+    banks[at_read], banks[at_read + 1] = bank0, bank1
+    banks[at_write], banks[at_write + 1] = lo // capacity, hi // capacity
+    epochs = np.empty_like(banks)
+    epochs[at_read] = epochs[at_read + 1] = 2 * batch
+    epochs[at_write] = epochs[at_write + 1] = 2 * batch + 1
+    pes = np.empty_like(banks)
+    for at in (at_read, at_read + 1, at_write, at_write + 1):
+        pes[at] = pe
+
+    stage_of = [b[0].stage for b in batches]
+    starts = [b for b in range(1, len(batches)) if stage_of[b] != stage_of[b - 1]]
+    stages = []
+    for b0, b1 in zip([0, *starts], [*starts, len(batches)]):
+        d0 = int(first[b0])
+        d1 = int(first[b1]) if b1 < len(batches) else len(cols)
+        acc = slice(4 * d0, 4 * d1)
+        uv = np.concatenate((u[d0:d1], v[d0:d1]))
+        # Each dispatch writes back the two slots it read, so distinct
+        # reads also mean distinct writes.
+        rereads = len(_distinct(uv)) != len(uv)
+        key = pe[d0:d1] * (1 << 32) + (rom[d0:d1] + 1)
+        keys = _distinct(key)
+        tw = np.searchsorted(keys, key)
+        pairs = tuple((k >> 32, (k & 0xFFFFFFFF) - 1) for k in keys.tolist())
+        stages.append(_Stage(
+            stage=stage_of[b0], cycles=2 * (b1 - b0),
+            banks=_frozen(banks[acc]),
+            epochs=_frozen(epochs[acc] - 2 * b0),
+            pes=_frozen(pes[acc]),
+            uv=_frozen(uv),
+            lohi=_frozen(np.concatenate((lo[d0:d1], hi[d0:d1]))),
+            pairs=pairs, tw=_frozen(tw), rereads=rereads))
+    return _Lowered(stages=tuple(stages),
+                    initial=memory_index(trace.initial_slots),
+                    final=memory_index(trace.final_slots))
+
+
+_lowered: dict[tuple, _Lowered] = {}
+
+
+def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
+    """The lowering of this very trace object, built on first use.
+
+    Keyed by identity, so a hand-edited trace is lowered on its own and
+    never mistaken for the cached schedule of its configuration; the
+    entry goes when the trace does.
+    """
+    key = (id(trace), mem.n_banks, mem.capacity)
+    low = _lowered.get(key)
+    if low is None:
+        low = _lower(trace, mem.n_banks, mem.capacity)
+        _lowered[key] = low
+        weakref.finalize(trace, _lowered.pop, key, None)
+    return low
+
+
+@lru_cache(maxsize=None)
+def _conjugated_slots(hn: int) -> np.ndarray:
+    """Boolean mask of the slots `slot_eval_map` conjugates at readout."""
+    return _frozen(np.array([conj for _k, conj in slot_eval_map(hn)], bool))
+
+
 def load_natural(a, mem: BankedMemory, s_m: int) -> None:
     """Pack a polynomial and place word k at bank k//S_M, offset k%S_M."""
-    words = pack(a)
-    if len(words) > mem.n_banks * s_m or s_m > mem.capacity:
+    _place_packed(validate_polynomial(a), mem, s_m)
+
+
+def _place_packed(coeffs: list[float], mem: BankedMemory, s_m: int) -> None:
+    """Store validated coefficients as words a_k + i*a_{k+n/2} (the
+    packing of `transform.pack`) at their natural bank positions."""
+    c = np.array(coeffs, np.float64)
+    hn = len(c) // 2
+    if hn > mem.n_banks * s_m or s_m > mem.capacity:
         raise DomainError("polynomial does not fit the configured memory")
-    for k, w in enumerate(words):
-        mem.poke(k // s_m, k % s_m, w)
+    k = np.arange(hn)
+    at = k // s_m * mem.capacity + k % s_m
+    mem.words.real[at] = c[:hn]
+    mem.words.imag[at] = c[hn:]
 
 
 def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
@@ -133,39 +335,31 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     `roms` is the per-PE list of CompressedRom or RomImage objects.
     `stage_hook(stage, cycle)` fires after the last batch of each stage
     (used for boundary memory dumps).
+
+    Each stage first has all its read and write epochs granted by the
+    memory's port ledger, then reads every operand at once, runs the
+    butterflies and writes every result at once.  A stage that reads a
+    word slot twice raises ScheduleError, after the ledger check, so a
+    bank conflict is reported as such.  After an exception the memory
+    contents are unspecified.
     """
-    fetcher = _RomFetcher(roms)
-    mode = trace.config.direction
-    forward = mode is Direction.FORWARD
+    fetch = _RomFetcher(roms).fetch
+    forward = trace.config.direction is Direction.FORWARD
+    words = mem.words
     cycle = 0
-    prev_stage = None
-    for batch in trace.batches:
-        if stage_hook and prev_stage is not None and batch[0].stage != prev_stage:
-            stage_hook(prev_stage, cycle)
-        prev_stage = batch[0].stage
-        read_cycle, write_cycle = cycle, cycle + 1
-        results = []
-        for d in batch:
-            prim = mem.read(d.bank0, d.addr0, read_cycle, d.pe)
-            sec = mem.read(d.bank1, d.addr1, read_cycle, d.pe)
-            u, v = (sec, prim) if d.input_exchanged else (prim, sec)
-            w = fetcher.fetch(d.pe, d.rom_addr, forward)
-            x, y = pe_butterfly(u, v, w, mode)
-            results.append((d, x, y))
-        for d, x, y in results:
-            if d.input_exchanged:
-                lo = (d.bank1, d.addr1)
-                hi = (d.bank0, d.addr0)
-            else:
-                lo = (d.bank0, d.addr0)
-                hi = (d.bank1, d.addr1)
-            if d.output_exchanged:
-                lo, hi = hi, lo
-            mem.write(lo[0], lo[1], x, write_cycle, d.pe)
-            mem.write(hi[0], hi[1], y, write_cycle, d.pe)
-        cycle += 2
-    if stage_hook and prev_stage is not None:
-        stage_hook(prev_stage, cycle)
+    # overflow yields inf/nan silently, as scalar complex arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st in _lowering(trace, mem).stages:
+            mem.claim(st.banks, st.epochs, st.pes, cycle)
+            if st.rereads:
+                raise ScheduleError(
+                    f"stage {st.stage} reads a word slot in two dispatches")
+            w = np.array([fetch(pe, addr, forward) for pe, addr in st.pairs],
+                         np.complex128)
+            words[st.lohi] = _butterflies(words[st.uv], w[st.tw], forward)
+            cycle += st.cycles
+            if stage_hook:
+                stage_hook(st.stage, cycle)
     return cycle
 
 
@@ -186,7 +380,7 @@ class Simulator:
         if len(coeffs) != self.cfg.n:
             raise DomainError(
                 f"expected {self.cfg.n} coefficients, got {len(coeffs)}")
-        load_natural(coeffs, self.mem, self.cfg.s_m)
+        _place_packed(coeffs, self.mem, self.cfg.s_m)
 
     def load_spectrum(self, s: Spectrum) -> None:
         """Place an internal-order spectrum at the forward-final layout
@@ -198,11 +392,10 @@ class Simulator:
         hn = self.cfg.n // 2
         if len(s.values) != hn:
             raise DomainError(f"expected {hn} spectrum values")
-        s_m = self.cfg.s_m
-        for w, (z, (_k, conj)) in enumerate(zip(s.values, slot_eval_map(hn))):
-            slot = self.trace.initial_slots[w]
-            self.mem.poke(slot // s_m, slot % s_m,
-                          z.conjugate() if conj else z)
+        z = np.array(s.values, np.complex128)
+        conj = _conjugated_slots(hn)
+        z[conj] = z[conj].conj()
+        self.mem.words[_lowering(self.trace, self.mem).initial] = z
 
     def run(self, stage_hook=None) -> int:
         self.measured_cycles = execute(self.trace, self.mem, self.roms,
@@ -215,21 +408,13 @@ class Simulator:
             raise RuntimeError("run() the simulator before reading results")
         n = self.cfg.n
         hn = n // 2
-        s_m = self.cfg.s_m
+        z = self.mem.words[_lowering(self.trace, self.mem).final]
         if self.cfg.direction is Direction.FORWARD:
-            vals = []
-            for w, (_k, conj) in zip(range(hn), slot_eval_map(hn)):
-                slot = self.trace.final_slots[w]
-                z = self.mem.peek(slot // s_m, slot % s_m)
-                vals.append(z.conjugate() if conj else z)
-            return Spectrum(values=tuple(vals),
+            conj = _conjugated_slots(hn)
+            z[conj] = z[conj].conj()
+            return Spectrum(values=tuple(z.tolist()),
                             order_tag=OrderTag.FALCON_INTERNAL)
         if tuple(self.trace.final_slots) != tuple(range(hn)):
             raise RuntimeError("inverse run did not restore natural order")
         scale = 2.0 / n
-        out = [0.0] * n
-        for k in range(hn):
-            z = self.mem.peek(k // s_m, k % s_m)
-            out[k] = z.real * scale
-            out[k + hn] = z.imag * scale
-        return out
+        return np.concatenate((z.real * scale, z.imag * scale)).tolist()

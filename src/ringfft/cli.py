@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .transform import (
     validate_polynomial,
 )
 from .twiddles import S_MAX, build_rom_set, dump_rom
-from .verify import run_verification
+from .verify import max_abs_error, run_verification
 
 
 class CliError(Exception):
@@ -65,17 +66,29 @@ def _load_spectrum(path: str) -> Spectrum:
         values = tuple(complex(re, im) for re, im in data["values"])
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path}: malformed spectrum file ({e})")
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag)
+               for z in values):
+        raise CliError(f"{path}: spectrum values must be finite")
     return Spectrum(values=values, order_tag=order)
 
 
+def _json(obj) -> str:
+    """Standard JSON only: a NaN or infinity is an error, not output."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise CliError("result is not finite (the input overflows "
+                       "double precision)") from None
+
+
 def _spectrum_json(s: Spectrum) -> str:
-    return json.dumps(
+    return _json(
         {"order": s.order_tag.value,
          "values": [[z.real, z.imag] for z in s.values]})
 
 
 def _poly_json(a) -> str:
-    return json.dumps([float(x) for x in a])
+    return _json([float(x) for x in a])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -157,9 +170,9 @@ def cmd_polymul(args) -> int:
     c = polymul_via_fft(a, b)
     if args.check:
         ref = polymul_negacyclic_oracle(a, b)
-        dev = max(abs(x - y) for x, y in zip(c, ref))
+        dev = max_abs_error(c, ref)
         print(f"max_deviation={dev:.3e} bound={1e-9 * len(a):.3e}")
-        if dev > 1e-9 * len(a):
+        if not (dev <= 1e-9 * len(a)):
             raise CliError("product deviates from the schoolbook oracle")
     _emit(_poly_json(c), args.out)
     return 0
@@ -197,9 +210,9 @@ def cmd_cycles(args) -> int:
         lines += [f"{n},{c},{t:.0f},{rc},{rt}" for n, c, t, rc, rt in rows]
         _emit("\n".join(lines), args.out)
     elif args.format == "json":
-        _emit(json.dumps([{"n": n, "cycles": c, "time_ns": t,
-                           "a72_cycles": rc, "a72_time_ns": rt}
-                          for n, c, t, rc, rt in rows]), args.out)
+        _emit(_json([{"n": n, "cycles": c, "time_ns": t,
+                       "a72_cycles": rc, "a72_time_ns": rt}
+                      for n, c, t, rc, rt in rows]), args.out)
     else:
         lines = [f"{'n':>6} {'cycles':>8} {'time[ns]':>10} "
                  f"{'A72 cycles':>12} {'A72 time[ns]':>13}"]
@@ -231,7 +244,7 @@ def cmd_metrics(args) -> int:
                         "fft_size": r.fft_size,
                         "norm_area": round(a, 3), "norm_power": round(p, 1),
                         "norm_energy": round(e), "source": r.source})
-        _emit(json.dumps(out), args.out)
+        _emit(_json(out), args.out)
     else:
         lines = [f"{'label':<18} {'norm area':>10} {'norm power':>11} "
                  f"{'norm energy':>12}"]

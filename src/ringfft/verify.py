@@ -6,6 +6,8 @@ seeded 64-bit PRNG whose seed is echoed for replay.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .banksim import BankConflictError, Simulator
@@ -24,7 +26,22 @@ TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
                 256: 448, 512: 1024, 1024: 2304}
 
 SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
-PE_COUNTS = (1, 2, 4)
+PE_COUNTS = (1, 2, 4, 8)
+
+
+def max_abs_error(got, want) -> float:
+    """max |got - want|, elementwise.
+
+    NaN when any difference is NaN (Python's max() would skip a NaN
+    that is not first) and inf when the lengths differ, so that a check
+    written `not (err <= tol)` fails on either.
+    """
+    if len(got) != len(want):
+        return math.inf
+    if not len(got):
+        return 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(np.subtract(got, want))))
 
 
 def _sorted_pairs(values):
@@ -34,8 +51,9 @@ def _sorted_pairs(values):
 def _multiset_close(got, want, tol):
     a = _sorted_pairs(got)
     b = _sorted_pairs(want)
-    return all(abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol
-               for x, y in zip(a, b))
+    return len(a) == len(b) and all(
+        abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol
+        for x, y in zip(a, b))
 
 
 def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
@@ -112,7 +130,7 @@ def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
             if tuple(isim.trace.final_slots) != tuple(range(n // 2)):
                 all_restore = False
             tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-            if max(abs(x - y) for x, y in zip(back, a)) > tol:
+            if not (max_abs_error(back, a) <= tol):
                 all_roundtrip = False
 
     report("simulator runs completed without error", not errors,
@@ -145,7 +163,7 @@ def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
             b = rng.uniform(-1.0, 1.0, n).tolist()
             got = polymul_via_fft(a, b)
             ref = polymul_negacyclic_oracle(a, b)
-            if max(abs(x - y) for x, y in zip(got, ref)) > 1e-9 * n:
+            if not (max_abs_error(got, ref) <= 1e-9 * n):
                 ok = False
     report("convolution theorem vs schoolbook oracle", ok)
 
@@ -154,7 +172,7 @@ def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
         a = rng.uniform(-1000.0, 1000.0, n).tolist()
         back = ifft_inplace(fft_inplace(a))
         tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-        if max(abs(x - y) for x, y in zip(back, a)) > tol:
+        if not (max_abs_error(back, a) <= tol):
             ok = False
     report("library round trip <= 1e-9 relative", ok)
 

@@ -1,17 +1,30 @@
-import pytest
+import dataclasses
+import gc
 
+import numpy as np
+import pytest
+from conftest import all_configs
+
+from ringfft import banksim
 from ringfft.banksim import (
     BankConflictError,
     BankedMemory,
     Simulator,
+    _RomFetcher,
+    execute,
     load_natural,
     pe_butterfly,
 )
-from ringfft.scheduler import ScheduleConfig, cycle_count
+from ringfft.scheduler import (
+    ScheduleConfig,
+    ScheduleError,
+    build_schedule,
+    cycle_count,
+)
 from ringfft.transform import Direction, fft_inplace
 from ringfft.twiddles import build_rom_set
 
-ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4)}
+ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
 
 
 def test_pe_butterfly_forward():
@@ -34,14 +47,20 @@ def test_pe_butterfly_inverse_undoes_forward():
 
 def test_banked_memory_single_port_ledger():
     mem = BankedMemory(4)
-    mem.write(0, 0, 1 + 0j, cycle=0, pe=0)
-    mem.write(1, 0, 2 + 0j, cycle=0, pe=1)
+    # cycle 0: PE 0 on bank 0, PE 1 on bank 1; cycle 1: PE 1 on bank 0
+    mem.claim(np.array([0, 1, 0]), np.array([0, 0, 1]), np.array([0, 1, 1]),
+              first_cycle=0)
+    assert mem.port_accesses == 3
     with pytest.raises(BankConflictError) as exc:
-        mem.read(0, 0, cycle=0, pe=1)
-    assert exc.value.bank == 0 and exc.value.cycle == 0
+        mem.claim(np.array([2, 0, 3, 0]), np.array([0, 0, 0, 0]),
+                  np.array([0, 0, 1, 1]), first_cycle=4)
+    assert exc.value.bank == 0 and exc.value.cycle == 4
     assert exc.value.pes == (0, 1)
+    assert mem.port_accesses == 6  # the three accesses before the repeat
     # a new cycle opens the port again
-    assert mem.read(0, 0, cycle=1, pe=1) == 1 + 0j
+    mem.claim(np.array([0, 0]), np.array([0, 1]), np.array([1, 0]),
+              first_cycle=5)
+    assert mem.port_accesses == 8
 
 
 def test_load_natural_placement():
@@ -179,3 +198,174 @@ def test_simulator_input_validation():
                                    direction=Direction.INVERSE), roms)
     with pytest.raises(ValueError):
         inv.load_polynomial([1.0] * 8)
+
+
+def test_peek_poke_bounds_and_python_values():
+    mem = BankedMemory(4)
+    mem.poke(3, mem.capacity - 1, 1.5 - 2j)
+    z = mem.peek(3, mem.capacity - 1)
+    assert type(z) is complex and z == 1.5 - 2j
+    assert all(type(v) is complex for _b, _o, v in mem.snapshot(2))
+    for bank, addr in ((4, 0), (0, mem.capacity), (-1, 0)):
+        with pytest.raises(IndexError):
+            mem.peek(bank, addr)
+
+
+# -- the lowered execute against the per-dispatch reference -----------------
+
+def reference_execute(trace, mem, roms, stage_hook=None) -> int:
+    """Scalar reference: one dispatch at a time through `pe_butterfly`,
+    every port access claimed on its own in a per-cycle dict ledger and
+    counted in mem.port_accesses; returns the cycle total."""
+    fetcher = _RomFetcher(roms)
+    mode = trace.config.direction
+    forward = mode is Direction.FORWARD
+    users: dict[int, int] = {}
+    epoch = None
+
+    def claim(bank, cycle, pe):
+        nonlocal users, epoch
+        if cycle != epoch:
+            epoch, users = cycle, {}
+        if bank in users:
+            raise BankConflictError(cycle, bank, (users[bank], pe))
+        users[bank] = pe
+        mem.port_accesses += 1
+
+    cycle = 0
+    prev_stage = None
+    for batch in trace.batches:
+        if stage_hook and prev_stage is not None and batch[0].stage != prev_stage:
+            stage_hook(prev_stage, cycle)
+        prev_stage = batch[0].stage
+        results = []
+        for d in batch:
+            claim(d.bank0, cycle, d.pe)
+            prim = mem.peek(d.bank0, d.addr0)
+            claim(d.bank1, cycle, d.pe)
+            sec = mem.peek(d.bank1, d.addr1)
+            u, v = (sec, prim) if d.input_exchanged else (prim, sec)
+            w = fetcher.fetch(d.pe, d.rom_addr, forward)
+            results.append((d, *pe_butterfly(u, v, w, mode)))
+        for d, x, y in results:
+            lo, hi = (d.bank0, d.addr0), (d.bank1, d.addr1)
+            if d.input_exchanged:
+                lo, hi = hi, lo
+            if d.output_exchanged:
+                lo, hi = hi, lo
+            claim(lo[0], cycle + 1, d.pe)
+            mem.poke(*lo, x)
+            claim(hi[0], cycle + 1, d.pe)
+            mem.poke(*hi, y)
+        cycle += 2
+    if stage_hook and prev_stage is not None:
+        stage_hook(prev_stage, cycle)
+    return cycle
+
+
+ALL_CONFIGS = list(all_configs())
+
+
+def _bits(snapshot):
+    return [(b, o, z.real.hex(), z.imag.hex()) for b, o, z in snapshot]
+
+
+def _run_both(trace, roms, words):
+    """Run the lowered and the reference execute from the same memory
+    image; returns (cycles, port accesses, stage snapshots) of each."""
+    out = []
+    for run in (execute, reference_execute):
+        mem = BankedMemory(trace.config.banks)
+        mem.words[:] = words
+        snaps = []
+        cycles = run(trace, mem, roms, lambda stage, cycle: snaps.append(
+            (stage, cycle, _bits(mem.snapshot(mem.capacity)))))
+        out.append((cycles, mem.port_accesses, snaps))
+    return out
+
+
+def test_every_valid_config_is_compared():
+    assert len(ALL_CONFIGS) == 66
+
+
+@pytest.mark.parametrize(
+    "cfg", ALL_CONFIGS,
+    ids=lambda c: f"{c.n}-{c.n_pe}-{c.direction.value}")
+def test_lowered_execute_matches_reference(cfg, rng):
+    trace = build_schedule(cfg)
+    _, images, roms = ROMS[cfg.n_pe]
+    size = len(BankedMemory(cfg.banks).words)
+    words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
+    for source in (roms, images):
+        lowered, reference = _run_both(trace, source, words)
+        assert lowered == reference
+        cycles, ports, snaps = lowered
+        assert cycles == trace.cycles
+        assert ports == 4 * trace.dispatch_count
+        assert len(snaps) == cfg.stages
+
+
+def _edit(trace, batch_index, pos, **changes):
+    batches = list(trace.batches)
+    batch = list(batches[batch_index])
+    batch[pos] = dataclasses.replace(batch[pos], **changes)
+    batches[batch_index] = tuple(batch)
+    return dataclasses.replace(trace, batches=tuple(batches))
+
+
+@pytest.mark.parametrize("n,npe,batch_index,other", [
+    (32, 2, 5, 0),      # stage 1: PE 1 reads PE 0's first bank
+    (64, 4, 9, 2),      # stage 2: PE 3 reads PE 2's first bank
+    (1024, 2, 700, 0),  # a deep stage of the paper's configuration
+])
+def test_bank_conflict_reported_like_reference(n, npe, batch_index, other):
+    trace = build_schedule(ScheduleConfig(n=n, n_pe=npe))
+    batch = trace.batches[batch_index]
+    bad = _edit(trace, batch_index, len(batch) - 1,
+                bank0=batch[other].bank0, addr0=batch[other].addr0)
+    _, _, roms = ROMS[npe]
+    errors = []
+    for run in (execute, reference_execute):
+        mem = BankedMemory(trace.config.banks)
+        with pytest.raises(BankConflictError) as exc:
+            run(bad, mem, roms)
+        errors.append((exc.value.cycle, exc.value.bank, exc.value.pes,
+                       mem.port_accesses))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2 * batch_index
+    assert errors[0][2] == (batch[other].pe, batch[-1].pe)
+
+
+def test_stage_reading_a_slot_twice_is_rejected():
+    # one PE: every batch is a single dispatch, so no cycle sees a
+    # conflict, but batch 1 re-reads the slots batch 0 already used
+    trace = build_schedule(ScheduleConfig(n=32, n_pe=1))
+    d0 = trace.batches[0][0]
+    bad = _edit(trace, 1, 0, bank0=d0.bank0, addr0=d0.addr0,
+                bank1=d0.bank1, addr1=d0.addr1)
+    _, _, roms = ROMS[1]
+    with pytest.raises(ScheduleError, match="stage 0"):
+        execute(bad, BankedMemory(trace.config.banks), roms)
+
+
+def test_execute_lowers_the_trace_it_is_given(rng):
+    cfg = ScheduleConfig(n=64, n_pe=2)
+    trace = build_schedule(cfg)
+    last = len(trace.batches) - 1
+    edited = _edit(trace, last, 0, output_exchanged=not
+                   trace.batches[last][0].output_exchanged)
+    _, _, roms = ROMS[2]
+    size = len(BankedMemory(cfg.banks).words)
+    words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
+    lowered, reference = _run_both(edited, roms, words)
+    assert lowered == reference
+    assert lowered != _run_both(trace, roms, words)[0]
+
+    key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity)
+    low = banksim._lowered[key]
+    for st in low.stages:
+        for arr in (st.banks, st.epochs, st.pes, st.uv, st.lohi, st.tw):
+            assert not arr.flags.writeable
+    del edited, low
+    gc.collect()
+    assert key not in banksim._lowered

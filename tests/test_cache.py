@@ -4,36 +4,22 @@ import dataclasses
 import hashlib
 
 import pytest
+from conftest import all_configs
 
-from ringfft.scheduler import (
-    ScheduleConfig,
-    ScheduleError,
-    build_schedule,
-    trace_csv_rows,
-)
+from ringfft.scheduler import ScheduleConfig, build_schedule, trace_csv_rows
 from ringfft.transform import Direction, slot_eval_map
 from ringfft.twiddles import S_MAX, build_rom_set, build_twiddle_table
 
 # SHA-256 over every valid configuration's trace (placements and CSV
-# rows, in _all_configs order); any change to a generated schedule,
+# rows, in all_configs order); any change to a generated schedule,
 # however it is built, changes it.
 SCHEDULE_DIGEST = \
     "9888b0319a400b6af885a6cfbff59bc9972cddd3793172a32a7f83157e0b899b"
 
 
-def _all_configs():
-    for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
-        for npe in (1, 2, 4, 8):
-            for direction in (Direction.FORWARD, Direction.INVERSE):
-                try:
-                    yield ScheduleConfig(n=n, n_pe=npe, direction=direction)
-                except ScheduleError:
-                    pass
-
-
 def test_schedule_digest_pinned():
     h = hashlib.sha256()
-    configs = list(_all_configs())
+    configs = list(all_configs())
     assert len(configs) == 66
     for cfg in configs:
         trace = build_schedule(cfg)

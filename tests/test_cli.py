@@ -185,3 +185,85 @@ def test_ifft_rejects_empty_spectrum(tmp_path, capsys, engine, order):
     assert main(["ifft", str(spec), "--engine", engine]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "got 0" in err
+
+
+def test_polymul_check_fails_on_nan_deviation(tmp_path, capsys):
+    big = _write_poly(tmp_path / "big.json", [1e300] * 8)
+    out = tmp_path / "c.json"
+    assert main(["polymul", big, big, "--check", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "max_deviation=nan" in captured.out
+    assert captured.err.startswith("error:")
+    assert not out.exists()
+
+
+def test_polymul_non_finite_product_is_an_error(tmp_path, capsys):
+    big = _write_poly(tmp_path / "big.json", [1e300] * 8)
+    assert main(["polymul", big, big]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not finite" in captured.err
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
+@pytest.mark.parametrize("engine,order", [("inplace", "falcon_internal"),
+                                          ("simulator", "falcon_internal"),
+                                          ("reference", "natural_eval")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ifft_rejects_non_finite_spectrum(tmp_path, capsys, engine, order, bad):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"order": order,
+                                "values": [[1.0, 0.0], [0.5, bad]]}))
+    assert main(["ifft", str(spec), "--engine", engine]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["inplace", "simulator"])
+def test_ifft_overflow_is_an_error(tmp_path, capsys, engine):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"order": "falcon_internal",
+                                "values": [[1e308, 1e308]] * 4}))
+    assert main(["ifft", str(spec), "--engine", engine]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not finite" in captured.err
+    assert "Infinity" not in captured.out
+
+
+# SHA-256 of CLI outputs for fixed dyadic inputs, recorded before the
+# simulator executed whole stages at once; any change to the bits the
+# simulator engine prints changes them.
+FFT_SIM32_DIGESTS = {
+    "out": "254876dca5207e723793a59859ebae8f549b49753da52b8f39f2edd1a7e45527",
+    "dump": "f6c6e53e8f8e169dc9e8769f6d5b28d54f290da47328844b50f7db056ce03271",
+}
+IFFT_SIM1024_DIGEST = \
+    "5d18ba101894161d0e31c04bd49192b547c6e93e19b6c4874a7707c72a7d3cb3"
+
+
+def _sha256(path):
+    import hashlib
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_simulator_fft_output_pinned(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json",
+                      [((k * 37) % 101 - 50) / 8.0 for k in range(32)])
+    out, dump = tmp_path / "s.json", tmp_path / "d.csv"
+    assert main(["fft", src, "--engine", "simulator", "--npe", "2",
+                 "--out", str(out), "--dump-stages", str(dump)]) == 0
+    assert capsys.readouterr().out == "cycles=32\n"
+    assert {"out": _sha256(out), "dump": _sha256(dump)} == FFT_SIM32_DIGESTS
+
+
+@pytest.mark.parametrize("npe,cycles", [(1, 4608), (2, 2304),
+                                        (4, 1152), (8, 576)])
+def test_simulator_ifft_output_pinned(tmp_path, capsys, npe, cycles):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "order": "falcon_internal",
+        "values": [[((k * 29) % 97 - 48) / 16.0, ((k * 53) % 89 - 44) / 32.0]
+                   for k in range(512)]}))
+    out = tmp_path / "p.json"
+    assert main(["ifft", str(spec), "--engine", "simulator", "--npe",
+                 str(npe), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"cycles={cycles}\n"
+    assert _sha256(out) == IFFT_SIM1024_DIGEST

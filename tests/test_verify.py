@@ -1,5 +1,9 @@
 """`ringfft verify` keeps each failure on its own report line."""
 
+import math
+
+import pytest
+
 from ringfft import verify
 from ringfft.banksim import BankConflictError, Simulator
 from ringfft.transform import Spectrum
@@ -53,3 +57,52 @@ def test_bank_conflicts_are_reported_as_conflicts(monkeypatch):
     assert not ok
     assert "FAIL  conflict-free execution" in out
     assert "PASS  simulator runs completed without error" in out
+
+
+def test_multiset_check_fails_on_length_mismatch():
+    assert verify._multiset_close([1j, 2j], [1j, 2j], 0.0)
+    assert not verify._multiset_close([1j], [1j, 2j], 1.0)
+
+
+def test_max_abs_error_propagates_nan_and_length_mismatch():
+    nan = float("nan")
+    assert verify.max_abs_error([1.0, 2.0], [1.0, 2.5]) == 0.5
+    assert math.isnan(verify.max_abs_error([1.0, nan], [1.0, 2.0]))
+    assert verify.max_abs_error([1.0], [1.0, 2.0]) == math.inf
+
+
+@pytest.mark.parametrize("name,check", [
+    ("polymul_via_fft", "convolution theorem vs schoolbook oracle"),
+    ("ifft_inplace", "library round trip <= 1e-9 relative"),
+])
+def test_nan_deviation_fails_its_check(monkeypatch, name, check):
+    real = getattr(verify, name)
+
+    def last_word_nan(*args):
+        out = real(*args)
+        out[-1] = float("nan")
+        return out
+
+    monkeypatch.setattr(verify, name, last_word_nan)
+    lines = []
+    assert not verify.run_verification(seed=5, quick=True, echo=lines.append)
+    assert f"FAIL  {check}" in lines
+
+
+def test_simulator_nan_deviation_fails_round_trip(monkeypatch):
+    class NanTail(Simulator):
+        def read_result(self):
+            out = super().read_result()
+            if isinstance(out, list):
+                out[-1] = float("nan")
+            return out
+
+    ok, out = _run(monkeypatch, NanTail)
+    assert not ok
+    assert "FAIL  forward+inverse round trip <= 1e-9 relative" in out
+
+
+def test_eight_pes_are_verified():
+    assert 8 in verify.PE_COUNTS
+    lines = []
+    assert verify.run_verification(seed=5, quick=True, echo=lines.append)
