@@ -20,7 +20,6 @@ makes running a stage at once equal to running it batch by batch.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
@@ -33,7 +32,8 @@ from .transform import (
     DomainError,
     OrderTag,
     Spectrum,
-    slot_eval_map,
+    array_butterfly,
+    conjugate_odd_slots,
     validate_polynomial,
 )
 from .twiddles import S_MAX, CompressedRom, RomImage, fetch_twiddle, stage0_constant
@@ -62,37 +62,6 @@ def pe_butterfly(u: complex, v: complex, w: complex,
         t = w * v
         return u + t, u - t
     return u + v, (u - v) * w
-
-
-def _butterflies(uv: np.ndarray, w: np.ndarray, forward: bool) -> np.ndarray:
-    """`pe_butterfly` over k dispatches at once.
-
-    uv holds the k first operands followed by the k second operands;
-    the result holds the k x outputs followed by the k y outputs.  The
-    arithmetic is split into float64 operations in the order CPython's
-    complex multiply uses, (ar*br - ai*bi, ar*bi + ai*br), so every
-    product rounds exactly as the scalar butterfly's does (no fused
-    multiply-add).
-    """
-    k = len(w)
-    u, v = uv[:k], uv[k:]
-    ur, ui, vr, vi, wr, wi = u.real, u.imag, v.real, v.imag, w.real, w.imag
-    out = np.empty(2 * k, np.complex128)
-    x, y = out[:k], out[k:]
-    if forward:
-        tr = wr * vr - wi * vi
-        ti = wr * vi + wi * vr
-        np.add(ur, tr, out=x.real)
-        np.add(ui, ti, out=x.imag)
-        np.subtract(ur, tr, out=y.real)
-        np.subtract(ui, ti, out=y.imag)
-    else:
-        np.add(ur, vr, out=x.real)
-        np.add(ui, vi, out=x.imag)
-        dr, di = ur - vr, ui - vi
-        np.subtract(dr * wr, di * wi, out=y.real)
-        np.add(dr * wi, di * wr, out=y.imag)
-    return out
 
 
 class BankedMemory:
@@ -304,12 +273,6 @@ def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
     return low
 
 
-@lru_cache(maxsize=None)
-def _conjugated_slots(hn: int) -> np.ndarray:
-    """Boolean mask of the slots `slot_eval_map` conjugates at readout."""
-    return _frozen(np.array([conj for _k, conj in slot_eval_map(hn)], bool))
-
-
 def load_natural(a, mem: BankedMemory, s_m: int) -> None:
     """Pack a polynomial and place word k at bank k//S_M, offset k%S_M."""
     _place_packed(validate_polynomial(a), mem, s_m)
@@ -356,7 +319,10 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
                     f"stage {st.stage} reads a word slot in two dispatches")
             w = np.array([fetch(pe, addr, forward) for pe, addr in st.pairs],
                          np.complex128)
-            words[st.lohi] = _butterflies(words[st.uv], w[st.tw], forward)
+            uv = words[st.uv]
+            k = len(st.tw)
+            array_butterfly(uv[:k], uv[k:], w[st.tw], forward)
+            words[st.lohi] = uv
             cycle += st.cycles
             if stage_hook:
                 stage_hook(st.stage, cycle)
@@ -393,8 +359,7 @@ class Simulator:
         if len(s.values) != hn:
             raise DomainError(f"expected {hn} spectrum values")
         z = np.array(s.values, np.complex128)
-        conj = _conjugated_slots(hn)
-        z[conj] = z[conj].conj()
+        conjugate_odd_slots(z)
         self.mem.words[_lowering(self.trace, self.mem).initial] = z
 
     def run(self, stage_hook=None) -> int:
@@ -410,8 +375,7 @@ class Simulator:
         hn = n // 2
         z = self.mem.words[_lowering(self.trace, self.mem).final]
         if self.cfg.direction is Direction.FORWARD:
-            conj = _conjugated_slots(hn)
-            z[conj] = z[conj].conj()
+            conjugate_odd_slots(z)
             return Spectrum(values=tuple(z.tolist()),
                             order_tag=OrderTag.FALCON_INTERNAL)
         if tuple(self.trace.final_slots) != tuple(range(hn)):

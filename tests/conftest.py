@@ -10,18 +10,6 @@ def rng():
     return np.random.default_rng(0xF0F0)
 
 
-def sorted_pairs(values):
-    return sorted((z.real, z.imag) for z in values)
-
-
-def multiset_close(got, want, tol):
-    a = sorted_pairs(got)
-    b = sorted_pairs(want)
-    assert len(a) == len(b)
-    return all(abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol
-               for x, y in zip(a, b))
-
-
 def all_configs():
     """Every valid ScheduleConfig (66), in a fixed order."""
     for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):

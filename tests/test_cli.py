@@ -187,22 +187,26 @@ def test_ifft_rejects_empty_spectrum(tmp_path, capsys, engine, order):
     assert err.startswith("error:") and "got 0" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_polymul_check_fails_on_nan_deviation(tmp_path, capsys):
-    big = _write_poly(tmp_path / "big.json", [1e300] * 8)
-    out = tmp_path / "c.json"
-    assert main(["polymul", big, big, "--check", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "max_deviation=nan" in captured.out
-    assert captured.err.startswith("error:")
-    assert not out.exists()
+    # overflow must stay silent in the product and in the oracle alike
+    for n in (8, 1024):
+        big = _write_poly(tmp_path / "big.json", [1e300] * n)
+        out = tmp_path / "c.json"
+        assert main(["polymul", big, big, "--check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "max_deviation=nan" in captured.out
+        assert captured.err.startswith("error:")
+        assert not out.exists()
 
 
 def test_polymul_non_finite_product_is_an_error(tmp_path, capsys):
-    big = _write_poly(tmp_path / "big.json", [1e300] * 8)
-    assert main(["polymul", big, big]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "not finite" in captured.err
-    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    for n in (8, 1024):
+        big = _write_poly(tmp_path / "big.json", [1e300] * n)
+        assert main(["polymul", big, big]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
 
 
 @pytest.mark.parametrize("engine,order", [("inplace", "falcon_internal"),

@@ -1,21 +1,25 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import multiset_close
 from ringfft.transform import (
     DomainError,
     OrderTag,
     PointwiseDivideError,
     Spectrum,
+    _run_forward_network,
+    _run_inverse_network,
     butterflies_executed,
+    conjugate_odd_slots,
     fft_inplace,
     fft_ref,
     ifft_inplace,
     ifft_ref,
     omega,
+    pack,
     pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
@@ -23,8 +27,11 @@ from ringfft.transform import (
     slot_eval_map,
     validate_polynomial,
 )
+from ringfft.twiddles import S_MAX, build_twiddle_table
+from ringfft.verify import oracle_error
 
 SQ2 = math.sqrt(2.0) / 2.0
+SIZES = tuple(1 << k for k in range(1, 11))  # n = 2..1024
 
 
 def test_omega_small_cases():
@@ -134,13 +141,15 @@ def test_fft_inplace_constant_any_n():
         assert all(z == pytest.approx(7.25 + 0j, abs=1e-12) for z in s.values)
 
 
-def test_fft_inplace_matches_reference_multiset(rng):
+def test_fft_inplace_matches_reference_elementwise(rng):
+    # slot s holds evaluation slot_eval_map(hn)[s][0]: about 6e-12 off
+    # at n = 1024 and exact at n = 2
     a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    assert multiset_close(fft_inplace(a).values, fft_ref(a).values, 1e-12)
-    for n in (4, 16, 64, 256, 1024):
+    assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= 1e-12
+    for n in SIZES:
         a = rng.uniform(-1, 1, n).tolist()
         tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-        assert multiset_close(fft_inplace(a).values, fft_ref(a).values, tol)
+        assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= tol
 
 
 def test_fft_inplace_is_fixed_permutation_of_natural_order(rng):
@@ -166,9 +175,6 @@ def test_fft_inplace_is_fixed_permutation_of_natural_order(rng):
 def test_slot_eval_map_against_network_probe():
     # feed exp(-i*pi*e*j/n) words: exactly one output slot sums to n/2,
     # identifying which evaluation each slot carries
-    from ringfft.transform import _run_forward_network
-    from ringfft.twiddles import build_twiddle_table
-
     for n in (4, 8, 16, 32):
         hn = n // 2
         got = slot_eval_map(hn)
@@ -288,3 +294,108 @@ def test_polymul_via_fft_matches_oracle(rng):
         got = polymul_via_fft(a, b)
         ref = polymul_negacyclic_oracle(a, b)
         assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-9 * n
+
+
+def test_odd_slots_are_the_conjugated_ones():
+    for n in SIZES:
+        z = np.arange(n // 2) * (1 + 1j)
+        conj = np.array([c for _k, c in slot_eval_map(n // 2)])
+        want = np.where(conj, z.conj(), z)
+        conjugate_odd_slots(z)
+        assert np.array_equal(z, want)
+
+
+# The scalar network, composed as fft_inplace/ifft_inplace compose it
+# below VECTOR_MIN_HN: the bit-exact reference of the array path.
+
+def _scalar_fft(a):
+    vals = pack(a)
+    _run_forward_network(vals, build_twiddle_table(S_MAX))
+    return [z.conjugate() if conj else z
+            for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
+
+
+def _scalar_ifft(values):
+    hn = len(values)
+    vals = [z.conjugate() if conj else z
+            for z, (_k, conj) in zip(values, slot_eval_map(hn))]
+    _run_inverse_network(vals, build_twiddle_table(S_MAX))
+    scale = 2.0 / (2 * hn)
+    return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
+
+
+def _scalar_polymul(a, b):
+    return _scalar_ifft([x * y for x, y in zip(_scalar_fft(a), _scalar_fft(b))])
+
+
+def _bits(values):
+    dtype = np.complex128 if isinstance(values[0], complex) else np.float64
+    return np.array(values, dtype).view(np.uint64)
+
+
+def _internal(values):
+    return Spectrum(values=tuple(values), order_tag=OrderTag.FALCON_INTERNAL)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_network_paths_bit_identical_to_scalar_reference(rng, n):
+    polys = {
+        "float": rng.uniform(-1e4, 1e4, n).tolist(),
+        "int": rng.integers(-127, 128, n).tolist(),
+        "zero": [0.0] * n,
+    }
+    z = rng.uniform(-1e4, 1e4, (n // 2, 2))
+    z[::3] = 0.0
+    z[1::5] *= -0.0
+    spectra = [_scalar_fft(a) for a in polys.values()]
+    spectra.append([complex(x, y) for x, y in z])
+    for a in polys.values():
+        assert np.array_equal(_bits(fft_inplace(a).values), _bits(_scalar_fft(a)))
+    for values in spectra:
+        assert np.array_equal(_bits(ifft_inplace(_internal(values))),
+                              _bits(_scalar_ifft(values)))
+    for a, b in [("float", "int"), ("int", "int"), ("zero", "float")]:
+        got = polymul_via_fft(polys[a], polys[b])
+        assert np.array_equal(_bits(got), _bits(_scalar_polymul(polys[a], polys[b])))
+        want = ifft_inplace(pointwise_op(fft_inplace(polys[a]),
+                                         fft_inplace(polys[b]), "mul"))
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_vector_path_overflow_matches_scalar_silently():
+    n = 1024
+    big = [1e300] * n
+    huge = [1.7e308] * n
+    spectrum = [complex(1e308, -1e308)] * (n // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = [
+            (fft_inplace(huge).values, _scalar_fft(huge)),
+            (ifft_inplace(_internal(spectrum)), _scalar_ifft(spectrum)),
+            (polymul_via_fft(big, big), _scalar_polymul(big, big)),
+        ]
+    for got, want in cases:
+        finite = np.isfinite(np.array(want))
+        assert not finite.all()
+        assert np.array_equal(np.isfinite(np.array(got)), finite)
+
+
+def test_falcon_shaped_products_round_to_the_exact_product(rng):
+    # FALCON multiplies small integer polynomials through this transform;
+    # rounding the product must give the exact integer result
+    # (n = 4..1024, both sides of the vector crossover)
+    worst, exact_everywhere = {}, True
+    for n in SIZES[1:]:
+        worst[n] = 0.0
+        for _ in range(8):
+            a = rng.integers(-127, 128, n)
+            b = rng.integers(-127, 128, n)
+            conv = np.convolve(a, b)
+            exact = conv[:n].copy()
+            exact[:n - 1] -= conv[n:]
+            got = np.array(polymul_via_fft(a.tolist(), b.tolist()))
+            exact_everywhere &= np.array_equal(np.rint(got), exact)
+            worst[n] = max(worst[n], float(np.max(np.abs(got - exact))))
+    margins = ", ".join(f"n={n}: max err {e:.2e}, margin to 0.5 {0.5 - e:.3f}"
+                        for n, e in worst.items())
+    assert exact_everywhere, margins

@@ -59,9 +59,13 @@ def test_bank_conflicts_are_reported_as_conflicts(monkeypatch):
     assert "PASS  simulator runs completed without error" in out
 
 
-def test_multiset_check_fails_on_length_mismatch():
-    assert verify._multiset_close([1j, 2j], [1j, 2j], 0.0)
-    assert not verify._multiset_close([1j], [1j, 2j], 1.0)
+def test_oracle_check_is_elementwise_and_fails_on_length_mismatch():
+    # slot_eval_map(4) puts evaluations 0, 3, 2, 1 in slots 0..3
+    a, b, c, d = 1j, 2j, 3j, 4j
+    assert verify.oracle_error([a, d, c, b], [a, b, c, d]) == 0.0
+    # the same values in another order: a multiset comparison passed this
+    assert verify.oracle_error([a, b, c, d], [a, b, c, d]) == 2.0
+    assert verify.oracle_error([1j], [1j, 2j]) == math.inf
 
 
 def test_max_abs_error_propagates_nan_and_length_mismatch():
