@@ -9,12 +9,21 @@ writes in the next, and a second access to any bank within an epoch
 aborts the run with a conflict report.  There is no pipelining, so
 epochs never overlap.
 
+The PEs read their twiddles from compressed ROMs only.  Which ROM word a
+dispatch reads depends on the schedule alone, and its value on the ROM
+set and the direction, so each ROM set is decompressed once per
+direction into one flat table (`twiddles.execution_table`: the wired
+stage-0 constant, then every logical word of every PE, conjugated for
+the inverse).
+
 A trace is lowered once into flat per-stage index arrays (operand read
-slots, result write slots, twiddle indices and the banks each epoch
-touches), and `execute` runs every stage as one gather -> butterfly ->
-scatter after the port ledger has granted all of that stage's epochs.
-Lowering checks that no stage touches a word slot twice, which is what
-makes running a stage at once equal to running it batch by batch.
+slots, result write slots, each dispatch's position in that twiddle
+table and the banks each epoch touches), and `execute` runs every stage
+as one gather of operands and twiddles -> butterfly -> scatter after the
+port ledger has granted all of that stage's epochs.  Lowering checks
+that no stage touches a word slot twice, which is what makes running a
+stage at once equal to running it batch by batch, and that every ROM
+address lies inside its PE's ROM.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .transform import (
     conjugate_odd_slots,
     validate_polynomial,
 )
-from .twiddles import S_MAX, CompressedRom, RomImage, fetch_twiddle, stage0_constant
+from .twiddles import S_MAX, execution_table, rom_word_index
 
 
 class BankConflictError(RuntimeError):
@@ -121,29 +130,6 @@ class BankedMemory:
         return [(b, o, z) for b, row in enumerate(rows) for o, z in enumerate(row)]
 
 
-class _RomFetcher:
-    """Uniform twiddle access over compressed or uncompressed ROMs."""
-
-    def __init__(self, roms):
-        self.roms = roms
-        self._wired = stage0_constant()
-
-    def fetch(self, pe: int, rom_addr: int, forward: bool) -> complex:
-        if rom_addr < 0:
-            w = self._wired
-            return w if forward else complex(w.real, -w.imag)
-        rom = self.roms[pe]
-        if isinstance(rom, CompressedRom):
-            return fetch_twiddle(rom, rom_addr, forward)
-        if isinstance(rom, RomImage):
-            if rom_addr >= len(rom.entries):
-                raise DomainError(
-                    f"ROM address {rom_addr} out of range for PE {pe}")
-            w = rom.entries[rom_addr]
-            return w if forward else complex(w.real, -w.imag)
-        raise TypeError(f"unsupported ROM object {type(rom)!r}")
-
-
 class _Stage(NamedTuple):
     """One stage of a lowered trace; all arrays are read-only."""
     stage: int
@@ -153,8 +139,7 @@ class _Stage(NamedTuple):
     pes: np.ndarray         # and requesting PE
     uv: np.ndarray          # read slots: first operands, then second operands
     lohi: np.ndarray        # write slots: x outputs, then y outputs
-    pairs: tuple            # distinct (pe, rom_addr) fetched by the stage
-    tw: np.ndarray          # per dispatch, its index into pairs
+    tw: np.ndarray          # per dispatch, its twiddle's table position
     rereads: bool           # some word slot is read by two dispatches
 
 
@@ -180,8 +165,10 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
-    """Flatten trace into per-stage index arrays for one memory geometry."""
+def _lower(trace: ScheduleTrace, n_banks: int, capacity: int,
+           n_pe: int, rom_len: int) -> _Lowered:
+    """Flatten trace into per-stage index arrays for one memory geometry
+    and one shape of ROM set (n_pe ROMs of rom_len logical words)."""
     s_m = trace.config.s_m
 
     def memory_index(slots):
@@ -202,6 +189,7 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
             or max(addr0.max(), addr1.max()) >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
 
+    tw = rom_word_index(pe, rom, n_pe, rom_len)  # TwiddleError if out of range
     s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
     u = np.where(in_ex, s1, s0)
     v = np.where(in_ex, s0, s1)
@@ -237,10 +225,6 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
         # Each dispatch writes back the two slots it read, so distinct
         # reads also mean distinct writes.
         rereads = len(_distinct(uv)) != len(uv)
-        key = pe[d0:d1] * (1 << 32) + (rom[d0:d1] + 1)
-        keys = _distinct(key)
-        tw = np.searchsorted(keys, key)
-        pairs = tuple((k >> 32, (k & 0xFFFFFFFF) - 1) for k in keys.tolist())
         stages.append(_Stage(
             stage=stage_of[b0], cycles=2 * (b1 - b0),
             banks=_frozen(banks[acc]),
@@ -248,7 +232,7 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
             pes=_frozen(pes[acc]),
             uv=_frozen(uv),
             lohi=_frozen(np.concatenate((lo[d0:d1], hi[d0:d1]))),
-            pairs=pairs, tw=_frozen(tw), rereads=rereads))
+            tw=_frozen(tw[d0:d1]), rereads=rereads))
     return _Lowered(stages=tuple(stages),
                     initial=memory_index(trace.initial_slots),
                     final=memory_index(trace.final_slots))
@@ -257,17 +241,18 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
 _lowered: dict[tuple, _Lowered] = {}
 
 
-def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
+def _lowering(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Lowered:
     """The lowering of this very trace object, built on first use.
 
     Keyed by identity, so a hand-edited trace is lowered on its own and
     never mistaken for the cached schedule of its configuration; the
-    entry goes when the trace does.
+    entry goes when the trace does.  `roms` must already have passed
+    `execution_table`; only its shape enters the lowering.
     """
-    key = (id(trace), mem.n_banks, mem.capacity)
+    key = (id(trace), mem.n_banks, mem.capacity, len(roms), roms[0].logical_len)
     low = _lowered.get(key)
     if low is None:
-        low = _lower(trace, mem.n_banks, mem.capacity)
+        low = _lower(trace, *key[1:])
         _lowered[key] = low
         weakref.finalize(trace, _lowered.pop, key, None)
     return low
@@ -295,33 +280,35 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
             stage_hook=None) -> int:
     """Run every dispatch batch; returns the cycle total.
 
-    `roms` is the per-PE list of CompressedRom or RomImage objects.
+    `roms` is the per-PE sequence of CompressedRom objects; anything
+    else raises TypeError, and a dispatch whose ROM address lies outside
+    its PE's ROM raises TwiddleError, both before any memory access.
     `stage_hook(stage, cycle)` fires after the last batch of each stage
     (used for boundary memory dumps).
 
     Each stage first has all its read and write epochs granted by the
-    memory's port ledger, then reads every operand at once, runs the
+    memory's port ledger, then reads every operand and gathers every
+    twiddle from the ROM set's execution table at once, runs the
     butterflies and writes every result at once.  A stage that reads a
     word slot twice raises ScheduleError, after the ledger check, so a
     bank conflict is reported as such.  After an exception the memory
     contents are unspecified.
     """
-    fetch = _RomFetcher(roms).fetch
     forward = trace.config.direction is Direction.FORWARD
+    table = execution_table(roms, forward)
+    stages = _lowering(trace, mem, roms).stages
     words = mem.words
     cycle = 0
     # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        for st in _lowering(trace, mem).stages:
+        for st in stages:
             mem.claim(st.banks, st.epochs, st.pes, cycle)
             if st.rereads:
                 raise ScheduleError(
                     f"stage {st.stage} reads a word slot in two dispatches")
-            w = np.array([fetch(pe, addr, forward) for pe, addr in st.pairs],
-                         np.complex128)
             uv = words[st.uv]
             k = len(st.tw)
-            array_butterfly(uv[:k], uv[k:], w[st.tw], forward)
+            array_butterfly(uv[:k], uv[k:], table[st.tw], forward)
             words[st.lohi] = uv
             cycle += st.cycles
             if stage_hook:
@@ -335,6 +322,8 @@ class Simulator:
     def __init__(self, cfg: ScheduleConfig, roms):
         self.cfg = cfg
         self.trace = build_schedule(cfg)
+        # rejects anything but compressed ROMs before any other use
+        execution_table(roms, cfg.direction is Direction.FORWARD)
         self.roms = roms
         self.mem = BankedMemory(cfg.banks)
         self.measured_cycles: int | None = None
@@ -360,7 +349,7 @@ class Simulator:
             raise DomainError(f"expected {hn} spectrum values")
         z = np.array(s.values, np.complex128)
         conjugate_odd_slots(z)
-        self.mem.words[_lowering(self.trace, self.mem).initial] = z
+        self.mem.words[_lowering(self.trace, self.mem, self.roms).initial] = z
 
     def run(self, stage_hook=None) -> int:
         self.measured_cycles = execute(self.trace, self.mem, self.roms,
@@ -373,7 +362,7 @@ class Simulator:
             raise RuntimeError("run() the simulator before reading results")
         n = self.cfg.n
         hn = n // 2
-        z = self.mem.words[_lowering(self.trace, self.mem).final]
+        z = self.mem.words[_lowering(self.trace, self.mem, self.roms).final]
         if self.cfg.direction is Direction.FORWARD:
             conjugate_odd_slots(z)
             return Spectrum(values=tuple(z.tolist()),

@@ -18,7 +18,9 @@ at even ROM addresses; the odd-address neighbour of every pair equals
 +/- i times its even partner, so hardware recovers it by swapping the
 real/imaginary words and negating one sign bit.  Both operations are
 exact on IEEE-754 doubles, which is what makes the compressed and
-uncompressed paths bit-identical.
+uncompressed paths bit-identical.  `fetch_twiddle` serves one word at a
+time; the simulator instead reads `execution_table`, which decompresses
+a whole ROM set once per direction into one flat array.
 
 Stage 0 is a special case: every run of every size shares the single
 constant w(0,0) = exp(i*pi/4), which has no +/-i partner anywhere in the
@@ -30,8 +32,11 @@ in the README.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 S_MAX = 1024
 
@@ -328,6 +333,72 @@ def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> comple
     if not forward:
         a = complex(a.real, -a.imag)
     return a
+
+
+WIRED_INDEX = 0
+"""Position of the wired stage-0 constant in every execution table."""
+
+
+def rom_word_index(pe, addr, n_pe: int, logical_len: int) -> np.ndarray:
+    """Execution-table position of logical word `addr` of PE `pe`'s ROM,
+    elementwise over arrays; address -1 selects the wired constant.
+
+    The words of PE p follow the wired one at stride `logical_len`.  A
+    PE outside 0..n_pe-1 or an address outside -1..logical_len-1 raises
+    TwiddleError, since a flat table would otherwise quietly serve a
+    word of the neighbouring PE.
+    """
+    pe = np.asarray(pe, np.int64)
+    addr = np.asarray(addr, np.int64)
+    bad = (pe < 0) | (pe >= n_pe) | (addr < -1) | (addr >= logical_len)
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise TwiddleError(
+            f"ROM address {int(addr.flat[j])} of PE {int(pe.flat[j])} out of "
+            f"range 0..{logical_len - 1} (PEs 0..{n_pe - 1})")
+    return np.where(addr < 0, WIRED_INDEX, 1 + pe * logical_len + addr)
+
+
+def _build_execution_table(roms, forward: bool) -> np.ndarray:
+    bad = [type(r).__name__ for r in roms if not isinstance(r, CompressedRom)]
+    if bad or not roms:
+        raise TypeError("expected a non-empty sequence of CompressedRom, got "
+                        f"{type(roms).__name__} holding {', '.join(bad) or 'nothing'}")
+    if len({rom.logical_len for rom in roms}) != 1:
+        raise TwiddleError("the ROMs of one set differ in logical length")
+    words = [stage0_constant()]
+    for rom in roms:
+        words.extend(decompress_rom(rom))
+    table = np.array(words, np.complex128)
+    if not forward:
+        table = table.conj()
+    table.flags.writeable = False
+    return table
+
+
+_tables: dict[tuple, np.ndarray] = {}
+
+
+def execution_table(roms, forward: bool = True) -> np.ndarray:
+    """Every twiddle a run on the compressed ROM set `roms` can read, in
+    one read-only complex128 array: the wired stage-0 constant at
+    WIRED_INDEX, then each PE's decompressed logical words (see
+    `rom_word_index`), all conjugated for the inverse direction.
+
+    Built once per ROM set and direction.  The cache is keyed by the
+    identity of the ROM objects, so a lookup never hashes their
+    contents, and an entry goes as soon as one of its ROMs does, before
+    its id can be reused.  Anything but a sequence of CompressedRom
+    raises TypeError.
+    """
+    key = (*map(id, roms), forward)
+    table = _tables.get(key)
+    if table is None:
+        table = _build_execution_table(roms, forward)
+        _tables[key] = table
+        for rom in roms:
+            weakref.finalize(rom, _tables.pop, key, None)
+    return table
 
 
 @lru_cache(maxsize=None)

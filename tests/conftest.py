@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ringfft.banksim import BankConflictError, pe_butterfly
 from ringfft.scheduler import ScheduleConfig, ScheduleError
 from ringfft.transform import Direction
+from ringfft.twiddles import CompressedRom, fetch_twiddle, stage0_constant
 
 
 @pytest.fixture
@@ -19,3 +21,63 @@ def all_configs():
                     yield ScheduleConfig(n=n, n_pe=npe, direction=direction)
                 except ScheduleError:
                     pass
+
+
+def reference_fetch(roms, pe, addr, forward):
+    """One twiddle, fetched on its own: the wired constant for address
+    -1, else the word of a CompressedRom or of an uncompressed
+    RomImage; conjugated for the inverse."""
+    if addr >= 0 and isinstance(roms[pe], CompressedRom):
+        return fetch_twiddle(roms[pe], addr, forward)
+    w = stage0_constant() if addr < 0 else roms[pe].entries[addr]
+    return w if forward else complex(w.real, -w.imag)
+
+
+def reference_execute(trace, mem, roms, stage_hook=None) -> int:
+    """Scalar reference: one dispatch at a time through `pe_butterfly`,
+    every port access claimed on its own in a per-cycle dict ledger and
+    counted in mem.port_accesses; returns the cycle total.  `roms` may
+    be compressed or uncompressed."""
+    mode = trace.config.direction
+    forward = mode is Direction.FORWARD
+    users: dict[int, int] = {}
+    epoch = None
+
+    def claim(bank, cycle, pe):
+        nonlocal users, epoch
+        if cycle != epoch:
+            epoch, users = cycle, {}
+        if bank in users:
+            raise BankConflictError(cycle, bank, (users[bank], pe))
+        users[bank] = pe
+        mem.port_accesses += 1
+
+    cycle = 0
+    prev_stage = None
+    for batch in trace.batches:
+        if stage_hook and prev_stage is not None and batch[0].stage != prev_stage:
+            stage_hook(prev_stage, cycle)
+        prev_stage = batch[0].stage
+        results = []
+        for d in batch:
+            claim(d.bank0, cycle, d.pe)
+            prim = mem.peek(d.bank0, d.addr0)
+            claim(d.bank1, cycle, d.pe)
+            sec = mem.peek(d.bank1, d.addr1)
+            u, v = (sec, prim) if d.input_exchanged else (prim, sec)
+            w = reference_fetch(roms, d.pe, d.rom_addr, forward)
+            results.append((d, *pe_butterfly(u, v, w, mode)))
+        for d, x, y in results:
+            lo, hi = (d.bank0, d.addr0), (d.bank1, d.addr1)
+            if d.input_exchanged:
+                lo, hi = hi, lo
+            if d.output_exchanged:
+                lo, hi = hi, lo
+            claim(lo[0], cycle + 1, d.pe)
+            mem.poke(*lo, x)
+            claim(hi[0], cycle + 1, d.pe)
+            mem.poke(*hi, y)
+        cycle += 2
+    if stage_hook and prev_stage is not None:
+        stage_hook(prev_stage, cycle)
+    return cycle

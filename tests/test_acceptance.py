@@ -8,8 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from conftest import reference_execute
 
-from ringfft.banksim import Simulator
+from ringfft.banksim import BankedMemory, Simulator, load_natural
 from ringfft.metrics import (
     PRINTED_NORMALIZED,
     ImplRecord,
@@ -193,14 +194,20 @@ def test_criterion_7_rom_budget_and_exactness():
     ok = stored == 256 and stored * 16 == 4096
     exact = True
     for n in (8, 128, 1024):
+        # the simulator reads the compressed ROMs; fft_inplace reads the
+        # uncompressed table and the per-dispatch reference the images
+        cfg = ScheduleConfig(n=n, n_pe=2)
         a = rng.uniform(-1.0, 1.0, n).tolist()
-        outs = []
-        for source in (roms, images):
-            sim = Simulator(ScheduleConfig(n=n, n_pe=2), source)
-            sim.load_polynomial(a)
-            sim.run()
-            outs.append(sim.read_result().values)
-        if outs[0] != outs[1]:
+        sim = Simulator(cfg, roms)
+        sim.load_polynomial(a)
+        sim.run()
+        ref = BankedMemory(cfg.banks)
+        load_natural(a, ref, cfg.s_m)
+        reference_execute(sim.trace, ref, images)
+        got, want = (np.array(s.values).view(np.uint64)
+                     for s in (sim.read_result(), fft_inplace(a)))
+        if not (np.array_equal(got, want) and np.array_equal(
+                sim.mem.words.view(np.uint64), ref.words.view(np.uint64))):
             exact = False
     ok = ok and exact
     _report(7, ok,

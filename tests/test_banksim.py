@@ -3,14 +3,13 @@ import gc
 
 import numpy as np
 import pytest
-from conftest import all_configs
+from conftest import all_configs, reference_execute
 
 from ringfft import banksim
 from ringfft.banksim import (
     BankConflictError,
     BankedMemory,
     Simulator,
-    _RomFetcher,
     execute,
     load_natural,
     pe_butterfly,
@@ -22,7 +21,7 @@ from ringfft.scheduler import (
     cycle_count,
 )
 from ringfft.transform import Direction, fft_inplace
-from ringfft.twiddles import build_rom_set
+from ringfft.twiddles import TwiddleError, build_rom_set
 
 ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
 
@@ -93,15 +92,49 @@ def test_forward_matches_inplace_bit_exact(n, npe, rng):
 
 
 def test_compressed_equals_uncompressed_bit_exact(rng):
+    # the simulator reads the compressed ROMs; the uncompressed images
+    # feed the per-dispatch reference from the same load image
     _, images, roms = ROMS[2]
+    cfg = ScheduleConfig(n=1024, n_pe=2)
     a = rng.uniform(-1, 1, 1024).tolist()
-    out = []
-    for source in (roms, images):
-        sim = Simulator(ScheduleConfig(n=1024, n_pe=2), source)
-        sim.load_polynomial(a)
-        sim.run()
-        out.append(sim.read_result().values)
-    assert out[0] == out[1]
+    sim = Simulator(cfg, roms)
+    sim.load_polynomial(a)
+    sim.run()
+    ref = BankedMemory(cfg.banks)
+    load_natural(a, ref, cfg.s_m)
+    reference_execute(sim.trace, ref, images)
+    assert np.array_equal(sim.mem.words.view(np.uint64), ref.words.view(np.uint64))
+    got, want = (np.array(s.values).view(np.uint64)
+                 for s in (sim.read_result(), fft_inplace(a)))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("npe", [1, 8])
+def test_rom_address_past_its_rom_is_rejected(npe, direction):
+    # on a flat table, address logical_len of PE p is word 0 of PE p + 1
+    trace = build_schedule(ScheduleConfig(n=64, n_pe=npe, direction=direction))
+    _, _, roms = ROMS[npe]
+    b, d = next((b, j) for b, batch in enumerate(trace.batches)
+                for j, disp in enumerate(batch) if disp.rom_addr >= 0)
+    bad = _edit(trace, b, d, rom_addr=roms[0].logical_len)
+    mem = BankedMemory(trace.config.banks)
+    before = mem.words.copy()
+    with pytest.raises(TwiddleError, match="out of range"):
+        execute(bad, mem, roms)
+    assert mem.port_accesses == 0
+    assert np.array_equal(mem.words, before)
+
+
+def test_uncompressed_or_foreign_roms_are_a_type_error():
+    cfg = ScheduleConfig(n=32, n_pe=2)
+    _, images, roms = ROMS[2]
+    for bad, name in ((images, "RomImage"), (42, "int"), ((), "tuple"),
+                      ([roms[0].stored], "tuple")):
+        with pytest.raises(TypeError, match=name):
+            Simulator(cfg, bad)
+        with pytest.raises(TypeError, match=name):
+            execute(build_schedule(cfg), BankedMemory(cfg.banks), bad)
 
 
 @pytest.mark.parametrize("npe", [1, 2, 4])
@@ -213,56 +246,6 @@ def test_peek_poke_bounds_and_python_values():
 
 # -- the lowered execute against the per-dispatch reference -----------------
 
-def reference_execute(trace, mem, roms, stage_hook=None) -> int:
-    """Scalar reference: one dispatch at a time through `pe_butterfly`,
-    every port access claimed on its own in a per-cycle dict ledger and
-    counted in mem.port_accesses; returns the cycle total."""
-    fetcher = _RomFetcher(roms)
-    mode = trace.config.direction
-    forward = mode is Direction.FORWARD
-    users: dict[int, int] = {}
-    epoch = None
-
-    def claim(bank, cycle, pe):
-        nonlocal users, epoch
-        if cycle != epoch:
-            epoch, users = cycle, {}
-        if bank in users:
-            raise BankConflictError(cycle, bank, (users[bank], pe))
-        users[bank] = pe
-        mem.port_accesses += 1
-
-    cycle = 0
-    prev_stage = None
-    for batch in trace.batches:
-        if stage_hook and prev_stage is not None and batch[0].stage != prev_stage:
-            stage_hook(prev_stage, cycle)
-        prev_stage = batch[0].stage
-        results = []
-        for d in batch:
-            claim(d.bank0, cycle, d.pe)
-            prim = mem.peek(d.bank0, d.addr0)
-            claim(d.bank1, cycle, d.pe)
-            sec = mem.peek(d.bank1, d.addr1)
-            u, v = (sec, prim) if d.input_exchanged else (prim, sec)
-            w = fetcher.fetch(d.pe, d.rom_addr, forward)
-            results.append((d, *pe_butterfly(u, v, w, mode)))
-        for d, x, y in results:
-            lo, hi = (d.bank0, d.addr0), (d.bank1, d.addr1)
-            if d.input_exchanged:
-                lo, hi = hi, lo
-            if d.output_exchanged:
-                lo, hi = hi, lo
-            claim(lo[0], cycle + 1, d.pe)
-            mem.poke(*lo, x)
-            claim(hi[0], cycle + 1, d.pe)
-            mem.poke(*hi, y)
-        cycle += 2
-    if stage_hook and prev_stage is not None:
-        stage_hook(prev_stage, cycle)
-    return cycle
-
-
 ALL_CONFIGS = list(all_configs())
 
 
@@ -270,15 +253,18 @@ def _bits(snapshot):
     return [(b, o, z.real.hex(), z.imag.hex()) for b, o, z in snapshot]
 
 
-def _run_both(trace, roms, words):
-    """Run the lowered and the reference execute from the same memory
-    image; returns (cycles, port accesses, stage snapshots) of each."""
+def _run_both(trace, roms, words, reference_roms=None):
+    """Run the lowered execute on the compressed `roms` and the
+    reference on `reference_roms` (default: the same ROMs) from the same
+    memory image; returns (cycles, port accesses, stage snapshots) of
+    each."""
     out = []
-    for run in (execute, reference_execute):
+    for run, source in ((execute, roms),
+                        (reference_execute, reference_roms or roms)):
         mem = BankedMemory(trace.config.banks)
         mem.words[:] = words
         snaps = []
-        cycles = run(trace, mem, roms, lambda stage, cycle: snaps.append(
+        cycles = run(trace, mem, source, lambda stage, cycle: snaps.append(
             (stage, cycle, _bits(mem.snapshot(mem.capacity)))))
         out.append((cycles, mem.port_accesses, snaps))
     return out
@@ -297,7 +283,7 @@ def test_lowered_execute_matches_reference(cfg, rng):
     size = len(BankedMemory(cfg.banks).words)
     words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
     for source in (roms, images):
-        lowered, reference = _run_both(trace, source, words)
+        lowered, reference = _run_both(trace, roms, words, source)
         assert lowered == reference
         cycles, ports, snaps = lowered
         assert cycles == trace.cycles
@@ -361,7 +347,8 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     assert lowered == reference
     assert lowered != _run_both(trace, roms, words)[0]
 
-    key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity)
+    key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity,
+           len(roms), roms[0].logical_len)
     low = banksim._lowered[key]
     for st in low.stages:
         for arr in (st.banks, st.epochs, st.pes, st.uv, st.lohi, st.tw):

@@ -1,7 +1,10 @@
+import gc
 import math
 
+import numpy as np
 import pytest
 
+from ringfft import twiddles
 from ringfft.twiddles import (
     S_MAX,
     TwiddleError,
@@ -10,6 +13,7 @@ from ringfft.twiddles import (
     build_twiddle_table,
     compress_rom,
     decompress_rom,
+    execution_table,
     fetch_twiddle,
     gray_code,
     gray_rank,
@@ -221,3 +225,24 @@ def test_dump_rom(tmp_path):
     assert complex(re0, im0) == roms[0].stored[0]
     text = side.read_text()
     assert "pair_signs" in text and "stage_base 8" in text
+
+
+def test_execution_table_is_built_once_per_rom_set_and_direction():
+    _, images, roms = build_rom_set(1024, 2)
+    fwd, inv = execution_table(roms, True), execution_table(roms, False)
+    assert execution_table(list(roms), True) is fwd
+    assert execution_table(roms, False) is inv
+    assert not fwd.flags.writeable and not inv.flags.writeable
+    assert np.array_equal(inv.view(np.uint64), fwd.conj().view(np.uint64))
+
+    # equal contents in fresh objects get their own entry, which goes
+    # with its ROMs, before their ids can be reused
+    fresh = tuple(compress_rom(img) for img in images)
+    own = execution_table(fresh, True)
+    assert own is not fwd
+    assert np.array_equal(own.view(np.uint64), fwd.view(np.uint64))
+    key = (*map(id, fresh), True)
+    assert key in twiddles._tables
+    del fresh, own
+    gc.collect()
+    assert key not in twiddles._tables
