@@ -16,21 +16,19 @@ direction into one flat table (`twiddles.execution_table`: the wired
 stage-0 constant, then every logical word of every PE, conjugated for
 the inverse).
 
-A trace is lowered once into flat per-stage index arrays (operand read
-slots, result write slots, each dispatch's position in that twiddle
-table and the banks each epoch touches), and `execute` runs every stage
-as one gather of operands and twiddles -> butterfly -> scatter after the
-port ledger has granted all of that stage's epochs.  Lowering checks
-that no stage touches a word slot twice, which is what makes running a
-stage at once equal to running it batch by batch, and that every ROM
-address lies inside its PE's ROM.
+A trace is lowered once, by reshaping its dispatch columns, into flat
+per-stage index arrays: operand read slots, result write slots, each
+dispatch's position in that twiddle table and the banks each epoch
+touches.  `execute` runs every stage as one gather of operands and
+twiddles -> butterfly -> scatter after the port ledger has granted all
+of that stage's epochs.  Lowering checks every memory and ROM address,
+and whether a stage touches a word slot twice, which `execute` rejects:
+only then does running a stage at once equal running it batch by batch.
 """
 
 from __future__ import annotations
 
 import weakref
-from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -149,46 +147,26 @@ class _Lowered(NamedTuple):
     final: np.ndarray       # word -> memory index after the last stage
 
 
-_DISPATCH_FIELDS = attrgetter("pe", "bank0", "addr0", "bank1", "addr1",
-                              "rom_addr", "input_exchanged", "output_exchanged")
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a (np.unique, without its lazy import
-    of numpy.ma, which a cold CLI process would pay for)."""
-    s = np.sort(a)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
-
-
 def _lower(trace: ScheduleTrace, n_banks: int, capacity: int,
            n_pe: int, rom_len: int) -> _Lowered:
-    """Flatten trace into per-stage index arrays for one memory geometry
-    and one shape of ROM set (n_pe ROMs of rom_len logical words)."""
+    """Per-stage index arrays of trace for one memory geometry and one
+    shape of ROM set (n_pe ROMs of rom_len logical words)."""
     s_m = trace.config.s_m
 
     def memory_index(slots):
         slots = np.asarray(slots, np.int64)
         return _frozen(slots // s_m * capacity + slots % s_m)
 
-    batches = trace.batches
-    if not all(batches):
-        raise ScheduleError("a dispatch batch is empty")
-    widths = np.fromiter(map(len, batches), np.int64, len(batches))
-    dispatches = chain.from_iterable(batches)
-    cols = np.fromiter(chain.from_iterable(map(_DISPATCH_FIELDS, dispatches)),
-                       np.int64, 8 * int(widths.sum())).reshape(-1, 8)
-    pe, bank0, addr0, bank1, addr1, rom, in_ex, out_ex = cols.T
-    if len(cols) and (
-            min(bank0.min(), bank1.min(), addr0.min(), addr1.min()) < 0
-            or max(bank0.max(), bank1.max()) >= n_banks
-            or max(addr0.max(), addr1.max()) >= capacity):
+    pe, bank0, addr0, bank1, addr1, rom, _, in_ex, out_ex = trace.columns
+    read_banks, offsets = np.stack((bank0, bank1)), np.stack((addr0, addr1))
+    if (read_banks.min() < 0 or read_banks.max() >= n_banks
+            or offsets.min() < 0 or offsets.max() >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
-
     tw = rom_word_index(pe, rom, n_pe, rom_len)  # TwiddleError if out of range
     s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
     u = np.where(in_ex, s1, s0)
@@ -198,44 +176,30 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int,
 
     # Port accesses in the order they are made: per batch, every
     # dispatch's two reads (bank0, bank1), then every dispatch's two
-    # writes (lo, hi).
-    batch = np.repeat(np.arange(len(batches)), widths)
-    first = np.cumsum(widths) - widths
-    rank = np.arange(len(cols)) - first[batch]
-    at_read = 4 * first[batch] + 2 * rank
-    at_write = at_read + 2 * widths[batch]
-    banks = np.empty(4 * len(cols), np.int32)  # int32 halves the cache
-    banks[at_read], banks[at_read + 1] = bank0, bank1
-    banks[at_write], banks[at_write + 1] = lo // capacity, hi // capacity
-    epochs = np.empty_like(banks)
-    epochs[at_read] = epochs[at_read + 1] = 2 * batch
-    epochs[at_write] = epochs[at_write + 1] = 2 * batch + 1
-    pes = np.empty_like(banks)
-    for at in (at_read, at_read + 1, at_write, at_write + 1):
-        pes[at] = pe
-
-    stage_of = [b[0].stage for b in batches]
-    starts = [b for b in range(1, len(batches)) if stage_of[b] != stage_of[b - 1]]
-    stages = []
-    for b0, b1 in zip([0, *starts], [*starts, len(batches)]):
-        d0 = int(first[b0])
-        d1 = int(first[b1]) if b1 < len(batches) else len(cols)
-        acc = slice(4 * d0, 4 * d1)
-        uv = np.concatenate((u[d0:d1], v[d0:d1]))
-        # Each dispatch writes back the two slots it read, so distinct
-        # reads also mean distinct writes.
-        rereads = len(_distinct(uv)) != len(uv)
-        stages.append(_Stage(
-            stage=stage_of[b0], cycles=2 * (b1 - b0),
-            banks=_frozen(banks[acc]),
-            epochs=_frozen(epochs[acc] - 2 * b0),
-            pes=_frozen(pes[acc]),
-            uv=_frozen(uv),
-            lohi=_frozen(np.concatenate((lo[d0:d1], hi[d0:d1]))),
-            tw=_frozen(tw[d0:d1]), rereads=rereads))
-    return _Lowered(stages=tuple(stages),
-                    initial=memory_index(trace.initial_slots),
-                    final=memory_index(trace.final_slots))
+    # writes (lo, hi), so access j of a stage falls in epoch j // 2width.
+    # int32 halves the cache.
+    steps, batches, width = pe.shape
+    banks = np.concatenate((np.stack((bank0, bank1), axis=-1),
+                            np.stack((lo, hi), axis=-1) // capacity), axis=2)
+    banks = _frozen(banks.reshape(steps, -1).astype(np.int32))
+    pes = np.tile(np.repeat(pe, 2, axis=2), 2)
+    pes = _frozen(pes.reshape(steps, -1).astype(np.int32))
+    epochs = _frozen(np.arange(4 * width * batches, dtype=np.int32)
+                     // (2 * width))
+    uv = _frozen(np.stack((u, v), axis=1).reshape(steps, -1))
+    lohi = _frozen(np.stack((lo, hi), axis=1).reshape(steps, -1))
+    tw = _frozen(tw.reshape(steps, -1))
+    # Each dispatch writes back the two slots it read, so distinct reads
+    # also mean distinct writes.
+    reads = np.sort(uv, axis=1)
+    rereads = (reads[:, 1:] == reads[:, :-1]).any(axis=1).tolist()
+    return _Lowered(
+        stages=tuple(_Stage(stage=sg, cycles=2 * batches, banks=banks[k],
+                            epochs=epochs, pes=pes[k], uv=uv[k],
+                            lohi=lohi[k], tw=tw[k], rereads=rereads[k])
+                     for k, sg in enumerate(trace.stage_order)),
+        initial=memory_index(trace.initial_slots),
+        final=memory_index(trace.final_slots))
 
 
 _lowered: dict[tuple, _Lowered] = {}

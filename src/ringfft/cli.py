@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -203,55 +204,55 @@ def cmd_rom(args) -> int:
     return 0
 
 
-def cmd_cycles(args) -> int:
-    rows = metrics.cycles_table()
-    if args.format == "csv":
-        lines = ["n,cycles,time_ns,a72_cycles,a72_time_ns"]
-        lines += [f"{n},{c},{t:.0f},{rc},{rt}" for n, c, t, rc, rt in rows]
-        _emit("\n".join(lines), args.out)
-    elif args.format == "json":
-        _emit(_json([{"n": n, "cycles": c, "time_ns": t,
-                       "a72_cycles": rc, "a72_time_ns": rt}
-                      for n, c, t, rc, rt in rows]), args.out)
+def _emit_table(rows, table: dict, args) -> None:
+    """Write dict rows in args.format: table maps "csv" and "text" to a
+    (header, row template) pair and "json" to the keys of each record."""
+    if args.format == "json":
+        text = _json([{k: r[k] for k in table["json"]} for r in rows])
     else:
-        lines = [f"{'n':>6} {'cycles':>8} {'time[ns]':>10} "
-                 f"{'A72 cycles':>12} {'A72 time[ns]':>13}"]
-        for n, c, t, rc, rt in rows:
-            lines.append(f"{n:>6} {c:>8} {t:>10.0f} {rc:>12} {rt:>13.1f}")
-        _emit("\n".join(lines), args.out)
+        head, line = table[args.format]
+        text = "\n".join([head, *(line.format(**r) for r in rows)])
+    _emit(text, args.out)
+
+
+_CYCLES = {
+    "csv": ("n,cycles,time_ns,a72_cycles,a72_time_ns",
+            "{n},{cycles},{time_ns:.0f},{a72_cycles},{a72_time_ns}"),
+    "text": (f"{'n':>6} {'cycles':>8} {'time[ns]':>10} "
+             f"{'A72 cycles':>12} {'A72 time[ns]':>13}",
+             "{n:>6} {cycles:>8} {time_ns:>10.0f} {a72_cycles:>12} "
+             "{a72_time_ns:>13.1f}"),
+    "json": ("n", "cycles", "time_ns", "a72_cycles", "a72_time_ns"),
+}
+
+_METRICS = {
+    "csv": ("label,area_mm2,power_mw,exec_time_us,fft_size,channel_nm,"
+            "supply_v,word_bits,norm_area,norm_power,norm_energy,source",
+            "{label},{area_mm2},{power_mw},{exec_time_us},{fft_size},"
+            "{channel_nm},{supply_v},{word_bits},{norm_area:.3f},"
+            "{norm_power:.1f},{norm_energy:.0f},\"{source}\""),
+    "text": (f"{'label':<18} {'norm area':>10} {'norm power':>11} "
+             f"{'norm energy':>12}",
+             "{label:<18} {norm_area:>10.3f} {norm_power:>11.1f} "
+             "{norm_energy:>12.0f}"),
+    "json": ("label", "area_mm2", "power_mw", "exec_time_us", "fft_size",
+             "norm_area", "norm_power", "norm_energy", "source"),
+}
+
+
+def cmd_cycles(args) -> int:
+    rows = [dict(zip(_CYCLES["json"], row)) for row in metrics.cycles_table()]
+    _emit_table(rows, _CYCLES, args)
     return 0
 
 
 def cmd_metrics(args) -> int:
-    recs = metrics.all_records()
-    if args.format == "csv":
-        lines = ["label,area_mm2,power_mw,exec_time_us,fft_size,channel_nm,"
-                 "supply_v,word_bits,norm_area,norm_power,norm_energy,source"]
-        for r in recs:
-            a, p, e = metrics.normalized_row(r)
-            lines.append(f"{r.label},{r.area_mm2},{r.power_mw},"
-                         f"{r.exec_time_us},{r.fft_size},{r.channel_nm},"
-                         f"{r.supply_v},{r.word_bits},"
-                         f"{a:.3f},{p:.1f},{e:.0f},\"{r.source}\"")
-        _emit("\n".join(lines), args.out)
-    elif args.format == "json":
-        out = []
-        for r in recs:
-            a, p, e = metrics.normalized_row(r)
-            out.append({"label": r.label, "area_mm2": r.area_mm2,
-                        "power_mw": r.power_mw,
-                        "exec_time_us": r.exec_time_us,
-                        "fft_size": r.fft_size,
-                        "norm_area": round(a, 3), "norm_power": round(p, 1),
-                        "norm_energy": round(e), "source": r.source})
-        _emit(_json(out), args.out)
-    else:
-        lines = [f"{'label':<18} {'norm area':>10} {'norm power':>11} "
-                 f"{'norm energy':>12}"]
-        for r in recs:
-            a, p, e = metrics.normalized_row(r)
-            lines.append(f"{r.label:<18} {a:>10.3f} {p:>11.1f} {e:>12.0f}")
-        _emit("\n".join(lines), args.out)
+    rows = []
+    for r in metrics.all_records():
+        a, p, e = metrics.normalized_row(r)
+        rows.append({**vars(r), "norm_area": round(a, 3),
+                     "norm_power": round(p, 1), "norm_energy": round(e)})
+    _emit_table(rows, _METRICS, args)
     return 0
 
 
@@ -329,10 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`ringfft verify | head`).  Point it at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

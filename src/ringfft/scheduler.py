@@ -17,21 +17,29 @@ by compensating on later reads:
   * on stages 1..S_sg the paired groups alternate between their PEs
     cycle by cycle, which keeps each PE's twiddle ROM block a +/-i pair.
 
+The control is closed-form per cycle and per PE, so a schedule is stated
+once, as arrays (`DispatchColumns`: one value per stage, cycle and PE);
+only the word placement is followed stage by stage.  ROM addresses
+invert `twiddles.rom_layout`.  Array checks reject a bank used twice in
+a batch, a second operand away from its partner offset and a twiddle
+missing from its PE's ROM, naming the configuration, stage and cycle.
+
 The inverse direction replays the same per-cycle control with the stage
 counter reversed; because output swaps permute a pair's two words within
 the same two slots, each mirrored dispatch meets the same logical pair
-and undoes its swap, restoring the natural layout.  Every generated
-schedule is checked batch-by-batch: one access per bank per cycle, full
-coverage, operand distance, and in-range addresses.
+and undoes its swap, restoring the natural layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .transform import Direction, DomainError
-from .twiddles import S_MAX, gray_rank, stage_rom_bases
+from .twiddles import S_MAX, rom_layout
 
 
 class ScheduleError(ValueError):
@@ -39,7 +47,9 @@ class ScheduleError(ValueError):
 
 
 def _partner_mask(sg: int, s_sg: int, s_m: int) -> int:
-    """Offset bits complemented to reach stage sg's second operand."""
+    """Offset bits complemented to reach stage sg's second operand: none
+    in safe stages, else the top sg - S_sg offset bits, which is where
+    the accumulated output exchanges have parked it."""
     if sg <= s_sg:
         return 0
     width = s_m.bit_length() - 1
@@ -49,16 +59,15 @@ def _partner_mask(sg: int, s_sg: int, s_m: int) -> int:
     return (s_m - 1) & ~((1 << (width - flip)) - 1)
 
 
-def mem_addr(bt_pe: int, sg: int, s_sg: int, s_m: int) -> tuple[int, int]:
-    """Bank offsets of a dispatch's two operands.
-
-    Safe stages read both operands at the same offset.  In conflict-prone
-    stages the partner offset complements the top sg - S_sg offset bits,
-    which is where the accumulated output exchanges have parked it.
-    """
-    if not 0 <= bt_pe < s_m:
-        raise DomainError(f"bt_pe {bt_pe} out of range for S_M={s_m}")
-    return bt_pe, bt_pe ^ _partner_mask(sg, s_sg, s_m)
+def _bank_pair(sg: int, pe, c, p_bits: int):
+    """Banks read by PE pe in cycle c of stage sg (p_bits = S_sg);
+    elementwise over integer arrays."""
+    if sg > p_bits:
+        return 2 * pe, 2 * pe + 1
+    g = 0 if sg == 0 else (pe >> (p_bits - sg)) ^ (c & 1)
+    p_low = pe & ((1 << (p_bits - sg)) - 1)
+    bank0 = (g << (p_bits - sg + 1)) | p_low
+    return bank0, bank0 | (1 << (p_bits - sg))
 
 
 @dataclass(frozen=True)
@@ -119,129 +128,142 @@ class ButterflyDispatch:
     output_exchanged: bool
 
 
-@dataclass(frozen=True)
+class DispatchColumns(NamedTuple):
+    """Every dispatch of a schedule, one read-only array per
+    ButterflyDispatch field but stage and bt, each of shape (stages,
+    bt_pe_count, active_pes): element [k, c, p] is the dispatch of PE p
+    in batch c of the k-th stage executed, with bt = bt_pe_count * p + c."""
+    pe: np.ndarray
+    bank0: np.ndarray
+    addr0: np.ndarray
+    bank1: np.ndarray
+    addr1: np.ndarray
+    rom_addr: np.ndarray
+    group: np.ndarray
+    input_exchanged: np.ndarray     # bool
+    output_exchanged: np.ndarray    # bool
+
+
+@dataclass(frozen=True, eq=False)
 class ScheduleTrace:
+    """A generated schedule.  Its columns are arrays, so traces compare
+    by identity; compare `columns` elementwise instead."""
     config: ScheduleConfig
-    batches: tuple          # tuple of per-cycle tuples of dispatches
+    stage_order: tuple      # the stage executed at each step
+    columns: DispatchColumns
     initial_slots: tuple    # word -> slot before the first stage
     final_slots: tuple      # word -> slot after the last stage
 
     @property
     def dispatch_count(self) -> int:
-        return sum(len(b) for b in self.batches)
+        return self.columns.pe.size
 
     @property
     def cycles(self) -> int:
         # one read cycle plus one write cycle per batch (single-port banks)
-        return 2 * len(self.batches)
+        steps, batches, _ = self.columns.pe.shape
+        return 2 * steps * batches
 
-
-def mem_select(sg: int, bt: int, s_m: int, cfg: ScheduleConfig) -> tuple[int, int]:
-    """Banks read by in-stage dispatch bt of stage sg."""
-    if not 0 <= bt < cfg.n // 4:
-        raise DomainError(f"bt {bt} out of range")
-    bt_pe_count = cfg.bt_pe_count
-    return _bank_pair(sg, bt // bt_pe_count, bt % bt_pe_count, cfg.s_sg)
-
-
-def _bank_pair(sg: int, pe: int, c: int, p_bits: int) -> tuple[int, int]:
-    """Banks read by PE pe in cycle c of stage sg (p_bits = S_sg)."""
-    if sg > p_bits:
-        return 2 * pe, 2 * pe + 1
-    g = 0 if sg == 0 else (pe >> (p_bits - sg)) ^ (c & 1)
-    p_low = pe & ((1 << (p_bits - sg)) - 1)
-    bank0 = (g << (p_bits - sg + 1)) | p_low
-    return bank0, bank0 | (1 << (p_bits - sg))
-
-
-def _rom_addr(sg: int, pe: int, g: int, base: int, p_bits: int) -> int:
-    """Logical per-PE ROM address of twiddle (sg, g); -1 when wired.
-
-    base is stage sg's block base and p_bits = log2(n_pe) of the ROM set.
-    """
-    if sg == 0:
-        return -1
-    if sg <= p_bits:
-        return base + (0 if g == pe >> (p_bits - sg) else 1)
-    return base + gray_rank(g - (pe << (sg - p_bits)))
+    @cached_property
+    def batches(self) -> tuple:
+        """Per-cycle tuples of ButterflyDispatch records, built from the
+        columns on first use; the simulator reads the columns."""
+        width = self.columns.pe.shape[1]
+        out = []
+        for sg, *stage in zip(self.stage_order,
+                              *(col.tolist() for col in self.columns)):
+            for c, row in enumerate(zip(*stage)):
+                out.append(tuple(
+                    ButterflyDispatch(sg, width * pe + c, pe, *rest)
+                    for pe, *rest in zip(*row)))
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
-    """Generate the dispatch trace for cfg, validating as it goes.
+    """Generate the trace for cfg as columns, checking every stage.
 
     A trace depends on cfg only, so it is built once per configuration
     and the same immutable object is handed to every caller.  The
     inverse starts from the forward trace's final placement.
     """
     n = cfg.n
-    hn = n // 2
     n_pe = cfg.active_pes
     stages = cfg.stages
     s_m = cfg.s_m
     s_sg = cfg.s_sg
-    bt_pe_count = cfg.bt_pe_count
-    rom_p_bits = cfg.n_pe.bit_length() - 1
-    rom_bases = stage_rom_bases(cfg.n_pe, stages)
-
     if cfg.direction is Direction.FORWARD:
-        initial = tuple(range(hn))
+        initial = tuple(range(n // 2))
         order = range(stages)
     else:
         fwd = build_schedule(replace(cfg, direction=Direction.FORWARD))
         initial = fwd.final_slots
         order = range(stages - 1, -1, -1)
-    slot_of = list(initial)
-    word_at = [0] * hn
-    for w, slot in enumerate(slot_of):
-        word_at[slot] = w
+    shape = (stages, cfg.bt_pe_count, n_pe)
+    sg_of = np.array(order)[:, None, None]
+    c = np.arange(cfg.bt_pe_count)[:, None]
+    pe = np.arange(n_pe)
 
-    batches = []
-    for sg in order:
-        sg_r = stages - sg - 1
-        delta = 1 << sg_r
-        ex_bit = stages - sg - 2
-        exchanging = sg >= s_sg and ex_bit >= 0
-        mask = _partner_mask(sg, s_sg, s_m)
-        rom_base = rom_bases[sg]
-        moves = []
-        for c in range(bt_pe_count):
-            addr0, addr1 = c, c ^ mask
-            batch = []
-            banks_seen = set()
-            for pe in range(n_pe):
-                bt = bt_pe_count * pe + c
-                bank0, bank1 = _bank_pair(sg, pe, c, s_sg)
-                wa = word_at[bank0 * s_m + addr0]
-                wb = wa ^ delta
-                w0, w1 = (wa, wb) if wa < wb else (wb, wa)
-                sb = slot_of[wb]
-                if sb != bank1 * s_m + addr1:
-                    raise ScheduleError(
-                        f"partner mislocated at n={n} n_pe={n_pe} sg={sg} "
-                        f"pe={pe} c={c}: expected ({bank1},{addr1}), "
-                        f"got slot {sb}")
-                if bank0 == bank1 or bank0 in banks_seen or bank1 in banks_seen:
-                    raise ScheduleError(
-                        f"bank conflict at n={n} n_pe={n_pe} sg={sg} c={c}")
-                banks_seen.update((bank0, bank1))
-                g = w0 >> (sg_r + 1)
-                flag = exchanging and bool((bt >> ex_bit) & 1)
-                batch.append(ButterflyDispatch(
-                    stage=sg, bt=bt, pe=pe,
-                    bank0=bank0, addr0=addr0, bank1=bank1, addr1=addr1,
-                    rom_addr=_rom_addr(sg, pe, g, rom_base, rom_p_bits),
-                    group=g, input_exchanged=wa != w0, output_exchanged=flag))
-                if flag:
-                    moves.append((w0, w1))
-            batches.append(tuple(batch))
-        for w0, w1 in moves:
-            sa, sb = slot_of[w0], slot_of[w1]
-            slot_of[w0], slot_of[w1] = sb, sa
-            word_at[sa], word_at[sb] = w1, w0
+    bank0, bank1, addr1, group = np.empty((4, *shape), np.int64)
+    for k, sg in enumerate(order):
+        bank0[k], bank1[k] = _bank_pair(sg, pe, c, s_sg)
+        addr1[k] = c ^ _partner_mask(sg, s_sg, s_m)
+    banks = np.sort(np.concatenate((bank0, bank1), axis=2), axis=2)
+    reused = (banks[..., 1:] == banks[..., :-1]).any(axis=2)
+    if reused.any():
+        k, i = np.argwhere(reused)[0].tolist()
+        raise ScheduleError(
+            f"bank conflict at n={n} n_pe={n_pe} sg={order[k]} c={i}")
+    ex_bit = stages - 2 - sg_of
+    bt = cfg.bt_pe_count * pe + c
+    out_ex = (sg_of >= s_sg) & (ex_bit >= 0) & (
+        (bt >> np.maximum(ex_bit, 0)) & 1 == 1)
 
-    return ScheduleTrace(config=cfg, batches=tuple(batches),
-                         initial_slots=initial, final_slots=tuple(slot_of))
+    # Follow the word placement stage by stage: locate each pair, then
+    # apply all of the stage's output swaps at once.
+    slot_of = np.array(initial, np.int64)
+    word_at = np.argsort(slot_of)
+    in_ex = np.empty(shape, bool)
+    for k, sg in enumerate(order):
+        delta = 1 << (stages - sg - 1)
+        wa = word_at[bank0[k] * s_m + c]
+        wb = wa ^ delta
+        sb = slot_of[wb]
+        lost = sb != bank1[k] * s_m + addr1[k]
+        if lost.any():
+            i, p = np.argwhere(lost)[0].tolist()
+            raise ScheduleError(
+                f"partner mislocated at n={n} n_pe={n_pe} sg={sg} pe={p} "
+                f"c={i}: expected ({bank1[k, i, p]},{addr1[k, i, p]}), "
+                f"got slot {sb[i, p]}")
+        in_ex[k] = wa > wb
+        w0 = np.minimum(wa, wb)
+        group[k] = w0 >> (stages - sg)
+        w0 = w0[out_ex[k]]
+        w1 = w0 | delta
+        s0, s1 = slot_of[w0], slot_of[w1]
+        slot_of[w0], slot_of[w1] = s1, s0
+        word_at[s0], word_at[s1] = w1, w0
+
+    # ROM addresses invert the ROM layout, with twiddle (sg, g) at
+    # 2^sg + g; -1 where a PE's ROM lacks it, as for the wired stage 0
+    rom_stage, rom_group = rom_layout(cfg.n_pe, stages)
+    rom_addr_of = np.full((cfg.n_pe, 1 << stages), -1)
+    keys = (1 << rom_stage) + rom_group
+    rom_addr_of[np.arange(cfg.n_pe)[:, None], keys] = np.arange(len(rom_stage))
+    rom_addr = rom_addr_of[pe, (1 << sg_of) + group]
+    missing = (rom_addr < 0) & (sg_of > 0)
+    if missing.any():
+        k, i, p = np.argwhere(missing)[0].tolist()
+        raise ScheduleError(
+            f"twiddle group {group[k, i, p]} of stage {order[k]} is not in "
+            f"the ROM of PE {p} at n={n} n_pe={n_pe} c={i}")
+
+    columns = DispatchColumns(*(np.broadcast_to(a, shape) for a in (
+        pe, bank0, c, bank1, addr1, rom_addr, group, in_ex, out_ex)))
+    return ScheduleTrace(config=cfg, stage_order=tuple(order),
+                         columns=columns, initial_slots=initial,
+                         final_slots=tuple(slot_of.tolist()))
 
 
 def cycle_count(n: int, n_pe: int) -> int:
@@ -256,11 +278,14 @@ def cycle_count(n: int, n_pe: int) -> int:
 
 def trace_csv_rows(trace: ScheduleTrace):
     """Rows for the trace export, matching the documented CSV header."""
-    for b_idx, batch in enumerate(trace.batches):
-        for d in batch:
-            yield (2 * b_idx, d.pe, d.stage, d.bt, d.bank0, d.addr0,
-                   d.bank1, d.addr1, d.rom_addr,
-                   int(d.input_exchanged), int(d.output_exchanged))
+    cols = trace.columns
+    steps, width, _ = cols.pe.shape
+    c = np.arange(width)[:, None]
+    table = np.stack(np.broadcast_arrays(
+        2 * np.arange(steps * width).reshape(steps, width, 1), cols.pe,
+        np.array(trace.stage_order)[:, None, None], width * cols.pe + c,
+        *cols[1:6], *cols[7:]), axis=-1)  # every column but group
+    return map(tuple, table.reshape(-1, 11).tolist())
 
 
 TRACE_CSV_HEADER = ("cycle,pe,stage,bt,bank0,addr0,bank1,addr1,"

@@ -217,6 +217,22 @@ def stage_rom_bases(n_pe: int, stages: int) -> tuple:
     return tuple(bases)
 
 
+def rom_layout(n_pe: int, stages: int) -> tuple:
+    """(stage, group): address a of PE p's ROM holds the twiddle of stage
+    stage[a], group group[p, a].  `split_roms` fills the ROMs from this
+    and the scheduler inverts it into ROM addresses.  Stage sg's block
+    starts at its `stage_rom_bases` entry and holds the groups
+    g0 ^ gray_code(t), t = 0, 1, ..., from g0 = floor(p * 2^sg / n_pe):
+    on stages 1..log2(n_pe) the +/-i pair the paired PEs alternate on,
+    later the groups PE p owns, in the Gray order its cycle counter
+    walks them.  Stage 0 is wired and stores nothing."""
+    bases = np.array(stage_rom_bases(n_pe, stages + 1))
+    stage = np.repeat(np.arange(stages), np.diff(bases))
+    pe = np.arange(n_pe)[:, None]
+    g0 = (pe << stage) >> (n_pe.bit_length() - 1)
+    return stage, g0 ^ gray_code(np.arange(bases[-1]) - bases[stage])
+
+
 @dataclass(frozen=True)
 class RomImage:
     """Uncompressed per-PE ROM: logical entries in consumption order.
@@ -232,34 +248,16 @@ class RomImage:
 
 
 def split_roms(table: TwiddleTable, n_pe: int) -> list[RomImage]:
-    """Distribute the table into one consumption-ordered image per PE.
-
-    Stages 1..log2(n_pe) are executed with the paired groups alternating
-    across cycles, so each PE consumes (and stores) the full +/-i pair.
-    Later stages give each PE a disjoint range of 2^(sg-log2(n_pe))
-    groups, stored in the Gray order its cycle counter walks them.
-    """
+    """Distribute the table into one consumption-ordered image per PE,
+    laid out by `rom_layout`."""
     if n_pe not in (1, 2, 4, 8):
         raise TwiddleError(f"n_pe must be a power of two in 1..8, got {n_pe}")
-    p_bits = n_pe.bit_length() - 1
-    stages = table.stages
-    bases = stage_rom_bases(n_pe, stages)
-    images = []
-    for pe in range(n_pe):
-        entries: list[complex] = []
-        for sg in range(1, stages):
-            if sg <= p_bits:
-                base_g = pe >> (p_bits - sg)
-                entries.append(table.lookup(sg, base_g))
-                entries.append(table.lookup(sg, base_g ^ 1))
-            else:
-                width = sg - p_bits
-                for t in range(1 << width):
-                    g = (pe << width) | gray_code(t)
-                    entries.append(table.lookup(sg, g))
-        images.append(RomImage(pe=pe, n_pe=n_pe, n_max=table.n_max,
-                               entries=tuple(entries), stage_bases=bases))
-    return images
+    bases = stage_rom_bases(n_pe, table.stages)
+    stage, group = (a.tolist() for a in rom_layout(n_pe, table.stages))
+    return [RomImage(pe=pe, n_pe=n_pe, n_max=table.n_max,
+                     entries=tuple(map(table.lookup, stage, groups)),
+                     stage_bases=bases)
+            for pe, groups in enumerate(group)]
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,9 @@ def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
 
             if cycles != cycle_count(n, npe) or cycles_i != cycle_count(n, npe):
                 all_cycles = False
-            if not all(len(b) == fwd_cfg.active_pes for b in sim.trace.batches):
+            pes = np.sort(sim.trace.columns.pe, axis=-1)  # each PE once
+            if not np.array_equal(pes, np.tile(np.arange(
+                    fwd_cfg.active_pes), (*pes.shape[:-1], 1))):
                 all_util = False
             if not np.array_equal(_bits(spec.values),
                                   _bits(fft_inplace(a).values)):

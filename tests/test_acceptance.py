@@ -29,10 +29,8 @@ from ringfft.transform import (
     polymul_via_fft,
 )
 from ringfft.twiddles import S_MAX, build_rom_set
-from ringfft.verify import oracle_error
+from ringfft.verify import TABLE_CYCLES, oracle_error
 
-TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
-                256: 448, 512: 1024, 1024: 2304}
 TABLE_TIME_NS = {8: 24, 16: 72, 32: 192, 64: 480, 128: 1152,
                  256: 2688, 512: 6144, 1024: 13824}
 

@@ -126,6 +126,38 @@ def test_rom_address_past_its_rom_is_rejected(npe, direction):
     assert np.array_equal(mem.words, before)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("bank0", 4), ("bank1", -1), ("addr0", 1 << 20), ("addr1", -1)])
+def test_address_outside_the_memory_is_rejected(field, value):
+    trace = build_schedule(ScheduleConfig(n=64, n_pe=2))
+    bad = _edit(trace, len(trace.batches) - 1, 1, **{field: value})
+    _, _, roms = ROMS[2]
+    mem = BankedMemory(trace.config.banks)
+    assert mem.n_banks == 4
+    with pytest.raises(ScheduleError, match="outside the memory"):
+        execute(bad, mem, roms)
+    assert mem.port_accesses == 0
+
+
+def test_simulator_reads_columns_not_dispatch_records(rng):
+    build_schedule.cache_clear()
+    _, _, roms = ROMS[2]
+    a = rng.uniform(-1, 1, 1024).tolist()
+    fwd = Simulator(ScheduleConfig(n=1024, n_pe=2), roms)
+    fwd.load_polynomial(a)
+    fwd.run()
+    inv = Simulator(ScheduleConfig(n=1024, n_pe=2,
+                                   direction=Direction.INVERSE), roms)
+    inv.load_spectrum(fwd.read_result())
+    inv.run()
+    inv.read_result()
+    for trace in (fwd.trace, inv.trace):
+        assert "batches" not in trace.__dict__
+        for col in trace.columns:
+            assert not col.flags.writeable
+            assert col.shape == (9, 128, 2)  # stages, batches, PEs
+
+
 def test_uncompressed_or_foreign_roms_are_a_type_error():
     cfg = ScheduleConfig(n=32, n_pe=2)
     _, images, roms = ROMS[2]
@@ -292,11 +324,17 @@ def test_lowered_execute_matches_reference(cfg, rng):
 
 
 def _edit(trace, batch_index, pos, **changes):
-    batches = list(trace.batches)
-    batch = list(batches[batch_index])
-    batch[pos] = dataclasses.replace(batch[pos], **changes)
-    batches[batch_index] = tuple(batch)
-    return dataclasses.replace(trace, batches=tuple(batches))
+    """A copy of trace with the named columns changed at one element:
+    the dispatch of PE `pos` in batch `batch_index`."""
+    k, c = divmod(batch_index, trace.config.bt_pe_count)
+    edited = {}
+    for name, value in changes.items():
+        col = getattr(trace.columns, name).copy()
+        col[k, c, pos] = value
+        col.flags.writeable = False
+        edited[name] = col
+    return dataclasses.replace(trace,
+                               columns=trace.columns._replace(**edited))
 
 
 @pytest.mark.parametrize("n,npe,batch_index,other", [

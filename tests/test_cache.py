@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 from conftest import all_configs
 
@@ -43,7 +44,12 @@ def test_inverse_on_cold_cache_equals_inverse_after_forward():
     build_schedule.cache_clear()
     cold = build_schedule(inv_cfg)
     assert cold is not warm
-    assert cold == warm
+    # traces compare by identity, so compare placements and columns
+    assert cold.config == warm.config
+    assert (cold.stage_order, cold.initial_slots, cold.final_slots) == \
+        (warm.stage_order, warm.initial_slots, warm.final_slots)
+    for x, y in zip(cold.columns, warm.columns, strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_rom_set_and_tables_built_once():

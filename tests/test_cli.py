@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,48 @@ def test_simulator_ifft_output_pinned(tmp_path, capsys, npe, cycles):
                  str(npe), "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"cycles={cycles}\n"
     assert _sha256(out) == IFFT_SIM1024_DIGEST
+
+
+# SHA-256 of the `cycles` and `metrics` tables in every format, recorded
+# before both commands shared one table emitter.
+TABLE_DIGESTS = {
+    ("cycles", "text"):
+        "b457e5e76a9a7f5d0b4e7d3b08e03d124bbb86d7caf4d60d14dababe74849a4f",
+    ("cycles", "csv"):
+        "1974b40254634782787cd899da81ef6e69db154e09fce692921b77e48a7626db",
+    ("cycles", "json"):
+        "219f8649ed51ef3b9f274a462ba185dd0ebaec5e1deb2a64738e1e83dc219a1d",
+    ("metrics", "text"):
+        "6e7bc5cadad7014231357f01a41e17a41f5e7b5b30fb1a3749d4e2df0eb04415",
+    ("metrics", "csv"):
+        "45895f2931f6a6733e399d8d01104713864474fd081d3477591e9a8cea065a92",
+    ("metrics", "json"):
+        "86736c5c5ec5b00e15d1e69067572460179e6bf194947d43cd81addd201f18ed",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(TABLE_DIGESTS))
+def test_table_output_pinned(tmp_path, capsys, command, fmt):
+    out = tmp_path / "table"
+    assert main([command, "--format", fmt, "--out", str(out)]) == 0
+    assert _sha256(out) == TABLE_DIGESTS[command, fmt]
+    assert main([command, "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_not_a_traceback(unbuffered):
+    # the reader goes away after one line, as `ringfft verify | head -1`
+    # does; with PYTHONUNBUFFERED a later print fails, without it the
+    # final flush does
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ringfft.cli", "verify", "--quick"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if unbuffered:
+        assert proc.stdout.readline().startswith(b"verification seed=")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
+from conftest import all_configs
 
+from ringfft import scheduler
 from ringfft.scheduler import (
     ScheduleConfig,
     ScheduleError,
+    _bank_pair,
+    _partner_mask,
     build_schedule,
     cycle_count,
-    mem_addr,
-    mem_select,
     trace_csv_rows,
 )
 from ringfft.transform import Direction, DomainError
@@ -15,29 +18,36 @@ ALL_CONFIGS = [(n, npe) for n in (8, 16, 32, 64, 128, 256, 512, 1024)
                for npe in (1, 2, 4) if npe <= n // 4]
 
 
+# The paper's MemAddr and MemSelect are the generator's `_partner_mask`
+# (second offset = c ^ mask) and `_bank_pair`, which take arrays.
+
 def test_mem_addr_safe_stage():
-    assert mem_addr(5, 0, 1, 8) == (5, 5)
-    assert mem_addr(0, 1, 1, 8) == (0, 0)
+    c = np.arange(8)
     for sg in (0, 1):
-        assert mem_addr(0, sg, 1, 8) == (0, 0)
+        assert np.array_equal(c ^ _partner_mask(sg, 1, 8), c)
 
 
 def test_mem_addr_conflict_prone_stage():
     # partner offset complements the top sg - S_sg offset bits
-    assert mem_addr(0b0110, 3, 1, 16) == (0b0110, 0b1010)
-    assert mem_addr(0, 2, 1, 8) == (0, 0b100)
-    assert mem_addr(1, 3, 1, 8) == (1, 0b111)
+    assert 0b0110 ^ _partner_mask(3, 1, 16) == 0b1010
+    assert 0 ^ _partner_mask(2, 1, 8) == 0b100
+    assert 1 ^ _partner_mask(3, 1, 8) == 0b111
     with pytest.raises(DomainError):
-        mem_addr(8, 2, 1, 8)
+        _partner_mask(5, 1, 8)  # deeper than the 3 offset bits
 
 
 def test_mem_select_examples():
     cfg = ScheduleConfig(n=32, n_pe=2)
-    assert mem_select(0, 0, cfg.s_m, cfg) == (0, 2)
-    assert mem_select(0, 4, cfg.s_m, cfg) == (1, 3)
+    pe, c = np.array([[0, 1]]), np.array([[0], [1]])
+    bank0, bank1 = _bank_pair(0, pe, c, cfg.s_sg)
+    assert (bank0[0].tolist(), bank1[0].tolist()) == ([0, 1], [2, 3])
+    # stage 1 alternates the paired groups between the PEs cycle by cycle
+    bank0, bank1 = _bank_pair(1, pe, c, cfg.s_sg)
+    assert bank0.tolist() == [[0, 2], [2, 0]]
+    assert bank1.tolist() == [[1, 3], [3, 1]]
     # conflict-prone stages pin each PE to its adjacent bank pair
-    assert mem_select(2, 0, cfg.s_m, cfg) == (0, 1)
-    assert mem_select(2, 4, cfg.s_m, cfg) == (2, 3)
+    assert [b.tolist() for b in _bank_pair(2, pe, c, cfg.s_sg)] == \
+        [[[0, 2]], [[1, 3]]]
 
 
 def test_config_validation():
@@ -190,3 +200,65 @@ def test_trace_csv_rows():
     rows = list(trace_csv_rows(trace))
     assert len(rows) == 4
     assert rows[0][0] == 0 and rows[-1][0] == 2  # read-cycle stamps
+
+
+# -- the generator's own checks can fail --------------------------------------
+
+@pytest.fixture
+def cold_schedules():
+    """An empty schedule cache before and after the test, so that a
+    patched generator neither reads nor leaves cached traces."""
+    build_schedule.cache_clear()
+    yield
+    build_schedule.cache_clear()
+
+
+def test_mislocated_partner_is_rejected(monkeypatch, cold_schedules):
+    # without the offset complement the second operand of the first
+    # conflict-prone stage (sg = 2 with two PEs) is not where it is read
+    monkeypatch.setattr(scheduler, "_partner_mask", lambda sg, s_sg, s_m: 0)
+    with pytest.raises(ScheduleError, match=r"partner mislocated at n=64 "
+                       r"n_pe=2 sg=2 pe=\d c=\d+: expected \(\d,\d+\)"):
+        build_schedule(ScheduleConfig(n=64, n_pe=2))
+
+
+def test_bank_reused_in_a_batch_is_rejected(monkeypatch, cold_schedules):
+    # every PE reading PE 0's banks
+    real = scheduler._bank_pair
+    monkeypatch.setattr(scheduler, "_bank_pair",
+                        lambda sg, pe, c, p_bits: real(sg, 0 * pe, c, p_bits))
+    with pytest.raises(ScheduleError,
+                       match="bank conflict at n=64 n_pe=2 sg=0 c=0"):
+        build_schedule(ScheduleConfig(n=64, n_pe=2))
+
+
+def test_twiddle_missing_from_its_pe_rom_is_rejected(monkeypatch,
+                                                     cold_schedules):
+    # with the two PEs' ROM layouts swapped, stage 2 on PE 0 needs a
+    # group only PE 1's ROM holds
+    real = scheduler.rom_layout
+
+    def swapped(n_pe, stages):
+        stage, group = real(n_pe, stages)
+        return stage, group[::-1]
+
+    monkeypatch.setattr(scheduler, "rom_layout", swapped)
+    with pytest.raises(ScheduleError, match=r"twiddle group \d+ of stage 2 "
+                       r"is not in the ROM of PE 0 at n=64 n_pe=2"):
+        build_schedule(ScheduleConfig(n=64, n_pe=2))
+
+
+def test_dispatch_view_equals_columns():
+    for cfg in all_configs():
+        trace = build_schedule(cfg)
+        cols = trace.columns
+        assert len(trace.batches) == trace.cycles // 2
+        for b, batch in enumerate(trace.batches):
+            k, c = divmod(b, cfg.bt_pe_count)
+            assert len(batch) == cfg.active_pes
+            for p, d in enumerate(batch):
+                assert (d.stage, d.bt) == (trace.stage_order[k],
+                                           cfg.bt_pe_count * p + c)
+                assert tuple(getattr(d, f) for f in cols._fields) == \
+                    tuple(col[k, c, p] for col in cols)
+                assert type(d.input_exchanged) is bool

@@ -1,5 +1,6 @@
 """`ringfft verify` keeps each failure on its own report line."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,3 +116,22 @@ def test_eight_pes_are_verified():
     assert 8 in verify.PE_COUNTS
     lines = []
     assert verify.run_verification(seed=5, quick=True, echo=lines.append)
+
+
+def test_idle_pe_fails_the_utilization_check(monkeypatch):
+    # after a correct run, one batch of one trace names PE 0 twice
+    class IdlePe(Simulator):
+        def run(self, stage_hook=None):
+            cycles = super().run(stage_hook)
+            if (self.cfg.n, self.cfg.n_pe) == (32, 2):
+                cols = self.trace.columns
+                pe = cols.pe.copy()
+                pe[0, 0, 1] = 0
+                self.trace = dataclasses.replace(
+                    self.trace, columns=cols._replace(pe=pe))
+            return cycles
+
+    ok, out = _run(monkeypatch, IdlePe)
+    assert not ok
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL  full PE utilization per batch"]
