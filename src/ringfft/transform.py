@@ -78,19 +78,6 @@ class Spectrum:
         return len(self.values)
 
 
-_butterflies_executed = 0
-
-
-def butterflies_executed() -> int:
-    """Instrumentation counter over all in-place transforms."""
-    return _butterflies_executed
-
-
-def reset_butterfly_counter() -> None:
-    global _butterflies_executed
-    _butterflies_executed = 0
-
-
 def validate_polynomial(a: Sequence[float]) -> list[float]:
     coeffs = list(map(float, a))
     n = len(coeffs)
@@ -197,7 +184,6 @@ def _pack(coeffs: list[float]) -> list[complex]:
 
 
 def _run_forward_network(vals: list[complex], table: TwiddleTable) -> None:
-    global _butterflies_executed
     hn = len(vals)
     n_stages = hn.bit_length() - 1
     for sg in range(n_stages):
@@ -211,11 +197,9 @@ def _run_forward_network(vals: list[complex], table: TwiddleTable) -> None:
                 t = tw * vals[j + ht]
                 vals[j] = u + t
                 vals[j + ht] = u - t
-        _butterflies_executed += ht << sg
 
 
 def _run_inverse_network(vals: list[complex], table: TwiddleTable) -> None:
-    global _butterflies_executed
     hn = len(vals)
     n_stages = hn.bit_length() - 1
     for sg in range(n_stages - 1, -1, -1):
@@ -229,7 +213,6 @@ def _run_inverse_network(vals: list[complex], table: TwiddleTable) -> None:
                 v = vals[j + ht]
                 vals[j] = u + v
                 vals[j + ht] = (u - v) * tw
-        _butterflies_executed += ht << sg
 
 
 def _spectrum_scalar(coeffs: list[float]) -> list[complex]:
@@ -307,14 +290,12 @@ def _stage_twiddles(forward: bool) -> tuple:
 def _run_array_network(z: np.ndarray, forward: bool) -> None:
     """The scalar networks' stages on one complex128 array, in place;
     stage sg pairs z[g, 0, j] with z[g, 1, j] in a (2^sg, 2, ht) view."""
-    global _butterflies_executed
     hn = len(z)
     n_stages = hn.bit_length() - 1
     tw = _stage_twiddles(forward)
     for sg in range(n_stages) if forward else range(n_stages - 1, -1, -1):
         x = z.reshape(1 << sg, 2, hn >> (sg + 1))
         array_butterfly(x[:, 0], x[:, 1], tw[sg], forward)
-    _butterflies_executed += n_stages * (hn >> 1)
 
 
 def conjugate_odd_slots(z: np.ndarray) -> None:

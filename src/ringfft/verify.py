@@ -1,12 +1,15 @@
 """Cross-configuration invariant suite behind `ringfft verify`.
 
-Each check prints one PASS/FAIL line.  The randomized corpora use a
-seeded 64-bit PRNG whose seed is echoed for replay.
+`run_checks` returns one `Check` record per invariant, and
+`run_verification` prints one PASS/FAIL line for each; the acceptance
+tests run the same checks.  The randomized corpora use a seeded 64-bit
+PRNG whose seed is echoed for replay.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,31 @@ TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
 
 SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
 PE_COUNTS = (1, 2, 4, 8)
+
+
+class Check(NamedTuple):
+    """The outcome of one invariant check.  `detail` goes on its report
+    line, and each of `notes` (what went wrong where) on a line below."""
+    name: str
+    ok: bool
+    detail: str = ""
+    notes: tuple = ()
+
+    def __str__(self) -> str:
+        return (f"{'PASS' if self.ok else 'FAIL'}  {self.name}" +
+                (f"  ({self.detail})" if self.detail else ""))
+
+
+def relative_bound(a) -> float:
+    """The largest error a round trip of `a`, or its spectrum against the
+    oracle, may show: 1e-9 relative to max(1, max|a|)."""
+    return 1e-9 * max(1.0, max(abs(x) for x in a))
+
+
+def product_bound(n: int) -> float:
+    """The largest coefficient error `polymul_via_fft` may show against
+    the schoolbook oracle at length n."""
+    return 1e-9 * n
 
 
 def max_abs_error(got, want) -> float:
@@ -86,40 +114,22 @@ def rom_bit_exact(images, roms) -> bool:
                                _bits(words.conj())))
 
 
-def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
+def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
+    """Every invariant check, in report order, on corpora drawn from a
+    PRNG seeded with `seed`; `quick` draws smaller corpora."""
     rng = np.random.default_rng(seed)
-    echo(f"verification seed={seed}")
-    failures = 0
+    stored = sum(len(r.stored) for r in build_rom_set(S_MAX, 2)[2])
+    checks = [
+        Check("cycle-count table (n_PE=2)",
+              all(cycle_count(n, 2) == c for n, c in TABLE_CYCLES.items())),
+        Check("ROM budget n_PE=2", stored == S_MAX // 4,
+              f"stored={stored} bytes={16 * stored}"),
+    ]
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        echo(f"{'PASS' if ok else 'FAIL'}  {name}" +
-             (f"  ({detail})" if detail else ""))
-
-    # closed-form cycle counts against the published table (n_PE = 2)
-    ok = all(cycle_count(n, 2) == c for n, c in TABLE_CYCLES.items())
-    report("cycle-count table (n_PE=2)", ok)
-
-    # ROM budget for the implemented configuration
-    _, _, roms2 = build_rom_set(S_MAX, 2)
-    stored = sum(len(r.stored) for r in roms2)
-    report("ROM budget n_PE=2", stored == S_MAX // 4,
-           f"stored={stored} bytes={16 * stored}")
-
-    all_rom_bitexact = all(rom_bit_exact(*build_rom_set(S_MAX, npe)[1:])
-                           for npe in PE_COUNTS)
-
-    sizes = SIZES if not quick else (8, 32, 256, 1024)
-    all_cf = True
-    all_bitexact = True
-    all_roundtrip = True
-    all_cycles = True
-    all_util = True
-    all_restore = True
-    errors = []
-    for n in sizes:
+    # one input per configuration, forward then inverse on the simulator
+    all_bitexact = all_roundtrip = all_cycles = all_util = all_restore = True
+    errors, conflicts = {}, []
+    for n in (8, 32, 256, 1024) if quick else SIZES:
         for npe in PE_COUNTS:
             if npe > n // 4:
                 continue
@@ -138,71 +148,80 @@ def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
                 cycles_i = isim.run()
                 back = isim.read_result()
             except BankConflictError as e:
-                all_cf = False
-                echo(f"  bank conflict at n={n} npe={npe}: {e}")
+                conflicts.append(f"bank conflict at n={n} npe={npe}: {e}")
                 continue
             except Exception as e:  # reported as a failed check, not raised
-                errors.append(f"n={n} npe={npe}")
-                echo(f"  error at n={n} npe={npe}: {type(e).__name__}: {e}")
+                errors[f"n={n} npe={npe}"] = f"{type(e).__name__}: {e}"
                 continue
 
-            if cycles != cycle_count(n, npe) or cycles_i != cycle_count(n, npe):
-                all_cycles = False
+            all_cycles &= cycles == cycles_i == cycle_count(n, npe)
             pes = np.sort(sim.trace.columns.pe, axis=-1)  # each PE once
-            if not np.array_equal(pes, np.tile(np.arange(
-                    fwd_cfg.active_pes), (*pes.shape[:-1], 1))):
-                all_util = False
-            if not np.array_equal(_bits(spec.values),
-                                  _bits(fft_inplace(a).values)):
-                all_bitexact = False
-            if tuple(isim.trace.final_slots) != tuple(range(n // 2)):
-                all_restore = False
-            tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-            if not (max_abs_error(back, a) <= tol):
-                all_roundtrip = False
+            all_util &= np.array_equal(pes, np.tile(np.arange(
+                fwd_cfg.active_pes), (*pes.shape[:-1], 1)))
+            all_bitexact &= np.array_equal(_bits(spec.values),
+                                           _bits(fft_inplace(a).values))
+            all_restore &= tuple(isim.trace.final_slots) == tuple(range(n // 2))
+            all_roundtrip &= max_abs_error(back, a) <= relative_bound(a)
 
-    report("simulator runs completed without error", not errors,
-           ", ".join(errors))
-    report("conflict-free execution (all configs, both directions)", all_cf)
-    report("simulator == in-place transform, bit-exact", all_bitexact)
-    report("compressed ROM == uncompressed table, bit-exact", all_rom_bitexact)
-    report("forward+inverse round trip <= 1e-9 relative", all_roundtrip)
-    report("natural order restored after inverse", all_restore)
-    report("measured cycles == closed form", all_cycles)
-    report("full PE utilization per batch", all_util)
+    checks += [
+        Check("simulator runs completed without error", not errors,
+              ", ".join(errors),
+              tuple(f"error at {cfg}: {e}" for cfg, e in errors.items())),
+        Check("conflict-free execution (all configs, both directions)",
+              not conflicts, notes=tuple(conflicts)),
+        Check("simulator == in-place transform, bit-exact", all_bitexact),
+        Check("compressed ROM == uncompressed table, bit-exact",
+              all(rom_bit_exact(*build_rom_set(S_MAX, npe)[1:])
+                  for npe in PE_COUNTS)),
+        Check("forward+inverse round trip <= 1e-9 relative", all_roundtrip),
+        Check("natural order restored after inverse", all_restore),
+        Check("measured cycles == closed form", all_cycles),
+        Check("full PE utilization per batch", all_util),
+    ]
 
-    # transform oracle equivalence on a seeded corpus
-    trials = 4 if quick else 12
-    ok = True
-    for n in (4, 8, 64, 1024) if quick else (4, 8, 16, 64, 256, 1024):
-        for _ in range(trials):
+    # the library transform against the brute-force oracle, and back
+    trials = (dict.fromkeys((4, 8, 64, 1024), 4) if quick else
+              {**dict.fromkeys((4, 8, 16, 32, 64, 128, 256), 100),
+               512: 25, 1024: 12})
+    oracle_ok = roundtrip_ok = True
+    for n, count in trials.items():
+        for _ in range(count):
             a = rng.uniform(-1.0, 1.0, n).tolist()
-            tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-            if not (oracle_error(fft_inplace(a).values,
-                                 fft_ref(a).values) <= tol):
-                ok = False
-    report("in-place vs brute-force oracle (elementwise)", ok)
+            spec, bound = fft_inplace(a), relative_bound(a)
+            oracle_ok &= oracle_error(spec.values, fft_ref(a).values) <= bound
+            roundtrip_ok &= max_abs_error(ifft_inplace(spec), a) <= bound
+    checks.append(Check("in-place vs brute-force oracle (elementwise)",
+                        oracle_ok))
 
+    products = (dict.fromkeys((2, 4, 8, 16, 512), 3) if quick else
+                {**dict.fromkeys((2, 4, 8, 16), 250), 512: 10, 1024: 10})
     ok = True
-    for n in (2, 4, 8, 16, 512):
-        cases = 3 if quick else 8
-        for _ in range(cases):
+    for n, count in products.items():
+        for _ in range(count):
             a = rng.uniform(-1.0, 1.0, n).tolist()
             b = rng.uniform(-1.0, 1.0, n).tolist()
-            got = polymul_via_fft(a, b)
-            ref = polymul_negacyclic_oracle(a, b)
-            if not (max_abs_error(got, ref) <= 1e-9 * n):
-                ok = False
-    report("convolution theorem vs schoolbook oracle", ok)
+            ok &= (max_abs_error(polymul_via_fft(a, b),
+                                 polymul_negacyclic_oracle(a, b))
+                   <= product_bound(n))
+    checks.append(Check("convolution theorem vs schoolbook oracle", ok))
 
-    ok = True
     for n in (4, 32, 1024):
         a = rng.uniform(-1000.0, 1000.0, n).tolist()
-        back = ifft_inplace(fft_inplace(a))
-        tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-        if not (max_abs_error(back, a) <= tol):
-            ok = False
-    report("library round trip <= 1e-9 relative", ok)
+        roundtrip_ok &= (max_abs_error(ifft_inplace(fft_inplace(a)), a)
+                         <= relative_bound(a))
+    checks.append(Check("library round trip <= 1e-9 relative", roundtrip_ok))
+    return checks
 
-    echo(f"{'ALL CHECKS PASSED' if failures == 0 else f'{failures} CHECK(S) FAILED'}")
-    return failures == 0
+
+def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
+    """Print the seed, then each check's report line and notes, then a
+    summary; True when every check passed."""
+    echo(f"verification seed={seed}")
+    checks = run_checks(seed, quick)
+    for check in checks:
+        echo(str(check))
+        for note in check.notes:
+            echo(f"  {note}")
+    failures = sum(not check.ok for check in checks)
+    echo("ALL CHECKS PASSED" if not failures else f"{failures} CHECK(S) FAILED")
+    return not failures

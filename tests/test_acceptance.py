@@ -1,9 +1,13 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL
-line per criterion with its measured detail.
+The invariant criteria are the checks of `ringfft verify`, run here in
+full mode, one test per check; the execution-time and metric criteria,
+and the compressed-ROM simulator against the tests' per-dispatch
+reference, are tested below.  Run with `pytest tests/test_acceptance.py
+-v -s` to see one PASS/FAIL line per check and criterion.
 """
 
+import math
 import time
 
 import numpy as np
@@ -20,23 +24,36 @@ from ringfft.metrics import (
     normalized_row,
 )
 from ringfft.scheduler import ScheduleConfig, cycle_count
-from ringfft.transform import (
-    Direction,
-    fft_inplace,
-    fft_ref,
-    ifft_inplace,
-    polymul_negacyclic_oracle,
-    polymul_via_fft,
-)
+from ringfft.transform import fft_inplace
 from ringfft.twiddles import S_MAX, build_rom_set
-from ringfft.verify import TABLE_CYCLES, oracle_error
+from ringfft.verify import TABLE_CYCLES, run_checks
 
 TABLE_TIME_NS = {8: 24, 16: 72, 32: 192, 64: 480, 128: 1152,
                  256: 2688, 512: 6144, 1024: 13824}
 
-ROM_CACHE = {npe: build_rom_set(S_MAX, npe) for npe in (1, 2, 4)}
-
 SEED = 20240606
+
+# Each check of `ringfft verify`, with the acceptance criterion it covers
+# (None: an invariant of verify's own).  Criterion 7's ROM budget is a
+# check; its compressed-fed simulator half is test_criterion_7 below.
+CRITERION = {
+    "cycle-count table (n_PE=2)": 1,
+    "ROM budget n_PE=2": 7,
+    "simulator runs completed without error": 5,
+    "conflict-free execution (all configs, both directions)": 5,
+    "simulator == in-place transform, bit-exact": 7,
+    "compressed ROM == uncompressed table, bit-exact": 7,
+    "forward+inverse round trip <= 1e-9 relative": 6,
+    "natural order restored after inverse": 6,
+    "measured cycles == closed form": 1,
+    "full PE utilization per batch": None,
+    "in-place vs brute-force oracle (elementwise)": 3,
+    "convolution theorem vs schoolbook oracle": 4,
+    "library round trip <= 1e-9 relative": 3,
+}
+
+# the criteria's bounds, in seconds, on the time of the run that checks them
+RUNTIME_BOUND_S = {1: 1.0, 3: 30.0}
 
 
 def _report(num, ok, detail):
@@ -44,20 +61,27 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def test_criterion_1_cycle_counts():
+@pytest.fixture(scope="module")
+def verified():
     t0 = time.perf_counter()
-    closed = {n: cycle_count(n, 2) for n in TABLE_CYCLES}
-    measured = {}
-    _, _, roms = ROM_CACHE[2]
-    for n in TABLE_CYCLES:
-        sim = Simulator(ScheduleConfig(n=n, n_pe=2), roms)
-        sim.load_polynomial([0.0] * n)
-        measured[n] = sim.run()
-    elapsed = time.perf_counter() - t0
-    ok = closed == TABLE_CYCLES and measured == TABLE_CYCLES and elapsed < 1.0
-    _report(1, ok,
-            f"closed-form and simulated cycles equal published table for "
-            f"n=8..1024 at n_PE=2, runtime {elapsed:.2f}s < 1s")
+    checks = run_checks(seed=SEED)
+    return {c.name: c for c in checks}, time.perf_counter() - t0
+
+
+def test_every_verify_check_is_an_acceptance_check(verified):
+    checks, _ = verified
+    assert list(checks) == list(CRITERION)
+
+
+@pytest.mark.parametrize("name", list(CRITERION))
+def test_verify_check(verified, name):
+    checks, elapsed = verified
+    check, num = checks[name], CRITERION[name]
+    bound = RUNTIME_BOUND_S.get(num, math.inf)
+    print(f"ACCEPTANCE {num or '-'}: {check} (seed={SEED}, full run "
+          f"{elapsed:.2f}s)")
+    assert check.ok, "\n".join([str(check), *check.notes])
+    assert elapsed < bound, f"full run {elapsed:.2f}s, bound {bound}s"
 
 
 def test_criterion_2_execution_times():
@@ -68,128 +92,10 @@ def test_criterion_2_execution_times():
             f"{times[1024]:.0f} ns")
 
 
-def test_criterion_3_transform_correctness():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    trials = {4: 100, 8: 100, 16: 100, 32: 100, 64: 100, 128: 100,
-              256: 100, 512: 25, 1024: 10}
-    worst_rt = worst_oracle = 0.0
-    ok = True
-    for n, count in trials.items():
-        for _ in range(count):
-            a = rng.uniform(-1.0, 1.0, n).tolist()
-            tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-            spec = fft_inplace(a)
-            err = oracle_error(spec.values, fft_ref(a).values)
-            worst_oracle = max(worst_oracle, err)
-            if not (err <= tol):
-                ok = False
-            back = ifft_inplace(spec)
-            err = max(abs(x - y) for x, y in zip(back, a)) / max(
-                1.0, max(abs(x) for x in a))
-            worst_rt = max(worst_rt, err)
-            if err > 1e-9:
-                ok = False
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 30.0
-    _report(3, ok,
-            f"elementwise match vs brute force (worst {worst_oracle:.2e}) "
-            f"and round trip <= 1e-9 over seeded corpus n=4..1024 "
-            f"(worst round trip {worst_rt:.2e}), "
-            f"runtime {elapsed:.1f}s < 30s")
-
-
-def test_criterion_4_convolution_theorem():
-    rng = np.random.default_rng(SEED + 1)
-    ok = True
-    worst = 0.0
-    for n in (2, 4, 8, 16):
-        for _ in range(250):
-            a = rng.uniform(-1.0, 1.0, n).tolist()
-            b = rng.uniform(-1.0, 1.0, n).tolist()
-            got = polymul_via_fft(a, b)
-            ref = polymul_negacyclic_oracle(a, b)
-            dev = max(abs(x - y) for x, y in zip(got, ref))
-            worst = max(worst, dev / n)
-            if dev > 1e-9 * n:
-                ok = False
-    for n in (512, 1024):
-        for _ in range(10):
-            a = rng.uniform(-1.0, 1.0, n).tolist()
-            b = rng.uniform(-1.0, 1.0, n).tolist()
-            got = polymul_via_fft(a, b)
-            ref = polymul_negacyclic_oracle(a, b)
-            dev = max(abs(x - y) for x, y in zip(got, ref))
-            worst = max(worst, dev / n)
-            if dev > 1e-9 * n:
-                ok = False
-    _report(4, ok,
-            f"FFT product == schoolbook negacyclic oracle within 1e-9*n "
-            f"(1000 small-n cases + 20 large, worst {worst:.2e}*n)")
-
-
-def _all_configs():
-    for n in TABLE_CYCLES:
-        for npe in (1, 2, 4):
-            if npe <= n // 4:
-                yield n, npe
-
-
-def test_criterion_5_conflict_freedom():
-    rng = np.random.default_rng(SEED + 2)
-    runs = 0
-    try:
-        for n, npe in _all_configs():
-            _, _, roms = ROM_CACHE[npe]
-            a = rng.uniform(-1.0, 1.0, n).tolist()
-            fwd = Simulator(ScheduleConfig(n=n, n_pe=npe), roms)
-            fwd.load_polynomial(a)
-            fwd.run()
-            inv = Simulator(ScheduleConfig(n=n, n_pe=npe,
-                                           direction=Direction.INVERSE), roms)
-            inv.load_spectrum(fwd.read_result())
-            inv.run()
-            runs += 2
-    except Exception as e:
-        _report(5, False, f"bank-port violation: {e}")
-        return
-    _report(5, True,
-            f"zero bank-port violations over {runs} runs "
-            f"(n=8..1024 x n_PE=1,2,4 x both directions)")
-
-
-def test_criterion_6_order_restoration():
-    rng = np.random.default_rng(SEED + 3)
-    ok = True
-    worst = 0.0
-    for n, npe in _all_configs():
-        _, _, roms = ROM_CACHE[npe]
-        a = rng.uniform(-1.0, 1.0, n).tolist()
-        fwd = Simulator(ScheduleConfig(n=n, n_pe=npe), roms)
-        fwd.load_polynomial(a)
-        fwd.run()
-        inv = Simulator(ScheduleConfig(n=n, n_pe=npe,
-                                       direction=Direction.INVERSE), roms)
-        inv.load_spectrum(fwd.read_result())
-        inv.run()
-        if tuple(inv.trace.final_slots) != tuple(range(n // 2)):
-            ok = False
-        back = inv.read_result()
-        err = max(abs(x - y) for x, y in zip(back, a)) / max(
-            1.0, max(abs(x) for x in a))
-        worst = max(worst, err)
-        if err > 1e-9:
-            ok = False
-    _report(6, ok,
-            f"forward+inverse restores natural order and values "
-            f"(worst relative error {worst:.2e})")
-
-
 def test_criterion_7_rom_budget_and_exactness():
+    # the budget is verify's "ROM budget n_PE=2" check
     rng = np.random.default_rng(SEED + 4)
-    _, images, roms = ROM_CACHE[2]
-    stored = sum(len(r.stored) for r in roms)
-    ok = stored == 256 and stored * 16 == 4096
+    _, images, roms = build_rom_set(S_MAX, 2)
     exact = True
     for n in (8, 128, 1024):
         # the simulator reads the compressed ROMs; fft_inplace reads the
@@ -207,11 +113,9 @@ def test_criterion_7_rom_budget_and_exactness():
         if not (np.array_equal(got, want) and np.array_equal(
                 sim.mem.words.view(np.uint64), ref.words.view(np.uint64))):
             exact = False
-    ok = ok and exact
-    _report(7, ok,
-            f"{stored} stored twiddles = 4 KB (4x below the 16 KB "
-            f"reference); compressed-fed transform bit-identical to "
-            f"uncompressed")
+    _report(7, exact,
+            "compressed-fed simulator bit-identical to the uncompressed "
+            "transform and to the per-dispatch reference")
 
 
 def _unit(x: float) -> float:

@@ -22,6 +22,7 @@ from ringfft.scheduler import (
 )
 from ringfft.transform import Direction, fft_inplace
 from ringfft.twiddles import TwiddleError, build_rom_set
+from ringfft.verify import max_abs_error, relative_bound
 
 ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
 
@@ -186,8 +187,7 @@ def test_roundtrip_through_simulator(n, npe, rng):
     inv.load_spectrum(spec)
     assert inv.run() == cycle_count(n, npe)
     back = inv.read_result()
-    tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-    assert max(abs(x - y) for x, y in zip(back, a)) <= tol
+    assert max_abs_error(back, a) <= relative_bound(a)
 
 
 def test_memory_restored_up_to_scaling(rng):

@@ -12,7 +12,6 @@ from ringfft.transform import (
     Spectrum,
     _run_forward_network,
     _run_inverse_network,
-    butterflies_executed,
     conjugate_odd_slots,
     fft_inplace,
     fft_ref,
@@ -23,12 +22,16 @@ from ringfft.transform import (
     pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
-    reset_butterfly_counter,
     slot_eval_map,
     validate_polynomial,
 )
 from ringfft.twiddles import S_MAX, build_twiddle_table
-from ringfft.verify import oracle_error
+from ringfft.verify import (
+    max_abs_error,
+    oracle_error,
+    product_bound,
+    relative_bound,
+)
 
 SQ2 = math.sqrt(2.0) / 2.0
 SIZES = tuple(1 << k for k in range(1, 11))  # n = 2..1024
@@ -148,8 +151,8 @@ def test_fft_inplace_matches_reference_elementwise(rng):
     assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= 1e-12
     for n in SIZES:
         a = rng.uniform(-1, 1, n).tolist()
-        tol = 1e-9 * max(1.0, max(abs(x) for x in a))
-        assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= tol
+        bound = relative_bound(a)
+        assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= bound
 
 
 def test_fft_inplace_is_fixed_permutation_of_natural_order(rng):
@@ -229,15 +232,6 @@ def test_linearity(rng):
     assert max(abs(x - y) for x, y in zip(lhs, rhs)) < 1e-9 * scale
 
 
-def test_butterfly_counter():
-    reset_butterfly_counter()
-    for n in (4, 8, 64, 1024):
-        before = butterflies_executed()
-        fft_inplace([0.0] * n)
-        stages = n.bit_length() - 2
-        assert butterflies_executed() - before == stages * (n // 4)
-
-
 def test_pointwise_ops(rng):
     one = Spectrum(values=((1 + 1j),), order_tag=OrderTag.FALCON_INTERNAL)
     other = Spectrum(values=((1 - 1j),), order_tag=OrderTag.FALCON_INTERNAL)
@@ -287,13 +281,23 @@ def test_polymul_via_fft_small_cases():
     assert got == pytest.approx([1.0, 2.0, 1.0, 0.0], abs=1e-12)
 
 
+def test_polymul_via_fft_pins_the_sign_of_zero():
+    # The readout and input conjugations around the pointwise product
+    # cancel in value but not in the sign of a zero: without both, the
+    # one negative zero of this product lands at coefficient 171.
+    b = [0.0] * 256
+    b[100], b[241] = -2.0, 2.0
+    got = polymul_via_fft([0.0] * 256, b)
+    assert np.flatnonzero(np.signbit(got)).tolist() == [212]
+
+
 def test_polymul_via_fft_matches_oracle(rng):
     for n in (2, 4, 8, 16, 512):
         a = rng.uniform(-1, 1, n).tolist()
         b = rng.uniform(-1, 1, n).tolist()
         got = polymul_via_fft(a, b)
         ref = polymul_negacyclic_oracle(a, b)
-        assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-9 * n
+        assert max_abs_error(got, ref) <= product_bound(n)
 
 
 def test_odd_slots_are_the_conjugated_ones():

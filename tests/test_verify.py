@@ -8,6 +8,7 @@ import pytest
 
 from ringfft import verify
 from ringfft.banksim import BankConflictError, Simulator
+from ringfft.transform import Spectrum
 
 
 def _run(monkeypatch, sim_class):
@@ -81,35 +82,51 @@ def test_max_abs_error_propagates_nan_and_length_mismatch():
     assert verify.max_abs_error([1.0], [1.0, 2.0]) == math.inf
 
 
+def _nan_last(values):
+    return [*values[:-1], float("nan")]
+
+
+def _drop_last(values):
+    return list(values[:-1])
+
+
+# A check written max(abs(x - y) for x, y in zip(got, want)) > tol passes
+# both spoiled results: max() skips a NaN that is not first, and zip()
+# stops at the shorter sequence.
+SPOILERS = (_nan_last, _drop_last)
+
+
 @pytest.mark.parametrize("name,check", [
     ("polymul_via_fft", "convolution theorem vs schoolbook oracle"),
     ("ifft_inplace", "library round trip <= 1e-9 relative"),
+    ("fft_ref", "in-place vs brute-force oracle (elementwise)"),
 ])
 def test_nan_deviation_fails_its_check(monkeypatch, name, check):
     real = getattr(verify, name)
+    for spoil in SPOILERS:
+        def spoiled(*args, spoil=spoil):
+            out = real(*args)
+            if isinstance(out, Spectrum):
+                return dataclasses.replace(out, values=spoil(out.values))
+            return spoil(out)
 
-    def last_word_nan(*args):
-        out = real(*args)
-        out[-1] = float("nan")
-        return out
-
-    monkeypatch.setattr(verify, name, last_word_nan)
-    lines = []
-    assert not verify.run_verification(seed=5, quick=True, echo=lines.append)
-    assert f"FAIL  {check}" in lines
+        monkeypatch.setattr(verify, name, spoiled)
+        failed = [c.name for c in verify.run_checks(seed=5, quick=True)
+                  if not c.ok]
+        assert failed == [check], spoil.__name__
 
 
 def test_simulator_nan_deviation_fails_round_trip(monkeypatch):
-    class NanTail(Simulator):
-        def read_result(self):
-            out = super().read_result()
-            if isinstance(out, list):
-                out[-1] = float("nan")
-            return out
+    for spoil in SPOILERS:
+        class Spoiled(Simulator):
+            def read_result(self):
+                out = super().read_result()
+                return spoil(out) if isinstance(out, list) else out
 
-    ok, out = _run(monkeypatch, NanTail)
-    assert not ok
-    assert "FAIL  forward+inverse round trip <= 1e-9 relative" in out
+        ok, out = _run(monkeypatch, Spoiled)
+        assert not ok, spoil.__name__
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL  forward+inverse round trip <= 1e-9 relative"]
 
 
 def test_eight_pes_are_verified():
