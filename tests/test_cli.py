@@ -136,6 +136,30 @@ def test_rom_dump(tmp_path, capsys):
     assert (tmp_path / "roms" / "rom_pe1.bin").stat().st_size == 2048
 
 
+# SHA-256 over the files `ringfft rom` writes (name, then bytes, in name
+# order), recorded before the ROM words were built straight from
+# `stage_twiddle` in `rom_layout` order; any change to a stored word, a
+# pair sign or a stage base changes them.
+ROM_FILE_DIGESTS = {
+    1: "e6e9b0e5d007c376d4655a57033ec7e29112b1cbf43dc6098fb4af61ba1dc1cd",
+    2: "6f6c0bdbe2d1584749346a480fb32d2f373a80e9b7ba3981ae060a4e63ba46a7",
+    4: "502e16ae9008a15ff9372c8ee7193d21f06f8705862b0150d20b786074cf19b1",
+    8: "6d036404976c1df539689afda9c979d4bc1d9cc10af77599f18e8d817097ba6a",
+}
+
+
+@pytest.mark.parametrize("npe", list(ROM_FILE_DIGESTS))
+def test_rom_files_pinned(tmp_path, capsys, npe):
+    assert main(["rom", "--npe", str(npe), "--out-dir", str(tmp_path)]) == 0
+    files = sorted(tmp_path.iterdir())
+    assert [p.name for p in files] == sorted(
+        f"rom_pe{pe}.{ext}" for pe in range(npe) for ext in ("bin", "txt"))
+    h = hashlib.sha256()
+    for p in files:
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
+    assert h.hexdigest() == ROM_FILE_DIGESTS[npe]
+
 def test_cycles_table_output(capsys):
     assert main(["cycles"]) == 0
     out = capsys.readouterr().out

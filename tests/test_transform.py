@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -403,3 +404,38 @@ def test_falcon_shaped_products_round_to_the_exact_product(rng):
     margins = ", ".join(f"n={n}: max err {e:.2e}, margin to 0.5 {0.5 - e:.3f}"
                         for n, e in worst.items())
     assert exact_everywhere, margins
+
+
+def _golden_outputs(seed=0x5EED):
+    """The binary64 words of fft_inplace, ifft_inplace and
+    polymul_via_fft for seeded inputs at every n = 2..1024."""
+    rng = np.random.default_rng(seed)
+    out = {"fft_inplace": [], "ifft_inplace": [], "polymul_via_fft": []}
+    for n in SIZES:
+        a = rng.uniform(-1e4, 1e4, n).tolist()
+        b = rng.integers(-127, 128, n).tolist()
+        z = rng.uniform(-1e4, 1e4, (n // 2, 2))
+        out["fft_inplace"].append(_bits(fft_inplace(a).values))
+        out["ifft_inplace"].append(
+            _bits(ifft_inplace(_internal([complex(x, y) for x, y in z]))))
+        out["polymul_via_fft"].append(_bits(polymul_via_fft(a, b)))
+    return out
+
+
+# SHA-256 of `_golden_outputs`, recorded before the networks read their
+# twiddles from per-stage columns built straight from `stage_twiddle`;
+# any change to a bit the golden model returns changes them.
+GOLDEN_DIGESTS = {
+    "fft_inplace":
+        "e77285f1468d9426bd4697296d38d8867d02b3d8f1473bec50db85bb3662f833",
+    "ifft_inplace":
+        "2581177fdf887c645b43b45d4e7b5bf1d8e5e66f105b4cc1e798d126ad362bb9",
+    "polymul_via_fft":
+        "5821d822cfbd52610acf1931c952e8f5f6e76a6376ea3eec2f0bf1973566ce9f",
+}
+
+
+def test_golden_outputs_pinned():
+    got = {name: hashlib.sha256(b"".join(w.tobytes() for w in words)).hexdigest()
+           for name, words in _golden_outputs().items()}
+    assert got == GOLDEN_DIGESTS
