@@ -29,6 +29,7 @@ only then does running a stage at once equal running it batch by batch.
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,8 @@ from .transform import (
     conjugate_odd_slots,
     validate_polynomial,
 )
-from .twiddles import S_MAX, execution_table, rom_word_index
+from .twiddles import (S_MAX, TwiddleError, execution_table, rom_layout,
+                       rom_word_index)
 
 
 class BankConflictError(RuntimeError):
@@ -152,11 +154,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lower(trace: ScheduleTrace, n_banks: int, capacity: int,
-           n_pe: int, rom_len: int) -> _Lowered:
-    """Per-stage index arrays of trace for one memory geometry and one
-    shape of ROM set (n_pe ROMs of rom_len logical words)."""
+@lru_cache(maxsize=None)
+def _rom_len(n_pe: int) -> int:
+    """Logical words in each ROM of the S_MAX set for n_pe PEs."""
+    return len(rom_layout(n_pe, S_MAX.bit_length() - 2)[0])
+
+
+def _execution_table(cfg: ScheduleConfig, roms) -> np.ndarray:
+    """The execution table of `roms` in cfg's direction, once `roms` is
+    known to be a compressed ROM set for cfg.n_pe PEs: n_pe ROMs of the
+    length `rom_layout` gives.  Raises TypeError for anything but
+    compressed ROMs and TwiddleError for a set of another shape."""
+    table = execution_table(roms, cfg.direction is Direction.FORWARD)
+    size = _rom_len(cfg.n_pe)
+    if len(roms) != cfg.n_pe or roms[0].logical_len != size:
+        raise TwiddleError(
+            f"a ROM set for n_pe={len(roms)} ({roms[0].logical_len} words "
+            f"per ROM) cannot serve an n_pe={cfg.n_pe} run, which reads "
+            f"{cfg.n_pe} ROMs of {size} words")
+    return table
+
+
+def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
+    """Per-stage index arrays of trace for one memory geometry."""
     s_m = trace.config.s_m
+    n_pe = trace.config.n_pe
 
     def memory_index(slots):
         slots = np.asarray(slots, np.int64)
@@ -167,7 +189,7 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int,
     if (read_banks.min() < 0 or read_banks.max() >= n_banks
             or offsets.min() < 0 or offsets.max() >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
-    tw = rom_word_index(pe, rom, n_pe, rom_len)  # TwiddleError if out of range
+    tw = rom_word_index(pe, rom, n_pe, _rom_len(n_pe))  # TwiddleError if bad
     s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
     u = np.where(in_ex, s1, s0)
     v = np.where(in_ex, s0, s1)
@@ -205,15 +227,14 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int,
 _lowered: dict[tuple, _Lowered] = {}
 
 
-def _lowering(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Lowered:
+def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
     """The lowering of this very trace object, built on first use.
 
     Keyed by identity, so a hand-edited trace is lowered on its own and
     never mistaken for the cached schedule of its configuration; the
-    entry goes when the trace does.  `roms` must already have passed
-    `execution_table`; only its shape enters the lowering.
+    entry goes when the trace does.
     """
-    key = (id(trace), mem.n_banks, mem.capacity, len(roms), roms[0].logical_len)
+    key = (id(trace), mem.n_banks, mem.capacity)
     low = _lowered.get(key)
     if low is None:
         low = _lower(trace, *key[1:])
@@ -244,9 +265,10 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
             stage_hook=None) -> int:
     """Run every dispatch batch; returns the cycle total.
 
-    `roms` is the per-PE sequence of CompressedRom objects; anything
-    else raises TypeError, and a dispatch whose ROM address lies outside
-    its PE's ROM raises TwiddleError, both before any memory access.
+    `roms` is the compressed ROM set for the trace's PE count, one
+    CompressedRom per PE; anything else raises TypeError, and a set for
+    another PE count, or a dispatch whose ROM address lies outside its
+    PE's ROM, raises TwiddleError, all before any memory access.
     `stage_hook(stage, cycle)` fires after the last batch of each stage
     (used for boundary memory dumps).
 
@@ -259,8 +281,8 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     contents are unspecified.
     """
     forward = trace.config.direction is Direction.FORWARD
-    table = execution_table(roms, forward)
-    stages = _lowering(trace, mem, roms).stages
+    table = _execution_table(trace.config, roms)
+    stages = _lowering(trace, mem).stages
     words = mem.words
     cycle = 0
     # overflow yields inf/nan silently, as scalar complex arithmetic does
@@ -286,8 +308,8 @@ class Simulator:
     def __init__(self, cfg: ScheduleConfig, roms):
         self.cfg = cfg
         self.trace = build_schedule(cfg)
-        # rejects anything but compressed ROMs before any other use
-        execution_table(roms, cfg.direction is Direction.FORWARD)
+        # rejects all but cfg's compressed ROM set before any other use
+        _execution_table(cfg, roms)
         self.roms = roms
         self.mem = BankedMemory(cfg.banks)
         self.measured_cycles: int | None = None
@@ -313,7 +335,7 @@ class Simulator:
             raise DomainError(f"expected {hn} spectrum values")
         z = np.array(s.values, np.complex128)
         conjugate_odd_slots(z)
-        self.mem.words[_lowering(self.trace, self.mem, self.roms).initial] = z
+        self.mem.words[_lowering(self.trace, self.mem).initial] = z
 
     def run(self, stage_hook=None) -> int:
         self.measured_cycles = execute(self.trace, self.mem, self.roms,
@@ -326,7 +348,7 @@ class Simulator:
             raise RuntimeError("run() the simulator before reading results")
         n = self.cfg.n
         hn = n // 2
-        z = self.mem.words[_lowering(self.trace, self.mem, self.roms).final]
+        z = self.mem.words[_lowering(self.trace, self.mem).final]
         if self.cfg.direction is Direction.FORWARD:
             conjugate_odd_slots(z)
             return Spectrum(values=tuple(z.tolist()),

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .twiddles import S_MAX, TwiddleTable, bit_reverse, build_twiddle_table
+from .twiddles import S_MAX, bit_reverse, build_twiddle_table
 
 
 class Direction(enum.Enum):
@@ -183,15 +183,23 @@ def _pack(coeffs: list[float]) -> list[complex]:
     return [complex(coeffs[k], coeffs[k + hn]) for k in range(hn)]
 
 
-def _run_forward_network(vals: list[complex], table: TwiddleTable) -> None:
+@lru_cache(maxsize=None)
+def _stage_twiddles(forward: bool) -> tuple:
+    """Per stage sg, the group twiddles w(sg, g), g = 0 .. 2^sg - 1, of
+    the shared table, conjugated for the inverse: the one twiddle source
+    of both network paths."""
+    table = build_twiddle_table(S_MAX)
+    return tuple(tuple(w if forward else w.conjugate()
+                       for w in table.entries[1 << sg:2 << sg])
+                 for sg in range(table.stages))
+
+
+def _run_forward_network(vals: list[complex]) -> None:
     hn = len(vals)
-    n_stages = hn.bit_length() - 1
-    for sg in range(n_stages):
-        sg_r = n_stages - sg - 1
-        ht = 1 << sg_r
-        for g in range(1 << sg):
-            tw = table.lookup(sg, g)
-            base = g << (sg_r + 1)
+    tw_stages = _stage_twiddles(True)
+    for sg in range(hn.bit_length() - 1):
+        ht = hn >> (sg + 1)
+        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
             for j in range(base, base + ht):
                 u = vals[j]
                 t = tw * vals[j + ht]
@@ -199,15 +207,12 @@ def _run_forward_network(vals: list[complex], table: TwiddleTable) -> None:
                 vals[j + ht] = u - t
 
 
-def _run_inverse_network(vals: list[complex], table: TwiddleTable) -> None:
+def _run_inverse_network(vals: list[complex]) -> None:
     hn = len(vals)
-    n_stages = hn.bit_length() - 1
-    for sg in range(n_stages - 1, -1, -1):
-        sg_r = n_stages - sg - 1
-        ht = 1 << sg_r
-        for g in range(1 << sg):
-            tw = table.lookup(sg, g).conjugate()
-            base = g << (sg_r + 1)
+    tw_stages = _stage_twiddles(False)
+    for sg in range(hn.bit_length() - 2, -1, -1):
+        ht = hn >> (sg + 1)
+        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
             for j in range(base, base + ht):
                 u = vals[j]
                 v = vals[j + ht]
@@ -218,7 +223,7 @@ def _run_inverse_network(vals: list[complex], table: TwiddleTable) -> None:
 def _spectrum_scalar(coeffs: list[float]) -> list[complex]:
     """Pack, forward network, readout conjugation; scalar path."""
     vals = _pack(coeffs)
-    _run_forward_network(vals, build_twiddle_table(S_MAX))
+    _run_forward_network(vals)
     return [z.conjugate() if conj else z
             for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
 
@@ -228,7 +233,7 @@ def _coefficients_scalar(values) -> list[float]:
     hn = len(values)
     vals = [z.conjugate() if conj else z
             for z, (_k, conj) in zip(values, slot_eval_map(hn))]
-    _run_inverse_network(vals, build_twiddle_table(S_MAX))
+    _run_inverse_network(vals)
     scale = 2.0 / (2 * hn)
     out = [0.0] * (2 * hn)
     for k, z in enumerate(vals):
@@ -271,20 +276,14 @@ def array_butterfly(u: np.ndarray, v: np.ndarray, w: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _stage_twiddles(forward: bool) -> tuple:
-    """Per stage sg, the read-only (2^sg, 1) column of the group
-    twiddles `lookup(sg, g)` of the shared table, conjugated for the
-    inverse."""
-    table = build_twiddle_table(S_MAX)
-    out = []
-    for sg in range(table.stages):
-        w = np.array([table.lookup(sg, g) for g in range(1 << sg)],
-                     np.complex128).reshape(-1, 1)
-        if not forward:
-            w = w.conj()
+def _stage_columns(forward: bool) -> tuple:
+    """`_stage_twiddles(forward)` as read-only (2^sg, 1) complex128
+    columns, for the array path."""
+    columns = tuple(np.array(tws, np.complex128).reshape(-1, 1)
+                    for tws in _stage_twiddles(forward))
+    for w in columns:
         w.flags.writeable = False
-        out.append(w)
-    return tuple(out)
+    return columns
 
 
 def _run_array_network(z: np.ndarray, forward: bool) -> None:
@@ -292,7 +291,7 @@ def _run_array_network(z: np.ndarray, forward: bool) -> None:
     stage sg pairs z[g, 0, j] with z[g, 1, j] in a (2^sg, 2, ht) view."""
     hn = len(z)
     n_stages = hn.bit_length() - 1
-    tw = _stage_twiddles(forward)
+    tw = _stage_columns(forward)
     for sg in range(n_stages) if forward else range(n_stages - 1, -1, -1):
         x = z.reshape(1 << sg, 2, hn >> (sg + 1))
         array_butterfly(x[:, 0], x[:, 1], tw[sg], forward)

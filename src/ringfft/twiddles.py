@@ -10,17 +10,24 @@ where rev() is the (sg+1)-bit reversal.  These are the entries of the
 classic bit-reversed-order root table at indices 2^(sg+1) + g, and the
 twiddles of every smaller transform are a prefix subset of the n_max set.
 
-ROM preparation runs offline in four steps: build the full bit-reversed
-reference table, permute it block-wise so each stage block lands in the
-order the conflict-free schedule consumes it, keep the consumed half,
-then split per PE and compress 2x.  Compression stores only the entries
-at even ROM addresses; the odd-address neighbour of every pair equals
-+/- i times its even partner, so hardware recovers it by swapping the
-real/imaginary words and negating one sign bit.  Both operations are
-exact on IEEE-754 doubles, which is what makes the compressed and
-uncompressed paths bit-identical.  `fetch_twiddle` serves one word at a
-time; the simulator instead reads `execution_table`, which decompresses
-a whole ROM set once per direction into one flat array.
+Each fact about the twiddles is stated once.  `stage_twiddle` gives
+their values: `build_twiddle_table` holds the consumed half in that
+reference order, entry 2^sg + g being w(sg, g).  `rom_layout` gives the
+order each PE's ROM stores them in: per stage, the groups the PE's cycle
+counter walks, in Gray-code order, so that neighbouring words form exact
++/-i pairs.  (The paper reaches the one-PE order by block-permuting the
+full bit-reversed table and keeping the consumed half; the tests run
+that pipeline as the oracle `rom_layout` must match.)  `split_roms`
+fills the per-PE images from the table in that order and `compress_rom`
+halves them.  Compression stores only the entries at even ROM
+addresses; the odd-address neighbour of every pair equals +/- i times
+its even partner, so hardware recovers it by swapping the real/imaginary
+words and negating one sign bit.  Both operations are exact on IEEE-754
+doubles, which is what makes the compressed and uncompressed paths
+bit-identical, and `compress_rom` accepts a pair only when it is exact.
+`fetch_twiddle` serves one word at a time; the simulator instead reads
+`execution_table`, which decompresses a whole ROM set once per direction
+into one flat array.
 
 Stage 0 is a special case: every run of every size shares the single
 constant w(0,0) = exp(i*pi/4), which has no +/-i partner anywhere in the
@@ -32,6 +39,7 @@ in the README.
 from __future__ import annotations
 
 import math
+import struct
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,12 +48,11 @@ import numpy as np
 
 S_MAX = 1024
 
-PAIR_TOL = 1e-12
-
 
 class TwiddleError(ValueError):
-    """Raised for malformed tables, bad permutation ranges, or a ROM image
-    whose consecutive entries are not +/-i multiples of each other."""
+    """Raised for a malformed table or ROM set, an address or group
+    outside it, or a ROM image whose consecutive entries are not exact
+    +/-i multiples of each other."""
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -62,21 +69,6 @@ def gray_code(t: int) -> int:
     return t ^ (t >> 1)
 
 
-def gray_rank(g: int) -> int:
-    """Inverse Gray code: the t with gray_code(t) == g."""
-    t = 0
-    while g:
-        t ^= g
-        g >>= 1
-    return t
-
-
-def _root(num: int, den: int) -> complex:
-    """exp(i*pi*num/den) via binary64 cos/sin; den a power of two."""
-    ang = math.pi * num / den
-    return complex(math.cos(ang), math.sin(ang))
-
-
 def stage_twiddle(sg: int, g: int) -> complex:
     """Canonical stage-sg group-g twiddle.
 
@@ -87,8 +79,8 @@ def stage_twiddle(sg: int, g: int) -> complex:
     if g & 1:
         even = stage_twiddle(sg, g - 1)
         return complex(-even.imag, even.real)
-    r = bit_reverse(g, sg + 1)
-    return _root(2 * r + 1, 1 << (sg + 2))
+    ang = math.pi * (2 * bit_reverse(g, sg + 1) + 1) / (1 << (sg + 2))
+    return complex(math.cos(ang), math.sin(ang))
 
 
 def stage0_constant() -> complex:
@@ -96,71 +88,13 @@ def stage0_constant() -> complex:
     return stage_twiddle(0, 0)
 
 
-def reference_table(n_max: int = S_MAX) -> list[complex]:
-    """Full bit-reversed-order root table (n_max complex entries).
-
-    Entry k is exp(i*pi*rev(k)/n_max).  At 16 bytes per entry and
-    n_max=1024 this is the 16 KB table the compressed ROMs replace.
-    """
-    if n_max < 4 or n_max & (n_max - 1):
-        raise TwiddleError(f"n_max must be a power of two >= 4, got {n_max}")
-    bits = n_max.bit_length() - 1
-    return [_root(bit_reverse(k, bits), n_max) for k in range(n_max)]
-
-
-def _canonical_full_table(n_max: int) -> list[complex]:
-    """Reference-table layout, with odd in-block entries derived exactly
-    from their even partners (the canonical values used everywhere)."""
-    bits = n_max.bit_length() - 1
-    tab = [complex(1.0, 0.0), complex(0.0, 1.0)]
-    for sg in range(bits - 1):
-        tab.extend(stage_twiddle(sg, g) for g in range(1 << (sg + 1)))
-    assert len(tab) == n_max
-    return tab
-
-
-def permute_blocks(x: list, st: int, sz: int) -> list:
-    """Swap the block x[st : st+sz] with the following same-size block."""
-    if st < 0 or sz < 0 or st + 2 * sz > len(x):
-        raise TwiddleError(
-            f"block swap out of range: st={st} sz={sz} len={len(x)}")
-    out = list(x)
-    out[st:st + sz], out[st + sz:st + 2 * sz] = \
-        x[st + sz:st + 2 * sz], x[st:st + sz]
-    return out
-
-
-def permute_twiddles(w: list, n: int) -> list:
-    """Offline block permutation of a bit-reversed-order table.
-
-    Transcribed with 0-based indices from the 1-based pseudocode: the
-    outer index i runs from log2(n)-1 down to 3, the inner start is
-    2^(i-2) + 2^i + 1 (1-based) with stride 2^(i-1), swapping adjacent
-    blocks of 2^(i-3) entries.  For n = 8 the outer range is empty and
-    the table is returned unchanged.  The net effect reorders every
-    stage block from natural group order into Gray-code consumption
-    order.
-    """
-    out = list(w)
-    logn = n.bit_length() - 1
-    for i in range(logn - 1, 2, -1):
-        sz = 1 << (i - 3)
-        j = (1 << (i - 2)) + (1 << i) + 1  # 1-based start
-        while j <= n:
-            st = j - 1
-            if st + 2 * sz <= len(out):
-                out = permute_blocks(out, st, sz)
-            j += 1 << (i - 1)
-    return out
-
-
 @dataclass(frozen=True)
 class TwiddleTable:
-    """Consumed half of the permuted root table (n_max/2 entries).
-
-    entries[0] holds the packing root i (never a butterfly operand);
-    entry 1 is the stage-0 constant; the stage-sg block for sg >= 1
-    occupies [2^sg, 2^(sg+1)) in Gray consumption order.
+    """The consumed half of the root table (n_max/2 entries), in
+    reference order: entries[0] holds the packing root i (never a
+    butterfly operand) and entries[2^sg + g] the twiddle w(sg, g) of
+    stage sg, group g.  The order each PE's ROM stores them in is
+    `rom_layout`'s.
     """
     n_max: int
     entries: tuple
@@ -170,34 +104,26 @@ class TwiddleTable:
         return self.n_max.bit_length() - 2
 
     def lookup(self, sg: int, g: int) -> complex:
-        """Twiddle of stage sg, group g (production accessor)."""
-        if sg == 0:
-            if g != 0:
-                raise TwiddleError("stage 0 has a single group")
-            return self.entries[1]
-        return self.entries[(1 << sg) + gray_rank(g)]
+        """Twiddle of stage sg, group g."""
+        if not (0 <= sg < self.stages and 0 <= g < 1 << sg):
+            raise TwiddleError(
+                f"no group {g} in stage {sg} of the {self.n_max}-point table")
+        return self.entries[(1 << sg) + g]
 
 
 @lru_cache(maxsize=None)
 def build_twiddle_table(n_max: int = S_MAX) -> TwiddleTable:
-    """Reference table -> block permutation -> consumed-half filter.
+    """The consumed half of the root table, straight from `stage_twiddle`.
 
     Built once per n_max; the ROM sets and the in-place transform share
     the same immutable table.
     """
-    full = _canonical_full_table(n_max)
-    perm = permute_twiddles(full, n_max)
-    bits = n_max.bit_length() - 1
-    # Keep the first half of each dyadic block [2^(sg+1), 2^(sg+2)); the
-    # Gray reorder maps each half onto itself, so filtering commutes with
-    # the permutation.  Position 0 keeps the packing root i.
-    half = [perm[1]]
-    for sg in range(bits - 1):
-        m = 1 << (sg + 1)
-        half.extend(perm[m:m + (1 << sg)])
-    if len(half) != n_max // 2:
-        raise TwiddleError("half-table filtering produced a wrong length")
-    return TwiddleTable(n_max=n_max, entries=tuple(half))
+    if n_max < 4 or n_max & (n_max - 1):
+        raise TwiddleError(f"n_max must be a power of two >= 4, got {n_max}")
+    entries = [complex(0.0, 1.0)]
+    for sg in range(n_max.bit_length() - 2):
+        entries.extend(stage_twiddle(sg, g) for g in range(1 << sg))
+    return TwiddleTable(n_max=n_max, entries=tuple(entries))
 
 
 def stage_rom_bases(n_pe: int, stages: int) -> tuple:
@@ -278,30 +204,32 @@ class CompressedRom:
         return 2 * len(self.stored)
 
 
+def _word(z: complex) -> bytes:
+    """z as two little-endian binary64 words (re, im): equal words are
+    equal bits, signed zeros included."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
 def compress_rom(rom: RomImage) -> CompressedRom:
-    """2x-compress a ROM image, verifying the +/-i pair precondition."""
+    """2x-compress a ROM image: keep the even entries, note whether each
+    odd one is i or -i times its partner, and check that the result
+    decompresses to the image bit for bit."""
     ent = rom.entries
     if len(ent) % 2:
         raise TwiddleError(
             f"ROM image for PE {rom.pe} has odd length {len(ent)}")
-    stored = []
-    signs = []
-    for t in range(len(ent) // 2):
-        a, b = ent[2 * t], ent[2 * t + 1]
-        plus = complex(-a.imag, a.real)   # i*a
-        minus = complex(a.imag, -a.real)  # -i*a
-        if abs(b - plus) <= PAIR_TOL:
-            signs.append(+1)
-        elif abs(b - minus) <= PAIR_TOL:
-            signs.append(-1)
-        else:
+    stored, odd = ent[0::2], ent[1::2]
+    signs = tuple(1 if _word(b) == _word(complex(-a.imag, a.real)) else -1
+                  for a, b in zip(stored, odd))  # i*a, else -i*a
+    out = CompressedRom(pe_index=rom.pe, stored=stored, pair_signs=signs,
+                        stage_bases=rom.stage_bases)
+    for t, (got, want) in enumerate(zip(decompress_rom(out)[1::2], odd)):
+        if _word(got) != _word(want):
             raise TwiddleError(
                 f"adjacency violation in PE {rom.pe} ROM at pair {t}: "
-                f"{b!r} is not +/-i * {a!r} (wrong permutation upstream?)")
-        stored.append(a)
-    return CompressedRom(pe_index=rom.pe, stored=tuple(stored),
-                         pair_signs=tuple(signs),
-                         stage_bases=rom.stage_bases)
+                f"{want!r} is not exactly +/-i * {stored[t]!r} "
+                "(wrong ROM layout upstream?)")
+    return out
 
 
 def decompress_rom(rom: CompressedRom) -> tuple:
@@ -415,11 +343,8 @@ def build_rom_set(n_max: int = S_MAX, n_pe: int = 2) -> tuple:
 def dump_rom(rom: CompressedRom, data_path, sidecar_path) -> None:
     """Write stored entries as little-endian binary64 (re, im) pairs and
     a text sidecar with the pair signs and per-stage base offsets."""
-    import struct
-
     with open(data_path, "wb") as f:
-        for z in rom.stored:
-            f.write(struct.pack("<dd", z.real, z.imag))
+        f.write(b"".join(map(_word, rom.stored)))
     with open(sidecar_path, "w") as f:
         f.write(f"pe {rom.pe_index}\n")
         f.write(f"stored_entries {len(rom.stored)}\n")

@@ -25,6 +25,7 @@ from ringfft.twiddles import TwiddleError, build_rom_set
 from ringfft.verify import max_abs_error, relative_bound
 
 ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
+ALL_CONFIGS = list(all_configs())
 
 
 def test_pe_butterfly_forward():
@@ -170,6 +171,36 @@ def test_uncompressed_or_foreign_roms_are_a_type_error():
             execute(build_schedule(cfg), BankedMemory(cfg.banks), bad)
 
 
+@pytest.mark.parametrize(
+    "cfg", ALL_CONFIGS,
+    ids=lambda c: f"{c.n}-{c.n_pe}-{c.direction.value}")
+def test_rom_set_for_another_pe_count_is_rejected(cfg):
+    # a foreign set has the same execution-table format, so without the
+    # check some runs give a wrong result and others fail on an
+    # unrelated ROM address
+    trace = build_schedule(cfg)
+    for other in sorted(set(ROMS) - {cfg.n_pe}):
+        roms = ROMS[other][2]
+        match = f"n_pe={other} .* n_pe={cfg.n_pe} run"
+        with pytest.raises(TwiddleError, match=match):
+            Simulator(cfg, roms)
+        mem = BankedMemory(cfg.banks)
+        before = mem.words.copy()
+        with pytest.raises(TwiddleError, match=match):
+            execute(trace, mem, roms)
+        assert mem.port_accesses == 0
+        assert np.array_equal(mem.words, before)
+
+
+def test_rom_set_of_the_wrong_length_is_rejected():
+    # the right number of ROMs, cut from the 64-point table
+    cfg = ScheduleConfig(n=32, n_pe=2)
+    roms = build_rom_set(64, 2)[2]
+    assert roms[0].logical_len < ROMS[2][2][0].logical_len
+    with pytest.raises(TwiddleError, match="n_pe=2 run, which reads 2 ROMs of 256"):
+        Simulator(cfg, roms)
+
+
 @pytest.mark.parametrize("npe", [1, 2, 4])
 @pytest.mark.parametrize("n", [8, 64, 1024])
 def test_roundtrip_through_simulator(n, npe, rng):
@@ -278,8 +309,6 @@ def test_peek_poke_bounds_and_python_values():
 
 # -- the lowered execute against the per-dispatch reference -----------------
 
-ALL_CONFIGS = list(all_configs())
-
 
 def _bits(snapshot):
     return [(b, o, z.real.hex(), z.imag.hex()) for b, o, z in snapshot]
@@ -385,8 +414,7 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     assert lowered == reference
     assert lowered != _run_both(trace, roms, words)[0]
 
-    key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity,
-           len(roms), roms[0].logical_len)
+    key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity)
     low = banksim._lowered[key]
     for st in low.stages:
         for arr in (st.banks, st.epochs, st.pes, st.uv, st.lohi, st.tw):

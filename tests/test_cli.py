@@ -341,7 +341,8 @@ def test_closed_stdout_is_not_a_traceback(unbuffered):
     if unbuffered:
         assert proc.stdout.readline().startswith(b"verification seed=")
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) != 0
     assert "Traceback" not in err and "Exception ignored" not in err, err
 

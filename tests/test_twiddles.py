@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -16,10 +17,7 @@ from ringfft.twiddles import (
     execution_table,
     fetch_twiddle,
     gray_code,
-    gray_rank,
-    permute_blocks,
-    permute_twiddles,
-    reference_table,
+    rom_layout,
     split_roms,
     stage0_constant,
     stage_rom_bases,
@@ -31,21 +29,22 @@ def test_bit_reverse_and_gray_are_inverses():
     for bits in (1, 3, 5):
         for x in range(1 << bits):
             assert bit_reverse(bit_reverse(x, bits), bits) == x
-    for g in range(64):
-        assert gray_code(gray_rank(g)) == g
+        # the Gray code permutes each range 0..2^bits - 1, and successive
+        # codes differ in one bit
+        codes = [gray_code(t) for t in range(1 << bits)]
+        assert sorted(codes) == list(range(1 << bits))
+        assert all(bin(a ^ b).count("1") == 1 for a, b in zip(codes, codes[1:]))
 
 
-def test_permute_blocks_examples():
-    x = list(range(8))
-    assert permute_blocks(x, 2, 2) == [0, 1, 4, 5, 2, 3, 6, 7]
-    assert permute_blocks(x, 0, 1) == [1, 0, 2, 3, 4, 5, 6, 7]
-    twice = permute_blocks(permute_blocks(x, 2, 2), 2, 2)
-    assert twice == x
-
-
-def test_permute_blocks_range_error():
-    with pytest.raises(TwiddleError):
-        permute_blocks(list(range(8)), 6, 2)
+def reference_table(n_max):
+    """The full bit-reversed-order root table the paper's ROM preparation
+    starts from: entry k is exp(i*pi*rev(k)/n_max).  At 16 bytes per
+    entry and n_max=1024 this is the 16 KB table the compressed ROMs
+    replace."""
+    bits = n_max.bit_length() - 1
+    return [complex(math.cos(a), math.sin(a))
+            for a in (math.pi * bit_reverse(k, bits) / n_max
+                      for k in range(n_max))]
 
 
 def _literal_permutation_oracle(table, n):
@@ -66,30 +65,62 @@ def _literal_permutation_oracle(table, n):
     return w
 
 
+def _paper_pipeline(reference, n_max):
+    """The paper's offline ROM preparation for one PE: the reference
+    layout, block-permuted by the pseudocode, then its consumed half:
+    position 1 (the packing root i) and the first half of every dyadic
+    block [2^(sg+1), 2^(sg+2))."""
+    perm = _literal_permutation_oracle(reference, n_max)
+    half = [perm[1]]
+    for sg in range(n_max.bit_length() - 2):
+        m = 2 << sg
+        half.extend(perm[m:m + (1 << sg)])
+    return half
+
+
 def test_permute_twiddles_n8_is_identity():
     x = list(range(8))
-    assert permute_twiddles(x, 8) == x
-
-
-@pytest.mark.parametrize("n", [16, 32, 64, 1024])
-def test_permute_twiddles_matches_literal_oracle(n):
-    x = list(range(n))
-    assert permute_twiddles(x, n) == _literal_permutation_oracle(x, n)
+    assert _literal_permutation_oracle(x, 8) == x
 
 
 def test_permute_twiddles_is_bijection():
     for n in (16, 128, 1024):
-        out = permute_twiddles(list(range(n)), n)
+        out = _literal_permutation_oracle(list(range(n)), n)
         assert sorted(out) == list(range(n))
 
 
 def test_permute_twiddles_gray_orders_stage_blocks():
     n = 1024
-    out = permute_twiddles(list(range(n)), n)
+    out = _literal_permutation_oracle(list(range(n)), n)
     for sg in range(9):
         m = 1 << (sg + 1)
         block = out[m:m + (1 << sg)]
         assert block == [m + gray_code(t) for t in range(1 << sg)]
+
+
+@pytest.mark.parametrize("n_max", [8, 16, 32, 64, 1024])
+def test_paper_pipeline_gives_the_rom_layout_order(n_max):
+    stages = n_max.bit_length() - 2
+    # by reference-table position: i, the stage-0 constant, then the one
+    # PE's ROM in rom_layout order, position 2^(sg+1) + g holding w(sg, g)
+    stage, group = (a.tolist() for a in rom_layout(1, stages))
+    assert _paper_pipeline(range(n_max), n_max) == \
+        [1, 2] + [(2 << sg) + g for sg, g in zip(stage, group[0])]
+    # by value: build_twiddle_table's words at their reference positions,
+    # through the pipeline, are word for word the one-PE ROM image
+    table = build_twiddle_table(n_max)
+    reference = [None] * n_max
+    reference[1] = table.entries[0]
+    for sg in range(stages):
+        for g in range(1 << sg):
+            reference[(2 << sg) + g] = table.lookup(sg, g)
+    image = split_roms(table, 1)[0].entries
+    words = _paper_pipeline(reference, n_max)
+    assert np.array_equal(np.array(words).view(np.uint64), np.array(
+        [table.entries[0], table.entries[1], *image]).view(np.uint64))
+    # and those positions hold the same roots in the paper's table
+    for z, want in zip(reference, reference_table(n_max)):
+        assert z is None or abs(z - want) < 1e-15
 
 
 def test_reference_table_size_and_unit_circle():
@@ -108,6 +139,20 @@ def test_twiddle_table_shape_and_values():
     for sg in range(table.stages):
         for g in range(1 << sg):
             assert table.lookup(sg, g) == stage_twiddle(sg, g)
+            assert table.entries[(1 << sg) + g] == stage_twiddle(sg, g)
+
+
+@pytest.mark.parametrize("sg,g", [(1, 5), (1, 2), (0, 1), (2, -1), (9, 0), (-1, 0)])
+def test_twiddle_table_rejects_a_group_outside_its_stage(sg, g):
+    # a flat index would serve (1, 5) the stage-3 word w(3, 0) at 2^1 + 5
+    with pytest.raises(TwiddleError, match=f"no group {g} in stage {sg}"):
+        build_twiddle_table(1024).lookup(sg, g)
+
+
+@pytest.mark.parametrize("n_max", [0, 2, 12, 1000])
+def test_twiddle_table_rejects_bad_sizes(n_max):
+    with pytest.raises(TwiddleError, match="power of two"):
+        build_twiddle_table(n_max)
 
 
 def test_twiddle_table_preserves_entry_multiset():
@@ -188,6 +233,19 @@ def test_compress_flags_adjacency_violation():
     with pytest.raises(TwiddleError, match="adjacency"):
         compress_rom(RomImage(pe=0, n_pe=1, n_max=16,
                               entries=bad, stage_bases=()))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_compress_rejects_a_pair_one_ulp_off(sign):
+    # decompression emits the exact swap, so a near pair would not
+    # decompress to its own image
+    _, images, _ = build_rom_set(1024, 2)
+    img = images[1]
+    b = img.entries[5]
+    near = complex(math.nextafter(b.real, sign * math.inf), b.imag)
+    entries = img.entries[:5] + (near,) + img.entries[6:]
+    with pytest.raises(TwiddleError, match="adjacency violation in PE 1 ROM at pair 2"):
+        compress_rom(dataclasses.replace(img, entries=entries))
 
 
 @pytest.mark.parametrize("n_pe", [1, 2, 4])
