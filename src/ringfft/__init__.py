@@ -21,6 +21,7 @@ from .transform import (
     Direction,
     OrderTag,
     Spectrum,
+    fft_batch,
     fft_inplace,
     fft_ref,
     ifft_inplace,
@@ -42,6 +43,7 @@ __all__ = [
     "fft_ref",
     "ifft_ref",
     "fft_inplace",
+    "fft_batch",
     "ifft_inplace",
     "pointwise_op",
     "polymul_negacyclic_oracle",

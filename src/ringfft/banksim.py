@@ -40,9 +40,8 @@ from .transform import (
     DomainError,
     OrderTag,
     Spectrum,
-    array_butterfly,
+    coefficient_rows,
     conjugate_odd_slots,
-    validate_polynomial,
 )
 from .twiddles import (S_MAX, TwiddleError, execution_table, rom_layout,
                        rom_word_index)
@@ -71,6 +70,39 @@ def pe_butterfly(u: complex, v: complex, w: complex,
         t = w * v
         return u + t, u - t
     return u + v, (u - v) * w
+
+
+def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a * b over complex128 arrays, with each part computed as
+    CPython's complex multiply computes it, (ar*br - ai*bi, ar*bi +
+    ai*br), so it rounds the same way (numpy's complex multiply and a
+    fused multiply-add need not).  out must not overlap a or b."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    np.subtract(ar * br, ai * bi, out=out.real)
+    np.add(ar * bi, ai * br, out=out.imag)
+
+
+def array_butterfly(u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                    forward: bool) -> None:
+    """`pe_butterfly` over gathered complex128 operands, in place.
+
+    u, v and w broadcast together; u and v are overwritten with
+    x = u + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w
+    (inverse, w already conjugated), each element bit-identical to the
+    scalar butterfly on Python complex values: sums are componentwise
+    either way, and products go through `_mul_into`.  u and v may be
+    strided views of one array.  Run it under np.errstate(over="ignore",
+    invalid="ignore") to keep overflow as silent as complex arithmetic.
+    """
+    if forward:
+        t = np.empty_like(v)
+        _mul_into(w, v, t)
+        np.subtract(u, t, out=v)
+        np.add(u, t, out=u)
+    else:
+        d = u - v
+        np.add(u, v, out=u)
+        _mul_into(d, w, v)
 
 
 class BankedMemory:
@@ -245,13 +277,12 @@ def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
 
 def load_natural(a, mem: BankedMemory, s_m: int) -> None:
     """Pack a polynomial and place word k at bank k//S_M, offset k%S_M."""
-    _place_packed(validate_polynomial(a), mem, s_m)
+    _place_packed(coefficient_rows((a,))[0], mem, s_m)
 
 
-def _place_packed(coeffs: list[float], mem: BankedMemory, s_m: int) -> None:
-    """Store validated coefficients as words a_k + i*a_{k+n/2} (the
-    packing of `transform.pack`) at their natural bank positions."""
-    c = np.array(coeffs, np.float64)
+def _place_packed(c: np.ndarray, mem: BankedMemory, s_m: int) -> None:
+    """Store validated float64 coefficients as words a_k + i*a_{k+n/2}
+    (the packing of `transform.pack`) at their natural bank positions."""
     hn = len(c) // 2
     if hn > mem.n_banks * s_m or s_m > mem.capacity:
         raise DomainError("polynomial does not fit the configured memory")
@@ -317,11 +348,11 @@ class Simulator:
     def load_polynomial(self, a) -> None:
         if self.cfg.direction is not Direction.FORWARD:
             raise DomainError("polynomial input is for forward runs")
-        coeffs = validate_polynomial(a)
-        if len(coeffs) != self.cfg.n:
+        c = coefficient_rows((a,))[0]
+        if len(c) != self.cfg.n:
             raise DomainError(
-                f"expected {self.cfg.n} coefficients, got {len(coeffs)}")
-        _place_packed(coeffs, self.mem, self.cfg.s_m)
+                f"expected {self.cfg.n} coefficients, got {len(c)}")
+        _place_packed(c, self.mem, self.cfg.s_m)
 
     def load_spectrum(self, s: Spectrum) -> None:
         """Place an internal-order spectrum at the forward-final layout

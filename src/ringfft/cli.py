@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import metrics
 from .banksim import Simulator
 from .scheduler import (
     TRACE_CSV_HEADER,
@@ -35,7 +34,6 @@ from .transform import (
     validate_polynomial,
 )
 from .twiddles import S_MAX, build_rom_set, dump_rom
-from .verify import max_abs_error, product_bound, run_verification
 
 
 class CliError(Exception):
@@ -170,6 +168,8 @@ def cmd_polymul(args) -> int:
         raise CliError(f"length mismatch: {len(a)} vs {len(b)}")
     c = polymul_via_fft(a, b)
     if args.check:
+        from .verify import max_abs_error, product_bound
+
         ref = polymul_negacyclic_oracle(a, b)
         dev, bound = max_abs_error(c, ref), product_bound(len(a))
         print(f"max_deviation={dev:.3e} bound={bound:.3e}")
@@ -241,12 +241,16 @@ _METRICS = {
 
 
 def cmd_cycles(args) -> int:
+    from . import metrics
+
     rows = [dict(zip(_CYCLES["json"], row)) for row in metrics.cycles_table()]
     _emit_table(rows, _CYCLES, args)
     return 0
 
 
 def cmd_metrics(args) -> int:
+    from . import metrics
+
     rows = []
     for r in metrics.all_records():
         a, p, e = metrics.normalized_row(r)
@@ -257,6 +261,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
+
     ok = run_verification(seed=args.seed, quick=args.quick, echo=print)
     return 0 if ok else 1
 

@@ -21,12 +21,18 @@ holds a(w(hn-1-2*r(m))).
 The network runs on one of two paths, chosen from the size alone.
 Below VECTOR_MIN_HN words it is the scalar loop over Python `complex`
 values, one butterfly at a time; it is also the reference the tests
-compare the other path against.  From VECTOR_MIN_HN words up, each
-stage is a few numpy operations over a (2^sg, 2, ht) view of one
-complex128 array, with real and imaginary parts computed separately in
-the order CPython's complex multiply uses, so both paths give the same
-bits.  `polymul_via_fft` stays on arrays from packing to unpacking on
-the vector path.
+compare the other path against.  From VECTOR_MIN_HN words up it runs in
+constant geometry (Pease) over a (B, 2, n/2) float64 stack of real and
+imaginary planes, B polynomials at once: every stage reads the two
+contiguous halves of one buffer and writes a perfect shuffle of the
+results into another, so that all stages share one layout, and after
+the last stage every word is back in its in-place slot.  Packing is a
+reshape in this layout, since word k = a_k + i*a_{k+n/2} puts a's first
+half in the real plane and its second half in the imaginary one.  Each
+product rounds as CPython's complex multiply does, so both paths give
+the same bits.  `polymul_via_fft` transforms both operands in one batch
+and stays in planes until unpacking; `fft_batch` runs any number of
+same-length polynomials through one pass at every size.
 """
 
 from __future__ import annotations
@@ -166,10 +172,12 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
     return tuple(out)
 
 
-# Half-size (n/2 words) from which the network runs as array stages.
+# Half-size (n/2 words) from which single calls run the array network.
 # Below it the per-call numpy overhead outweighs the loop it replaces:
-# on a 2-vCPU host polymul_via_fft ran 0.6-0.8x as fast on arrays as
-# on the scalar loop at n = 128, and 1.4-2.6x as fast at n = 256.
+# on a 2-vCPU host, against the scalar loop in interleaved runs, the
+# array path took 0.64x (fft_inplace), 0.66x (ifft_inplace) and 0.39x
+# (polymul_via_fft) the time at n = 256 but 0.98x, 1.15x and 0.72x at
+# n = 128, and 1.2-1.9x at n = 64.
 VECTOR_MIN_HN = 128
 
 
@@ -242,61 +250,6 @@ def _coefficients_scalar(values) -> list[float]:
     return out
 
 
-def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a * b over complex128 arrays, with each part computed as
-    CPython's complex multiply computes it, (ar*br - ai*bi, ar*bi +
-    ai*br), so it rounds the same way (numpy's complex multiply and a
-    fused multiply-add need not).  out must not overlap a or b."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    np.subtract(ar * br, ai * bi, out=out.real)
-    np.add(ar * bi, ai * br, out=out.imag)
-
-
-def array_butterfly(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                    forward: bool) -> None:
-    """The network's butterfly over complex128 arrays, in place.
-
-    u, v and w broadcast together; u and v are overwritten with
-    x = u + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w
-    (inverse, w already conjugated), each element bit-identical to the
-    scalar butterfly on Python complex values: sums are componentwise
-    either way, and products go through `_mul_into`.  u and v may be
-    strided views of one array.  Run it under np.errstate(over="ignore",
-    invalid="ignore") to keep overflow as silent as complex arithmetic.
-    """
-    if forward:
-        t = np.empty_like(v)
-        _mul_into(w, v, t)
-        np.subtract(u, t, out=v)
-        np.add(u, t, out=u)
-    else:
-        d = u - v
-        np.add(u, v, out=u)
-        _mul_into(d, w, v)
-
-
-@lru_cache(maxsize=None)
-def _stage_columns(forward: bool) -> tuple:
-    """`_stage_twiddles(forward)` as read-only (2^sg, 1) complex128
-    columns, for the array path."""
-    columns = tuple(np.array(tws, np.complex128).reshape(-1, 1)
-                    for tws in _stage_twiddles(forward))
-    for w in columns:
-        w.flags.writeable = False
-    return columns
-
-
-def _run_array_network(z: np.ndarray, forward: bool) -> None:
-    """The scalar networks' stages on one complex128 array, in place;
-    stage sg pairs z[g, 0, j] with z[g, 1, j] in a (2^sg, 2, ht) view."""
-    hn = len(z)
-    n_stages = hn.bit_length() - 1
-    tw = _stage_columns(forward)
-    for sg in range(n_stages) if forward else range(n_stages - 1, -1, -1):
-        x = z.reshape(1 << sg, 2, hn >> (sg + 1))
-        array_butterfly(x[:, 0], x[:, 1], tw[sg], forward)
-
-
 def conjugate_odd_slots(z: np.ndarray) -> None:
     """Conjugate, in place, the slots `slot_eval_map` marks conjugated:
     exactly the odd ones."""
@@ -304,35 +257,140 @@ def conjugate_odd_slots(z: np.ndarray) -> None:
     np.negative(im, out=im)
 
 
-def _spectrum_array(coeffs: list[float]) -> np.ndarray:
-    """Pack, forward network, readout conjugation; array path."""
-    c = np.array(coeffs, np.float64)
-    hn = len(c) // 2
-    z = np.empty(hn, np.complex128)
-    z.real, z.imag = c[:hn], c[hn:]
-    _run_array_network(z, True)
-    conjugate_odd_slots(z)
-    return z
+def _length(a) -> int:
+    """len(a), or 0 for an input without one, which the scalar path's
+    `validate_polynomial` then reads (or rejects) as it always has."""
+    try:
+        return len(a)
+    except TypeError:
+        return 0
 
 
-def _coefficients_array(z: np.ndarray) -> list[float]:
-    """Input conjugation, inverse network, unpacking; array path.
-    Overwrites z."""
-    conjugate_odd_slots(z)
-    _run_array_network(z, False)
-    scale = 2.0 / (2 * len(z))
-    return np.concatenate((z.real * scale, z.imag * scale)).tolist()
+def coefficient_rows(polys) -> np.ndarray:
+    """The polynomials of `polys` as the rows of one float64 array,
+    each converted once.
+
+    An input numpy cannot read as same-length rows of finite numbers of
+    a supported length goes through `validate_polynomial`, one
+    polynomial after the other, so that every rejection keeps its
+    exception class and message; numpy reads None as NaN, for one, where
+    float() raises TypeError.  Both convert what they accept alike, and
+    both call a coefficient's own __float__, so what that raises passes
+    through either way.
+    """
+    try:
+        c = np.array(polys, np.float64)
+    except (TypeError, ValueError, OverflowError):
+        c = None
+    if (c is None or c.ndim != 2 or not 2 <= c.shape[1] <= S_MAX
+            or c.shape[1] & (c.shape[1] - 1) or not np.isfinite(c).all()):
+        rows = [validate_polynomial(a) for a in polys]
+        if len({len(r) for r in rows}) > 1:
+            raise DomainError("polynomials must have equal length")
+        c = np.array(rows, np.float64)
+    return c
+
+
+@lru_cache(maxsize=None)
+def _twiddle_matrices(forward: bool) -> tuple:
+    """Per stage sg, the read-only (2, 2, S_MAX/4) array whose entry
+    [:, :, j] is the real matrix [[wr, -wi], [wi, wr]] of multiplication
+    by w = w(sg, j mod 2^sg) of `_stage_twiddles(forward)`: the twiddle
+    of butterfly j of stage sg of the constant-geometry network at every
+    size (sliced to [..., :hn/2])."""
+    matrices = []
+    for tws in _stage_twiddles(forward):
+        w = np.resize(np.array(tws, np.complex128), S_MAX // 4)
+        m = np.array([[w.real, -w.imag], [w.imag, w.real]])
+        m.flags.writeable = False
+        matrices.append(m)
+    return tuple(matrices)
+
+
+def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
+    """The scalar networks' stages over a (B, 2, hn) stack of real and
+    imaginary planes, in constant geometry (Pease): every forward stage
+    pairs the halves [..., :h] and [..., h:] (h = hn/2) and writes x to
+    the even and y to the odd slots of a second buffer, and every
+    inverse stage undoes that shuffle.  Butterfly j of stage sg then
+    belongs to group j mod 2^sg, and after all log2(hn) stages every
+    word is back in its in-place slot.  Overwrites x; returns the
+    buffer holding the result.
+
+    A product w*v is (wr*vr + (-wi)*vi, wi*vr + wr*vi): one multiply by
+    the twiddle matrix, one sum over its columns.  Negation is exact and
+    IEEE 754 defines a - b as a + (-b), so each part rounds as CPython's
+    complex multiply rounds (wr*vr - wi*vi, wr*vi + wi*vr), and every
+    word is bit-identical to the scalar network's."""
+    hn = x.shape[-1]
+    h = hn // 2
+    y = np.empty_like(x)
+    t = np.empty(x.shape[:-1] + (h,))
+    m = np.empty((len(x), 2, 2, h))
+    stages = _twiddle_matrices(forward)[:hn.bit_length() - 1]
+    for w in stages if forward else reversed(stages):
+        w = w[..., :h]
+        if forward:
+            u, v = x[..., :h], x[..., h:]
+            np.multiply(w, v[:, None], out=m)
+            np.add(m[:, :, 0], m[:, :, 1], out=t)   # t = w*v
+            np.add(u, t, out=y[..., 0::2])
+            np.subtract(u, t, out=y[..., 1::2])
+        else:
+            u, v = x[..., 0::2], x[..., 1::2]
+            np.subtract(u, v, out=t)
+            np.add(u, v, out=y[..., :h])
+            np.multiply(w, t[:, None], out=m)
+            np.add(m[:, :, 0], m[:, :, 1], out=y[..., h:])  # (u - v)*w
+        x, y = y, x
+    return x
+
+
+def _conjugate_odd_planes(x: np.ndarray) -> None:
+    """`conjugate_odd_slots` on a (B, 2, hn) stack of planes."""
+    im = x[:, 1, 1::2]
+    np.negative(im, out=im)
+
+
+def _forward_planes(c: np.ndarray) -> np.ndarray:
+    """Pack, forward network, readout conjugation over the rows of a
+    (B, n) coefficient array: word k = a_k + i*a_{k+n/2} makes the
+    array's (B, 2, n/2) reshape the packed planes.  Overwrites c."""
+    r = _run_planes(c.reshape(len(c), 2, -1), True)
+    _conjugate_odd_planes(r)
+    return r
+
+
+def _inverse_planes(x: np.ndarray) -> list:
+    """Input conjugation, inverse network, scaling and unpacking of a
+    (B, 2, hn) stack of spectrum planes: B coefficient lists.
+    Overwrites x."""
+    _conjugate_odd_planes(x)
+    r = _run_planes(x, False)
+    np.multiply(r, 2.0 / (2 * r.shape[-1]), out=r)
+    return r.reshape(len(r), -1).tolist()
 
 
 def fft_inplace(a: Sequence[float]) -> Spectrum:
     """Iterative in-place transform in the internal (scrambled) order."""
-    coeffs = validate_polynomial(a)
-    if len(coeffs) // 2 < VECTOR_MIN_HN:
-        values = tuple(_spectrum_scalar(coeffs))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = tuple(_spectrum_array(coeffs).tolist())
-    return Spectrum(values=values, order_tag=OrderTag.FALCON_INTERNAL)
+    if _length(a) // 2 >= VECTOR_MIN_HN:
+        return fft_batch((a,))[0]
+    return Spectrum(values=tuple(_spectrum_scalar(validate_polynomial(a))),
+                    order_tag=OrderTag.FALCON_INTERNAL)
+
+
+def fft_batch(polys: Sequence[Sequence[float]]) -> list[Spectrum]:
+    """`fft_inplace` of each of `polys`, all of one length, through one
+    pass of the array network over a leading batch axis; bit-identical
+    to transforming them one by one, at any length."""
+    if not len(polys):
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _forward_planes(coefficient_rows(polys))
+    z = np.empty((len(r), r.shape[-1]), np.complex128)
+    z.real, z.imag = r[:, 0], r[:, 1]
+    return [Spectrum(values=tuple(v), order_tag=OrderTag.FALCON_INTERNAL)
+            for v in z.tolist()]
 
 
 def ifft_inplace(s: Spectrum) -> list[float]:
@@ -344,8 +402,11 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     _validate_spectrum_length(hn)
     if hn < VECTOR_MIN_HN:
         return _coefficients_scalar(s.values)
+    z = np.array(s.values, np.complex128)
+    x = np.empty((1, 2, hn))
+    x[0, 0], x[0, 1] = z.real, z.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        return _coefficients_array(np.array(s.values, np.complex128))
+        return _inverse_planes(x)[0]
 
 
 _POINTWISE_OPS = ("add", "sub", "mul", "div")
@@ -395,17 +456,19 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Negacyclic product through the half-size transform pipeline.
 
     Bit-identical to ifft_inplace(pointwise_op(fft_inplace(a),
-    fft_inplace(b), "mul")); on the array path the operands stay in
-    arrays from packing to unpacking."""
-    ca = validate_polynomial(a)
-    cb = validate_polynomial(b)
-    if len(ca) != len(cb):
-        raise DomainError("polynomials must have equal length")
-    if len(ca) // 2 < VECTOR_MIN_HN:
+    fft_inplace(b), "mul")); on the array path both operands go through
+    one batched forward pass and stay in planes until unpacking."""
+    if min(_length(a), _length(b)) // 2 < VECTOR_MIN_HN:
+        ca = validate_polynomial(a)
+        cb = validate_polynomial(b)
+        if len(ca) != len(cb):
+            raise DomainError("polynomials must have equal length")
         return _coefficients_scalar(
             [x * y for x, y in zip(_spectrum_scalar(ca), _spectrum_scalar(cb))])
     with np.errstate(over="ignore", invalid="ignore"):
-        za = _spectrum_array(ca)
-        zc = np.empty_like(za)
-        _mul_into(za, _spectrum_array(cb), zc)
-        return _coefficients_array(zc)
+        sa, sb = _forward_planes(coefficient_rows((a, b)))
+        # CPython's complex multiply: (ar*br - ai*bi, ar*bi + ai*br)
+        p, q = sa * sb, sa * sb[::-1]
+        np.subtract(p[0], p[1], out=sa[0])
+        np.add(q[0], q[1], out=sa[1])
+        return _inverse_planes(sa[None])[0]

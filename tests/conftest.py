@@ -3,7 +3,13 @@ import pytest
 
 from ringfft.banksim import BankConflictError, pe_butterfly
 from ringfft.scheduler import ScheduleConfig, ScheduleError
-from ringfft.transform import Direction
+from ringfft.transform import (
+    Direction,
+    _run_forward_network,
+    _run_inverse_network,
+    pack,
+    slot_eval_map,
+)
 from ringfft.twiddles import CompressedRom, fetch_twiddle, stage0_constant
 
 
@@ -81,3 +87,26 @@ def reference_execute(trace, mem, roms, stage_hook=None) -> int:
     if stage_hook and prev_stage is not None:
         stage_hook(prev_stage, cycle)
     return cycle
+
+
+# The scalar network, composed as fft_inplace/ifft_inplace compose it
+# below VECTOR_MIN_HN: the bit-exact reference of the array path.
+
+def scalar_fft(a):
+    vals = pack(a)
+    _run_forward_network(vals)
+    return [z.conjugate() if conj else z
+            for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
+
+
+def scalar_ifft(values):
+    hn = len(values)
+    vals = [z.conjugate() if conj else z
+            for z, (_k, conj) in zip(values, slot_eval_map(hn))]
+    _run_inverse_network(vals)
+    scale = 2.0 / (2 * hn)
+    return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
+
+
+def scalar_polymul(a, b):
+    return scalar_ifft([x * y for x, y in zip(scalar_fft(a), scalar_fft(b))])

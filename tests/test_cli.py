@@ -361,3 +361,15 @@ def test_verify_output_pinned(capsys, seed, quick):
     assert main(["verify", "--seed", str(seed), *["--quick"] * quick]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == VERIFY_DIGESTS[seed]
+
+
+def test_cli_import_leaves_verify_and_metrics_unloaded():
+    # only `verify`, `polymul --check`, `cycles` and `metrics` need them,
+    # so every other cold process is spared their import
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import sys, ringfft.cli; "
+            "print(sorted(m for m in ('ringfft.verify', 'ringfft.metrics') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import scalar_fft, scalar_ifft, scalar_polymul
 
 from ringfft.transform import (
     DomainError,
@@ -12,14 +13,13 @@ from ringfft.transform import (
     PointwiseDivideError,
     Spectrum,
     _run_forward_network,
-    _run_inverse_network,
     conjugate_odd_slots,
+    fft_batch,
     fft_inplace,
     fft_ref,
     ifft_inplace,
     ifft_ref,
     omega,
-    pack,
     pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
@@ -307,29 +307,6 @@ def test_odd_slots_are_the_conjugated_ones():
         assert np.array_equal(z, want)
 
 
-# The scalar network, composed as fft_inplace/ifft_inplace compose it
-# below VECTOR_MIN_HN: the bit-exact reference of the array path.
-
-def _scalar_fft(a):
-    vals = pack(a)
-    _run_forward_network(vals)
-    return [z.conjugate() if conj else z
-            for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
-
-
-def _scalar_ifft(values):
-    hn = len(values)
-    vals = [z.conjugate() if conj else z
-            for z, (_k, conj) in zip(values, slot_eval_map(hn))]
-    _run_inverse_network(vals)
-    scale = 2.0 / (2 * hn)
-    return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
-
-
-def _scalar_polymul(a, b):
-    return _scalar_ifft([x * y for x, y in zip(_scalar_fft(a), _scalar_fft(b))])
-
-
 def _bits(values):
     dtype = np.complex128 if isinstance(values[0], complex) else np.float64
     return np.array(values, dtype).view(np.uint64)
@@ -349,16 +326,16 @@ def test_network_paths_bit_identical_to_scalar_reference(rng, n):
     z = rng.uniform(-1e4, 1e4, (n // 2, 2))
     z[::3] = 0.0
     z[1::5] *= -0.0
-    spectra = [_scalar_fft(a) for a in polys.values()]
+    spectra = [scalar_fft(a) for a in polys.values()]
     spectra.append([complex(x, y) for x, y in z])
     for a in polys.values():
-        assert np.array_equal(_bits(fft_inplace(a).values), _bits(_scalar_fft(a)))
+        assert np.array_equal(_bits(fft_inplace(a).values), _bits(scalar_fft(a)))
     for values in spectra:
         assert np.array_equal(_bits(ifft_inplace(_internal(values))),
-                              _bits(_scalar_ifft(values)))
+                              _bits(scalar_ifft(values)))
     for a, b in [("float", "int"), ("int", "int"), ("zero", "float")]:
         got = polymul_via_fft(polys[a], polys[b])
-        assert np.array_equal(_bits(got), _bits(_scalar_polymul(polys[a], polys[b])))
+        assert np.array_equal(_bits(got), _bits(scalar_polymul(polys[a], polys[b])))
         want = ifft_inplace(pointwise_op(fft_inplace(polys[a]),
                                          fft_inplace(polys[b]), "mul"))
         assert np.array_equal(_bits(got), _bits(want))
@@ -372,14 +349,48 @@ def test_vector_path_overflow_matches_scalar_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cases = [
-            (fft_inplace(huge).values, _scalar_fft(huge)),
-            (ifft_inplace(_internal(spectrum)), _scalar_ifft(spectrum)),
-            (polymul_via_fft(big, big), _scalar_polymul(big, big)),
+            (fft_inplace(huge).values, scalar_fft(huge)),
+            (ifft_inplace(_internal(spectrum)), scalar_ifft(spectrum)),
+            (polymul_via_fft(big, big), scalar_polymul(big, big)),
         ]
     for got, want in cases:
         finite = np.isfinite(np.array(want))
         assert not finite.all()
         assert np.array_equal(np.isfinite(np.array(got)), finite)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_fft_batch_bit_identical_to_one_by_one(rng, n):
+    polys = [rng.uniform(-1e4, 1e4, n).tolist() for _ in range(3)]
+    polys += [[0.0] * n, [-0.0] * n, rng.integers(-127, 128, n).tolist()]
+    got = fft_batch(polys)
+    assert all(s.order_tag is OrderTag.FALCON_INTERNAL for s in got)
+    for a, s in zip(polys, got, strict=True):
+        assert np.array_equal(_bits(s.values), _bits(fft_inplace(a).values))
+        assert np.array_equal(_bits(s.values), _bits(scalar_fft(a)))
+
+
+def test_fft_batch_overflow_stays_in_its_item(rng):
+    n = 1024
+    polys = [rng.uniform(-1, 1, n).tolist(), [1.7e308] * n,
+             rng.uniform(-1, 1, n).tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fft_batch(polys)
+    assert not np.isfinite(np.array(got[1].values)).all()
+    for k in (0, 2):
+        assert np.array_equal(_bits(got[k].values),
+                              _bits(fft_inplace(polys[k]).values))
+
+
+def test_fft_batch_domain():
+    assert fft_batch([]) == []
+    with pytest.raises(DomainError, match="equal length"):
+        fft_batch([[0.0] * 8, [0.0] * 4])
+    with pytest.raises(DomainError, match="finite"):
+        fft_batch([[0.0] * 8, [float("nan")] * 8])
+    with pytest.raises(TypeError):
+        fft_batch([[0.0] * 8, [None] * 8])
 
 
 def test_falcon_shaped_products_round_to_the_exact_product(rng):

@@ -116,6 +116,23 @@ def test_nan_deviation_fails_its_check(monkeypatch, name, check):
         assert failed == [check], spoil.__name__
 
 
+def test_nan_in_a_batched_spectrum_fails_the_oracle_and_round_trip(
+        monkeypatch):
+    # the oracle corpus is transformed in batches, and the round trip
+    # inverts those same spectra
+    real = verify.fft_batch
+
+    def spoiled(polys):
+        return [dataclasses.replace(s, values=_nan_last(s.values))
+                for s in real(polys)]
+
+    monkeypatch.setattr(verify, "fft_batch", spoiled)
+    failed = [c.name for c in verify.run_checks(seed=5, quick=True)
+              if not c.ok]
+    assert failed == ["in-place vs brute-force oracle (elementwise)",
+                      "library round trip <= 1e-9 relative"]
+
+
 def test_simulator_nan_deviation_fails_round_trip(monkeypatch):
     for spoil in SPOILERS:
         class Spoiled(Simulator):
