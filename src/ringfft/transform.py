@@ -257,13 +257,16 @@ def conjugate_odd_slots(z: np.ndarray) -> None:
     np.negative(im, out=im)
 
 
-def _length(a) -> int:
-    """len(a), or 0 for an input without one, which the scalar path's
-    `validate_polynomial` then reads (or rejects) as it always has."""
+def _array_path(a) -> bool:
+    """Whether a call on `a` runs the array network: a has a length of
+    at least 2*VECTOR_MIN_HN.  An input without a length takes the
+    scalar path, whose `validate_polynomial` reads or rejects it as it
+    always has; a second operand of another length is rejected by
+    either path in the same way."""
     try:
-        return len(a)
+        return len(a) // 2 >= VECTOR_MIN_HN
     except TypeError:
-        return 0
+        return False
 
 
 def coefficient_rows(polys) -> np.ndarray:
@@ -373,7 +376,7 @@ def _inverse_planes(x: np.ndarray) -> list:
 
 def fft_inplace(a: Sequence[float]) -> Spectrum:
     """Iterative in-place transform in the internal (scrambled) order."""
-    if _length(a) // 2 >= VECTOR_MIN_HN:
+    if _array_path(a):
         return fft_batch((a,))[0]
     return Spectrum(values=tuple(_spectrum_scalar(validate_polynomial(a))),
                     order_tag=OrderTag.FALCON_INTERNAL)
@@ -458,7 +461,7 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
     Bit-identical to ifft_inplace(pointwise_op(fft_inplace(a),
     fft_inplace(b), "mul")); on the array path both operands go through
     one batched forward pass and stay in planes until unpacking."""
-    if min(_length(a), _length(b)) // 2 < VECTOR_MIN_HN:
+    if not _array_path(a):
         ca = validate_polynomial(a)
         cb = validate_polynomial(b)
         if len(ca) != len(cb):
