@@ -32,7 +32,7 @@ from .transform import (
     polymul_via_fft,
 )
 from .scheduler import ScheduleConfig, build_schedule, cycle_count
-from .banksim import BankedMemory, Simulator
+from .banksim import BankedMemory, RunStats, Simulator
 from .twiddles import build_rom_set, build_twiddle_table
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "build_schedule",
     "cycle_count",
     "BankedMemory",
+    "RunStats",
     "Simulator",
     "build_twiddle_table",
     "build_rom_set",

@@ -17,18 +17,28 @@ stage-0 constant, then every logical word of every PE, conjugated for
 the inverse).
 
 A trace is lowered once, by reshaping its dispatch columns, into flat
-per-stage index arrays: operand read slots, result write slots, each
-dispatch's position in that twiddle table and the banks each epoch
-touches.  `execute` runs every stage as one gather of operands and
-twiddles -> butterfly -> scatter after the port ledger has granted all
-of that stage's epochs.  Lowering checks every memory and ROM address,
-and whether a stage touches a word slot twice, which `execute` rejects:
+per-stage index arrays: operand read slots, result write slots and each
+dispatch's position in that twiddle table.  Which bank each PE touches
+in each cycle is fixed by the schedule, never by the data, so the port
+ledger's verdict is a property of the lowering too: lowering runs
+`BankedMemory.claim`, the one statement of the ledger rule, on every
+stage once, against a scratch ledger, and keeps each stage's granted
+count and, for a conflict, the `BankConflictError` it raised.  `execute`
+adds the granted counts to the memory's port accesses and raises a
+stage's conflict before that stage touches memory; otherwise it runs
+the stage as one gather of operands and twiddles -> butterfly ->
+scatter.  Lowering also checks every memory and ROM address, and
+whether a stage touches a word slot twice, which `execute` rejects:
 only then does running a stage at once equal running it batch by batch.
+What a run does (cycles, port accesses per bank, PE utilization,
+exchanges, ROM fetches by kind) is counted in the same pass, as the
+lowering's `RunStats`.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -43,8 +53,8 @@ from .transform import (
     coefficient_rows,
     conjugate_odd_slots,
 )
-from .twiddles import (S_MAX, TwiddleError, execution_table, rom_layout,
-                       rom_word_index)
+from .twiddles import (S_MAX, WIRED_INDEX, TwiddleError, execution_table,
+                       rom_layout, rom_word_index)
 
 
 class BankConflictError(RuntimeError):
@@ -162,13 +172,31 @@ class BankedMemory:
         return [(b, o, z) for b, row in enumerate(rows) for o, z in enumerate(row)]
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """What a run of one lowered trace does, counted once per lowering.
+
+    Every count depends on the schedule alone, so two runs of one trace
+    report equal records.  The default, all zero, is the record of a
+    run of no stage (n = 2 is packing only).
+    """
+    stage_cycles: tuple = ()    # per stage, in execution order
+    bank_reads: tuple = ()      # port reads of each bank
+    bank_writes: tuple = ()     # port writes of each bank
+    pe_utilization: tuple = ()  # per batch, in execution order: busy PEs / n_pe
+    input_exchanges: int = 0    # dispatches whose operands arrive swapped
+    output_exchanges: int = 0   # dispatches that swap their results
+    wired_fetches: int = 0      # the stage-0 constant, at WIRED_INDEX
+    stored_fetches: int = 0     # even ROM addresses: stored words
+    decompressed_fetches: int = 0  # odd ROM addresses: +/-i * a stored word
+
+
 class _Stage(NamedTuple):
     """One stage of a lowered trace; all arrays are read-only."""
     stage: int
     cycles: int
-    banks: np.ndarray       # port accesses, in order: bank,
-    epochs: np.ndarray      # cycle within the stage,
-    pes: np.ndarray         # and requesting PE
+    granted: int            # port accesses the ledger grants the stage
+    conflict: tuple | None  # BankConflictError arguments, if it conflicts
     uv: np.ndarray          # read slots: first operands, then second operands
     lohi: np.ndarray        # write slots: x outputs, then y outputs
     tw: np.ndarray          # per dispatch, its twiddle's table position
@@ -179,6 +207,7 @@ class _Lowered(NamedTuple):
     stages: tuple
     initial: np.ndarray     # word -> memory index before the first stage
     final: np.ndarray       # word -> memory index after the last stage
+    stats: RunStats
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -231,29 +260,54 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
     # Port accesses in the order they are made: per batch, every
     # dispatch's two reads (bank0, bank1), then every dispatch's two
     # writes (lo, hi), so access j of a stage falls in epoch j // 2width.
-    # int32 halves the cache.
+    # The ledger's verdict on them depends on nothing else, so it is
+    # taken here, once, on a scratch ledger per stage.
     steps, batches, width = pe.shape
-    banks = np.concatenate((np.stack((bank0, bank1), axis=-1),
-                            np.stack((lo, hi), axis=-1) // capacity), axis=2)
-    banks = _frozen(banks.reshape(steps, -1).astype(np.int32))
-    pes = np.tile(np.repeat(pe, 2, axis=2), 2)
-    pes = _frozen(pes.reshape(steps, -1).astype(np.int32))
-    epochs = _frozen(np.arange(4 * width * batches, dtype=np.int32)
-                     // (2 * width))
+    reads = np.stack((bank0, bank1), axis=-1)
+    writes = np.stack((lo, hi), axis=-1) // capacity
+    banks = np.concatenate((reads, writes), axis=2).reshape(steps, -1)
+    pes = np.tile(np.repeat(pe, 2, axis=2), 2).reshape(steps, -1)
+    epochs = np.arange(4 * width * batches) // (2 * width)
+    verdicts = []
+    for k in range(steps):
+        ledger = BankedMemory(n_banks)
+        try:
+            ledger.claim(banks[k], epochs, pes[k], 2 * batches * k)
+            conflict = None
+        except BankConflictError as e:
+            conflict = (e.cycle, e.bank, e.pes)
+        verdicts.append((ledger.port_accesses, conflict))
+
     uv = _frozen(np.stack((u, v), axis=1).reshape(steps, -1))
     lohi = _frozen(np.stack((lo, hi), axis=1).reshape(steps, -1))
     tw = _frozen(tw.reshape(steps, -1))
     # Each dispatch writes back the two slots it read, so distinct reads
     # also mean distinct writes.
-    reads = np.sort(uv, axis=1)
-    rereads = (reads[:, 1:] == reads[:, :-1]).any(axis=1).tolist()
+    slots = np.sort(uv, axis=1)
+    rereads = (slots[:, 1:] == slots[:, :-1]).any(axis=1).tolist()
+    busy = np.sort(pe, axis=2)
+    busy = 1 + (busy[..., 1:] != busy[..., :-1]).sum(axis=2)
+    parity = np.where(rom < 0, -1, rom & 1)  # -1: the wired constant
+    stats = RunStats(
+        stage_cycles=(2 * batches,) * steps,
+        bank_reads=tuple(np.bincount(reads.ravel(), minlength=n_banks).tolist()),
+        bank_writes=tuple(
+            np.bincount(writes.ravel(), minlength=n_banks).tolist()),
+        pe_utilization=tuple((busy / n_pe).ravel().tolist()),
+        input_exchanges=int(in_ex.sum()),
+        output_exchanges=int(out_ex.sum()),
+        wired_fetches=int((tw == WIRED_INDEX).sum()),
+        stored_fetches=int((parity == 0).sum()),
+        decompressed_fetches=int((parity == 1).sum()))
     return _Lowered(
-        stages=tuple(_Stage(stage=sg, cycles=2 * batches, banks=banks[k],
-                            epochs=epochs, pes=pes[k], uv=uv[k],
-                            lohi=lohi[k], tw=tw[k], rereads=rereads[k])
-                     for k, sg in enumerate(trace.stage_order)),
+        stages=tuple(_Stage(stage=sg, cycles=2 * batches, granted=granted,
+                            conflict=conflict, uv=uv[k], lohi=lohi[k],
+                            tw=tw[k], rereads=rereads[k])
+                     for k, (sg, (granted, conflict))
+                     in enumerate(zip(trace.stage_order, verdicts))),
         initial=memory_index(trace.initial_slots),
-        final=memory_index(trace.final_slots))
+        final=memory_index(trace.final_slots),
+        stats=stats)
 
 
 _lowered: dict[tuple, _Lowered] = {}
@@ -303,11 +357,13 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     `stage_hook(stage, cycle)` fires after the last batch of each stage
     (used for boundary memory dumps).
 
-    Each stage first has all its read and write epochs granted by the
-    memory's port ledger, then reads every operand and gathers every
+    Each stage first adds the port accesses the ledger granted it at
+    lowering to mem.port_accesses and, if the ledger found a bank
+    conflict there, raises that BankConflictError before the stage
+    touches memory.  Then it reads every operand and gathers every
     twiddle from the ROM set's execution table at once, runs the
     butterflies and writes every result at once.  A stage that reads a
-    word slot twice raises ScheduleError, after the ledger check, so a
+    word slot twice raises ScheduleError, after the ledger verdict, so a
     bank conflict is reported as such.  After an exception the memory
     contents are unspecified.
     """
@@ -319,7 +375,9 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
         for st in stages:
-            mem.claim(st.banks, st.epochs, st.pes, cycle)
+            mem.port_accesses += st.granted
+            if st.conflict:
+                raise BankConflictError(*st.conflict)
             if st.rereads:
                 raise ScheduleError(
                     f"stage {st.stage} reads a word slot in two dispatches")
@@ -344,6 +402,7 @@ class Simulator:
         self.roms = roms
         self.mem = BankedMemory(cfg.banks)
         self.measured_cycles: int | None = None
+        self.stats: RunStats | None = None
 
     def load_polynomial(self, a) -> None:
         if self.cfg.direction is not Direction.FORWARD:
@@ -369,8 +428,11 @@ class Simulator:
         self.mem.words[_lowering(self.trace, self.mem).initial] = z
 
     def run(self, stage_hook=None) -> int:
+        """Execute the trace; returns the cycle total and leaves the
+        run's RunStats in `stats`."""
         self.measured_cycles = execute(self.trace, self.mem, self.roms,
                                        stage_hook)
+        self.stats = _lowering(self.trace, self.mem).stats
         return self.measured_cycles
 
     def read_result(self):

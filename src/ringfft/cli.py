@@ -8,13 +8,14 @@ deterministic for fixed inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .banksim import Simulator
+from .banksim import RunStats, Simulator
 from .scheduler import (
     TRACE_CSV_HEADER,
     ScheduleConfig,
@@ -25,13 +26,13 @@ from .transform import (
     Direction,
     OrderTag,
     Spectrum,
+    coefficient_rows,
     fft_inplace,
     fft_ref,
     ifft_inplace,
     ifft_ref,
     polymul_negacyclic_oracle,
     polymul_via_fft,
-    validate_polynomial,
 )
 from .twiddles import S_MAX, build_rom_set, dump_rom
 
@@ -48,13 +49,15 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {e}")
 
 
-def _load_polynomial(path: str) -> list[float]:
+def _load_polynomial(path: str):
+    """The coefficients of a polynomial file as one float64 array,
+    converted once; a rejection reads as `validate_polynomial`'s."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise CliError(f"{path}: expected a JSON array of coefficients")
     try:
-        return validate_polynomial(data)
-    except (TypeError, ValueError) as e:
+        return coefficient_rows((data,))[0]
+    except (TypeError, ValueError, OverflowError) as e:
         raise CliError(f"{path}: {e}")
 
 
@@ -63,7 +66,7 @@ def _load_spectrum(path: str) -> Spectrum:
     try:
         order = OrderTag(data["order"])
         values = tuple(complex(re, im) for re, im in data["values"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"{path}: malformed spectrum file ({e})")
     if not all(math.isfinite(z.real) and math.isfinite(z.imag)
                for z in values):
@@ -97,10 +100,23 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _check_stats(args) -> None:
+    if args.stats and args.engine != "simulator":
+        raise CliError("--stats needs --engine simulator")
+
+
+def _report_run(cycles: int, stats: RunStats, args) -> None:
+    """The `cycles=` line, then with --stats json the run's RunStats as
+    one JSON line."""
+    print(f"cycles={cycles}")
+    if args.stats:
+        print(_json(dataclasses.asdict(stats)))
+
+
 def _sim_run_forward(a, n_pe, dump_path=None):
     if len(a) == 2:
         # the packed word already is the transform; no compute cycles
-        return fft_inplace(a), 0
+        return fft_inplace(a), 0, RunStats()
     cfg = ScheduleConfig(n=len(a), n_pe=n_pe, direction=Direction.FORWARD)
     _, _, roms = build_rom_set(S_MAX, n_pe)
     sim = Simulator(cfg, roms)
@@ -114,35 +130,37 @@ def _sim_run_forward(a, n_pe, dump_path=None):
     cycles = sim.run(stage_hook=hook if dump_path else None)
     if dump_path:
         Path(dump_path).write_text("\n".join(dump_lines) + "\n")
-    return sim.read_result(), cycles
+    return sim.read_result(), cycles, sim.stats
 
 
 def _sim_run_inverse(s: Spectrum, n_pe):
     if len(s.values) == 1:
-        return ifft_inplace(s), 0
+        return ifft_inplace(s), 0, RunStats()
     cfg = ScheduleConfig(n=2 * len(s.values), n_pe=n_pe,
                          direction=Direction.INVERSE)
     _, _, roms = build_rom_set(S_MAX, n_pe)
     sim = Simulator(cfg, roms)
     sim.load_spectrum(s)
     cycles = sim.run()
-    return sim.read_result(), cycles
+    return sim.read_result(), cycles, sim.stats
 
 
 def cmd_fft(args) -> int:
+    _check_stats(args)
     a = _load_polynomial(args.input)
     if args.engine == "reference":
         out = fft_ref(a)
     elif args.engine == "inplace":
         out = fft_inplace(a)
     else:
-        out, cycles = _sim_run_forward(a, args.npe, args.dump_stages)
-        print(f"cycles={cycles}")
+        out, cycles, stats = _sim_run_forward(a, args.npe, args.dump_stages)
+        _report_run(cycles, stats, args)
     _emit(_spectrum_json(out), args.out)
     return 0
 
 
 def cmd_ifft(args) -> int:
+    _check_stats(args)
     s = _load_spectrum(args.input)
     if args.engine == "reference":
         if s.order_tag is not OrderTag.NATURAL_EVAL:
@@ -155,8 +173,8 @@ def cmd_ifft(args) -> int:
     else:
         if s.order_tag is not OrderTag.FALCON_INTERNAL:
             raise CliError("simulator engine needs a falcon_internal spectrum")
-        out, cycles = _sim_run_inverse(s, args.npe)
-        print(f"cycles={cycles}")
+        out, cycles, stats = _sim_run_inverse(s, args.npe)
+        _report_run(cycles, stats, args)
     _emit(_poly_json(out), args.out)
     return 0
 
@@ -277,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write result to this file")
 
+    def add_stats(p):
+        p.add_argument("--stats", choices=("json",),
+                       help="simulator only: print the run's statistics "
+                            "(RunStats) as one JSON line after cycles=")
+
     p = sub.add_parser("fft", help="forward transform of a coefficient file")
     p.add_argument("input")
     p.add_argument("--engine", choices=("reference", "inplace", "simulator"),
@@ -284,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--npe", type=int, default=2)
     p.add_argument("--dump-stages",
                    help="simulator only: stage-boundary memory CSV")
+    add_stats(p)
     add_common(p)
     p.set_defaults(func=cmd_fft)
 
@@ -292,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("reference", "inplace", "simulator"),
                    default="inplace")
     p.add_argument("--npe", type=int, default=2)
+    add_stats(p)
     add_common(p)
     p.set_defaults(func=cmd_ifft)
 

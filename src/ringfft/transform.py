@@ -112,25 +112,34 @@ def omega(k: int, n: int) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
+def _ref_angles(j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """pi*j*(2k+1)/n with the integer j*(2k+1) first reduced mod 2n,
+    which exp's period of 2*pi allows.  An angle's rounding error grows
+    with the angle, and unreduced ones reach about pi*n rad."""
+    return np.pi * (j * (2 * k + 1) % (2 * n)) / n
+
+
 @lru_cache(maxsize=16)
 def _ref_forward_matrix(n: int) -> np.ndarray:
     k = np.arange(n // 2)[:, None]
     j = np.arange(n)[None, :]
-    return np.exp(1j * np.pi * j * (2 * k + 1) / n)
+    return np.exp(1j * _ref_angles(j, k, n))
 
 
 @lru_cache(maxsize=16)
 def _ref_inverse_matrix(n: int) -> np.ndarray:
     j = np.arange(n)[:, None]
     k = np.arange(n // 2)[None, :]
-    return np.exp(-1j * np.pi * j * (2 * k + 1) / n)
+    return np.exp(-1j * _ref_angles(j, k, n))
 
 
 def fft_ref(a: Sequence[float]) -> Spectrum:
     """Brute-force oracle: values[k] = sum_j a_j exp(i*pi*j*(2k+1)/n)."""
     coeffs = validate_polynomial(a)
     n = len(coeffs)
-    vals = _ref_forward_matrix(n) @ np.asarray(coeffs, dtype=np.float64)
+    # overflow yields inf/nan silently, as in the in-place transform
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _ref_forward_matrix(n) @ np.asarray(coeffs, dtype=np.float64)
     return Spectrum(values=tuple(complex(z) for z in vals),
                     order_tag=OrderTag.NATURAL_EVAL)
 
@@ -148,7 +157,8 @@ def ifft_ref(s: Spectrum) -> list[float]:
     _validate_spectrum_length(hn)
     n = 2 * hn
     vals = np.asarray(s.values, dtype=np.complex128)
-    out = (2.0 / n) * (_ref_inverse_matrix(n) @ vals).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (2.0 / n) * (_ref_inverse_matrix(n) @ vals).real
     return [float(x) for x in out]
 
 

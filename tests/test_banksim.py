@@ -9,6 +9,7 @@ from ringfft import banksim
 from ringfft.banksim import (
     BankConflictError,
     BankedMemory,
+    RunStats,
     Simulator,
     execute,
     load_natural,
@@ -389,6 +390,116 @@ def test_bank_conflict_reported_like_reference(n, npe, batch_index, other):
     assert errors[0][2] == (batch[other].pe, batch[-1].pe)
 
 
+@pytest.mark.parametrize("n,npe,batch_index,other", [
+    (32, 2, 1, 0),      # stage 0: nothing has run yet
+    (32, 2, 5, 0),
+    (64, 4, 9, 2),
+    (1024, 2, 700, 0),
+])
+def test_bank_conflict_stops_before_its_stage_touches_memory(
+        n, npe, batch_index, other, rng):
+    trace = build_schedule(ScheduleConfig(n=n, n_pe=npe))
+    batch = trace.batches[batch_index]
+    bad = _edit(trace, batch_index, len(batch) - 1,
+                bank0=batch[other].bank0, addr0=batch[other].addr0)
+    _, _, roms = ROMS[npe]
+    mem, ref = BankedMemory(trace.config.banks), BankedMemory(trace.config.banks)
+    mem.words[:] = ref.words[:] = rng.uniform(
+        -1, 1, 2 * len(mem.words)).view(np.complex128)
+    snaps = [mem.words.copy()]
+    with pytest.raises(BankConflictError):
+        execute(bad, mem, roms, lambda stage, cycle: snaps.append(
+            mem.words.copy()))
+    assert len(snaps) == 1 + batch_index // trace.config.bt_pe_count
+    assert np.array_equal(mem.words.view(np.uint64), snaps[-1].view(np.uint64))
+    with pytest.raises(BankConflictError):
+        reference_execute(bad, ref, roms)
+    assert mem.port_accesses == ref.port_accesses
+
+
+def test_execute_takes_the_ledger_verdict_from_the_lowering(monkeypatch, rng):
+    _, _, roms = ROMS[2]
+    a = rng.uniform(-1, 1, 1024).tolist()
+
+    def round_trip():
+        fwd = Simulator(ScheduleConfig(n=1024, n_pe=2), roms)
+        fwd.load_polynomial(a)
+        fwd.run()
+        spec = fwd.read_result()
+        inv = Simulator(ScheduleConfig(n=1024, n_pe=2,
+                                       direction=Direction.INVERSE), roms)
+        inv.load_spectrum(spec)
+        inv.run()
+        return (np.array(spec.values).view(np.uint64),
+                np.array(inv.read_result()).view(np.uint64),
+                fwd.mem.port_accesses, inv.mem.port_accesses)
+
+    first = round_trip()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("execute called BankedMemory.claim")
+
+    monkeypatch.setattr(BankedMemory, "claim", refuse)
+    second = round_trip()
+    for got, want in zip(second, first, strict=True):
+        assert np.array_equal(got, want)
+    assert second[2:] == (4 * 2304, 4 * 2304)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_run_stats_of_the_paper_configuration(direction):
+    # the paper's n = 1024, two-PE figures per transform
+    sim = Simulator(ScheduleConfig(n=1024, n_pe=2, direction=direction),
+                    ROMS[2][2])
+    assert sim.stats is None
+    assert sim.run() == 2304
+    st = sim.stats
+    assert st.stage_cycles == (256,) * 9
+    assert st.bank_reads == st.bank_writes == (1152,) * 4
+    assert st.pe_utilization == (1.0,) * 1152
+    assert st.output_exchanges == 896
+    assert (st.wired_fetches, st.stored_fetches,
+            st.decompressed_fetches) == (256, 1024, 1024)
+    assert sum(st.bank_reads) + sum(st.bank_writes) == sim.mem.port_accesses
+
+
+def _counted_from_columns(trace):
+    """RunStats of one run of trace, counted from its columns alone:
+    each dispatch reads bank0 and bank1 and writes its results back to
+    the same two slots."""
+    cfg, cols = trace.config, trace.columns
+    steps, batches, width = cols.pe.shape
+    banks = np.concatenate((cols.bank0.ravel(), cols.bank1.ravel()))
+    per_bank = tuple(int((banks == b).sum()) for b in range(cfg.banks))
+    rom = cols.rom_addr
+    return RunStats(
+        stage_cycles=(2 * batches,) * steps,
+        bank_reads=per_bank,
+        bank_writes=per_bank,
+        pe_utilization=tuple(len(set(row)) / cfg.n_pe
+                             for row in cols.pe.reshape(-1, width).tolist()),
+        input_exchanges=int(cols.input_exchanged.sum()),
+        output_exchanges=int(cols.output_exchanged.sum()),
+        wired_fetches=int((rom == -1).sum()),
+        stored_fetches=int(((rom >= 0) & (rom % 2 == 0)).sum()),
+        decompressed_fetches=int(((rom >= 0) & (rom % 2 == 1)).sum()))
+
+
+@pytest.mark.parametrize(
+    "cfg", ALL_CONFIGS,
+    ids=lambda c: f"{c.n}-{c.n_pe}-{c.direction.value}")
+def test_run_stats_match_the_trace_columns(cfg):
+    sim = Simulator(cfg, ROMS[cfg.n_pe][2])
+    cycles = sim.run()
+    assert sim.stats == _counted_from_columns(sim.trace)
+    assert sum(sim.stats.stage_cycles) == cycles == sim.trace.cycles
+    assert (sum(sim.stats.bank_reads) + sum(sim.stats.bank_writes)
+            == sim.mem.port_accesses)
+    again = Simulator(cfg, ROMS[cfg.n_pe][2])
+    again.run()
+    assert again.stats is sim.stats
+
+
 def test_stage_reading_a_slot_twice_is_rejected():
     # one PE: every batch is a single dispatch, so no cycle sees a
     # conflict, but batch 1 re-reads the slots batch 0 already used
@@ -417,7 +528,7 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity)
     low = banksim._lowered[key]
     for st in low.stages:
-        for arr in (st.banks, st.epochs, st.pes, st.uv, st.lohi, st.tw):
+        for arr in (st.uv, st.lohi, st.tw):
             assert not arr.flags.writeable
     del edited, low
     gc.collect()

@@ -373,3 +373,79 @@ def test_cli_import_leaves_verify_and_metrics_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["fft", "ifft"])
+def test_stats_json_follows_the_cycles_line(tmp_path, capsys, command):
+    if command == "fft":
+        src = _write_poly(tmp_path / "a.json",
+                          [((k * 37) % 101 - 50) / 8.0 for k in range(1024)])
+    else:
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps({
+            "order": "falcon_internal",
+            "values": [[(k % 7) / 4.0, (k % 5) / 8.0] for k in range(512)]}))
+    plain, with_stats = tmp_path / "plain.json", tmp_path / "stats.json"
+    assert main([command, str(src), "--engine", "simulator",
+                 "--out", str(plain)]) == 0
+    assert capsys.readouterr().out == "cycles=2304\n"
+    assert main([command, str(src), "--engine", "simulator", "--stats",
+                 "json", "--out", str(with_stats)]) == 0
+    assert with_stats.read_bytes() == plain.read_bytes()
+    cycles, stats, *rest = capsys.readouterr().out.split("\n")
+    assert cycles == "cycles=2304" and rest == [""]
+    stats = json.loads(stats)
+    assert sum(stats["stage_cycles"]) == 2304
+    assert stats["bank_reads"] == stats["bank_writes"] == [1152] * 4
+    assert (stats["wired_fetches"], stats["stored_fetches"],
+            stats["decompressed_fetches"]) == (256, 1024, 1024)
+
+
+def test_stats_json_of_a_run_without_stages(tmp_path, capsys):
+    # n = 2 is packing only: no stage runs, and every count is zero
+    src = _write_poly(tmp_path / "a.json", [3.0, 4.0])
+    assert main(["fft", src, "--engine", "simulator", "--stats", "json",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    cycles, stats = capsys.readouterr().out.splitlines()
+    assert cycles == "cycles=0"
+    assert json.loads(stats) == {
+        "stage_cycles": [], "bank_reads": [], "bank_writes": [],
+        "pe_utilization": [], "input_exchanges": 0, "output_exchanges": 0,
+        "wired_fetches": 0, "stored_fetches": 0, "decompressed_fetches": 0}
+
+
+@pytest.mark.parametrize("command", ["fft", "ifft"])
+@pytest.mark.parametrize("engine", ["reference", "inplace"])
+def test_stats_needs_the_simulator_engine(tmp_path, capsys, command, engine):
+    src = _write_poly(tmp_path / "a.json", [1.0, 2.0, 3.0, 4.0])
+    assert main([command, src, "--engine", engine, "--stats", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --stats needs --engine simulator\n"
+
+
+HUGE = 10 ** 400  # an integer no double can hold
+
+
+@pytest.mark.parametrize("engine", ["reference", "inplace", "simulator"])
+@pytest.mark.parametrize("n", [4, 1024])
+def test_integer_too_large_for_a_double_is_an_error(tmp_path, capsys,
+                                                    engine, n):
+    poly = tmp_path / "a.json"
+    poly.write_text(json.dumps([1] * (n - 1) + [HUGE]))
+    spec = tmp_path / "s.json"
+    order = "natural_eval" if engine == "reference" else "falcon_internal"
+    spec.write_text(json.dumps({"order": order,
+                                "values": [[1, 0]] * (n // 2 - 1) + [[0, HUGE]]}))
+    for argv in (["fft", str(poly), "--engine", engine],
+                 ["ifft", str(spec), "--engine", engine],
+                 ["polymul", str(poly), _write_poly(tmp_path / "b.json",
+                                                    [1.0] * n)],
+                 ["polymul", str(tmp_path / "b.json"), str(poly)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        path = spec if argv[0] == "ifft" else poly
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+        assert "int too large to convert to float" in captured.err

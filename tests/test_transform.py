@@ -155,6 +155,15 @@ def test_fft_inplace_matches_reference_elementwise(rng):
         assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= bound
 
 
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_oracle_agrees_with_the_network_to_a_few_ulps(rng, n):
+    # the oracle reduces each angle's integer j*(2k+1) mod 2n before
+    # exp; unreduced angles reach ~pi*n rad and cost it ~6e-12 at 1024
+    a = rng.uniform(-1, 1, n).tolist()
+    bound = 1e-12 * max(1.0, max(map(abs, a)))
+    assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= bound
+
+
 def test_fft_inplace_is_fixed_permutation_of_natural_order(rng):
     # same reordering for every input of a given size
     n = 32
