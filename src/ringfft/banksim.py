@@ -23,16 +23,22 @@ in each cycle is fixed by the schedule, never by the data, so the port
 ledger's verdict is a property of the lowering too: lowering runs
 `BankedMemory.claim`, the one statement of the ledger rule, on every
 stage once, against a scratch ledger, and keeps each stage's granted
-count and, for a conflict, the `BankConflictError` it raised.  `execute`
-adds the granted counts to the memory's port accesses and raises a
-stage's conflict before that stage touches memory; otherwise it runs
-the stage as one gather of operands and twiddles -> butterfly ->
-scatter.  Lowering also checks every memory and ROM address, and
-whether a stage touches a word slot twice, which `execute` rejects:
-only then does running a stage at once equal running it batch by batch.
-What a run does (cycles, port accesses per bank, PE utilization,
-exchanges, ROM fetches by kind) is counted in the same pass, as the
-lowering's `RunStats`.
+count and, for a conflict, the `BankConflictError` it raised.  Lowering
+also checks every memory and ROM address, and whether a stage touches a
+word slot twice, which `execute` rejects: only then does running a stage
+at once equal running it batch by batch.  What a run does (cycles, port
+accesses per bank, PE utilization, exchanges, ROM fetches by kind) is
+counted in the same pass, as the lowering's `RunStats`, and whether the
+last stage leaves the words in natural order is decided there too.
+
+The twiddles a stage reads are then fixed by the trace and the table,
+so they are gathered once per pair of them, as the float64 pairs
+`array_butterfly` multiplies by.  `execute` adds each stage's granted
+count to the memory's port accesses and raises its conflict before the
+stage touches memory; otherwise the stage is one gather of operands,
+one `array_butterfly` (two contiguous multiplies and two strided sums
+per product, on the interleaved float64 view of the words) and one
+scatter of the results.  Only the data-dependent work is done per run.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ from .transform import (
     Spectrum,
     coefficient_rows,
     conjugate_odd_slots,
+    internal_spectrum,
+    spectrum_array,
 )
 from .twiddles import (S_MAX, WIRED_INDEX, TwiddleError, execution_table,
                        rom_layout, rom_word_index)
@@ -82,37 +90,41 @@ def pe_butterfly(u: complex, v: complex, w: complex,
     return u + v, (u - v) * w
 
 
-def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a * b over complex128 arrays, with each part computed as
-    CPython's complex multiply computes it, (ar*br - ai*bi, ar*bi +
-    ai*br), so it rounds the same way (numpy's complex multiply and a
-    fused multiply-add need not).  out must not overlap a or b."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    np.subtract(ar * br, ai * bi, out=out.real)
-    np.add(ar * bi, ai * br, out=out.imag)
+def array_butterfly(u: np.ndarray, v: np.ndarray, wr2: np.ndarray,
+                    wi2: np.ndarray, forward: bool) -> None:
+    """`pe_butterfly` over k gathered operand pairs, in place.
 
-
-def array_butterfly(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                    forward: bool) -> None:
-    """`pe_butterfly` over gathered complex128 operands, in place.
-
-    u, v and w broadcast together; u and v are overwritten with
-    x = u + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w
-    (inverse, w already conjugated), each element bit-identical to the
-    scalar butterfly on Python complex values: sums are componentwise
-    either way, and products go through `_mul_into`.  u and v may be
-    strided views of one array.  Run it under np.errstate(over="ignore",
-    invalid="ignore") to keep overflow as silent as complex arithmetic.
+    u and v are contiguous complex128 arrays of length k, overwritten
+    with x = u + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w
+    (inverse, w already conjugated).  wr2 and wi2 hold each twiddle's
+    real and imaginary part twice, lined up with the interleaved
+    (re, im) float64 view p of a complex operand, so a product is two
+    contiguous multiplies, a = wr2*p and b = wi2*p, and two strided sums,
+    re = a[0::2] - b[1::2] and im = a[1::2] + b[0::2].  That is CPython's
+    w*v (wr*vr - wi*vi, wr*vi + wi*vr); for the inverse's d*w (dr*wr -
+    di*wi, dr*wi + di*wr) the factors swap and im = b[0::2] + a[1::2],
+    since after an overflow both addends can be NaN and their order
+    decides whose payload survives.  Sums are componentwise either way,
+    so every element is bit-identical to the scalar butterfly on Python
+    complex values (a fused multiply-add would not be).  Run it under
+    np.errstate(over="ignore", invalid="ignore") to keep overflow as
+    silent as complex arithmetic.
     """
     if forward:
-        t = np.empty_like(v)
-        _mul_into(w, v, t)
+        p = v.view(np.float64)
+        a, b = wr2 * p, wi2 * p
+        np.subtract(a[0::2], b[1::2], out=a[0::2])
+        np.add(a[1::2], b[0::2], out=a[1::2])
+        t = a.view(np.complex128)  # w*v
         np.subtract(u, t, out=v)
         np.add(u, t, out=u)
     else:
-        d = u - v
+        p = (u - v).view(np.float64)
         np.add(u, v, out=u)
-        _mul_into(d, w, v)
+        a, b = p * wr2, p * wi2
+        y = v.view(np.float64)
+        np.subtract(a[0::2], b[1::2], out=y[0::2])
+        np.add(b[0::2], a[1::2], out=y[1::2])
 
 
 class BankedMemory:
@@ -207,6 +219,7 @@ class _Lowered(NamedTuple):
     stages: tuple
     initial: np.ndarray     # word -> memory index before the first stage
     final: np.ndarray       # word -> memory index after the last stage
+    natural: bool           # the last stage leaves word k in slot k
     stats: RunStats
 
 
@@ -307,6 +320,8 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
                      in enumerate(zip(trace.stage_order, verdicts))),
         initial=memory_index(trace.initial_slots),
         final=memory_index(trace.final_slots),
+        natural=np.array_equal(trace.final_slots,
+                               np.arange(trace.config.n // 2)),
         stats=stats)
 
 
@@ -329,6 +344,39 @@ def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
     return low
 
 
+_pairs: dict[tuple, tuple] = {}
+
+
+def _twiddle_pairs(trace: ScheduleTrace, low: _Lowered,
+                   table: np.ndarray) -> tuple:
+    """Per stage of `low`, the twiddles it reads from `table` as
+    `array_butterfly` takes them: read-only float64 (wr2, wi2), each
+    part repeated twice.
+
+    A stage's table positions depend on the trace alone, so the pairs
+    are built once per trace and execution table.  The cache is keyed
+    by both identities, and an entry goes as soon as either object
+    does, before its id can be reused.
+    """
+    key = (id(trace), id(table))
+    pairs = _pairs.get(key)
+    if pairs is None:
+        pairs = tuple((_frozen(np.repeat(w.real, 2)),
+                       _frozen(np.repeat(w.imag, 2)))
+                      for w in (table[st.tw] for st in low.stages))
+        _pairs[key] = pairs
+        weakref.finalize(trace, _pairs.pop, key, None)
+        weakref.finalize(table, _pairs.pop, key, None)
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _natural_index(hn: int, s_m: int, capacity: int) -> np.ndarray:
+    """Memory index of word k at bank k//s_m, offset k%s_m, k < hn."""
+    k = np.arange(hn)
+    return _frozen(k // s_m * capacity + k % s_m)
+
+
 def load_natural(a, mem: BankedMemory, s_m: int) -> None:
     """Pack a polynomial and place word k at bank k//S_M, offset k%S_M."""
     _place_packed(coefficient_rows((a,))[0], mem, s_m)
@@ -340,8 +388,7 @@ def _place_packed(c: np.ndarray, mem: BankedMemory, s_m: int) -> None:
     hn = len(c) // 2
     if hn > mem.n_banks * s_m or s_m > mem.capacity:
         raise DomainError("polynomial does not fit the configured memory")
-    k = np.arange(hn)
-    at = k // s_m * mem.capacity + k % s_m
+    at = _natural_index(hn, s_m, mem.capacity)
     mem.words.real[at] = c[:hn]
     mem.words.imag[at] = c[hn:]
 
@@ -369,12 +416,13 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     """
     forward = trace.config.direction is Direction.FORWARD
     table = _execution_table(trace.config, roms)
-    stages = _lowering(trace, mem).stages
+    low = _lowering(trace, mem)
+    pairs = _twiddle_pairs(trace, low, table)
     words = mem.words
     cycle = 0
     # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        for st in stages:
+        for st, (wr2, wi2) in zip(low.stages, pairs):
             mem.port_accesses += st.granted
             if st.conflict:
                 raise BankConflictError(*st.conflict)
@@ -383,7 +431,7 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
                     f"stage {st.stage} reads a word slot in two dispatches")
             uv = words[st.uv]
             k = len(st.tw)
-            array_butterfly(uv[:k], uv[k:], table[st.tw], forward)
+            array_butterfly(uv[:k], uv[k:], wr2, wi2, forward)
             words[st.lohi] = uv
             cycle += st.cycles
             if stage_hook:
@@ -423,7 +471,7 @@ class Simulator:
         hn = self.cfg.n // 2
         if len(s.values) != hn:
             raise DomainError(f"expected {hn} spectrum values")
-        z = np.array(s.values, np.complex128)
+        z = spectrum_array(s)
         conjugate_odd_slots(z)
         self.mem.words[_lowering(self.trace, self.mem).initial] = z
 
@@ -439,14 +487,12 @@ class Simulator:
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
         if self.measured_cycles is None:
             raise RuntimeError("run() the simulator before reading results")
-        n = self.cfg.n
-        hn = n // 2
-        z = self.mem.words[_lowering(self.trace, self.mem).final]
+        low = _lowering(self.trace, self.mem)
+        z = self.mem.words[low.final]
         if self.cfg.direction is Direction.FORWARD:
             conjugate_odd_slots(z)
-            return Spectrum(values=tuple(z.tolist()),
-                            order_tag=OrderTag.FALCON_INTERNAL)
-        if tuple(self.trace.final_slots) != tuple(range(hn)):
+            return internal_spectrum(z)
+        if not low.natural:
             raise RuntimeError("inverse run did not restore natural order")
-        scale = 2.0 / n
+        scale = 2.0 / self.cfg.n
         return np.concatenate((z.real * scale, z.imag * scale)).tolist()

@@ -100,9 +100,12 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _check_stats(args) -> None:
-    if args.stats and args.engine != "simulator":
-        raise CliError("--stats needs --engine simulator")
+def _check_simulator_flags(args) -> None:
+    flags = (("--stats", args.stats),
+             ("--dump-stages", getattr(args, "dump_stages", None)))
+    for flag, value in flags:
+        if value is not None and args.engine != "simulator":
+            raise CliError(f"{flag} needs --engine simulator")
 
 
 def _report_run(cycles: int, stats: RunStats, args) -> None:
@@ -114,23 +117,26 @@ def _report_run(cycles: int, stats: RunStats, args) -> None:
 
 
 def _sim_run_forward(a, n_pe, dump_path=None):
+    dump_lines = ["stage,cycle,bank,offset,re,im"]
     if len(a) == 2:
-        # the packed word already is the transform; no compute cycles
-        return fft_inplace(a), 0, RunStats()
-    cfg = ScheduleConfig(n=len(a), n_pe=n_pe, direction=Direction.FORWARD)
-    _, _, roms = build_rom_set(S_MAX, n_pe)
-    sim = Simulator(cfg, roms)
-    sim.load_polynomial(a)
-    dump_lines = ["stage,cycle,bank,offset,re,im"] if dump_path else None
+        # the packed word already is the transform: no stage, no cycles
+        result = fft_inplace(a), 0, RunStats()
+    else:
+        cfg = ScheduleConfig(n=len(a), n_pe=n_pe, direction=Direction.FORWARD)
+        _, _, roms = build_rom_set(S_MAX, n_pe)
+        sim = Simulator(cfg, roms)
+        sim.load_polynomial(a)
 
-    def hook(stage, cycle):
-        for b, o, z in sim.mem.snapshot(cfg.s_m):
-            dump_lines.append(f"{stage},{cycle},{b},{o},{z.real!r},{z.imag!r}")
+        def hook(stage, cycle):
+            for b, o, z in sim.mem.snapshot(cfg.s_m):
+                dump_lines.append(
+                    f"{stage},{cycle},{b},{o},{z.real!r},{z.imag!r}")
 
-    cycles = sim.run(stage_hook=hook if dump_path else None)
+        cycles = sim.run(stage_hook=hook if dump_path else None)
+        result = sim.read_result(), cycles, sim.stats
     if dump_path:
         Path(dump_path).write_text("\n".join(dump_lines) + "\n")
-    return sim.read_result(), cycles, sim.stats
+    return result
 
 
 def _sim_run_inverse(s: Spectrum, n_pe):
@@ -146,7 +152,7 @@ def _sim_run_inverse(s: Spectrum, n_pe):
 
 
 def cmd_fft(args) -> int:
-    _check_stats(args)
+    _check_simulator_flags(args)
     a = _load_polynomial(args.input)
     if args.engine == "reference":
         out = fft_ref(a)
@@ -160,7 +166,7 @@ def cmd_fft(args) -> int:
 
 
 def cmd_ifft(args) -> int:
-    _check_stats(args)
+    _check_simulator_flags(args)
     s = _load_spectrum(args.input)
     if args.engine == "reference":
         if s.order_tag is not OrderTag.NATURAL_EVAL:

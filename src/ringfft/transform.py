@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -76,9 +76,18 @@ class PointwiseDivideError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Half-size FFT-domain representation: n/2 complex values."""
+    """Half-size FFT-domain representation: n/2 complex values.
+
+    A producer that lists `values` from a complex128 array may keep that
+    array, read-only, as `words`, so that a consumer copies it instead of
+    converting the values back (`spectrum_array`).  `words` is not an
+    __init__ argument, so `dataclasses.replace` drops it, and it takes no
+    part in ==, hash or repr.
+    """
     values: tuple
     order_tag: OrderTag
+    words: np.ndarray | None = field(init=False, default=None,
+                                     compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -260,6 +269,20 @@ def _coefficients_scalar(values) -> list[float]:
     return out
 
 
+def internal_spectrum(z: np.ndarray) -> Spectrum:
+    """The FALCON_INTERNAL Spectrum listed from the complex128 array z,
+    which it keeps as its words; z becomes read-only."""
+    z.flags.writeable = False
+    s = Spectrum(values=tuple(z.tolist()), order_tag=OrderTag.FALCON_INTERNAL)
+    object.__setattr__(s, "words", z)
+    return s
+
+
+def spectrum_array(s: Spectrum) -> np.ndarray:
+    """s.values as a new complex128 array, copied from s.words if set."""
+    return np.array(s.values if s.words is None else s.words, np.complex128)
+
+
 def conjugate_odd_slots(z: np.ndarray) -> None:
     """Conjugate, in place, the slots `slot_eval_map` marks conjugated:
     exactly the odd ones."""
@@ -402,8 +425,7 @@ def fft_batch(polys: Sequence[Sequence[float]]) -> list[Spectrum]:
         r = _forward_planes(coefficient_rows(polys))
     z = np.empty((len(r), r.shape[-1]), np.complex128)
     z.real, z.imag = r[:, 0], r[:, 1]
-    return [Spectrum(values=tuple(v), order_tag=OrderTag.FALCON_INTERNAL)
-            for v in z.tolist()]
+    return [internal_spectrum(row) for row in z]
 
 
 def ifft_inplace(s: Spectrum) -> list[float]:
@@ -415,7 +437,7 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     _validate_spectrum_length(hn)
     if hn < VECTOR_MIN_HN:
         return _coefficients_scalar(s.values)
-    z = np.array(s.values, np.complex128)
+    z = spectrum_array(s)
     x = np.empty((1, 2, hn))
     x[0, 0], x[0, 1] = z.real, z.imag
     with np.errstate(over="ignore", invalid="ignore"):

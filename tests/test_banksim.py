@@ -21,8 +21,8 @@ from ringfft.scheduler import (
     build_schedule,
     cycle_count,
 )
-from ringfft.transform import Direction, fft_inplace
-from ringfft.twiddles import TwiddleError, build_rom_set
+from ringfft.transform import Direction, Spectrum, fft_inplace, ifft_inplace
+from ringfft.twiddles import TwiddleError, build_rom_set, execution_table
 from ringfft.verify import max_abs_error, relative_bound
 
 ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
@@ -533,3 +533,99 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     del edited, low
     gc.collect()
     assert key not in banksim._lowered
+
+
+def test_inverse_that_does_not_restore_natural_order_is_an_error(rng):
+    _, _, roms = ROMS[2]
+    a = rng.uniform(-1, 1, 64).tolist()
+    fwd = Simulator(ScheduleConfig(n=64, n_pe=2), roms)
+    fwd.load_polynomial(a)
+    fwd.run()
+    inv = Simulator(ScheduleConfig(n=64, n_pe=2,
+                                   direction=Direction.INVERSE), roms)
+    slots = list(inv.trace.final_slots)
+    slots[3], slots[7] = slots[7], slots[3]
+    inv.trace = dataclasses.replace(inv.trace, final_slots=tuple(slots))
+    inv.load_spectrum(fwd.read_result())
+    inv.run()
+    with pytest.raises(RuntimeError, match="did not restore natural order"):
+        inv.read_result()
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_overflowing_words_match_reference_to_the_bit(direction, rng):
+    # inf - inf and NaN operands: which NaN survives a sum depends on
+    # the addend order, and NaN hex() hides the sign, so compare words
+    cfg = ScheduleConfig(n=1024, n_pe=2, direction=direction)
+    trace = build_schedule(cfg)
+    size = len(BankedMemory(cfg.banks).words)
+    words = (1.7e308 * rng.uniform(-1, 1, 2 * size)).view(np.complex128)
+    words[::7] = complex(float("nan"), -float("nan"))
+    mems = []
+    for run in (execute, reference_execute):
+        mem = BankedMemory(cfg.banks)
+        mem.words[:] = words
+        run(trace, mem, ROMS[2][2])
+        mems.append(mem.words.view(np.uint64))
+    assert np.isnan(mems[0].view(np.complex128)).any()
+    assert np.array_equal(*mems)
+
+
+def test_twiddle_pairs_go_with_their_trace_and_rom_set(rng):
+    # the second set may reuse the first one's ids, so a stale entry
+    # would serve the wrong twiddles (or a wrong shape)
+    for npe in (2, 4):
+        roms = build_rom_set.__wrapped__(1024, npe)[2]  # held by no cache
+        table_ids = []
+        for direction in Direction:
+            cfg = ScheduleConfig(n=256, n_pe=npe, direction=direction)
+            kept = build_schedule(cfg)  # cached: outlives the ROM set
+            own = dataclasses.replace(kept)
+            table = execution_table(roms, direction is Direction.FORWARD)
+            size = len(BankedMemory(cfg.banks).words)
+            words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
+            for trace in (kept, own):
+                lowered, reference = _run_both(trace, roms, words)
+                assert lowered == reference
+                assert (id(trace), id(table)) in banksim._pairs
+                for wr2, wi2 in banksim._pairs[id(trace), id(table)]:
+                    assert not (wr2.flags.writeable or wi2.flags.writeable)
+            key = (id(own), id(table))
+            del own, trace
+            gc.collect()
+            assert key not in banksim._pairs
+            table_ids.append(id(table))
+        del roms, table
+        gc.collect()
+        assert not any(key[1] in table_ids for key in banksim._pairs)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_spectrum_loads_alike_with_and_without_words(big, rng):
+    a = rng.uniform(-1, 1, 1024)
+    a[::5] = -0.0
+    if big:  # overflows to inf and NaN
+        a *= 1.7e308
+    fwd = Simulator(ScheduleConfig(n=1024, n_pe=2), ROMS[2][2])
+    fwd.load_polynomial(a.tolist())
+    fwd.run()
+    spec = fwd.read_result()
+    assert not spec.words.flags.writeable
+    assert np.array_equal(
+        spec.words.view(np.uint64),
+        np.array(spec.values, np.complex128).view(np.uint64))
+    bare = Spectrum(values=spec.values, order_tag=spec.order_tag)
+    assert bare.words is None
+    mems, outs = [], []
+    for s in (spec, bare):
+        inv = Simulator(ScheduleConfig(n=1024, n_pe=2,
+                                       direction=Direction.INVERSE), ROMS[2][2])
+        inv.load_spectrum(s)
+        mems.append(inv.mem.words.view(np.uint64).copy())
+        inv.run()
+        outs.append(np.array(inv.read_result()).view(np.uint64))
+        outs.append(np.array(ifft_inplace(s)).view(np.uint64))
+    assert np.array_equal(mems[0], mems[1])
+    assert np.array_equal(outs[0], outs[2])
+    assert np.array_equal(outs[1], outs[3])
+    assert bool(np.isfinite(outs[0].view(np.float64)).all()) is not big

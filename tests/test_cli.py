@@ -449,3 +449,24 @@ def test_integer_too_large_for_a_double_is_an_error(tmp_path, capsys,
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
         assert "int too large to convert to float" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["reference", "inplace"])
+def test_dump_stages_needs_the_simulator_engine(tmp_path, capsys, engine):
+    src = _write_poly(tmp_path / "a.json", [1.0, 2.0, 3.0, 4.0])
+    dump = tmp_path / "d.csv"
+    assert main(["fft", src, "--engine", engine,
+                 "--dump-stages", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dump-stages needs --engine simulator\n"
+    assert not dump.exists()
+
+
+def test_dump_stages_of_a_run_without_stages_is_the_header(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json", [3.0, 4.0])
+    dump = tmp_path / "d.csv"
+    assert main(["fft", src, "--engine", "simulator",
+                 "--dump-stages", str(dump)]) == 0
+    assert capsys.readouterr().out.startswith("cycles=0\n")
+    assert dump.read_text() == "stage,cycle,bank,offset,re,im\n"

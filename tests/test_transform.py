@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from conftest import scalar_fft, scalar_ifft, scalar_polymul
 
 from ringfft.transform import (
+    VECTOR_MIN_HN,
     DomainError,
     OrderTag,
     PointwiseDivideError,
@@ -145,7 +147,7 @@ def test_fft_inplace_constant_any_n():
 
 
 def test_fft_inplace_matches_reference_elementwise(rng):
-    # slot s holds evaluation slot_eval_map(hn)[s][0]: about 6e-12 off
+    # slot s holds evaluation slot_eval_map(hn)[s][0]: about 6e-14 off
     # at n = 1024 and exact at n = 2
     a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= 1e-12
@@ -158,7 +160,8 @@ def test_fft_inplace_matches_reference_elementwise(rng):
 @pytest.mark.parametrize("n", [256, 512, 1024])
 def test_oracle_agrees_with_the_network_to_a_few_ulps(rng, n):
     # the oracle reduces each angle's integer j*(2k+1) mod 2n before
-    # exp; unreduced angles reach ~pi*n rad and cost it ~6e-12 at 1024
+    # exp; unreduced angles reach ~pi*n rad and would cost it ~6e-12 at
+    # 1024, where the reduced oracle is ~6e-14 off
     a = rng.uniform(-1, 1, n).tolist()
     bound = 1e-12 * max(1.0, max(map(abs, a)))
     assert oracle_error(fft_inplace(a).values, fft_ref(a).values) <= bound
@@ -400,6 +403,27 @@ def test_fft_batch_domain():
         fft_batch([[0.0] * 8, [float("nan")] * 8])
     with pytest.raises(TypeError):
         fft_batch([[0.0] * 8, [None] * 8])
+
+
+@pytest.mark.parametrize("n", [4, 256, 1024])
+def test_spectrum_words_take_no_part_in_the_value(rng, n):
+    # the scalar path lists its values from no array; fft_batch always does
+    a = rng.uniform(-1, 1, n).tolist()
+    spectra = fft_batch([a, a[::-1]])
+    if n < 2 * VECTOR_MIN_HN:
+        assert fft_inplace(a).words is None
+    else:
+        spectra.append(fft_inplace(a))
+    for s in spectra:
+        assert not s.words.flags.writeable
+        assert np.array_equal(s.words.view(np.uint64), _bits(s.values))
+        bare = _internal(s.values)
+        assert bare.words is None
+        assert s == bare and hash(s) == hash(bare) and repr(s) == repr(bare)
+        assert dataclasses.replace(s).words is None
+        other = dataclasses.replace(s, values=s.values[::-1])
+        assert other.words is None and other != s
+        assert np.array_equal(_bits(ifft_inplace(s)), _bits(ifft_inplace(bare)))
 
 
 def test_falcon_shaped_products_round_to_the_exact_product(rng):
