@@ -43,7 +43,6 @@ scatter of the results.  Only the data-dependent work is done per run.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -62,7 +61,7 @@ from .transform import (
     spectrum_array,
 )
 from .twiddles import (S_MAX, WIRED_INDEX, TwiddleError, execution_table,
-                       rom_layout, rom_word_index)
+                       identity_cached, rom_layout, rom_word_index)
 
 
 class BankConflictError(RuntimeError):
@@ -335,13 +334,9 @@ def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
     never mistaken for the cached schedule of its configuration; the
     entry goes when the trace does.
     """
-    key = (id(trace), mem.n_banks, mem.capacity)
-    low = _lowered.get(key)
-    if low is None:
-        low = _lower(trace, *key[1:])
-        _lowered[key] = low
-        weakref.finalize(trace, _lowered.pop, key, None)
-    return low
+    return identity_cached(_lowered, (id(trace), mem.n_banks, mem.capacity),
+                           (trace,),
+                           lambda: _lower(trace, mem.n_banks, mem.capacity))
 
 
 _pairs: dict[tuple, tuple] = {}
@@ -354,20 +349,15 @@ def _twiddle_pairs(trace: ScheduleTrace, low: _Lowered,
     part repeated twice.
 
     A stage's table positions depend on the trace alone, so the pairs
-    are built once per trace and execution table.  The cache is keyed
-    by both identities, and an entry goes as soon as either object
-    does, before its id can be reused.
+    are built once per trace and execution table, keyed by both
+    identities (`identity_cached`): an entry goes as soon as either
+    object does.
     """
-    key = (id(trace), id(table))
-    pairs = _pairs.get(key)
-    if pairs is None:
-        pairs = tuple((_frozen(np.repeat(w.real, 2)),
+    return identity_cached(
+        _pairs, (id(trace), id(table)), (trace, table),
+        lambda: tuple((_frozen(np.repeat(w.real, 2)),
                        _frozen(np.repeat(w.imag, 2)))
-                      for w in (table[st.tw] for st in low.stages))
-        _pairs[key] = pairs
-        weakref.finalize(trace, _pairs.pop, key, None)
-        weakref.finalize(table, _pairs.pop, key, None)
-    return pairs
+                      for w in (table[st.tw] for st in low.stages)))
 
 
 @lru_cache(maxsize=None)

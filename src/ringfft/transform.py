@@ -425,7 +425,8 @@ def fft_batch(polys: Sequence[Sequence[float]]) -> list[Spectrum]:
         r = _forward_planes(coefficient_rows(polys))
     z = np.empty((len(r), r.shape[-1]), np.complex128)
     z.real, z.imag = r[:, 0], r[:, 1]
-    return [internal_spectrum(row) for row in z]
+    return [Spectrum(values=tuple(v), order_tag=OrderTag.FALCON_INTERNAL)
+            for v in z.tolist()]
 
 
 def ifft_inplace(s: Spectrum) -> list[float]:

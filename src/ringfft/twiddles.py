@@ -302,6 +302,29 @@ def _build_execution_table(roms, forward: bool) -> np.ndarray:
     return table
 
 
+def identity_cached(store: dict, key: tuple, owners, build):
+    """store[key], built by build() on first use, where key holds the
+    id() of each of `owners`.
+
+    Keying on identity never hashes the owners' contents, but an id can
+    be reused once its object dies.  So the entry goes as soon as any
+    owner does, and the finalizers on the other owners are detached
+    then: none outlives the entry, even on an owner that lives on.
+    """
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        finalizers = []
+
+        def drop():
+            store.pop(key, None)
+            for f in finalizers:
+                f.detach()
+
+        finalizers.extend(weakref.finalize(o, drop) for o in owners)
+    return value
+
+
 _tables: dict[tuple, np.ndarray] = {}
 
 
@@ -312,19 +335,12 @@ def execution_table(roms, forward: bool = True) -> np.ndarray:
     `rom_word_index`), all conjugated for the inverse direction.
 
     Built once per ROM set and direction.  The cache is keyed by the
-    identity of the ROM objects, so a lookup never hashes their
-    contents, and an entry goes as soon as one of its ROMs does, before
-    its id can be reused.  Anything but a sequence of CompressedRom
-    raises TypeError.
+    identity of the ROM objects (`identity_cached`), so a lookup never
+    hashes their contents, and an entry goes as soon as one of its ROMs
+    does.  Anything but a sequence of CompressedRom raises TypeError.
     """
-    key = (*map(id, roms), forward)
-    table = _tables.get(key)
-    if table is None:
-        table = _build_execution_table(roms, forward)
-        _tables[key] = table
-        for rom in roms:
-            weakref.finalize(rom, _tables.pop, key, None)
-    return table
+    return identity_cached(_tables, (*map(id, roms), forward), roms,
+                           lambda: _build_execution_table(roms, forward))
 
 
 @lru_cache(maxsize=None)

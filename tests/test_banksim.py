@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ringfft.banksim import (
     BankedMemory,
     RunStats,
     Simulator,
+    array_butterfly,
     execute,
     load_natural,
     pe_butterfly,
@@ -535,6 +537,33 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     assert key not in banksim._lowered
 
 
+@pytest.mark.parametrize("direction", list(Direction))
+def test_array_butterfly_matches_pe_butterfly_to_the_bit(direction, rng):
+    # every third v has NaN parts of different sign and payload, so both
+    # addends of each product's imaginary part are NaN and their order
+    # decides which survives; the rest overflow to inf and NaN or stay
+    # finite
+    k = 64
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64)
+    uv = np.concatenate(
+        (rng.uniform(-1, 1, 2 * k),
+         1.7e308 * rng.uniform(-1, 1, 2 * k))).view(np.complex128)
+    parts = uv.view(np.float64)
+    parts[2 * k::6], parts[2 * k + 1::6] = nans.view(np.float64)
+    w = np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    w[::5] *= 1.7e308
+    expected = [pe_butterfly(u, v, t, direction)
+                for u, v, t in zip(uv[:k].tolist(), uv[k:].tolist(),
+                                   w.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        array_butterfly(uv[:k], uv[k:], np.repeat(w.real, 2),
+                        np.repeat(w.imag, 2), direction is Direction.FORWARD)
+    x, y = zip(*expected)
+    assert np.isnan(uv[k::3].imag).all()
+    assert np.array_equal(uv.view(np.uint64),
+                          np.array(x + y, np.complex128).view(np.uint64))
+
+
 def test_inverse_that_does_not_restore_natural_order_is_an_error(rng):
     _, _, roms = ROMS[2]
     a = rng.uniform(-1, 1, 64).tolist()
@@ -629,3 +658,20 @@ def test_spectrum_loads_alike_with_and_without_words(big, rng):
     assert np.array_equal(outs[0], outs[2])
     assert np.array_equal(outs[1], outs[3])
     assert bool(np.isfinite(outs[0].view(np.float64)).all()) is not big
+
+
+def test_cached_entries_leave_no_finalizer_behind(rng):
+    # short-lived traces run against the process-wide ROM set: once each
+    # trace dies, no finalizer of its entries may stay registered on the
+    # long-lived execution table
+    _, _, roms = ROMS[2]
+    cfg = ScheduleConfig(n=64, n_pe=2)
+    words = rng.uniform(-1, 1, 2 * len(BankedMemory(cfg.banks).words))
+    _run_both(build_schedule(cfg), roms, words.view(np.complex128))
+    gc.collect()
+    registered = len(weakref.finalize._registry)
+    for _ in range(3):
+        _run_both(dataclasses.replace(build_schedule(cfg)), roms,
+                  words.view(np.complex128))
+    gc.collect()
+    assert len(weakref.finalize._registry) == registered
