@@ -9,40 +9,43 @@ writes in the next, and a second access to any bank within an epoch
 aborts the run with a conflict report.  There is no pipelining, so
 epochs never overlap.
 
-The PEs read their twiddles from compressed ROMs only.  Which ROM word a
-dispatch reads depends on the schedule alone, and its value on the ROM
-set and the direction, so each ROM set is decompressed once per
-direction into one flat table (`twiddles.execution_table`: the wired
-stage-0 constant, then every logical word of every PE, conjugated for
-the inverse).
+Apart from the data, a run depends only on the trace, the memory
+geometry and the ROM set: the schedule fixes which bank, slot and ROM
+word each PE touches in each cycle.  So everything else a run reads is
+built once per (trace, geometry, ROM set), as one read-only plan, and
+kept in one store keyed by the identity of the trace and of each ROM.
 
-A trace is lowered once, by reshaping its dispatch columns, into flat
-per-stage index arrays: operand read slots, result write slots and each
-dispatch's position in that twiddle table.  Which bank each PE touches
-in each cycle is fixed by the schedule, never by the data, so the port
-ledger's verdict is a property of the lowering too: lowering runs
-`BankedMemory.claim`, the one statement of the ledger rule, on every
-stage once, against a scratch ledger, and keeps each stage's granted
-count and, for a conflict, the `BankConflictError` it raised.  Lowering
-also checks every memory and ROM address, and whether a stage touches a
-word slot twice, which `execute` rejects: only then does running a stage
-at once equal running it batch by batch.  What a run does (cycles, port
-accesses per bank, PE utilization, exchanges, ROM fetches by kind) is
-counted in the same pass, as the lowering's `RunStats`, and whether the
-last stage leaves the words in natural order is decided there too.
+The PEs read their twiddles from compressed ROMs only.  Building a plan
+checks the ROM set, decompresses it once into one flat table
+(`twiddles.execution_table`: the wired stage-0 constant, then every
+logical word of every PE, conjugated for the inverse) and lowers the
+trace, by reshaping its dispatch columns, into flat per-stage arrays:
+operand read slots, result write slots and each dispatch's twiddle,
+gathered from that table as the float64 pairs `array_butterfly`
+multiplies by.  The port ledger's verdict is a property of the plan
+too: building it runs `BankedMemory.claim`, the one statement of the
+ledger rule, on every stage once, against a scratch ledger, and keeps
+each stage's granted count and, for a conflict, the
+`BankConflictError` it raised.  It also checks every memory and ROM
+address, and whether a stage touches a word slot twice, which `execute`
+rejects: only then does running a stage at once equal running it batch
+by batch.  What a run does (cycles, port accesses per bank, PE
+utilization, exchanges, ROM fetches by kind) is counted in the same
+pass, as the plan's `RunStats`, and whether the last stage leaves the
+words in natural order is decided there too.  The plan's initial and
+final memory indices place the words a run loads and reads back.
 
-The twiddles a stage reads are then fixed by the trace and the table,
-so they are gathered once per pair of them, as the float64 pairs
-`array_butterfly` multiplies by.  `execute` adds each stage's granted
-count to the memory's port accesses and raises its conflict before the
-stage touches memory; otherwise the stage is one gather of operands,
-one `array_butterfly` (two contiguous multiplies and two strided sums
-per product, on the interleaved float64 view of the words) and one
-scatter of the results.  Only the data-dependent work is done per run.
+`execute` adds each stage's granted count to the memory's port accesses
+and raises its conflict before the stage touches memory; otherwise the
+stage is one gather of operands, one `array_butterfly` (two contiguous
+multiplies and two strided sums per product, on the interleaved float64
+view of the words) and one scatter of the results.  Only the
+data-dependent work is done per run.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -61,7 +64,7 @@ from .transform import (
     spectrum_array,
 )
 from .twiddles import (S_MAX, WIRED_INDEX, TwiddleError, execution_table,
-                       identity_cached, rom_layout, rom_word_index)
+                       rom_layout, rom_word_index)
 
 
 class BankConflictError(RuntimeError):
@@ -105,23 +108,24 @@ def array_butterfly(u: np.ndarray, v: np.ndarray, wr2: np.ndarray,
     since after an overflow both addends can be NaN and their order
     decides whose payload survives.  Sums are componentwise either way,
     so every element is bit-identical to the scalar butterfly on Python
-    complex values (a fused multiply-add would not be).  Run it under
-    np.errstate(over="ignore", invalid="ignore") to keep overflow as
-    silent as complex arithmetic.
+    complex values (a fused multiply-add would not be).  The sums u + t,
+    u - t, u + v and u - v run on the float64 views too: numpy's complex
+    add keeps the second operand's NaN on arrays of one or two elements,
+    the float64 add keeps the first one's at every length, as CPython
+    does.  Run it under np.errstate(over="ignore", invalid="ignore") to
+    keep overflow as silent as complex arithmetic.
     """
+    x, y = u.view(np.float64), v.view(np.float64)
     if forward:
-        p = v.view(np.float64)
-        a, b = wr2 * p, wi2 * p
+        a, b = wr2 * y, wi2 * y
         np.subtract(a[0::2], b[1::2], out=a[0::2])
-        np.add(a[1::2], b[0::2], out=a[1::2])
-        t = a.view(np.complex128)  # w*v
-        np.subtract(u, t, out=v)
-        np.add(u, t, out=u)
+        np.add(a[1::2], b[0::2], out=a[1::2])  # a: w*v
+        np.subtract(x, a, out=y)
+        np.add(x, a, out=x)
     else:
-        p = (u - v).view(np.float64)
-        np.add(u, v, out=u)
+        p = x - y
+        np.add(x, y, out=x)
         a, b = p * wr2, p * wi2
-        y = v.view(np.float64)
         np.subtract(a[0::2], b[1::2], out=y[0::2])
         np.add(b[0::2], a[1::2], out=y[1::2])
 
@@ -133,9 +137,9 @@ class BankedMemory:
     element bank * capacity + addr of `words`.
     """
 
-    def __init__(self, n_banks: int, s_max: int = S_MAX):
+    def __init__(self, n_banks: int):
         self.n_banks = n_banks
-        self.capacity = s_max // (2 * n_banks)
+        self.capacity = S_MAX // (2 * n_banks)
         self.words = np.zeros(n_banks * self.capacity, np.complex128)
         self.port_accesses = 0
 
@@ -163,18 +167,6 @@ class BankedMemory:
                 first_user[key] = j
         self.port_accesses += len(keys)
 
-    def _index(self, bank: int, addr: int) -> int:
-        if not (0 <= bank < self.n_banks and 0 <= addr < self.capacity):
-            raise IndexError(f"no word at bank {bank}, offset {addr}")
-        return bank * self.capacity + addr
-
-    def poke(self, bank: int, addr: int, value: complex) -> None:
-        """Out-of-band store (initial load; no port accounting)."""
-        self.words[self._index(bank, addr)] = value
-
-    def peek(self, bank: int, addr: int) -> complex:
-        return self.words[self._index(bank, addr)].item()
-
     def snapshot(self, s_m: int):
         """(bank, offset, value) over the run-effective region."""
         if s_m > self.capacity:
@@ -185,7 +177,7 @@ class BankedMemory:
 
 @dataclass(frozen=True)
 class RunStats:
-    """What a run of one lowered trace does, counted once per lowering.
+    """What a run of one trace does, counted once per plan.
 
     Every count depends on the schedule alone, so two runs of one trace
     report equal records.  The default, all zero, is the record of a
@@ -203,18 +195,21 @@ class RunStats:
 
 
 class _Stage(NamedTuple):
-    """One stage of a lowered trace; all arrays are read-only."""
+    """One stage of a plan; all arrays are read-only."""
     stage: int
     cycles: int
     granted: int            # port accesses the ledger grants the stage
     conflict: tuple | None  # BankConflictError arguments, if it conflicts
     uv: np.ndarray          # read slots: first operands, then second operands
     lohi: np.ndarray        # write slots: x outputs, then y outputs
-    tw: np.ndarray          # per dispatch, its twiddle's table position
+    wr2: np.ndarray         # per dispatch, its twiddle's real part, twice
+    wi2: np.ndarray         # and its imaginary part, twice
     rereads: bool           # some word slot is read by two dispatches
 
 
-class _Lowered(NamedTuple):
+class _Plan(NamedTuple):
+    """Everything a run of one trace reads besides the data, for one
+    memory geometry and ROM set."""
     stages: tuple
     initial: np.ndarray     # word -> memory index before the first stage
     final: np.ndarray       # word -> memory index after the last stage
@@ -233,11 +228,16 @@ def _rom_len(n_pe: int) -> int:
     return len(rom_layout(n_pe, S_MAX.bit_length() - 2)[0])
 
 
-def _execution_table(cfg: ScheduleConfig, roms) -> np.ndarray:
-    """The execution table of `roms` in cfg's direction, once `roms` is
-    known to be a compressed ROM set for cfg.n_pe PEs: n_pe ROMs of the
-    length `rom_layout` gives.  Raises TypeError for anything but
-    compressed ROMs and TwiddleError for a set of another shape."""
+def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
+                roms) -> _Plan:
+    """The plan of trace for one memory geometry and ROM set.
+
+    `roms` must be a compressed ROM set for the trace's PE count: n_pe
+    ROMs of the length `rom_layout` gives.  Anything but compressed ROMs
+    raises TypeError and a set of another shape TwiddleError, before the
+    trace is lowered.
+    """
+    cfg = trace.config
     table = execution_table(roms, cfg.direction is Direction.FORWARD)
     size = _rom_len(cfg.n_pe)
     if len(roms) != cfg.n_pe or roms[0].logical_len != size:
@@ -245,13 +245,7 @@ def _execution_table(cfg: ScheduleConfig, roms) -> np.ndarray:
             f"a ROM set for n_pe={len(roms)} ({roms[0].logical_len} words "
             f"per ROM) cannot serve an n_pe={cfg.n_pe} run, which reads "
             f"{cfg.n_pe} ROMs of {size} words")
-    return table
-
-
-def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
-    """Per-stage index arrays of trace for one memory geometry."""
-    s_m = trace.config.s_m
-    n_pe = trace.config.n_pe
+    s_m = cfg.s_m
 
     def memory_index(slots):
         slots = np.asarray(slots, np.int64)
@@ -262,7 +256,7 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
     if (read_banks.min() < 0 or read_banks.max() >= n_banks
             or offsets.min() < 0 or offsets.max() >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
-    tw = rom_word_index(pe, rom, n_pe, _rom_len(n_pe))  # TwiddleError if bad
+    tw = rom_word_index(pe, rom, cfg.n_pe, size)  # TwiddleError if bad
     s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
     u = np.where(in_ex, s1, s0)
     v = np.where(in_ex, s0, s1)
@@ -292,7 +286,9 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
 
     uv = _frozen(np.stack((u, v), axis=1).reshape(steps, -1))
     lohi = _frozen(np.stack((lo, hi), axis=1).reshape(steps, -1))
-    tw = _frozen(tw.reshape(steps, -1))
+    w = table[tw.reshape(steps, -1)]
+    wr2 = _frozen(np.repeat(w.real, 2, axis=1))
+    wi2 = _frozen(np.repeat(w.imag, 2, axis=1))
     # Each dispatch writes back the two slots it read, so distinct reads
     # also mean distinct writes.
     slots = np.sort(uv, axis=1)
@@ -305,82 +301,54 @@ def _lower(trace: ScheduleTrace, n_banks: int, capacity: int) -> _Lowered:
         bank_reads=tuple(np.bincount(reads.ravel(), minlength=n_banks).tolist()),
         bank_writes=tuple(
             np.bincount(writes.ravel(), minlength=n_banks).tolist()),
-        pe_utilization=tuple((busy / n_pe).ravel().tolist()),
+        pe_utilization=tuple((busy / cfg.n_pe).ravel().tolist()),
         input_exchanges=int(in_ex.sum()),
         output_exchanges=int(out_ex.sum()),
         wired_fetches=int((tw == WIRED_INDEX).sum()),
         stored_fetches=int((parity == 0).sum()),
         decompressed_fetches=int((parity == 1).sum()))
-    return _Lowered(
+    return _Plan(
         stages=tuple(_Stage(stage=sg, cycles=2 * batches, granted=granted,
                             conflict=conflict, uv=uv[k], lohi=lohi[k],
-                            tw=tw[k], rereads=rereads[k])
+                            wr2=wr2[k], wi2=wi2[k], rereads=rereads[k])
                      for k, (sg, (granted, conflict))
                      in enumerate(zip(trace.stage_order, verdicts))),
         initial=memory_index(trace.initial_slots),
         final=memory_index(trace.final_slots),
-        natural=np.array_equal(trace.final_slots,
-                               np.arange(trace.config.n // 2)),
+        natural=np.array_equal(trace.final_slots, np.arange(cfg.n // 2)),
         stats=stats)
 
 
-_lowered: dict[tuple, _Lowered] = {}
+_plans: dict[tuple, _Plan] = {}
 
 
-def _lowering(trace: ScheduleTrace, mem: BankedMemory) -> _Lowered:
-    """The lowering of this very trace object, built on first use.
+def _plan(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Plan:
+    """The plan of this very trace object on mem's geometry and the ROM
+    set `roms`, built on first use.
 
-    Keyed by identity, so a hand-edited trace is lowered on its own and
-    never mistaken for the cached schedule of its configuration; the
-    entry goes when the trace does.
+    Keyed by the id() of the trace and of each ROM, so a lookup never
+    hashes their contents and a hand-edited trace gets a plan of its
+    own, never the cached schedule's.  An id can be reused once its
+    object dies, so the entry goes as soon as the trace or any ROM does,
+    and the finalizers on the others are detached then: none outlives
+    the entry, even on a ROM set that lives on.  An entry exists only
+    for immutable objects that already passed `_build_plan`'s checks,
+    so a hit skips them.
     """
-    return identity_cached(_lowered, (id(trace), mem.n_banks, mem.capacity),
-                           (trace,),
-                           lambda: _lower(trace, mem.n_banks, mem.capacity))
+    key = (id(trace), mem.n_banks, *map(id, roms))
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _plans[key] = _build_plan(trace, mem.n_banks, mem.capacity,
+                                         roms)
+        finalizers = []
 
+        def drop():
+            _plans.pop(key, None)
+            for f in finalizers:
+                f.detach()
 
-_pairs: dict[tuple, tuple] = {}
-
-
-def _twiddle_pairs(trace: ScheduleTrace, low: _Lowered,
-                   table: np.ndarray) -> tuple:
-    """Per stage of `low`, the twiddles it reads from `table` as
-    `array_butterfly` takes them: read-only float64 (wr2, wi2), each
-    part repeated twice.
-
-    A stage's table positions depend on the trace alone, so the pairs
-    are built once per trace and execution table, keyed by both
-    identities (`identity_cached`): an entry goes as soon as either
-    object does.
-    """
-    return identity_cached(
-        _pairs, (id(trace), id(table)), (trace, table),
-        lambda: tuple((_frozen(np.repeat(w.real, 2)),
-                       _frozen(np.repeat(w.imag, 2)))
-                      for w in (table[st.tw] for st in low.stages)))
-
-
-@lru_cache(maxsize=None)
-def _natural_index(hn: int, s_m: int, capacity: int) -> np.ndarray:
-    """Memory index of word k at bank k//s_m, offset k%s_m, k < hn."""
-    k = np.arange(hn)
-    return _frozen(k // s_m * capacity + k % s_m)
-
-
-def load_natural(a, mem: BankedMemory, s_m: int) -> None:
-    """Pack a polynomial and place word k at bank k//S_M, offset k%S_M."""
-    _place_packed(coefficient_rows((a,))[0], mem, s_m)
-
-
-def _place_packed(c: np.ndarray, mem: BankedMemory, s_m: int) -> None:
-    """Store validated float64 coefficients as words a_k + i*a_{k+n/2}
-    (the packing of `transform.pack`) at their natural bank positions."""
-    hn = len(c) // 2
-    if hn > mem.n_banks * s_m or s_m > mem.capacity:
-        raise DomainError("polynomial does not fit the configured memory")
-    at = _natural_index(hn, s_m, mem.capacity)
-    mem.words.real[at] = c[:hn]
-    mem.words.imag[at] = c[hn:]
+        finalizers.extend(weakref.finalize(o, drop) for o in (trace, *roms))
+    return plan
 
 
 def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
@@ -394,25 +362,21 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     `stage_hook(stage, cycle)` fires after the last batch of each stage
     (used for boundary memory dumps).
 
-    Each stage first adds the port accesses the ledger granted it at
-    lowering to mem.port_accesses and, if the ledger found a bank
+    Each stage first adds the port accesses the ledger granted it in
+    the plan to mem.port_accesses and, if the ledger found a bank
     conflict there, raises that BankConflictError before the stage
-    touches memory.  Then it reads every operand and gathers every
-    twiddle from the ROM set's execution table at once, runs the
-    butterflies and writes every result at once.  A stage that reads a
-    word slot twice raises ScheduleError, after the ledger verdict, so a
-    bank conflict is reported as such.  After an exception the memory
-    contents are unspecified.
+    touches memory.  Then it reads every operand at once, runs the
+    butterflies on the plan's twiddle pairs and writes every result at
+    once.  A stage that reads a word slot twice raises ScheduleError,
+    after the ledger verdict, so a bank conflict is reported as such.
+    After an exception the memory contents are unspecified.
     """
     forward = trace.config.direction is Direction.FORWARD
-    table = _execution_table(trace.config, roms)
-    low = _lowering(trace, mem)
-    pairs = _twiddle_pairs(trace, low, table)
     words = mem.words
     cycle = 0
     # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        for st, (wr2, wi2) in zip(low.stages, pairs):
+        for st in _plan(trace, mem, roms).stages:
             mem.port_accesses += st.granted
             if st.conflict:
                 raise BankConflictError(*st.conflict)
@@ -420,8 +384,8 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
                 raise ScheduleError(
                     f"stage {st.stage} reads a word slot in two dispatches")
             uv = words[st.uv]
-            k = len(st.tw)
-            array_butterfly(uv[:k], uv[k:], wr2, wi2, forward)
+            k = len(uv) // 2
+            array_butterfly(uv[:k], uv[k:], st.wr2, st.wi2, forward)
             words[st.lohi] = uv
             cycle += st.cycles
             if stage_hook:
@@ -435,21 +399,27 @@ class Simulator:
     def __init__(self, cfg: ScheduleConfig, roms):
         self.cfg = cfg
         self.trace = build_schedule(cfg)
-        # rejects all but cfg's compressed ROM set before any other use
-        _execution_table(cfg, roms)
         self.roms = roms
         self.mem = BankedMemory(cfg.banks)
+        # rejects all but cfg's compressed ROM set before any other use
+        _plan(self.trace, self.mem, roms)
         self.measured_cycles: int | None = None
         self.stats: RunStats | None = None
 
     def load_polynomial(self, a) -> None:
+        """Place word k = a_k + i*a_{k+n/2} (the packing of
+        `transform.pack`) where the forward trace starts it: bank
+        k // S_M, offset k % S_M."""
         if self.cfg.direction is not Direction.FORWARD:
             raise DomainError("polynomial input is for forward runs")
         c = coefficient_rows((a,))[0]
         if len(c) != self.cfg.n:
             raise DomainError(
                 f"expected {self.cfg.n} coefficients, got {len(c)}")
-        _place_packed(c, self.mem, self.cfg.s_m)
+        hn = self.cfg.n // 2
+        at = _plan(self.trace, self.mem, self.roms).initial
+        self.mem.words.real[at] = c[:hn]
+        self.mem.words.imag[at] = c[hn:]
 
     def load_spectrum(self, s: Spectrum) -> None:
         """Place an internal-order spectrum at the forward-final layout
@@ -463,26 +433,26 @@ class Simulator:
             raise DomainError(f"expected {hn} spectrum values")
         z = spectrum_array(s)
         conjugate_odd_slots(z)
-        self.mem.words[_lowering(self.trace, self.mem).initial] = z
+        self.mem.words[_plan(self.trace, self.mem, self.roms).initial] = z
 
     def run(self, stage_hook=None) -> int:
         """Execute the trace; returns the cycle total and leaves the
         run's RunStats in `stats`."""
         self.measured_cycles = execute(self.trace, self.mem, self.roms,
                                        stage_hook)
-        self.stats = _lowering(self.trace, self.mem).stats
+        self.stats = _plan(self.trace, self.mem, self.roms).stats
         return self.measured_cycles
 
     def read_result(self):
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
         if self.measured_cycles is None:
             raise RuntimeError("run() the simulator before reading results")
-        low = _lowering(self.trace, self.mem)
-        z = self.mem.words[low.final]
+        plan = _plan(self.trace, self.mem, self.roms)
+        z = self.mem.words[plan.final]
         if self.cfg.direction is Direction.FORWARD:
             conjugate_odd_slots(z)
             return internal_spectrum(z)
-        if not low.natural:
+        if not plan.natural:
             raise RuntimeError("inverse run did not restore natural order")
         scale = 2.0 / self.cfg.n
         return np.concatenate((z.real * scale, z.imag * scale)).tolist()

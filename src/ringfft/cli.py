@@ -93,9 +93,16 @@ def _poly_json(a) -> str:
     return _json([float(x) for x in a])
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        _write_text(out, text + "\n")
     else:
         print(text)
 
@@ -135,7 +142,7 @@ def _sim_run_forward(a, n_pe, dump_path=None):
         cycles = sim.run(stage_hook=hook if dump_path else None)
         result = sim.read_result(), cycles, sim.stats
     if dump_path:
-        Path(dump_path).write_text("\n".join(dump_lines) + "\n")
+        _write_text(dump_path, "\n".join(dump_lines) + "\n")
     return result
 
 
@@ -215,12 +222,18 @@ def cmd_schedule(args) -> int:
 def cmd_rom(args) -> int:
     table, images, roms = build_rom_set(S_MAX, args.npe)
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot write {outdir}: {e}")
     total = 0
     for rom in roms:
         data = outdir / f"rom_pe{rom.pe_index}.bin"
         sidecar = outdir / f"rom_pe{rom.pe_index}.txt"
-        dump_rom(rom, data, sidecar)
+        try:
+            dump_rom(rom, data, sidecar)
+        except OSError as e:
+            raise CliError(f"cannot write {data}: {e}")
         total += len(rom.stored)
         print(f"pe{rom.pe_index}: {len(rom.stored)} stored entries "
               f"({16 * len(rom.stored)} bytes) -> {data}")

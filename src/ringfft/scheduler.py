@@ -155,10 +155,6 @@ class ScheduleTrace:
     final_slots: tuple      # word -> slot after the last stage
 
     @property
-    def dispatch_count(self) -> int:
-        return self.columns.pe.size
-
-    @property
     def cycles(self) -> int:
         # one read cycle plus one write cycle per batch (single-port banks)
         steps, batches, _ = self.columns.pe.shape

@@ -26,8 +26,8 @@ words and negating one sign bit.  Both operations are exact on IEEE-754
 doubles, which is what makes the compressed and uncompressed paths
 bit-identical, and `compress_rom` accepts a pair only when it is exact.
 `fetch_twiddle` serves one word at a time; the simulator instead reads
-`execution_table`, which decompresses a whole ROM set once per direction
-into one flat array.
+`execution_table`, which decompresses a whole ROM set for one direction
+into one flat array, once per simulator plan.
 
 Stage 0 is a special case: every run of every size shares the single
 constant w(0,0) = exp(i*pi/4), which has no +/-i partner anywhere in the
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import struct
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -163,8 +162,10 @@ def rom_layout(n_pe: int, stages: int) -> tuple:
 class RomImage:
     """Uncompressed per-PE ROM: logical entries in consumption order.
 
-    stage_bases[sg] is the per-stage base offset (see `stage_rom_bases`)
-    added to the in-stage ROM address the scheduler emits.
+    stage_bases[sg] is where stage sg's block starts (see
+    `stage_rom_bases`).  The scheduler emits absolute ROM addresses, so
+    the bases only describe the layout, in the ROM sidecar `dump_rom`
+    writes.
     """
     pe: int
     n_pe: int
@@ -285,7 +286,16 @@ def rom_word_index(pe, addr, n_pe: int, logical_len: int) -> np.ndarray:
     return np.where(addr < 0, WIRED_INDEX, 1 + pe * logical_len + addr)
 
 
-def _build_execution_table(roms, forward: bool) -> np.ndarray:
+def execution_table(roms, forward: bool = True) -> np.ndarray:
+    """Every twiddle a run on the compressed ROM set `roms` can read, in
+    one read-only complex128 array: the wired stage-0 constant at
+    WIRED_INDEX, then each PE's decompressed logical words (see
+    `rom_word_index`), all conjugated for the inverse direction.
+
+    Anything but a non-empty sequence of CompressedRom raises TypeError,
+    and ROMs of different lengths TwiddleError.  The simulator builds
+    the table once per plan (`banksim`), not once per run.
+    """
     bad = [type(r).__name__ for r in roms if not isinstance(r, CompressedRom)]
     if bad or not roms:
         raise TypeError("expected a non-empty sequence of CompressedRom, got "
@@ -300,47 +310,6 @@ def _build_execution_table(roms, forward: bool) -> np.ndarray:
         table = table.conj()
     table.flags.writeable = False
     return table
-
-
-def identity_cached(store: dict, key: tuple, owners, build):
-    """store[key], built by build() on first use, where key holds the
-    id() of each of `owners`.
-
-    Keying on identity never hashes the owners' contents, but an id can
-    be reused once its object dies.  So the entry goes as soon as any
-    owner does, and the finalizers on the other owners are detached
-    then: none outlives the entry, even on an owner that lives on.
-    """
-    value = store.get(key)
-    if value is None:
-        value = store[key] = build()
-        finalizers = []
-
-        def drop():
-            store.pop(key, None)
-            for f in finalizers:
-                f.detach()
-
-        finalizers.extend(weakref.finalize(o, drop) for o in owners)
-    return value
-
-
-_tables: dict[tuple, np.ndarray] = {}
-
-
-def execution_table(roms, forward: bool = True) -> np.ndarray:
-    """Every twiddle a run on the compressed ROM set `roms` can read, in
-    one read-only complex128 array: the wired stage-0 constant at
-    WIRED_INDEX, then each PE's decompressed logical words (see
-    `rom_word_index`), all conjugated for the inverse direction.
-
-    Built once per ROM set and direction.  The cache is keyed by the
-    identity of the ROM objects (`identity_cached`), so a lookup never
-    hashes their contents, and an entry goes as soon as one of its ROMs
-    does.  Anything but a sequence of CompressedRom raises TypeError.
-    """
-    return identity_cached(_tables, (*map(id, roms), forward), roms,
-                           lambda: _build_execution_table(roms, forward))
 
 
 @lru_cache(maxsize=None)

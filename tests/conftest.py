@@ -39,6 +39,31 @@ def reference_fetch(roms, pe, addr, forward):
     return w if forward else complex(w.real, -w.imag)
 
 
+def _at(mem, bank, addr) -> int:
+    """Index of (bank, addr) in a BankedMemory's bank-major words."""
+    if not (0 <= bank < mem.n_banks and 0 <= addr < mem.capacity):
+        raise IndexError(f"no word at bank {bank}, offset {addr}")
+    return bank * mem.capacity + addr
+
+
+def peek(mem, bank, addr) -> complex:
+    return mem.words[_at(mem, bank, addr)].item()
+
+
+def poke(mem, bank, addr, value) -> None:
+    """Out-of-band store (no port accounting)."""
+    mem.words[_at(mem, bank, addr)] = value
+
+
+def load_natural(a, mem, s_m) -> None:
+    """Reference placement of a forward run's input, one word at a time:
+    word k = a_k + i*a_{k+n/2} at bank k // s_m, offset k % s_m.  `a`
+    holds floats, as the library's conversion returns them."""
+    hn = len(a) // 2
+    for k in range(hn):
+        poke(mem, k // s_m, k % s_m, complex(a[k], a[k + hn]))
+
+
 def reference_execute(trace, mem, roms, stage_hook=None) -> int:
     """Scalar reference: one dispatch at a time through `pe_butterfly`,
     every port access claimed on its own in a per-cycle dict ledger and
@@ -67,9 +92,9 @@ def reference_execute(trace, mem, roms, stage_hook=None) -> int:
         results = []
         for d in batch:
             claim(d.bank0, cycle, d.pe)
-            prim = mem.peek(d.bank0, d.addr0)
+            prim = peek(mem, d.bank0, d.addr0)
             claim(d.bank1, cycle, d.pe)
-            sec = mem.peek(d.bank1, d.addr1)
+            sec = peek(mem, d.bank1, d.addr1)
             u, v = (sec, prim) if d.input_exchanged else (prim, sec)
             w = reference_fetch(roms, d.pe, d.rom_addr, forward)
             results.append((d, *pe_butterfly(u, v, w, mode)))
@@ -80,9 +105,9 @@ def reference_execute(trace, mem, roms, stage_hook=None) -> int:
             if d.output_exchanged:
                 lo, hi = hi, lo
             claim(lo[0], cycle + 1, d.pe)
-            mem.poke(*lo, x)
+            poke(mem, *lo, x)
             claim(hi[0], cycle + 1, d.pe)
-            mem.poke(*hi, y)
+            poke(mem, *hi, y)
         cycle += 2
     if stage_hook and prev_stage is not None:
         stage_hook(prev_stage, cycle)

@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import reference_execute
+from conftest import load_natural, reference_execute
 
-from ringfft.banksim import BankedMemory, Simulator, load_natural
+from ringfft.banksim import BankedMemory, Simulator
 from ringfft.metrics import (
     PRINTED_NORMALIZED,
     ImplRecord,

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import all_configs, reference_execute
+from conftest import all_configs, load_natural, reference_execute
 
 from ringfft import banksim
 from ringfft.banksim import (
@@ -14,7 +14,6 @@ from ringfft.banksim import (
     Simulator,
     array_butterfly,
     execute,
-    load_natural,
     pe_butterfly,
 )
 from ringfft.scheduler import (
@@ -68,19 +67,34 @@ def test_banked_memory_single_port_ledger():
 
 
 def test_load_natural_placement():
-    mem = BankedMemory(4)
-    load_natural(list(range(8)), mem, s_m=1)
-    for b in range(4):
-        assert mem.peek(b, 0) == complex(b, b + 4)
+    # the tests' reference placement and Simulator.load_polynomial, held
+    # to literal words: word k = k + i*(k + n/2) at bank k // S_M,
+    # offset k % S_M (S_M = 1 at n = 8, 2 at n = 16)
+    for n in (8, 16):
+        cfg = ScheduleConfig(n=n, n_pe=2)
+        sim = Simulator(cfg, ROMS[2][2])
+        sim.load_polynomial(list(range(n)))
+        ref = BankedMemory(cfg.banks)
+        load_natural([float(k) for k in range(n)], ref, cfg.s_m)
+        for mem in (sim.mem, ref):
+            rows = mem.words.reshape(cfg.banks, mem.capacity)
+            assert rows[:, :cfg.s_m].ravel().tolist() == [
+                complex(k, k + n // 2) for k in range(n // 2)]
+            assert not rows[:, cfg.s_m:].any()
 
-    mem = BankedMemory(4)
-    load_natural(list(range(16)), mem, s_m=2)
-    assert mem.peek(0, 0) == complex(0, 8)
-    assert mem.peek(0, 1) == complex(1, 9)
 
-    mem = BankedMemory(4)
-    load_natural([0.0] * 16, mem, s_m=2)
-    assert all(mem.peek(b, o) == 0j for b in range(4) for o in range(2))
+@pytest.mark.parametrize(
+    "cfg", [c for c in ALL_CONFIGS if c.direction is Direction.FORWARD],
+    ids=lambda c: f"{c.n}-{c.n_pe}")
+def test_load_polynomial_places_words_as_the_reference(cfg, rng):
+    a = rng.uniform(-1, 1, cfg.n)
+    a[::3] = -0.0
+    sim = Simulator(cfg, ROMS[cfg.n_pe][2])
+    sim.load_polynomial(a)
+    ref = BankedMemory(cfg.banks)
+    load_natural(a.tolist(), ref, cfg.s_m)
+    assert np.array_equal(sim.mem.words.view(np.uint64),
+                          ref.words.view(np.uint64))
 
 
 @pytest.mark.parametrize("npe", [1, 2, 4])
@@ -239,10 +253,7 @@ def test_memory_restored_up_to_scaling(rng):
     ref = BankedMemory(inv.cfg.banks)
     load_natural(a, ref, inv.cfg.s_m)
     scale = n / 2
-    for b in range(inv.cfg.banks):
-        for o in range(inv.cfg.s_m):
-            assert abs(inv.mem.peek(b, o) - scale * ref.peek(b, o)) \
-                <= 1e-9 * scale
+    assert np.abs(inv.mem.words - scale * ref.words).max() <= 1e-9 * scale
 
 
 def test_constant_input_forward():
@@ -271,7 +282,7 @@ def test_port_access_accounting():
     sim = Simulator(ScheduleConfig(n=32, n_pe=2), roms)
     sim.load_polynomial([1.0] * 32)
     sim.run()
-    assert sim.mem.port_accesses == 4 * sim.trace.dispatch_count
+    assert sim.mem.port_accesses == 4 * sim.trace.columns.pe.size
 
 
 def test_stage_hook_snapshots():
@@ -284,6 +295,7 @@ def test_stage_hook_snapshots():
     assert seen[-1][1] == sim.measured_cycles
     snap = sim.mem.snapshot(sim.cfg.s_m)
     assert len(snap) == 16  # banks x run-effective offsets
+    assert all(type(v) is complex for _b, _o, v in snap)
 
 
 def test_simulator_input_validation():
@@ -297,17 +309,6 @@ def test_simulator_input_validation():
                                    direction=Direction.INVERSE), roms)
     with pytest.raises(ValueError):
         inv.load_polynomial([1.0] * 8)
-
-
-def test_peek_poke_bounds_and_python_values():
-    mem = BankedMemory(4)
-    mem.poke(3, mem.capacity - 1, 1.5 - 2j)
-    z = mem.peek(3, mem.capacity - 1)
-    assert type(z) is complex and z == 1.5 - 2j
-    assert all(type(v) is complex for _b, _o, v in mem.snapshot(2))
-    for bank, addr in ((4, 0), (0, mem.capacity), (-1, 0)):
-        with pytest.raises(IndexError):
-            mem.peek(bank, addr)
 
 
 # -- the lowered execute against the per-dispatch reference -----------------
@@ -351,7 +352,7 @@ def test_lowered_execute_matches_reference(cfg, rng):
         assert lowered == reference
         cycles, ports, snaps = lowered
         assert cycles == trace.cycles
-        assert ports == 4 * trace.dispatch_count
+        assert ports == 4 * trace.columns.pe.size
         assert len(snaps) == cfg.stages
 
 
@@ -527,14 +528,15 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     assert lowered == reference
     assert lowered != _run_both(trace, roms, words)[0]
 
-    key = (id(edited), cfg.banks, BankedMemory(cfg.banks).capacity)
-    low = banksim._lowered[key]
-    for st in low.stages:
-        for arr in (st.uv, st.lohi, st.tw):
-            assert not arr.flags.writeable
-    del edited, low
+    key = (id(edited), cfg.banks, *map(id, roms))
+    plan = banksim._plans[key]
+    assert plan is not banksim._plans[id(trace), cfg.banks, *map(id, roms)]
+    for arr in (plan.initial, plan.final, *(
+            a for st in plan.stages for a in (st.uv, st.lohi, st.wr2, st.wi2))):
+        assert not arr.flags.writeable
+    del edited, plan
     gc.collect()
-    assert key not in banksim._lowered
+    assert key not in banksim._plans
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -581,11 +583,17 @@ def test_inverse_that_does_not_restore_natural_order_is_an_error(rng):
         inv.read_result()
 
 
-@pytest.mark.parametrize("direction", list(Direction))
-def test_overflowing_words_match_reference_to_the_bit(direction, rng):
+@pytest.mark.parametrize("cfg,seed", [
+    *(pytest.param(ScheduleConfig(n=1024, n_pe=2, direction=d), 0xF0F0,
+                   id=str(d)) for d in Direction),
+    # one or two dispatches per stage: numpy's complex add keeps the
+    # other operand's NaN on such short arrays
+    *(pytest.param(c, seed, id=f"{c.n}-{c.n_pe}-{c.direction.value}-{seed}")
+      for c in ALL_CONFIGS if c.n <= 16 for seed in range(3))])
+def test_overflowing_words_match_reference_to_the_bit(cfg, seed):
     # inf - inf and NaN operands: which NaN survives a sum depends on
     # the addend order, and NaN hex() hides the sign, so compare words
-    cfg = ScheduleConfig(n=1024, n_pe=2, direction=direction)
+    rng = np.random.default_rng(seed)
     trace = build_schedule(cfg)
     size = len(BankedMemory(cfg.banks).words)
     words = (1.7e308 * rng.uniform(-1, 1, 2 * size)).view(np.complex128)
@@ -594,39 +602,47 @@ def test_overflowing_words_match_reference_to_the_bit(direction, rng):
     for run in (execute, reference_execute):
         mem = BankedMemory(cfg.banks)
         mem.words[:] = words
-        run(trace, mem, ROMS[2][2])
+        run(trace, mem, ROMS[cfg.n_pe][2])
         mems.append(mem.words.view(np.uint64))
     assert np.isnan(mems[0].view(np.complex128)).any()
     assert np.array_equal(*mems)
 
 
-def test_twiddle_pairs_go_with_their_trace_and_rom_set(rng):
-    # the second set may reuse the first one's ids, so a stale entry
-    # would serve the wrong twiddles (or a wrong shape)
+def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
+    # plans are keyed by ids, and the second ROM set may reuse the first
+    # one's, so a stale entry would serve the wrong twiddles (or a wrong
+    # shape)
+    tables = []
+
+    def counted(*args):
+        tables.append(args)
+        return execution_table(*args)
+
+    monkeypatch.setattr(banksim, "execution_table", counted)
     for npe in (2, 4):
         roms = build_rom_set.__wrapped__(1024, npe)[2]  # held by no cache
-        table_ids = []
+        rom_ids = set(map(id, roms))
         for direction in Direction:
             cfg = ScheduleConfig(n=256, n_pe=npe, direction=direction)
             kept = build_schedule(cfg)  # cached: outlives the ROM set
             own = dataclasses.replace(kept)
-            table = execution_table(roms, direction is Direction.FORWARD)
             size = len(BankedMemory(cfg.banks).words)
             words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
-            for trace in (kept, own):
+            for trace in (kept, own, kept):
                 lowered, reference = _run_both(trace, roms, words)
                 assert lowered == reference
-                assert (id(trace), id(table)) in banksim._pairs
-                for wr2, wi2 in banksim._pairs[id(trace), id(table)]:
-                    assert not (wr2.flags.writeable or wi2.flags.writeable)
-            key = (id(own), id(table))
-            del own, trace
+                plan = banksim._plans[id(trace), cfg.banks, *map(id, roms)]
+                for st in plan.stages:
+                    assert not (st.wr2.flags.writeable or st.wi2.flags.writeable)
+            assert len(tables) == 2  # one table per plan, none per run
+            tables.clear()
+            key = (id(own), cfg.banks, *map(id, roms))
+            del own, trace, plan
             gc.collect()
-            assert key not in banksim._pairs
-            table_ids.append(id(table))
-        del roms, table
+            assert key not in banksim._plans
+        del roms
         gc.collect()
-        assert not any(key[1] in table_ids for key in banksim._pairs)
+        assert not any(rom_ids & set(key[2:]) for key in banksim._plans)
 
 
 @pytest.mark.parametrize("big", [False, True])

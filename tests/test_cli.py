@@ -119,6 +119,31 @@ def test_parse_failure_exit(tmp_path, capsys):
     assert main(["fft", nan]) == 2
 
 
+def _unwritable(capsys, argv, path) -> None:
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json", [1.0] * 8)
+    out = tmp_path / "missing" / "x.json"
+    _unwritable(capsys, ["fft", src, "--out", str(out)], out)
+
+
+def test_unwritable_dump_stages_is_an_error(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json", [1.0] * 8)
+    dump = tmp_path / "missing" / "d.csv"
+    _unwritable(capsys, ["fft", src, "--engine", "simulator",
+                         "--dump-stages", str(dump)], dump)
+
+
+def test_rom_out_dir_that_is_a_file_is_an_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    _unwritable(capsys, ["rom", "--out-dir", str(taken)], taken)
+
+
 def test_schedule_csv(tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["schedule", "--n", "8", "--npe", "2",

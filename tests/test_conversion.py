@@ -13,11 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringfft.banksim import BankedMemory, Simulator, load_natural
+from conftest import load_natural
+
+from ringfft.banksim import BankedMemory, Simulator
 from ringfft.scheduler import ScheduleConfig
 from ringfft.transform import (
     Direction,
     DomainError,
+    coefficient_rows,
     fft_inplace,
     polymul_via_fft,
 )
@@ -81,12 +84,13 @@ def _bits(values):
 
 def _loads(n, poly):
     """The simulator memory words after Simulator.load_polynomial and
-    after load_natural of poly."""
+    after the tests' reference placement of poly as `coefficient_rows`
+    converts it."""
     cfg = ScheduleConfig(n=n, n_pe=1, direction=Direction.FORWARD)
     sim = Simulator(cfg, build_rom_set(1024, 1)[2])
     sim.load_polynomial(poly)
     mem = BankedMemory(cfg.banks)
-    load_natural(poly, mem, cfg.s_m)
+    load_natural(coefficient_rows((poly,))[0], mem, cfg.s_m)
     return sim.mem.words, mem.words
 
 

@@ -1,0 +1,60 @@
+"""Every function, class and method of the package is reached from the
+package itself or from the benchmark, or is public.
+
+A name counts as reached when some module of `src/ringfft` or
+`perfbench` uses it as a name, an attribute or an import; the tests do
+not count, so code that only tests reach shows up here.  Dunders are
+called by Python itself and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import ringfft
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ringfft"
+BENCHMARK = ROOT / "perfbench"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.glob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the methods of those
+    classes, as (qualified name, name)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    used = {name for _path, tree in _trees(PACKAGE, BENCHMARK)
+            for name in _uses(tree)}
+    unreached = [
+        f"{path.relative_to(ROOT)}: {qualname}"
+        for path, tree in _trees(PACKAGE)
+        for qualname, name in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in used and name not in ringfft.__all__]
+    assert unreached == []

@@ -63,11 +63,11 @@ def test_config_validation():
 
 def test_dispatch_counts():
     trace = build_schedule(ScheduleConfig(n=8, n_pe=2))
-    assert trace.dispatch_count == 4  # 2 stages x 2 butterflies
+    assert trace.columns.pe.size == 4  # 2 stages x 2 butterflies
     for n, npe in ALL_CONFIGS:
         trace = build_schedule(ScheduleConfig(n=n, n_pe=npe))
         stages = n.bit_length() - 2
-        assert trace.dispatch_count == stages * (n // 4)
+        assert trace.columns.pe.size == stages * (n // 4)
         per_stage = {}
         for batch in trace.batches:
             for d in batch:
@@ -87,7 +87,7 @@ def test_n4_runs_single_pe():
     for npe in (1, 2, 4):
         cfg = ScheduleConfig(n=4, n_pe=npe)
         trace = build_schedule(cfg)
-        assert trace.dispatch_count == 1
+        assert trace.columns.pe.size == 1
         assert trace.batches[0][0].pe == 0
         assert trace.cycles == 2
 
@@ -103,7 +103,7 @@ def test_cycle_count_equals_batches():
     for n, npe in ALL_CONFIGS:
         trace = build_schedule(ScheduleConfig(n=n, n_pe=npe))
         assert trace.cycles == cycle_count(n, npe)
-        assert trace.cycles == 2 * trace.dispatch_count // cfg_active(n, npe)
+        assert trace.cycles == 2 * trace.columns.pe.size // cfg_active(n, npe)
 
 
 def cfg_active(n, npe):
