@@ -100,10 +100,14 @@ def _write_text(path, text: str) -> None:
         raise CliError(f"cannot write {path}: {e}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, report=()) -> None:
+    """Write text to out, or print it after the report lines.  With out
+    the file is written first, so a failed write prints no report."""
     if out:
         _write_text(out, text + "\n")
-    else:
+    for line in report:
+        print(line)
+    if not out:
         print(text)
 
 
@@ -115,12 +119,13 @@ def _check_simulator_flags(args) -> None:
             raise CliError(f"{flag} needs --engine simulator")
 
 
-def _report_run(cycles: int, stats: RunStats, args) -> None:
+def _run_report(cycles: int, stats: RunStats, args) -> list[str]:
     """The `cycles=` line, then with --stats json the run's RunStats as
     one JSON line."""
-    print(f"cycles={cycles}")
+    report = [f"cycles={cycles}"]
     if args.stats:
-        print(_json(dataclasses.asdict(stats)))
+        report.append(_json(dataclasses.asdict(stats)))
+    return report
 
 
 def _sim_run_forward(a, n_pe, dump_path=None):
@@ -161,20 +166,22 @@ def _sim_run_inverse(s: Spectrum, n_pe):
 def cmd_fft(args) -> int:
     _check_simulator_flags(args)
     a = _load_polynomial(args.input)
+    report = []
     if args.engine == "reference":
         out = fft_ref(a)
     elif args.engine == "inplace":
         out = fft_inplace(a)
     else:
         out, cycles, stats = _sim_run_forward(a, args.npe, args.dump_stages)
-        _report_run(cycles, stats, args)
-    _emit(_spectrum_json(out), args.out)
+        report = _run_report(cycles, stats, args)
+    _emit(_spectrum_json(out), args.out, report)
     return 0
 
 
 def cmd_ifft(args) -> int:
     _check_simulator_flags(args)
     s = _load_spectrum(args.input)
+    report = []
     if args.engine == "reference":
         if s.order_tag is not OrderTag.NATURAL_EVAL:
             raise CliError("reference engine needs a natural_eval spectrum")
@@ -187,8 +194,8 @@ def cmd_ifft(args) -> int:
         if s.order_tag is not OrderTag.FALCON_INTERNAL:
             raise CliError("simulator engine needs a falcon_internal spectrum")
         out, cycles, stats = _sim_run_inverse(s, args.npe)
-        _report_run(cycles, stats, args)
-    _emit(_poly_json(out), args.out)
+        report = _run_report(cycles, stats, args)
+    _emit(_poly_json(out), args.out, report)
     return 0
 
 
@@ -198,15 +205,17 @@ def cmd_polymul(args) -> int:
     if len(a) != len(b):
         raise CliError(f"length mismatch: {len(a)} vs {len(b)}")
     c = polymul_via_fft(a, b)
+    report = []
     if args.check:
         from .verify import max_abs_error, product_bound
 
         ref = polymul_negacyclic_oracle(a, b)
         dev, bound = max_abs_error(c, ref), product_bound(len(a))
-        print(f"max_deviation={dev:.3e} bound={bound:.3e}")
+        report.append(f"max_deviation={dev:.3e} bound={bound:.3e}")
         if not (dev <= bound):
+            print(report[0])
             raise CliError("product deviates from the schoolbook oracle")
-    _emit(_poly_json(c), args.out)
+    _emit(_poly_json(c), args.out, report)
     return 0
 
 

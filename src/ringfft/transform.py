@@ -26,13 +26,16 @@ constant geometry (Pease) over a (B, 2, n/2) float64 stack of real and
 imaginary planes, B polynomials at once: every stage reads the two
 contiguous halves of one buffer and writes a perfect shuffle of the
 results into another, so that all stages share one layout, and after
-the last stage every word is back in its in-place slot.  Packing is a
-reshape in this layout, since word k = a_k + i*a_{k+n/2} puts a's first
-half in the real plane and its second half in the imaginary one.  Each
-product rounds as CPython's complex multiply does, so both paths give
-the same bits.  `polymul_via_fft` transforms both operands in one batch
-and stays in planes until unpacking; `fft_batch` runs any number of
-same-length polynomials through one pass at every size.
+the last stage every word is back in its in-place slot.  Each size's
+stage twiddles are built once, as read-only matrices in execution
+order, and a call builds the views of its buffers once, so a stage is
+four ufunc calls.  Packing is a reshape in this layout, since word k =
+a_k + i*a_{k+n/2} puts a's first half in the real plane and its second
+half in the imaginary one.  Each product rounds as CPython's complex
+multiply does, so both paths give the same bits.  `polymul_via_fft`
+transforms both operands in one batch and stays in planes until
+unpacking; `fft_batch` runs any number of same-length polynomials
+through one pass at every size.
 """
 
 from __future__ import annotations
@@ -194,10 +197,10 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
 # Half-size (n/2 words) from which single calls run the array network.
 # Below it the per-call numpy overhead outweighs the loop it replaces:
 # on a 2-vCPU host, against the scalar loop in interleaved runs, the
-# array path took 0.64x (fft_inplace), 0.66x (ifft_inplace) and 0.39x
-# (polymul_via_fft) the time at n = 256 but 0.98x, 1.15x and 0.72x at
-# n = 128, and 1.2-1.9x at n = 64.
-VECTOR_MIN_HN = 128
+# array path took 0.82-0.84x (fft_inplace), 0.89-0.92x (ifft_inplace)
+# and 0.54-0.56x (polymul_via_fft) the time at n = 128 but 1.35x, 1.50x
+# and 0.93x at n = 64.
+VECTOR_MIN_HN = 64
 
 
 def pack(a: Sequence[float]) -> list[complex]:
@@ -328,19 +331,19 @@ def coefficient_rows(polys) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _twiddle_matrices(forward: bool) -> tuple:
-    """Per stage sg, the read-only (2, 2, S_MAX/4) array whose entry
-    [:, :, j] is the real matrix [[wr, -wi], [wi, wr]] of multiplication
-    by w = w(sg, j mod 2^sg) of `_stage_twiddles(forward)`: the twiddle
-    of butterfly j of stage sg of the constant-geometry network at every
-    size (sliced to [..., :hn/2])."""
+def _stage_matrices(forward: bool, hn: int) -> tuple:
+    """The twiddles of the constant-geometry network over hn words, one
+    read-only (2, 2, hn/2) array per stage in execution order (the
+    inverse's reversed): entry [:, :, j] of stage sg's array is the real
+    matrix [[wr, -wi], [wi, wr]] of multiplication by w = w(sg, j mod
+    2^sg) of `_stage_twiddles(forward)`, the twiddle of butterfly j."""
     matrices = []
-    for tws in _stage_twiddles(forward):
-        w = np.resize(np.array(tws, np.complex128), S_MAX // 4)
+    for tws in _stage_twiddles(forward)[:hn.bit_length() - 1]:
+        w = np.resize(np.array(tws, np.complex128), hn // 2)
         m = np.array([[w.real, -w.imag], [w.imag, w.real]])
         m.flags.writeable = False
         matrices.append(m)
-    return tuple(matrices)
+    return tuple(matrices if forward else matrices[::-1])
 
 
 def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
@@ -350,8 +353,9 @@ def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
     the even and y to the odd slots of a second buffer, and every
     inverse stage undoes that shuffle.  Butterfly j of stage sg then
     belongs to group j mod 2^sg, and after all log2(hn) stages every
-    word is back in its in-place slot.  Overwrites x; returns the
-    buffer holding the result.
+    word is back in its in-place slot.  The views of both buffers are
+    built once per call, so a stage is four ufunc calls and a swap.
+    Overwrites x; returns the buffer holding the result.
 
     A product w*v is (wr*vr + (-wi)*vi, wi*vr + wr*vi): one multiply by
     the twiddle matrix, one sum over its columns.  Negation is exact and
@@ -363,23 +367,30 @@ def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
     y = np.empty_like(x)
     t = np.empty(x.shape[:-1] + (h,))
     m = np.empty((len(x), 2, 2, h))
-    stages = _twiddle_matrices(forward)[:hn.bit_length() - 1]
-    for w in stages if forward else reversed(stages):
-        w = w[..., :h]
-        if forward:
-            u, v = x[..., :h], x[..., h:]
-            np.multiply(w, v[:, None], out=m)
-            np.add(m[:, :, 0], m[:, :, 1], out=t)   # t = w*v
-            np.add(u, t, out=y[..., 0::2])
-            np.subtract(u, t, out=y[..., 1::2])
-        else:
-            u, v = x[..., 0::2], x[..., 1::2]
+    m0, m1 = m[:, :, 0], m[:, :, 1]
+    stages = _stage_matrices(forward, hn)
+    if forward:
+        a = x[..., :h], x[:, None, :, h:], y[..., 0::2], y[..., 1::2]
+        b = y[..., :h], y[:, None, :, h:], x[..., 0::2], x[..., 1::2]
+        for w in stages:
+            u, v, p, q = a
+            np.multiply(w, v, out=m)
+            np.add(m0, m1, out=t)                   # t = w*v
+            np.add(u, t, out=p)
+            np.subtract(u, t, out=q)
+            a, b = b, a
+    else:
+        t1 = t[:, None]
+        a = x[..., 0::2], x[..., 1::2], y[..., :h], y[..., h:]
+        b = y[..., 0::2], y[..., 1::2], x[..., :h], x[..., h:]
+        for w in stages:
+            u, v, p, q = a
             np.subtract(u, v, out=t)
-            np.add(u, v, out=y[..., :h])
-            np.multiply(w, t[:, None], out=m)
-            np.add(m[:, :, 0], m[:, :, 1], out=y[..., h:])  # (u - v)*w
-        x, y = y, x
-    return x
+            np.add(u, v, out=p)
+            np.multiply(w, t1, out=m)
+            np.add(m0, m1, out=q)                   # (u - v)*w
+            a, b = b, a
+    return y if len(stages) & 1 else x
 
 
 def _conjugate_odd_planes(x: np.ndarray) -> None:

@@ -120,9 +120,14 @@ def test_parse_failure_exit(tmp_path, capsys):
 
 
 def _unwritable(capsys, argv, path) -> None:
+    """argv fails on its output path with exit 2, one error line and
+    nothing on stdout: no report of a run whose result was not written."""
+    capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
+    assert captured.out == ""
 
 
 def test_unwritable_out_is_an_error(tmp_path, capsys):
@@ -136,6 +141,24 @@ def test_unwritable_dump_stages_is_an_error(tmp_path, capsys):
     dump = tmp_path / "missing" / "d.csv"
     _unwritable(capsys, ["fft", src, "--engine", "simulator",
                          "--dump-stages", str(dump)], dump)
+
+
+SIM = ["--engine", "simulator"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fft", SIM), ("fft", [*SIM, "--stats", "json"]),
+    ("ifft", SIM), ("ifft", [*SIM, "--stats", "json"]),
+    ("polymul", ["--check"]),
+], ids=["fft-sim", "fft-sim-stats", "ifft-sim", "ifft-sim-stats",
+        "polymul-check"])
+def test_unwritable_out_prints_no_report(tmp_path, capsys, command, extra):
+    src = _write_poly(tmp_path / "a.json", [1.0, -2.0, 0.5, 3.0] * 4)
+    spec = str(tmp_path / "s.json")
+    assert main(["fft", src, "--out", spec]) == 0
+    inputs = {"fft": [src], "ifft": [spec], "polymul": [src, src]}[command]
+    out = tmp_path / "missing" / "x.json"
+    _unwritable(capsys, [command, *inputs, *extra, "--out", str(out)], out)
 
 
 def test_rom_out_dir_that_is_a_file_is_an_error(tmp_path, capsys):

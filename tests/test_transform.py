@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import scalar_fft, scalar_ifft, scalar_polymul
 
+from ringfft import transform
 from ringfft.transform import (
     DomainError,
     OrderTag,
@@ -329,7 +330,7 @@ def _internal(values):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_network_paths_bit_identical_to_scalar_reference(rng, n):
+def test_network_paths_bit_identical_to_scalar_reference(rng, monkeypatch, n):
     polys = {
         "float": rng.uniform(-1e4, 1e4, n).tolist(),
         "int": rng.integers(-127, 128, n).tolist(),
@@ -340,17 +341,23 @@ def test_network_paths_bit_identical_to_scalar_reference(rng, n):
     z[1::5] *= -0.0
     spectra = [scalar_fft(a) for a in polys.values()]
     spectra.append([complex(x, y) for x, y in z])
-    for a in polys.values():
-        assert np.array_equal(_bits(fft_inplace(a).values), _bits(scalar_fft(a)))
-    for values in spectra:
-        assert np.array_equal(_bits(ifft_inplace(_internal(values))),
-                              _bits(scalar_ifft(values)))
-    for a, b in [("float", "int"), ("int", "int"), ("zero", "float")]:
-        got = polymul_via_fft(polys[a], polys[b])
-        assert np.array_equal(_bits(got), _bits(scalar_polymul(polys[a], polys[b])))
-        want = ifft_inplace(pointwise_op(fft_inplace(polys[a]),
-                                         fft_inplace(polys[b]), "mul"))
-        assert np.array_equal(_bits(got), _bits(want))
+    # the path the size selects, then the array path forced at every size,
+    # so that a later move of the crossover is covered already
+    for min_hn in (transform.VECTOR_MIN_HN, 1):
+        monkeypatch.setattr(transform, "VECTOR_MIN_HN", min_hn)
+        for a in polys.values():
+            assert np.array_equal(_bits(fft_inplace(a).values),
+                                  _bits(scalar_fft(a)))
+        for values in spectra:
+            assert np.array_equal(_bits(ifft_inplace(_internal(values))),
+                                  _bits(scalar_ifft(values)))
+        for a, b in [("float", "int"), ("int", "int"), ("zero", "float")]:
+            got = polymul_via_fft(polys[a], polys[b])
+            assert np.array_equal(_bits(got),
+                                  _bits(scalar_polymul(polys[a], polys[b])))
+            want = ifft_inplace(pointwise_op(fft_inplace(polys[a]),
+                                             fft_inplace(polys[b]), "mul"))
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_vector_path_overflow_matches_scalar_silently():
@@ -369,6 +376,42 @@ def test_vector_path_overflow_matches_scalar_silently():
         finite = np.isfinite(np.array(want))
         assert not finite.all()
         assert np.array_equal(np.isfinite(np.array(got)), finite)
+
+
+def _nan(sign, payload):
+    """A quiet NaN of the given sign and payload, as a Python float."""
+    word = (sign << 63) | (0x7FF8 << 48) | payload
+    return float(np.array(word, np.uint64).view(np.float64))
+
+
+@pytest.mark.parametrize("scale", [1.7e308, 1e300, 1e154])
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+def test_array_path_overflow_matches_scalar_to_the_bit(rng, n, scale):
+    # sums and products overflow to inf and inf - inf gives NaN: every
+    # word, NaN sign and payload included, must still be the scalar one's
+    polys = [(rng.uniform(-1, 1, n) * scale).tolist(),
+             (rng.uniform(-1, 1, n) * scale).tolist(), [scale] * n]
+    z = rng.uniform(-1, 1, (n // 2, 2)) * scale
+    nans = [_nan(0, 0), _nan(1, 0), _nan(0, 0x1234), _nan(1, 0xBEEF)]
+    for k, nan in enumerate(nans):
+        z[k * 7 % (n // 2), k % 2] = nan
+        z[(k * 13 + 5) % (n // 2)] = nan
+    spectra = [scalar_fft(a) for a in polys]
+    spectra.append([complex(x, y) for x, y in z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, s in zip(polys, fft_batch(polys), strict=True):
+            want = _bits(scalar_fft(a))
+            assert np.array_equal(_bits(s.values), want)
+            assert np.array_equal(_bits(fft_inplace(a).values), want)
+        for values in spectra:
+            assert np.array_equal(_bits(ifft_inplace(_internal(values))),
+                                  _bits(scalar_ifft(values)))
+        for a, b in [(0, 1), (0, 2), (2, 2)]:
+            want = scalar_polymul(polys[a], polys[b])
+            assert not np.isfinite(want).all()
+            assert np.array_equal(_bits(polymul_via_fft(polys[a], polys[b])),
+                                  _bits(want))
 
 
 @pytest.mark.parametrize("n", SIZES)
