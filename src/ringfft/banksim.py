@@ -16,18 +16,17 @@ built once per (trace, geometry, ROM set), as one read-only plan, and
 kept in one store keyed by the identity of the trace and of each ROM.
 
 The PEs read their twiddles from compressed ROMs only.  Building a plan
-checks the ROM set, decompresses it once into one flat table
-(`twiddles.execution_table`: the wired stage-0 constant, then every
-logical word of every PE, conjugated for the inverse) and lowers the
-trace, by reshaping its dispatch columns, into flat per-stage arrays:
-operand read slots, result write slots and each dispatch's twiddle,
-gathered from that table as the float64 pairs `array_butterfly`
+first asks `twiddles.fetch_twiddles` for the word every dispatch reads,
+which checks the ROM set and each ROM address and conjugates for the
+inverse.  It then lowers the trace, by reshaping its dispatch columns,
+into flat per-stage arrays: operand read slots, result write slots and
+each dispatch's twiddle, as the float64 pairs `array_butterfly`
 multiplies by.  The port ledger's verdict is a property of the plan
 too: building it runs `BankedMemory.claim`, the one statement of the
 ledger rule, on every stage once, against a scratch ledger, and keeps
 each stage's granted count and, for a conflict, the
-`BankConflictError` it raised.  It also checks every memory and ROM
-address, and whether a stage touches a word slot twice, which `execute`
+`BankConflictError` it raised.  It also checks every memory address,
+and whether a stage touches a word slot twice, which `execute`
 rejects: only then does running a stage at once equal running it batch
 by batch.  What a run does (cycles, port accesses per bank, PE
 utilization, exchanges, ROM fetches by kind) is counted in the same
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +61,7 @@ from .transform import (
     internal_spectrum,
     spectrum_array,
 )
-from .twiddles import (S_MAX, WIRED_INDEX, TwiddleError, execution_table,
-                       rom_layout, rom_word_index)
+from .twiddles import S_MAX, fetch_twiddles
 
 
 class BankConflictError(RuntimeError):
@@ -189,7 +186,7 @@ class RunStats:
     pe_utilization: tuple = ()  # per batch, in execution order: busy PEs / n_pe
     input_exchanges: int = 0    # dispatches whose operands arrive swapped
     output_exchanges: int = 0   # dispatches that swap their results
-    wired_fetches: int = 0      # the stage-0 constant, at WIRED_INDEX
+    wired_fetches: int = 0      # the stage-0 constant (ROM address -1)
     stored_fetches: int = 0     # even ROM addresses: stored words
     decompressed_fetches: int = 0  # odd ROM addresses: +/-i * a stored word
 
@@ -222,41 +219,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def _rom_len(n_pe: int) -> int:
-    """Logical words in each ROM of the S_MAX set for n_pe PEs."""
-    return len(rom_layout(n_pe, S_MAX.bit_length() - 2)[0])
-
-
 def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
                 roms) -> _Plan:
     """The plan of trace for one memory geometry and ROM set.
 
-    `roms` must be a compressed ROM set for the trace's PE count: n_pe
-    ROMs of the length `rom_layout` gives.  Anything but compressed ROMs
-    raises TypeError and a set of another shape TwiddleError, before the
-    trace is lowered.
+    `roms` must be the compressed ROM set for the trace's PE count.
+    `fetch_twiddles` checks it, and every ROM address, before the trace
+    is lowered: anything but compressed ROMs raises TypeError, and
+    another set or an address outside it TwiddleError.
     """
     cfg = trace.config
-    table = execution_table(roms, cfg.direction is Direction.FORWARD)
-    size = _rom_len(cfg.n_pe)
-    if len(roms) != cfg.n_pe or roms[0].logical_len != size:
-        raise TwiddleError(
-            f"a ROM set for n_pe={len(roms)} ({roms[0].logical_len} words "
-            f"per ROM) cannot serve an n_pe={cfg.n_pe} run, which reads "
-            f"{cfg.n_pe} ROMs of {size} words")
+    pe, bank0, addr0, bank1, addr1, rom, _, in_ex, out_ex = trace.columns
+    w = fetch_twiddles(roms, cfg.n_pe, pe, rom,
+                       cfg.direction is Direction.FORWARD)
     s_m = cfg.s_m
 
     def memory_index(slots):
         slots = np.asarray(slots, np.int64)
         return _frozen(slots // s_m * capacity + slots % s_m)
 
-    pe, bank0, addr0, bank1, addr1, rom, _, in_ex, out_ex = trace.columns
     read_banks, offsets = np.stack((bank0, bank1)), np.stack((addr0, addr1))
     if (read_banks.min() < 0 or read_banks.max() >= n_banks
             or offsets.min() < 0 or offsets.max() >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
-    tw = rom_word_index(pe, rom, cfg.n_pe, size)  # TwiddleError if bad
     s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
     u = np.where(in_ex, s1, s0)
     v = np.where(in_ex, s0, s1)
@@ -286,7 +271,7 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
 
     uv = _frozen(np.stack((u, v), axis=1).reshape(steps, -1))
     lohi = _frozen(np.stack((lo, hi), axis=1).reshape(steps, -1))
-    w = table[tw.reshape(steps, -1)]
+    w = w.reshape(steps, -1)
     wr2 = _frozen(np.repeat(w.real, 2, axis=1))
     wi2 = _frozen(np.repeat(w.imag, 2, axis=1))
     # Each dispatch writes back the two slots it read, so distinct reads
@@ -304,7 +289,7 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         pe_utilization=tuple((busy / cfg.n_pe).ravel().tolist()),
         input_exchanges=int(in_ex.sum()),
         output_exchanges=int(out_ex.sum()),
-        wired_fetches=int((tw == WIRED_INDEX).sum()),
+        wired_fetches=int((parity < 0).sum()),
         stored_fetches=int((parity == 0).sum()),
         decompressed_fetches=int((parity == 1).sum()))
     return _Plan(

@@ -22,12 +22,14 @@ fills the per-PE images from the table in that order and `compress_rom`
 halves them.  Compression stores only the entries at even ROM
 addresses; the odd-address neighbour of every pair equals +/- i times
 its even partner, so hardware recovers it by swapping the real/imaginary
-words and negating one sign bit.  Both operations are exact on IEEE-754
-doubles, which is what makes the compressed and uncompressed paths
-bit-identical, and `compress_rom` accepts a pair only when it is exact.
-`fetch_twiddle` serves one word at a time; the simulator instead reads
-`execution_table`, which decompresses a whole ROM set for one direction
-into one flat array, once per simulator plan.
+words and negating one sign bit.  That rule is stated once, by
+`_times_i`, which the odd twiddles, compression, decompression and both
+fetches share.  Both operations are exact on IEEE-754 doubles, which is
+what makes the compressed and uncompressed paths bit-identical, and
+`compress_rom` accepts a pair only when it is exact.  `fetch_twiddle`
+serves one word at a time; `fetch_twiddles`, its array form, checks a
+whole ROM set, decompresses it once and serves the words a schedule
+reads, so no other module knows how a ROM set is laid out.
 
 Stage 0 is a special case: every run of every size shares the single
 constant w(0,0) = exp(i*pi/4), which has no +/-i partner anywhere in the
@@ -46,6 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 S_MAX = 1024
+PE_COUNTS = (1, 2, 4, 8)
+"""The PE counts a ROM set and a schedule are built for."""
 
 
 class TwiddleError(ValueError):
@@ -68,6 +72,12 @@ def gray_code(t: int) -> int:
     return t ^ (t >> 1)
 
 
+def _times_i(a: complex, sign: int = 1) -> complex:
+    """sign * i * a for sign = +1 or -1, exactly: the parts swap and one
+    of them changes sign."""
+    return complex(-sign * a.imag, sign * a.real)
+
+
 def stage_twiddle(sg: int, g: int) -> complex:
     """Canonical stage-sg group-g twiddle.
 
@@ -76,8 +86,7 @@ def stage_twiddle(sg: int, g: int) -> complex:
     decompression reproduce table entries bit-for-bit.
     """
     if g & 1:
-        even = stage_twiddle(sg, g - 1)
-        return complex(-even.imag, even.real)
+        return _times_i(stage_twiddle(sg, g - 1))
     ang = math.pi * (2 * bit_reverse(g, sg + 1) + 1) / (1 << (sg + 2))
     return complex(math.cos(ang), math.sin(ang))
 
@@ -177,7 +186,7 @@ class RomImage:
 def split_roms(table: TwiddleTable, n_pe: int) -> list[RomImage]:
     """Distribute the table into one consumption-ordered image per PE,
     laid out by `rom_layout`."""
-    if n_pe not in (1, 2, 4, 8):
+    if n_pe not in PE_COUNTS:
         raise TwiddleError(f"n_pe must be a power of two in 1..8, got {n_pe}")
     bases = stage_rom_bases(n_pe, table.stages)
     stage, group = (a.tolist() for a in rom_layout(n_pe, table.stages))
@@ -220,8 +229,8 @@ def compress_rom(rom: RomImage) -> CompressedRom:
         raise TwiddleError(
             f"ROM image for PE {rom.pe} has odd length {len(ent)}")
     stored, odd = ent[0::2], ent[1::2]
-    signs = tuple(1 if _word(b) == _word(complex(-a.imag, a.real)) else -1
-                  for a, b in zip(stored, odd))  # i*a, else -i*a
+    signs = tuple(1 if _word(b) == _word(_times_i(a)) else -1
+                  for a, b in zip(stored, odd))
     out = CompressedRom(pe_index=rom.pe, stored=stored, pair_signs=signs,
                         stage_bases=rom.stage_bases)
     for t, (got, want) in enumerate(zip(decompress_rom(out)[1::2], odd)):
@@ -236,12 +245,8 @@ def compress_rom(rom: RomImage) -> CompressedRom:
 def decompress_rom(rom: CompressedRom) -> tuple:
     """Exact inverse of compress_rom (component swaps only)."""
     out = []
-    for t, a in enumerate(rom.stored):
-        out.append(a)
-        if rom.pair_signs[t] > 0:
-            out.append(complex(-a.imag, a.real))
-        else:
-            out.append(complex(a.imag, -a.real))
+    for a, sign in zip(rom.stored, rom.pair_signs):
+        out += a, _times_i(a, sign)
     return tuple(out)
 
 
@@ -253,48 +258,24 @@ def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> comple
             f"ROM address {addr} out of range 0..{rom.logical_len - 1}")
     a = rom.stored[addr >> 1]
     if addr & 1:
-        if rom.pair_signs[addr >> 1] > 0:
-            a = complex(-a.imag, a.real)
-        else:
-            a = complex(a.imag, -a.real)
+        a = _times_i(a, rom.pair_signs[addr >> 1])
     if not forward:
         a = complex(a.real, -a.imag)
     return a
 
 
-WIRED_INDEX = 0
-"""Position of the wired stage-0 constant in every execution table."""
+def fetch_twiddles(roms, n_pe: int, pe, addr,
+                   forward: bool = True) -> np.ndarray:
+    """The array form of `fetch_twiddle`: word addr[j] of PE pe[j]'s ROM
+    in the compressed ROM set `roms`, elementwise over integer arrays,
+    as complex128 and conjugated for the inverse.  Address -1 is the
+    wired stage-0 constant.
 
-
-def rom_word_index(pe, addr, n_pe: int, logical_len: int) -> np.ndarray:
-    """Execution-table position of logical word `addr` of PE `pe`'s ROM,
-    elementwise over arrays; address -1 selects the wired constant.
-
-    The words of PE p follow the wired one at stride `logical_len`.  A
-    PE outside 0..n_pe-1 or an address outside -1..logical_len-1 raises
-    TwiddleError, since a flat table would otherwise quietly serve a
-    word of the neighbouring PE.
-    """
-    pe = np.asarray(pe, np.int64)
-    addr = np.asarray(addr, np.int64)
-    bad = (pe < 0) | (pe >= n_pe) | (addr < -1) | (addr >= logical_len)
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        raise TwiddleError(
-            f"ROM address {int(addr.flat[j])} of PE {int(pe.flat[j])} out of "
-            f"range 0..{logical_len - 1} (PEs 0..{n_pe - 1})")
-    return np.where(addr < 0, WIRED_INDEX, 1 + pe * logical_len + addr)
-
-
-def execution_table(roms, forward: bool = True) -> np.ndarray:
-    """Every twiddle a run on the compressed ROM set `roms` can read, in
-    one read-only complex128 array: the wired stage-0 constant at
-    WIRED_INDEX, then each PE's decompressed logical words (see
-    `rom_word_index`), all conjugated for the inverse direction.
-
-    Anything but a non-empty sequence of CompressedRom raises TypeError,
-    and ROMs of different lengths TwiddleError.  The simulator builds
-    the table once per plan (`banksim`), not once per run.
+    The set is checked before any word is served.  Anything but a
+    non-empty sequence of CompressedRom raises TypeError; ROMs of
+    different lengths, a set not built for n_pe PEs, and a PE or an
+    address outside the set raise TwiddleError.  The set is then
+    decompressed once for the whole gather.
     """
     bad = [type(r).__name__ for r in roms if not isinstance(r, CompressedRom)]
     if bad or not roms:
@@ -302,14 +283,28 @@ def execution_table(roms, forward: bool = True) -> np.ndarray:
                         f"{type(roms).__name__} holding {', '.join(bad) or 'nothing'}")
     if len({rom.logical_len for rom in roms}) != 1:
         raise TwiddleError("the ROMs of one set differ in logical length")
+    size = stage_rom_bases(n_pe, S_MAX.bit_length() - 1)[-1]
+    if len(roms) != n_pe or roms[0].logical_len != size:
+        raise TwiddleError(
+            f"a ROM set for n_pe={len(roms)} ({roms[0].logical_len} words "
+            f"per ROM) cannot serve an n_pe={n_pe} run, which reads "
+            f"{n_pe} ROMs of {size} words")
+    pe = np.asarray(pe, np.int64)
+    addr = np.asarray(addr, np.int64)
+    bad = (pe < 0) | (pe >= n_pe) | (addr < -1) | (addr >= size)
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise TwiddleError(
+            f"ROM address {int(addr.flat[j])} of PE {int(pe.flat[j])} out of "
+            f"range 0..{size - 1} (PEs 0..{n_pe - 1})")
+    # one flat array: the wired word, then PE p's words from 1 + p * size,
+    # so an unchecked address past one ROM would read the next PE's words
     words = [stage0_constant()]
     for rom in roms:
         words.extend(decompress_rom(rom))
-    table = np.array(words, np.complex128)
-    if not forward:
-        table = table.conj()
-    table.flags.writeable = False
-    return table
+    w = np.array(words, np.complex128)[
+        np.where(addr < 0, 0, 1 + pe * size + addr)]
+    return w if forward else w.conj()
 
 
 @lru_cache(maxsize=None)

@@ -26,11 +26,12 @@ from .transform import (
     slot_eval_map,
 )
 from .twiddles import (
+    PE_COUNTS,
     S_MAX,
     build_rom_set,
     compress_rom,
     decompress_rom,
-    execution_table,
+    fetch_twiddles,
     stage0_constant,
 )
 
@@ -38,7 +39,6 @@ TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
                 256: 448, 512: 1024, 1024: 2304}
 
 SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
-PE_COUNTS = (1, 2, 4, 8)
 
 
 class Check(NamedTuple):
@@ -101,18 +101,22 @@ def _bits(words) -> np.ndarray:
 
 
 def rom_bit_exact(images, roms) -> bool:
-    """Compression round-trips every image bit for bit, and the
-    execution tables the simulator reads hold exactly the images'
-    entries behind the wired constant (conjugated for the inverse)."""
+    """Compression round-trips every image bit for bit, and for every
+    PE and address, the wired -1 included, `fetch_twiddles` serves
+    exactly the image's entry or the wired constant, conjugated for the
+    inverse."""
     for img in images:
         if not np.array_equal(_bits(decompress_rom(compress_rom(img))),
                               _bits(img.entries)):
             return False
-    words = np.array([stage0_constant(),
-                      *(w for img in images for w in img.entries)])
-    return (np.array_equal(_bits(execution_table(roms, True)), _bits(words))
-            and np.array_equal(_bits(execution_table(roms, False)),
-                               _bits(words.conj())))
+    n_pe, size = len(images), len(images[0].entries)
+    pe = np.repeat(np.arange(n_pe), size + 1)
+    addr = np.tile(np.arange(-1, size), n_pe)
+    words = np.array([w for img in images
+                      for w in (stage0_constant(), *img.entries)])
+    return all(np.array_equal(_bits(fetch_twiddles(roms, n_pe, pe, addr, fwd)),
+                              _bits(words if fwd else words.conj()))
+               for fwd in (True, False))
 
 
 def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:

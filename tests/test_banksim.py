@@ -23,7 +23,7 @@ from ringfft.scheduler import (
     cycle_count,
 )
 from ringfft.transform import Direction, Spectrum, fft_inplace, ifft_inplace
-from ringfft.twiddles import TwiddleError, build_rom_set, execution_table
+from ringfft.twiddles import TwiddleError, build_rom_set, fetch_twiddles
 from ringfft.verify import max_abs_error, relative_bound
 
 ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
@@ -616,9 +616,9 @@ def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
 
     def counted(*args):
         tables.append(args)
-        return execution_table(*args)
+        return fetch_twiddles(*args)
 
-    monkeypatch.setattr(banksim, "execution_table", counted)
+    monkeypatch.setattr(banksim, "fetch_twiddles", counted)
     for npe in (2, 4):
         roms = build_rom_set.__wrapped__(1024, npe)[2]  # held by no cache
         rom_ids = set(map(id, roms))
@@ -634,7 +634,7 @@ def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
                 plan = banksim._plans[id(trace), cfg.banks, *map(id, roms)]
                 for st in plan.stages:
                     assert not (st.wr2.flags.writeable or st.wi2.flags.writeable)
-            assert len(tables) == 2  # one table per plan, none per run
+            assert len(tables) == 2  # one fetch per plan, none per run
             tables.clear()
             key = (id(own), cfg.banks, *map(id, roms))
             del own, trace, plan

@@ -518,3 +518,27 @@ def test_dump_stages_of_a_run_without_stages_is_the_header(tmp_path, capsys):
                  "--dump-stages", str(dump)]) == 0
     assert capsys.readouterr().out.startswith("cycles=0\n")
     assert dump.read_text() == "stage,cycle,bank,offset,re,im\n"
+
+
+@pytest.mark.parametrize("npe", [0, 3, 5, 16])
+@pytest.mark.parametrize("n", [2, 4])
+def test_simulator_rejects_a_pe_count_at_every_size(tmp_path, capsys, n, npe):
+    # n = 2 builds no schedule, yet gets the message every other size gets
+    src = _write_poly(tmp_path / "a.json", [3.0, 4.0, 1.0, 2.0][:n])
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"order": "falcon_internal",
+                                "values": [[3.0, 4.0], [1.0, 2.0]][:n // 2]}))
+    for argv in (["fft", src], ["ifft", str(spec)]):
+        assert main([*argv, "--engine", "simulator", "--npe", str(npe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: n_pe must be in (1, 2, 4, 8), got {npe}\n")
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --seed must be a non-negative integer, got -1\n")

@@ -1,5 +1,5 @@
-"""Property tests: the flat execution table serves exactly the words the
-scalar `fetch_twiddle` serves, and rejects every address outside a ROM."""
+"""Property tests: `fetch_twiddles` serves exactly the words the scalar
+`fetch_twiddle` serves, and rejects every address outside a ROM set."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from ringfft.twiddles import (  # noqa: E402
-    WIRED_INDEX,
     TwiddleError,
     build_rom_set,
-    execution_table,
     fetch_twiddle,
-    rom_word_index,
+    fetch_twiddles,
     stage0_constant,
 )
 
@@ -36,41 +34,39 @@ def lookups(draw):
 
 
 @hypothesis.given(lookups())
-def test_table_word_equals_scalar_fetch_bit_for_bit(case):
+def test_array_fetch_equals_scalar_fetch_bit_for_bit(case):
     roms, forward, pairs = case
     n_pe, size = len(roms), roms[0].logical_len
-    table = execution_table(roms, forward)
-    assert len(table) == 1 + n_pe * size
     wired = stage0_constant()
-    assert _bits(table[WIRED_INDEX]) == _bits(wired if forward else wired.conjugate())
     for pe, addr in pairs:
         if not -1 <= addr < size:
             with pytest.raises(TwiddleError):
-                rom_word_index(pe, addr, n_pe, size)
+                fetch_twiddles(roms, n_pe, pe, addr, forward)
             with pytest.raises(TwiddleError):
                 fetch_twiddle(roms[pe], addr, forward)
             continue
-        at = int(rom_word_index(pe, addr, n_pe, size))
-        if addr < 0:
-            assert at == WIRED_INDEX
-        else:
-            assert _bits(table[at]) == _bits(fetch_twiddle(roms[pe], addr, forward))
+        want = (fetch_twiddle(roms[pe], addr, forward) if addr >= 0 else
+                wired if forward else wired.conjugate())
+        assert _bits(fetch_twiddles(roms, n_pe, pe, addr, forward)) == _bits(want)
     # the whole batch at once, as lowering asks: one bad pair rejects it
     pe, addr = map(np.array, zip(*pairs))
     if ((addr < -1) | (addr >= size)).any():
-        with pytest.raises(TwiddleError):
-            rom_word_index(pe, addr, n_pe, size)
+        with pytest.raises(TwiddleError, match="out of range"):
+            fetch_twiddles(roms, n_pe, pe, addr, forward)
     else:
-        at = rom_word_index(pe, addr, n_pe, size)
-        assert at.tolist() == [int(rom_word_index(p, a, n_pe, size))
-                               for p, a in pairs]
+        words = fetch_twiddles(roms, n_pe, pe, addr, forward)
+        assert words.dtype == np.complex128
+        assert words.view(np.uint64).tolist() == [
+            w for p, a in pairs
+            for w in _bits(fetch_twiddles(roms, n_pe, p, a, forward))]
 
 
 @hypothesis.given(st.sampled_from((1, 2, 4, 8)), st.integers(-3, 10))
 def test_pe_outside_the_set_is_rejected(n_pe, pe):
-    size = build_rom_set(1024, n_pe)[2][0].logical_len
+    roms = build_rom_set(1024, n_pe)[2]
     if 0 <= pe < n_pe:
-        assert int(rom_word_index(pe, 0, n_pe, size)) == 1 + pe * size
+        assert (_bits(fetch_twiddles(roms, n_pe, pe, 0))
+                == _bits(fetch_twiddle(roms[pe], 0)))
     else:
-        with pytest.raises(TwiddleError):
-            rom_word_index(pe, 0, n_pe, size)
+        with pytest.raises(TwiddleError, match=f"of PE {pe} out of range"):
+            fetch_twiddles(roms, n_pe, pe, 0)

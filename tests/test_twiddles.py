@@ -12,8 +12,8 @@ from ringfft.twiddles import (
     build_twiddle_table,
     compress_rom,
     decompress_rom,
-    execution_table,
     fetch_twiddle,
+    fetch_twiddles,
     gray_code,
     rom_layout,
     split_roms,
@@ -283,13 +283,15 @@ def test_dump_rom(tmp_path):
     assert "pair_signs" in text and "stage_base 8" in text
 
 
-def test_execution_table_is_read_only_and_conjugated_for_the_inverse():
+def test_fetched_twiddles_are_conjugated_for_the_inverse():
     _, images, roms = build_rom_set(1024, 2)
-    fwd, inv = execution_table(roms, True), execution_table(roms, False)
-    assert not fwd.flags.writeable and not inv.flags.writeable
+    pe, addr = np.repeat([0, 1], 257), np.tile(np.arange(-1, 256), 2)
+    fwd = fetch_twiddles(roms, 2, pe, addr, True)
+    inv = fetch_twiddles(roms, 2, pe, addr, False)
     assert np.array_equal(inv.view(np.uint64), fwd.conj().view(np.uint64))
     # another sequence of the same ROMs, and equal contents in fresh
     # objects, give the same words
     for other in (list(roms), tuple(compress_rom(img) for img in images)):
-        assert np.array_equal(execution_table(other, True).view(np.uint64),
-                              fwd.view(np.uint64))
+        assert np.array_equal(
+            fetch_twiddles(other, 2, pe, addr, True).view(np.uint64),
+            fwd.view(np.uint64))

@@ -20,8 +20,8 @@ def _run(monkeypatch, sim_class):
 
 def test_uncompressed_mismatch_fails_only_its_own_check(monkeypatch):
     # flip the lowest mantissa bit of one decompressed word, then of the
-    # last word of one execution table, as the ROM check sees them
-    for skew in ("decompress_rom", "execution_table"):
+    # last word one array fetch serves, as the ROM check sees them
+    for skew in ("decompress_rom", "fetch_twiddles"):
         real = getattr(verify, skew)
 
         def skewed(*args, real=real):
