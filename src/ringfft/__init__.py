@@ -26,7 +26,6 @@ from .transform import (
     fft_ref,
     ifft_inplace,
     ifft_ref,
-    omega,
     pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
@@ -39,7 +38,6 @@ __all__ = [
     "Direction",
     "OrderTag",
     "Spectrum",
-    "omega",
     "fft_ref",
     "ifft_ref",
     "fft_inplace",

@@ -22,17 +22,17 @@ inverse.  It then lowers the trace, by reshaping its dispatch columns,
 into flat per-stage arrays: operand read slots, result write slots and
 each dispatch's twiddle, as the float64 pairs `array_butterfly`
 multiplies by.  The port ledger's verdict is a property of the plan
-too: building it runs `BankedMemory.claim`, the one statement of the
-ledger rule, on every stage once, against a scratch ledger, and keeps
-each stage's granted count and, for a conflict, the
-`BankConflictError` it raised.  It also checks every memory address,
-and whether a stage touches a word slot twice, which `execute`
-rejects: only then does running a stage at once equal running it batch
-by batch.  What a run does (cycles, port accesses per bank, PE
-utilization, exchanges, ROM fetches by kind) is counted in the same
-pass, as the plan's `RunStats`, and whether the last stage leaves the
-words in natural order is decided there too.  The plan's initial and
-final memory indices place the words a run loads and reads back.
+too: building it runs `_port_ledger`, the one statement of the ledger
+rule, on every stage once and keeps each stage's granted count and,
+for a conflict, the arguments of the `BankConflictError` it names.  It
+also checks every memory address, and whether a stage touches a word
+slot twice, which `execute` rejects: only then does running a stage at
+once equal running it batch by batch.  What a run does (cycles, port
+accesses per bank, PE utilization, exchanges, ROM fetches by kind) is
+counted in the same pass, as the plan's `RunStats`, and whether the
+last stage leaves the words in natural order is decided there too.
+The plan's initial and final memory indices place the words a run
+loads and reads back.
 
 `execute` adds each stage's granted count to the memory's port accesses
 and raises its conflict before the stage touches memory; otherwise the
@@ -57,8 +57,8 @@ from .transform import (
     OrderTag,
     Spectrum,
     coefficient_rows,
-    conjugate_odd_slots,
     internal_spectrum,
+    negate_odd,
     spectrum_array,
 )
 from .twiddles import S_MAX, fetch_twiddles
@@ -127,8 +127,33 @@ def array_butterfly(u: np.ndarray, v: np.ndarray, wr2: np.ndarray,
         np.add(b[0::2], a[1::2], out=y[1::2])
 
 
+def _port_ledger(banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
+                 first_cycle: int, n_banks: int) -> tuple:
+    """The single-port rule on a run of port accesses, listed in the
+    order they are made: (granted, conflict).
+
+    Access j uses bank banks[j] (in range(n_banks)) in cycle
+    first_cycle + epochs[j] on behalf of PE pes[j]; epochs never
+    decrease.  A bank serves one access per cycle.  conflict is None, or
+    the `BankConflictError` arguments (cycle, bank, (first user, second
+    user)) of the first access to a bank already used in its cycle;
+    granted counts the accesses before it.
+    """
+    keys = epochs * n_banks + banks
+    _, first = np.unique(keys, return_index=True)
+    if len(first) == len(keys):
+        return len(keys), None
+    repeat = np.ones(len(keys), bool)
+    repeat[first] = False
+    j = int(repeat.argmax())
+    i = int((keys == keys[j]).argmax())
+    epoch, bank = divmod(int(keys[j]), n_banks)
+    return j, (first_cycle + epoch, bank, (int(pes[i]), int(pes[j])))
+
+
 class BankedMemory:
-    """M single-port banks of complex words with per-cycle port ledger.
+    """M single-port banks of complex words, and a count of the port
+    accesses made to them.
 
     The words live in one complex128 array, bank-major: (bank, addr) is
     element bank * capacity + addr of `words`.
@@ -139,30 +164,6 @@ class BankedMemory:
         self.capacity = S_MAX // (2 * n_banks)
         self.words = np.zeros(n_banks * self.capacity, np.complex128)
         self.port_accesses = 0
-
-    def claim(self, banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
-              first_cycle: int) -> None:
-        """Grant a run of port accesses, listed in the order they are made.
-
-        Access j uses bank banks[j] (in range(n_banks)) in cycle
-        first_cycle + epochs[j] on behalf of PE pes[j]; epochs never
-        decrease.  A bank serves one access per cycle: the first access
-        to a bank already used in its cycle raises BankConflictError
-        with that cycle, the bank and (first user, second user), and
-        only the accesses before it count as granted.
-        """
-        keys = epochs * self.n_banks + banks
-        if len(keys) and np.bincount(keys).max() > 1:
-            first_user: dict[int, int] = {}
-            for j, key in enumerate(keys.tolist()):
-                if key in first_user:
-                    self.port_accesses += j
-                    epoch, bank = divmod(key, self.n_banks)
-                    raise BankConflictError(
-                        first_cycle + epoch, bank,
-                        (int(pes[first_user[key]]), int(pes[j])))
-                first_user[key] = j
-        self.port_accesses += len(keys)
 
     def snapshot(self, s_m: int):
         """(bank, offset, value) over the run-effective region."""
@@ -252,22 +253,15 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     # dispatch's two reads (bank0, bank1), then every dispatch's two
     # writes (lo, hi), so access j of a stage falls in epoch j // 2width.
     # The ledger's verdict on them depends on nothing else, so it is
-    # taken here, once, on a scratch ledger per stage.
+    # taken here, once per stage.
     steps, batches, width = pe.shape
     reads = np.stack((bank0, bank1), axis=-1)
     writes = np.stack((lo, hi), axis=-1) // capacity
     banks = np.concatenate((reads, writes), axis=2).reshape(steps, -1)
     pes = np.tile(np.repeat(pe, 2, axis=2), 2).reshape(steps, -1)
     epochs = np.arange(4 * width * batches) // (2 * width)
-    verdicts = []
-    for k in range(steps):
-        ledger = BankedMemory(n_banks)
-        try:
-            ledger.claim(banks[k], epochs, pes[k], 2 * batches * k)
-            conflict = None
-        except BankConflictError as e:
-            conflict = (e.cycle, e.bank, e.pes)
-        verdicts.append((ledger.port_accesses, conflict))
+    verdicts = [_port_ledger(banks[k], epochs, pes[k], 2 * batches * k,
+                             n_banks) for k in range(steps)]
 
     uv = _frozen(np.stack((u, v), axis=1).reshape(steps, -1))
     lohi = _frozen(np.stack((lo, hi), axis=1).reshape(steps, -1))
@@ -417,7 +411,7 @@ class Simulator:
         if len(s.values) != hn:
             raise DomainError(f"expected {hn} spectrum values")
         z = spectrum_array(s)
-        conjugate_odd_slots(z)
+        negate_odd(z.imag)
         self.mem.words[_plan(self.trace, self.mem, self.roms).initial] = z
 
     def run(self, stage_hook=None) -> int:
@@ -435,7 +429,7 @@ class Simulator:
         plan = _plan(self.trace, self.mem, self.roms)
         z = self.mem.words[plan.final]
         if self.cfg.direction is Direction.FORWARD:
-            conjugate_odd_slots(z)
+            negate_odd(z.imag)
             return internal_spectrum(z)
         if not plan.natural:
             raise RuntimeError("inverse run did not restore natural order")

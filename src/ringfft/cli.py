@@ -34,7 +34,7 @@ from .transform import (
     polymul_negacyclic_oracle,
     polymul_via_fft,
 )
-from .twiddles import PE_COUNTS, S_MAX, build_rom_set, dump_rom
+from .twiddles import S_MAX, build_rom_set, check_pe_count, dump_rom
 
 
 class CliError(Exception):
@@ -128,18 +128,11 @@ def _run_report(cycles: int, stats: RunStats, args) -> list[str]:
     return report
 
 
-def _check_pe_count(n_pe) -> None:
-    """At n = 2 no schedule is built, so --npe is checked here, with
-    the message `ScheduleConfig` gives at every other size."""
-    if n_pe not in PE_COUNTS:
-        raise CliError(f"n_pe must be in {PE_COUNTS}, got {n_pe}")
-
-
 def _sim_run_forward(a, n_pe, dump_path=None):
     dump_lines = ["stage,cycle,bank,offset,re,im"]
     if len(a) == 2:
         # the packed word already is the transform: no stage, no cycles
-        _check_pe_count(n_pe)
+        check_pe_count(n_pe)
         result = fft_inplace(a), 0, RunStats()
     else:
         cfg = ScheduleConfig(n=len(a), n_pe=n_pe, direction=Direction.FORWARD)
@@ -161,7 +154,7 @@ def _sim_run_forward(a, n_pe, dump_path=None):
 
 def _sim_run_inverse(s: Spectrum, n_pe):
     if len(s.values) == 1:
-        _check_pe_count(n_pe)
+        check_pe_count(n_pe)
         return ifft_inplace(s), 0, RunStats()
     cfg = ScheduleConfig(n=2 * len(s.values), n_pe=n_pe,
                          direction=Direction.INVERSE)
@@ -246,14 +239,14 @@ def cmd_rom(args) -> int:
         raise CliError(f"cannot write {outdir}: {e}")
     total = 0
     for rom in roms:
-        data = outdir / f"rom_pe{rom.pe_index}.bin"
-        sidecar = outdir / f"rom_pe{rom.pe_index}.txt"
+        data = outdir / f"rom_pe{rom.pe}.bin"
+        sidecar = outdir / f"rom_pe{rom.pe}.txt"
         try:
             dump_rom(rom, data, sidecar)
         except OSError as e:
             raise CliError(f"cannot write {data}: {e}")
         total += len(rom.stored)
-        print(f"pe{rom.pe_index}: {len(rom.stored)} stored entries "
+        print(f"pe{rom.pe}: {len(rom.stored)} stored entries "
               f"({16 * len(rom.stored)} bytes) -> {data}")
     print(f"total stored entries={total} bytes={16 * total}")
     return 0

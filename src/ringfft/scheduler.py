@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .transform import Direction, DomainError
-from .twiddles import PE_COUNTS, S_MAX, rom_layout
+from .twiddles import S_MAX, check_pe_count, rom_layout
 
 
 class ScheduleError(ValueError):
@@ -80,8 +80,7 @@ class ScheduleConfig:
         if self.n < 4 or self.n > S_MAX or self.n & (self.n - 1):
             raise ScheduleError(
                 f"n must be a power of two in 4..{S_MAX}, got {self.n}")
-        if self.n_pe not in PE_COUNTS:
-            raise ScheduleError(f"n_pe must be in {PE_COUNTS}, got {self.n_pe}")
+        check_pe_count(self.n_pe, ScheduleError)
         if self.n_pe > self.n // 4 and self.n != 4:
             raise ScheduleError(
                 f"n_pe={self.n_pe} exceeds the {self.n // 4} butterflies "

@@ -114,16 +114,6 @@ def _validate_spectrum_length(hn: int) -> None:
             f"got {hn}")
 
 
-def omega(k: int, n: int) -> complex:
-    """k-th complex root of x^n + 1: exp(i*pi*(2k+1)/n)."""
-    if n < 2 or n & (n - 1):
-        raise DomainError(f"n must be a power of two >= 2, got {n}")
-    if not 0 <= k < n:
-        raise DomainError(f"root index {k} out of range 0..{n - 1}")
-    theta = math.pi * (2 * k + 1) / n
-    return complex(math.cos(theta), math.sin(theta))
-
-
 def _ref_angles(j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """pi*j*(2k+1)/n with the integer j*(2k+1) first reduced mod 2n,
     which exp's period of 2*pi allows.  An angle's rounding error grows
@@ -286,11 +276,13 @@ def spectrum_array(s: Spectrum) -> np.ndarray:
     return np.array(s.values if s.words is None else s.words, np.complex128)
 
 
-def conjugate_odd_slots(z: np.ndarray) -> None:
-    """Conjugate, in place, the slots `slot_eval_map` marks conjugated:
-    exactly the odd ones."""
-    im = z.imag[1::2]
-    np.negative(im, out=im)
+def negate_odd(im: np.ndarray) -> None:
+    """Negate, in place, the odd elements along im's last axis.  On the
+    imaginary parts of spectrum words (`z.imag`, or the imaginary planes
+    `x[:, 1]` of a plane stack) that conjugates the slots
+    `slot_eval_map` marks conjugated: exactly the odd ones."""
+    odd = im[..., 1::2]
+    np.negative(odd, out=odd)
 
 
 def _array_path(a) -> bool:
@@ -393,18 +385,12 @@ def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
     return y if len(stages) & 1 else x
 
 
-def _conjugate_odd_planes(x: np.ndarray) -> None:
-    """`conjugate_odd_slots` on a (B, 2, hn) stack of planes."""
-    im = x[:, 1, 1::2]
-    np.negative(im, out=im)
-
-
 def _forward_planes(c: np.ndarray) -> np.ndarray:
     """Pack, forward network, readout conjugation over the rows of a
     (B, n) coefficient array: word k = a_k + i*a_{k+n/2} makes the
     array's (B, 2, n/2) reshape the packed planes.  Overwrites c."""
     r = _run_planes(c.reshape(len(c), 2, -1), True)
-    _conjugate_odd_planes(r)
+    negate_odd(r[:, 1])
     return r
 
 
@@ -412,7 +398,7 @@ def _inverse_planes(x: np.ndarray) -> list:
     """Input conjugation, inverse network, scaling and unpacking of a
     (B, 2, hn) stack of spectrum planes: B coefficient lists.
     Overwrites x."""
-    _conjugate_odd_planes(x)
+    negate_odd(x[:, 1])
     r = _run_planes(x, False)
     np.multiply(r, 2.0 / (2 * r.shape[-1]), out=r)
     return r.reshape(len(r), -1).tolist()

@@ -23,13 +23,15 @@ halves them.  Compression stores only the entries at even ROM
 addresses; the odd-address neighbour of every pair equals +/- i times
 its even partner, so hardware recovers it by swapping the real/imaginary
 words and negating one sign bit.  That rule is stated once, by
-`_times_i`, which the odd twiddles, compression, decompression and both
-fetches share.  Both operations are exact on IEEE-754 doubles, which is
-what makes the compressed and uncompressed paths bit-identical, and
-`compress_rom` accepts a pair only when it is exact.  `fetch_twiddle`
-serves one word at a time; `fetch_twiddles`, its array form, checks a
-whole ROM set, decompresses it once and serves the words a schedule
-reads, so no other module knows how a ROM set is laid out.
+`_times_i` on the (re, im) parts, which the odd twiddles, compression,
+decompression and both fetches share: on floats for one word, on
+float64 arrays for a whole ROM or ROM set.  Both operations are exact
+on IEEE-754 doubles, which is what makes the compressed and
+uncompressed paths bit-identical, and `compress_rom` accepts a pair
+only when it is exact.  `fetch_twiddle` serves one word at a time;
+`fetch_twiddles`, its array form, checks a whole ROM set, decompresses
+it once and serves the words a schedule reads, so no other module
+knows how a ROM set is laid out.
 
 Stage 0 is a special case: every run of every size shares the single
 constant w(0,0) = exp(i*pi/4), which has no +/-i partner anywhere in the
@@ -41,7 +43,6 @@ in the README.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +59,12 @@ class TwiddleError(ValueError):
     +/-i multiples of each other."""
 
 
+def check_pe_count(n_pe, error=TwiddleError) -> None:
+    """Raise `error` unless n_pe is one of PE_COUNTS."""
+    if n_pe not in PE_COUNTS:
+        raise error(f"n_pe must be in {PE_COUNTS}, got {n_pe}")
+
+
 def bit_reverse(x: int, bits: int) -> int:
     """Reverse the low `bits` bits of x."""
     y = 0
@@ -72,10 +79,11 @@ def gray_code(t: int) -> int:
     return t ^ (t >> 1)
 
 
-def _times_i(a: complex, sign: int = 1) -> complex:
-    """sign * i * a for sign = +1 or -1, exactly: the parts swap and one
-    of them changes sign."""
-    return complex(-sign * a.imag, sign * a.real)
+def _times_i(re, im, sign=1) -> tuple:
+    """The (re, im) parts of sign * i * (re + i*im) for sign = +1 or -1,
+    exactly: the parts swap and one of them changes sign.  Works alike
+    on floats and, elementwise, on float64 arrays."""
+    return -sign * im, sign * re
 
 
 def stage_twiddle(sg: int, g: int) -> complex:
@@ -86,7 +94,8 @@ def stage_twiddle(sg: int, g: int) -> complex:
     decompression reproduce table entries bit-for-bit.
     """
     if g & 1:
-        return _times_i(stage_twiddle(sg, g - 1))
+        a = stage_twiddle(sg, g - 1)
+        return complex(*_times_i(a.real, a.imag))
     ang = math.pi * (2 * bit_reverse(g, sg + 1) + 1) / (1 << (sg + 2))
     return complex(math.cos(ang), math.sin(ang))
 
@@ -177,8 +186,6 @@ class RomImage:
     writes.
     """
     pe: int
-    n_pe: int
-    n_max: int
     entries: tuple
     stage_bases: tuple
 
@@ -186,12 +193,10 @@ class RomImage:
 def split_roms(table: TwiddleTable, n_pe: int) -> list[RomImage]:
     """Distribute the table into one consumption-ordered image per PE,
     laid out by `rom_layout`."""
-    if n_pe not in PE_COUNTS:
-        raise TwiddleError(f"n_pe must be a power of two in 1..8, got {n_pe}")
+    check_pe_count(n_pe)
     bases = stage_rom_bases(n_pe, table.stages)
     stage, group = (a.tolist() for a in rom_layout(n_pe, table.stages))
-    return [RomImage(pe=pe, n_pe=n_pe, n_max=table.n_max,
-                     entries=tuple(map(table.lookup, stage, groups)),
+    return [RomImage(pe=pe, entries=tuple(map(table.lookup, stage, groups)),
                      stage_bases=bases)
             for pe, groups in enumerate(group)]
 
@@ -204,7 +209,7 @@ class CompressedRom:
     -1 when it equals -i*stored[t]; the signs are wiring metadata, not
     stored data words.
     """
-    pe_index: int
+    pe: int
     stored: tuple
     pair_signs: tuple
     stage_bases: tuple
@@ -214,40 +219,49 @@ class CompressedRom:
         return 2 * len(self.stored)
 
 
-def _word(z: complex) -> bytes:
-    """z as two little-endian binary64 words (re, im): equal words are
-    equal bits, signed zeros included."""
-    return struct.pack("<dd", z.real, z.imag)
+def _words(stored, signs) -> np.ndarray:
+    """The logical words of a ROM, or of a stack of ROMs: stored entries
+    (..., k) and their pair signs in, (..., 2k) complex128 out, each
+    stored entry followed by its +/-i partner."""
+    stored = np.asarray(stored, np.complex128)
+    re, im = stored.real, stored.imag
+    pairs = np.stack((re, im, *_times_i(re, im, np.asarray(signs))), axis=-1)
+    return pairs.view(np.complex128).reshape(*stored.shape[:-1], -1)
+
+
+def _pair_bits(words: np.ndarray) -> np.ndarray:
+    """The binary64 bit patterns of contiguous complex128 words, one row
+    per (even, odd) pair: equal rows are equal bits, signed zeros
+    included."""
+    return words.view(np.uint64).reshape(-1, 4)
 
 
 def compress_rom(rom: RomImage) -> CompressedRom:
     """2x-compress a ROM image: keep the even entries, note whether each
     odd one is i or -i times its partner, and check that the result
     decompresses to the image bit for bit."""
-    ent = rom.entries
+    ent = np.array(rom.entries, np.complex128)
     if len(ent) % 2:
         raise TwiddleError(
             f"ROM image for PE {rom.pe} has odd length {len(ent)}")
-    stored, odd = ent[0::2], ent[1::2]
-    signs = tuple(1 if _word(b) == _word(_times_i(a)) else -1
-                  for a, b in zip(stored, odd))
-    out = CompressedRom(pe_index=rom.pe, stored=stored, pair_signs=signs,
-                        stage_bases=rom.stage_bases)
-    for t, (got, want) in enumerate(zip(decompress_rom(out)[1::2], odd)):
-        if _word(got) != _word(want):
-            raise TwiddleError(
-                f"adjacency violation in PE {rom.pe} ROM at pair {t}: "
-                f"{want!r} is not exactly +/-i * {stored[t]!r} "
-                "(wrong ROM layout upstream?)")
-    return out
+    stored, want = ent[0::2], _pair_bits(ent)
+    signs = np.where((_pair_bits(_words(stored, 1)) == want).all(axis=1),
+                     1, -1)
+    bad = (_pair_bits(_words(stored, signs)) != want).any(axis=1)
+    if bad.any():
+        t = int(bad.argmax())
+        raise TwiddleError(
+            f"adjacency violation in PE {rom.pe} ROM at pair {t}: "
+            f"{rom.entries[2 * t + 1]!r} is not exactly +/-i * "
+            f"{rom.entries[2 * t]!r} (wrong ROM layout upstream?)")
+    return CompressedRom(pe=rom.pe, stored=rom.entries[0::2],
+                         pair_signs=tuple(signs.tolist()),
+                         stage_bases=rom.stage_bases)
 
 
 def decompress_rom(rom: CompressedRom) -> tuple:
     """Exact inverse of compress_rom (component swaps only)."""
-    out = []
-    for a, sign in zip(rom.stored, rom.pair_signs):
-        out += a, _times_i(a, sign)
-    return tuple(out)
+    return tuple(_words(rom.stored, rom.pair_signs).tolist())
 
 
 def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> complex:
@@ -258,7 +272,7 @@ def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> comple
             f"ROM address {addr} out of range 0..{rom.logical_len - 1}")
     a = rom.stored[addr >> 1]
     if addr & 1:
-        a = _times_i(a, rom.pair_signs[addr >> 1])
+        a = complex(*_times_i(a.real, a.imag, rom.pair_signs[addr >> 1]))
     if not forward:
         a = complex(a.real, -a.imag)
     return a
@@ -299,11 +313,11 @@ def fetch_twiddles(roms, n_pe: int, pe, addr,
             f"range 0..{size - 1} (PEs 0..{n_pe - 1})")
     # one flat array: the wired word, then PE p's words from 1 + p * size,
     # so an unchecked address past one ROM would read the next PE's words
-    words = [stage0_constant()]
-    for rom in roms:
-        words.extend(decompress_rom(rom))
-    w = np.array(words, np.complex128)[
-        np.where(addr < 0, 0, 1 + pe * size + addr)]
+    words = np.concatenate((
+        [stage0_constant()],
+        _words([rom.stored for rom in roms],
+               [rom.pair_signs for rom in roms]).ravel()))
+    w = words[np.where(addr < 0, 0, 1 + pe * size + addr)]
     return w if forward else w.conj()
 
 
@@ -324,9 +338,9 @@ def dump_rom(rom: CompressedRom, data_path, sidecar_path) -> None:
     """Write stored entries as little-endian binary64 (re, im) pairs and
     a text sidecar with the pair signs and per-stage base offsets."""
     with open(data_path, "wb") as f:
-        f.write(b"".join(map(_word, rom.stored)))
+        f.write(np.array(rom.stored, "<c16").tobytes())
     with open(sidecar_path, "w") as f:
-        f.write(f"pe {rom.pe_index}\n")
+        f.write(f"pe {rom.pe}\n")
         f.write(f"stored_entries {len(rom.stored)}\n")
         f.write("pair_signs " +
                 "".join("+" if s > 0 else "-" for s in rom.pair_signs) + "\n")

@@ -49,21 +49,18 @@ def test_pe_butterfly_inverse_undoes_forward():
 
 
 def test_banked_memory_single_port_ledger():
-    mem = BankedMemory(4)
+    def ledger(banks, epochs, pes, first_cycle):
+        return banksim._port_ledger(np.array(banks), np.array(epochs),
+                                    np.array(pes), first_cycle, 4)
+
     # cycle 0: PE 0 on bank 0, PE 1 on bank 1; cycle 1: PE 1 on bank 0
-    mem.claim(np.array([0, 1, 0]), np.array([0, 0, 1]), np.array([0, 1, 1]),
-              first_cycle=0)
-    assert mem.port_accesses == 3
-    with pytest.raises(BankConflictError) as exc:
-        mem.claim(np.array([2, 0, 3, 0]), np.array([0, 0, 0, 0]),
-                  np.array([0, 0, 1, 1]), first_cycle=4)
-    assert exc.value.bank == 0 and exc.value.cycle == 4
-    assert exc.value.pes == (0, 1)
-    assert mem.port_accesses == 6  # the three accesses before the repeat
+    assert ledger([0, 1, 0], [0, 0, 1], [0, 1, 1], 0) == (3, None)
+    # PE 1 takes bank 0 in cycle 4 after PE 0: the three accesses before
+    # the repeat are granted
+    assert ledger([2, 0, 3, 0], [0, 0, 0, 0], [0, 0, 1, 1], 4) == (
+        3, (4, 0, (0, 1)))
     # a new cycle opens the port again
-    mem.claim(np.array([0, 0]), np.array([0, 1]), np.array([1, 0]),
-              first_cycle=5)
-    assert mem.port_accesses == 8
+    assert ledger([0, 0], [0, 1], [1, 0], 5) == (2, None)
 
 
 def test_load_natural_placement():
@@ -440,9 +437,9 @@ def test_execute_takes_the_ledger_verdict_from_the_lowering(monkeypatch, rng):
     first = round_trip()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("execute called BankedMemory.claim")
+        raise AssertionError("execute called the port ledger")
 
-    monkeypatch.setattr(BankedMemory, "claim", refuse)
+    monkeypatch.setattr(banksim, "_port_ledger", refuse)
     second = round_trip()
     for got, want in zip(second, first, strict=True):
         assert np.array_equal(got, want)

@@ -536,6 +536,19 @@ def test_simulator_rejects_a_pe_count_at_every_size(tmp_path, capsys, n, npe):
             f"error: n_pe must be in (1, 2, 4, 8), got {npe}\n")
 
 
+@pytest.mark.parametrize("npe", [0, 3, 5, 16])
+def test_rom_and_schedule_reject_a_pe_count_as_the_simulator_does(
+        tmp_path, capsys, npe):
+    out_dir = tmp_path / "rom"
+    for argv in (["rom", "--out-dir", str(out_dir)], ["schedule", "--n", "32"]):
+        assert main([*argv, "--npe", str(npe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: n_pe must be in (1, 2, 4, 8), got {npe}\n")
+    assert not out_dir.exists()
+
+
 def test_verify_rejects_a_negative_seed(capsys):
     assert main(["verify", "--seed", "-1"]) == 2
     captured = capsys.readouterr()

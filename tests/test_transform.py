@@ -15,14 +15,13 @@ from ringfft.transform import (
     PointwiseDivideError,
     Spectrum,
     _run_forward_network,
-    conjugate_odd_slots,
     fft_batch,
     fft_inplace,
     fft_ref,
     ifft_inplace,
     ifft_ref,
     internal_spectrum,
-    omega,
+    negate_odd,
     pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
@@ -38,29 +37,6 @@ from ringfft.verify import (
 
 SQ2 = math.sqrt(2.0) / 2.0
 SIZES = tuple(1 << k for k in range(1, 11))  # n = 2..1024
-
-
-def test_omega_small_cases():
-    assert omega(0, 2) == pytest.approx(complex(0, 1), abs=1e-15)
-    assert omega(1, 2) == pytest.approx(complex(0, -1), abs=1e-15)
-    assert omega(0, 4) == pytest.approx(complex(SQ2, SQ2), abs=1e-15)
-
-
-def test_omega_conjugate_inverse_property():
-    for n in (4, 16, 64):
-        for k in range(n):
-            w = omega(k, n)
-            assert omega(n - 1 - k, n) == pytest.approx(w.conjugate(), abs=1e-14)
-            assert w * omega(n - 1 - k, n) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_omega_domain_errors():
-    with pytest.raises(DomainError):
-        omega(2, 2)
-    with pytest.raises(DomainError):
-        omega(-1, 4)
-    with pytest.raises(DomainError):
-        omega(0, 3)
 
 
 def test_validate_polynomial_rejects_bad_input():
@@ -92,7 +68,7 @@ def test_fft_ref_evaluates_at_roots(rng):
     a = rng.uniform(-1, 1, n).tolist()
     s = fft_ref(a)
     for k in range(n // 2):
-        w = omega(k, n)
+        w = cmath.exp(1j * math.pi * (2 * k + 1) / n)
         direct = sum(c * w ** j for j, c in enumerate(a))
         assert s.values[k] == pytest.approx(direct, abs=1e-12)
 
@@ -316,7 +292,7 @@ def test_odd_slots_are_the_conjugated_ones():
         z = np.arange(n // 2) * (1 + 1j)
         conj = np.array([c for _k, c in slot_eval_map(n // 2)])
         want = np.where(conj, z.conj(), z)
-        conjugate_odd_slots(z)
+        negate_odd(z.imag)
         assert np.array_equal(z, want)
 
 

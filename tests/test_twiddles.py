@@ -218,8 +218,7 @@ def test_compress_example_pair():
     img_entries = (w, complex(-w.imag, w.real), u, complex(-u.imag, u.real))
 
     from ringfft.twiddles import RomImage
-    rom = compress_rom(RomImage(pe=0, n_pe=1, n_max=16,
-                                entries=img_entries, stage_bases=()))
+    rom = compress_rom(RomImage(pe=0, entries=img_entries, stage_bases=()))
     assert rom.stored == (w, u)
     assert rom.pair_signs == (1, 1)
     assert decompress_rom(rom) == img_entries
@@ -229,8 +228,7 @@ def test_compress_flags_adjacency_violation():
     from ringfft.twiddles import RomImage
     bad = (stage_twiddle(3, 0), stage_twiddle(3, 2))
     with pytest.raises(TwiddleError, match="adjacency"):
-        compress_rom(RomImage(pe=0, n_pe=1, n_max=16,
-                              entries=bad, stage_bases=()))
+        compress_rom(RomImage(pe=0, entries=bad, stage_bases=()))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
