@@ -12,34 +12,47 @@ epochs never overlap.
 Apart from the data, a run depends only on the trace, the memory
 geometry and the ROM set: the schedule fixes which bank, slot and ROM
 word each PE touches in each cycle.  So everything else a run reads is
-built once per (trace, geometry, ROM set), as one read-only plan, and
-kept in one store keyed by the identity of the trace and of each ROM.
+built once per (trace, geometry, ROM set), as one plan, and kept in
+one store keyed by the identity of the trace and of each ROM.
 
-The PEs read their twiddles from compressed ROMs only.  Building a plan
-first asks `twiddles.fetch_twiddles` for the word every dispatch reads,
-which checks the ROM set and each ROM address and conjugates for the
-inverse.  It then lowers the trace, by reshaping its dispatch columns,
-into flat per-stage arrays: operand read slots, result write slots and
-each dispatch's twiddle, as the float64 pairs `array_butterfly`
-multiplies by.  The port ledger's verdict is a property of the plan
-too: building it runs `_port_ledger`, the one statement of the ledger
-rule, on every stage once and keeps each stage's granted count and,
-for a conflict, the arguments of the `BankConflictError` it names.  It
-also checks every memory address, and whether a stage touches a word
-slot twice, which `execute` rejects: only then does running a stage at
-once equal running it batch by batch.  What a run does (cycles, port
-accesses per bank, PE utilization, exchanges, ROM fetches by kind) is
-counted in the same pass, as the plan's `RunStats`, and whether the
-last stage leaves the words in natural order is decided there too.
-The plan's initial and final memory indices place the words a run
-loads and reads back.
+Per stage, a plan holds one gather index, the stage's twiddles, and the
+memory index of every part of the state after the stage.  The run
+keeps the words the trace touches in a working state, not in memory.
+Before a stage, the state holds every touched word the stage does not
+read, then the stage's first operands and then its second operands, in
+dispatch order, each block planar (its real parts, then its imaginary
+parts); the stage leaves its x and y results in place of the operands.
+Which part sits where depends on the trace alone, so each stage's state
+is one `take` from the previous stage's state (stage 0 takes from
+memory), with no scatter.  For the forward the same gather also lays
+down the second operands with their parts swapped, and the twiddle
+block holds the matching twiddle parts, so that the butterfly
+(`array_butterfly`) is four calls on contiguous float64 arrays; the
+inverse's is six.  A plan is read-only but for a free list of run
+buffers: a run borrows its two state buffers, and their views, from it
+and puts them back, so after a plan's first run no run allocates them.
+
+Building a plan first asks `twiddles.fetch_twiddles` for the word every
+dispatch reads, which checks the ROM set and each ROM address and
+conjugates for the inverse, and checks every memory address.  The port
+ledger's verdict is a property of the plan too: building it runs
+`_port_ledger`, the one statement of the ledger rule, on every stage
+once and keeps each stage's granted count and, for a conflict, the
+arguments of the `BankConflictError` it names.  A stage that touches a
+word slot twice is rejected as well: only then does running a stage at
+once equal running it batch by batch.  A run stops at the first stage
+that conflicts or rereads, so only the stages before it are lowered.
+What a run does (cycles, port accesses per bank, PE utilization,
+exchanges, ROM fetches by kind) is counted in the same pass, as the
+plan's `RunStats`, and whether the last stage leaves the words in
+natural order is decided there too.  The plan's initial and final
+memory indices place the words a run loads and reads back.
 
 `execute` adds each stage's granted count to the memory's port accesses
-and raises its conflict before the stage touches memory; otherwise the
-stage is one gather of operands, one `array_butterfly` (two contiguous
-multiplies and two strided sums per product, on the interleaved float64
-view of the words) and one scatter of the results.  Only the
-data-dependent work is done per run.
+and raises its conflict before the stage runs.  Memory is written only
+where someone can read it: after the last stage, before each
+`stage_hook` call, and before an exception leaves `execute`, so that
+memory then holds every completed stage.
 """
 
 from __future__ import annotations
@@ -89,42 +102,67 @@ def pe_butterfly(u: complex, v: complex, w: complex,
     return u + v, (u - v) * w
 
 
-def array_butterfly(u: np.ndarray, v: np.ndarray, wr2: np.ndarray,
-                    wi2: np.ndarray, forward: bool) -> None:
-    """`pe_butterfly` over k gathered operand pairs, in place.
+def operand_views(block: np.ndarray, k: int, forward: bool) -> tuple:
+    """The views `array_butterfly` works on, of a float64 block holding
+    k first operands u, then k second operands v, each planar (every
+    real part, then every imaginary part), then, for the forward only,
+    v planar with its halves swapped, (vi, vr).  The inverse gets
+    scratch of its own."""
+    m = 2 * k
+    u, v = block[:m], block[m:2 * m]
+    if forward:
+        return u, v, block[m:3 * m], block[2 * m:3 * m]
+    d, a = np.empty(m), np.empty(m)
+    return u, v, v[:k], v[k:], d, d[:k], d[k:], a, a[:k], a[k:]
 
-    u and v are contiguous complex128 arrays of length k, overwritten
-    with x = u + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w
-    (inverse, w already conjugated).  wr2 and wi2 hold each twiddle's
-    real and imaginary part twice, lined up with the interleaved
-    (re, im) float64 view p of a complex operand, so a product is two
-    contiguous multiplies, a = wr2*p and b = wi2*p, and two strided sums,
-    re = a[0::2] - b[1::2] and im = a[1::2] + b[0::2].  That is CPython's
-    w*v (wr*vr - wi*vi, wr*vi + wi*vr); for the inverse's d*w (dr*wr -
-    di*wi, dr*wi + di*wr) the factors swap and im = b[0::2] + a[1::2],
-    since after an overflow both addends can be NaN and their order
-    decides whose payload survives.  Sums are componentwise either way,
-    so every element is bit-identical to the scalar butterfly on Python
-    complex values (a fused multiply-add would not be).  The sums u + t,
-    u - t, u + v and u - v run on the float64 views too: numpy's complex
-    add keeps the second operand's NaN on arrays of one or two elements,
-    the float64 add keeps the first one's at every length, as CPython
-    does.  Run it under np.errstate(over="ignore", invalid="ignore") to
+
+def array_butterfly(ops: tuple, w, forward: bool) -> None:
+    """`pe_butterfly` over k operand pairs, in place, on the
+    `operand_views` ops of a block: u and v are overwritten with x = u
+    + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w (inverse,
+    w already conjugated).  Every call is on contiguous float64 arrays.
+
+    - forward, four calls: w is ([wr | wr | -wi | wi],) (k each).  One
+      multiply of [v | swapped v] = [vr | vi | vi | vr] gives [wr*vr |
+      wr*vi | -wi*vi | wi*vr], and one add of its halves gives CPython's
+      w*v, (wr*vr - wi*vi, wr*vi + wi*vr).  Adding -wi*vi equals
+      subtracting wi*vi bit for bit: IEEE 754 defines a - b as a + (-b),
+      rounding is symmetric in sign, so (-wi)*vi is -(wi*vi), and a NaN
+      operand passes through a product or a sum unchanged, whichever
+      sign its other factor had.
+    - inverse, six calls: w is the pair ([wr | wi], [wi | wr]).  With d
+      = u - v = [dr | di], d*w[0] = [dr*wr | di*wi] and d*w[1] = [dr*wi |
+      di*wr]; the difference of the first one's halves and the sum of
+      the second one's are CPython's d*w, (dr*wr - di*wi, dr*wi +
+      di*wr), term for term.
+
+    Both products keep CPython's factor order (w first for w*v, d first
+    for d*w) and addend order.  After an overflow both addends can be
+    NaN, and then their order decides whose payload survives.  The sums
+    u + t, u - t, u + v and u - v run on float64 parts too: numpy's
+    complex add keeps the second operand's NaN on arrays of one or two
+    elements, the float64 add keeps the first one's at every length, as
+    CPython does.  So every element is bit-identical to the scalar
+    butterfly on Python complex values (a fused multiply-add would not
+    be).  Run it under np.errstate(over="ignore", invalid="ignore") to
     keep overflow as silent as complex arithmetic.
     """
-    x, y = u.view(np.float64), v.view(np.float64)
+    # Outputs are passed by position: parsing out= costs more per call
+    # than the arithmetic on a few hundred words.
     if forward:
-        a, b = wr2 * y, wi2 * y
-        np.subtract(a[0::2], b[1::2], out=a[0::2])
-        np.add(a[1::2], b[0::2], out=a[1::2])  # a: w*v
-        np.subtract(x, a, out=y)
-        np.add(x, a, out=x)
+        u, v, p, t = ops
+        np.multiply(w[0], p, p)
+        np.add(v, t, t)  # t: w*v
+        np.subtract(u, t, v)
+        np.add(u, t, u)
     else:
-        p = x - y
-        np.add(x, y, out=x)
-        a, b = p * wr2, p * wi2
-        np.subtract(a[0::2], b[1::2], out=y[0::2])
-        np.add(b[0::2], a[1::2], out=y[1::2])
+        u, v, y_r, y_i, d, d0, d1, a, a0, a1 = ops
+        np.subtract(u, v, d)
+        np.add(u, v, u)
+        np.multiply(d, w[0], a)
+        np.multiply(d, w[1], d)
+        np.subtract(a0, a1, y_r)
+        np.add(d0, d1, y_i)
 
 
 def _port_ledger(banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
@@ -193,31 +231,42 @@ class RunStats:
 
 
 class _Stage(NamedTuple):
-    """One stage of a plan; all arrays are read-only."""
+    """One stage of a plan; all arrays are read-only.  A stage that
+    conflicts or rereads ends the plan, and has no arrays."""
     stage: int
     cycles: int
     granted: int            # port accesses the ledger grants the stage
     conflict: tuple | None  # BankConflictError arguments, if it conflicts
-    uv: np.ndarray          # read slots: first operands, then second operands
-    lohi: np.ndarray        # write slots: x outputs, then y outputs
-    wr2: np.ndarray         # per dispatch, its twiddle's real part, twice
-    wi2: np.ndarray         # and its imaginary part, twice
     rereads: bool           # some word slot is read by two dispatches
+    take: np.ndarray | None  # gather of the stage's block from the last state
+    w: tuple | None         # the twiddle arrays of `array_butterfly`
+    put: np.ndarray | None  # float64 index in memory of each state part after
 
 
 class _Plan(NamedTuple):
     """Everything a run of one trace reads besides the data, for one
     memory geometry and ROM set."""
     stages: tuple
+    forward: bool
+    dispatches: int         # per stage
+    rest: int               # float64 parts of the words a stage leaves alone
     initial: np.ndarray     # word -> memory index before the first stage
     final: np.ndarray       # word -> memory index after the last stage
     natural: bool           # the last stage leaves word k in slot k
     stats: RunStats
+    workspaces: list        # free `_workspace`s of finished runs
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _planar(*blocks) -> np.ndarray:
+    """float64 indices of complex words, block by block: the real
+    parts of a block's words, then their imaginary parts."""
+    return np.concatenate([f for b in blocks for f in (2 * b, 2 * b + 1)],
+                          axis=-1)
 
 
 def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
@@ -230,9 +279,9 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     another set or an address outside it TwiddleError.
     """
     cfg = trace.config
+    forward = cfg.direction is Direction.FORWARD
     pe, bank0, addr0, bank1, addr1, rom, _, in_ex, out_ex = trace.columns
-    w = fetch_twiddles(roms, cfg.n_pe, pe, rom,
-                       cfg.direction is Direction.FORWARD)
+    w = fetch_twiddles(roms, cfg.n_pe, pe, rom, forward)
     s_m = cfg.s_m
 
     def memory_index(slots):
@@ -263,15 +312,43 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     verdicts = [_port_ledger(banks[k], epochs, pes[k], 2 * batches * k,
                              n_banks) for k in range(steps)]
 
-    uv = _frozen(np.stack((u, v), axis=1).reshape(steps, -1))
-    lohi = _frozen(np.stack((lo, hi), axis=1).reshape(steps, -1))
-    w = w.reshape(steps, -1)
-    wr2 = _frozen(np.repeat(w.real, 2, axis=1))
-    wi2 = _frozen(np.repeat(w.imag, 2, axis=1))
     # Each dispatch writes back the two slots it read, so distinct reads
     # also mean distinct writes.
+    k = batches * width
+    uv = np.concatenate((u.reshape(steps, k), v.reshape(steps, k)), axis=1)
+    xy = np.concatenate((lo.reshape(steps, k), hi.reshape(steps, k)), axis=1)
     slots = np.sort(uv, axis=1)
     rereads = (slots[:, 1:] == slots[:, :-1]).any(axis=1).tolist()
+    # A run stops at the first stage that conflicts or rereads, so only
+    # the stages before it are lowered, into state order: before stage
+    # j, the state holds the words the stage leaves alone, then its
+    # first and second operands; the stage leaves x and y in their place.
+    stops = [j for j, (_, c) in enumerate(verdicts) if c or rereads[j]]
+    runs = stops[0] if stops else steps
+    read = np.zeros((runs, n_banks * capacity), bool)
+    read[np.arange(runs)[:, None], uv[:runs]] = True
+    touched = read.any(axis=0)
+    rest = 2 * (int(touched.sum()) - 2 * k) if runs else 0
+    others = np.nonzero(touched & ~read)[1].reshape(runs, rest // 2)
+    second = uv[:runs, k:]
+    before = _planar(others, uv[:runs, :k], second)
+    if forward:  # and the second operands with their halves swapped
+        before = np.concatenate((before, 2 * second + 1, 2 * second), axis=1)
+    after = _frozen(_planar(others, xy[:runs, :k], xy[:runs, k:]))
+    take = before  # stage 0 takes from memory, the others from the state
+    position = np.empty(2 * n_banks * capacity, np.int64)  # in the state
+    for j in range(1, runs):
+        position[after[j - 1]] = np.arange(after.shape[1])
+        take[j] = position[take[j]]
+    _frozen(take)
+    w = w.reshape(steps, k)
+    if forward:
+        w = _frozen(np.concatenate((w.real, w.real, -w.imag, w.imag), axis=1))
+        w = [(row,) for row in w]
+    else:
+        w = _frozen(np.concatenate((w.real, w.imag, w.imag, w.real), axis=1))
+        w = [(row[:2 * k], row[2 * k:]) for row in w]
+
     busy = np.sort(pe, axis=2)
     busy = 1 + (busy[..., 1:] != busy[..., :-1]).sum(axis=2)
     parity = np.where(rom < 0, -1, rom & 1)  # -1: the wired constant
@@ -287,15 +364,20 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         stored_fetches=int((parity == 0).sum()),
         decompressed_fetches=int((parity == 1).sum()))
     return _Plan(
-        stages=tuple(_Stage(stage=sg, cycles=2 * batches, granted=granted,
-                            conflict=conflict, uv=uv[k], lohi=lohi[k],
-                            wr2=wr2[k], wi2=wi2[k], rereads=rereads[k])
-                     for k, (sg, (granted, conflict))
-                     in enumerate(zip(trace.stage_order, verdicts))),
+        stages=tuple(_Stage(sg, 2 * batches, granted, conflict, rereads[j],
+                            *((take[j], w[j], after[j]) if j < runs
+                              else (None,) * 3))
+                     for j, (sg, (granted, conflict))
+                     in enumerate(zip(trace.stage_order, verdicts))
+                     if j <= runs),
+        forward=forward,
+        dispatches=k,
+        rest=rest,
         initial=memory_index(trace.initial_slots),
         final=memory_index(trace.final_slots),
         natural=np.array_equal(trace.final_slots, np.arange(cfg.n // 2)),
-        stats=stats)
+        stats=stats,
+        workspaces=[])
 
 
 _plans: dict[tuple, _Plan] = {}
@@ -330,45 +412,83 @@ def _plan(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Plan:
     return plan
 
 
+def _workspace(plan: _Plan) -> tuple:
+    """Two buffers that take turns holding a run's state, the
+    `operand_views` of each, and the state part of each."""
+    k = plan.dispatches
+    state = plan.rest + 4 * k
+    # the forward gather also lays down the swapped second operands
+    rows = tuple(np.empty((2, state + 2 * k if plan.forward else state)))
+    return (rows,
+            tuple(operand_views(row[plan.rest:], k, plan.forward)
+                  for row in rows),
+            tuple(row[:state] for row in rows))
+
+
 def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
-            stage_hook=None) -> int:
+            stage_hook=None, plan: _Plan | None = None) -> int:
     """Run every dispatch batch; returns the cycle total.
 
     `roms` is the compressed ROM set for the trace's PE count, one
     CompressedRom per PE; anything else raises TypeError, and a set for
     another PE count, or a dispatch whose ROM address lies outside its
     PE's ROM, raises TwiddleError, all before any memory access.
-    `stage_hook(stage, cycle)` fires after the last batch of each stage
-    (used for boundary memory dumps).
+    `stage_hook(stage, cycle)` fires after the last batch of each stage,
+    with the stage's results in memory (used for boundary memory dumps;
+    the run does not read memory back, so a hook must not write it).
+    `plan`, if given, is the plan of (trace, mem's geometry, roms) the
+    caller already looked up.
 
     Each stage first adds the port accesses the ledger granted it in
     the plan to mem.port_accesses and, if the ledger found a bank
     conflict there, raises that BankConflictError before the stage
-    touches memory.  Then it reads every operand at once, runs the
-    butterflies on the plan's twiddle pairs and writes every result at
-    once.  A stage that reads a word slot twice raises ScheduleError,
+    runs.  A stage that reads a word slot twice raises ScheduleError,
     after the ledger verdict, so a bank conflict is reported as such.
-    After an exception the memory contents are unspecified.
+    Otherwise the stage is one gather into a working buffer and one
+    `array_butterfly` on it; two buffers take turns.  Memory receives
+    the state after the last stage, before each hook call and before an
+    exception propagates, so it then holds every completed stage.
+
+    A run takes its buffers, with their views, from the plan's free
+    list and puts them back when it ends, so only a plan's first run
+    builds them.  A run that overlaps another run of the same plan (in
+    another thread, or from a hook) finds them taken and builds its own.
     """
-    forward = trace.config.direction is Direction.FORWARD
-    words = mem.words
-    cycle = 0
-    # overflow yields inf/nan silently, as scalar complex arithmetic does
-    with np.errstate(over="ignore", invalid="ignore"):
-        for st in _plan(trace, mem, roms).stages:
-            mem.port_accesses += st.granted
-            if st.conflict:
-                raise BankConflictError(*st.conflict)
-            if st.rereads:
-                raise ScheduleError(
-                    f"stage {st.stage} reads a word slot in two dispatches")
-            uv = words[st.uv]
-            k = len(uv) // 2
-            array_butterfly(uv[:k], uv[k:], st.wr2, st.wi2, forward)
-            words[st.lohi] = uv
-            cycle += st.cycles
-            if stage_hook:
-                stage_hook(st.stage, cycle)
+    if plan is None:
+        plan = _plan(trace, mem, roms)
+    forward = plan.forward
+    try:
+        ws = plan.workspaces.pop()
+    except IndexError:  # no run has returned one, or all are in use
+        ws = _workspace(plan)
+    rows, ops, states = ws
+    memory = mem.words.view(np.float64)
+    cycle, done = 0, None  # done: the last stage memory does not hold
+    try:
+        # overflow yields inf/nan silently, as scalar complex arithmetic does
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, st in enumerate(plan.stages):
+                mem.port_accesses += st.granted
+                if st.conflict:
+                    raise BankConflictError(*st.conflict)
+                if st.rereads:
+                    raise ScheduleError(
+                        f"stage {st.stage} reads a word slot in two dispatches")
+                # take(indices, axis, out, mode); "clip" skips the copy
+                # "raise" makes of out, and the indices are in range
+                (rows[(j - 1) & 1] if j else memory).take(
+                    st.take, None, rows[j & 1], "clip")
+                array_butterfly(ops[j & 1], st.w, forward)
+                cycle += st.cycles
+                done = j
+                if stage_hook:
+                    memory[st.put] = states[j & 1]
+                    done = None
+                    stage_hook(st.stage, cycle)
+    finally:
+        if done is not None:
+            memory[plan.stages[done].put] = states[done & 1]
+        plan.workspaces.append(ws)
     return cycle
 
 
@@ -380,10 +500,19 @@ class Simulator:
         self.trace = build_schedule(cfg)
         self.roms = roms
         self.mem = BankedMemory(cfg.banks)
+        self._lowering = (None, None)  # (trace, its plan)
         # rejects all but cfg's compressed ROM set before any other use
-        _plan(self.trace, self.mem, roms)
+        self._lowered()
         self.measured_cycles: int | None = None
         self.stats: RunStats | None = None
+
+    def _lowered(self) -> _Plan:
+        """The plan of `trace`, looked up again only once `trace` has
+        been replaced."""
+        if self._lowering[0] is not self.trace:
+            self._lowering = (self.trace,
+                              _plan(self.trace, self.mem, self.roms))
+        return self._lowering[1]
 
     def load_polynomial(self, a) -> None:
         """Place word k = a_k + i*a_{k+n/2} (the packing of
@@ -396,7 +525,7 @@ class Simulator:
             raise DomainError(
                 f"expected {self.cfg.n} coefficients, got {len(c)}")
         hn = self.cfg.n // 2
-        at = _plan(self.trace, self.mem, self.roms).initial
+        at = self._lowered().initial
         self.mem.words.real[at] = c[:hn]
         self.mem.words.imag[at] = c[hn:]
 
@@ -412,21 +541,22 @@ class Simulator:
             raise DomainError(f"expected {hn} spectrum values")
         z = spectrum_array(s)
         negate_odd(z.imag)
-        self.mem.words[_plan(self.trace, self.mem, self.roms).initial] = z
+        self.mem.words[self._lowered().initial] = z
 
     def run(self, stage_hook=None) -> int:
         """Execute the trace; returns the cycle total and leaves the
         run's RunStats in `stats`."""
+        plan = self._lowered()
         self.measured_cycles = execute(self.trace, self.mem, self.roms,
-                                       stage_hook)
-        self.stats = _plan(self.trace, self.mem, self.roms).stats
+                                       stage_hook, plan)
+        self.stats = plan.stats
         return self.measured_cycles
 
     def read_result(self):
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
         if self.measured_cycles is None:
             raise RuntimeError("run() the simulator before reading results")
-        plan = _plan(self.trace, self.mem, self.roms)
+        plan = self._lowered()
         z = self.mem.words[plan.final]
         if self.cfg.direction is Direction.FORWARD:
             negate_odd(z.imag)

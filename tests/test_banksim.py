@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -14,6 +16,7 @@ from ringfft.banksim import (
     Simulator,
     array_butterfly,
     execute,
+    operand_views,
     pe_butterfly,
 )
 from ringfft.scheduler import (
@@ -528,9 +531,18 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     key = (id(edited), cfg.banks, *map(id, roms))
     plan = banksim._plans[key]
     assert plan is not banksim._plans[id(trace), cfg.banks, *map(id, roms)]
+    assert len(plan.stages) == cfg.stages
     for arr in (plan.initial, plan.final, *(
-            a for st in plan.stages for a in (st.uv, st.lohi, st.wr2, st.wi2))):
+            a for st in plan.stages for a in (st.take, *st.w, st.put))):
         assert not arr.flags.writeable
+    # the edit flips one output exchange of the last stage: only where
+    # that stage's results land in memory differs from the cached
+    # trace's plan
+    cached = banksim._plans[id(trace), cfg.banks, *map(id, roms)]
+    for st, other in zip(plan.stages, cached.stages, strict=True):
+        assert np.array_equal(st.take, other.take)
+        assert all(map(np.array_equal, st.w, other.w))
+        assert np.array_equal(st.put, other.put) is (st is not plan.stages[-1])
     del edited, plan
     gc.collect()
     assert key not in banksim._plans
@@ -554,9 +566,24 @@ def test_array_butterfly_matches_pe_butterfly_to_the_bit(direction, rng):
     expected = [pe_butterfly(u, v, t, direction)
                 for u, v, t in zip(uv[:k].tolist(), uv[k:].tolist(),
                                    w.tolist())]
+    # the block is planar: each operand's real parts, then imaginary parts
+    u, v = uv[:k], uv[k:]
+    forward = direction is Direction.FORWARD
+    if forward:
+        # and v with its halves swapped; w as [wr | wr | -wi | wi]
+        block = np.concatenate((u.real, u.imag, v.real, v.imag,
+                                v.imag, v.real))
+        w_block = (np.concatenate((w.real, w.real, -w.imag, w.imag)),)
+    else:
+        # w as [wr | wi] and [wi | wr]
+        block = np.concatenate((u.real, u.imag, v.real, v.imag))
+        w_block = (np.concatenate((w.real, w.imag)),
+                   np.concatenate((w.imag, w.real)))
     with np.errstate(over="ignore", invalid="ignore"):
-        array_butterfly(uv[:k], uv[k:], np.repeat(w.real, 2),
-                        np.repeat(w.imag, 2), direction is Direction.FORWARD)
+        array_butterfly(operand_views(block, k, forward), w_block, forward)
+    parts = block[:4 * k].reshape(2, 2, k)  # x, y; each re, im
+    uv = np.empty(2 * k, np.complex128)
+    uv.real, uv.imag = parts[:, 0].ravel(), parts[:, 1].ravel()
     x, y = zip(*expected)
     assert np.isnan(uv[k::3].imag).all()
     assert np.array_equal(uv.view(np.uint64),
@@ -630,7 +657,7 @@ def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
                 assert lowered == reference
                 plan = banksim._plans[id(trace), cfg.banks, *map(id, roms)]
                 for st in plan.stages:
-                    assert not (st.wr2.flags.writeable or st.wi2.flags.writeable)
+                    assert not any(w.flags.writeable for w in st.w)
             assert len(tables) == 2  # one fetch per plan, none per run
             tables.clear()
             key = (id(own), cfg.banks, *map(id, roms))
@@ -688,3 +715,57 @@ def test_cached_entries_leave_no_finalizer_behind(rng):
                   words.view(np.complex128))
     gc.collect()
     assert len(weakref.finalize._registry) == registered
+
+
+def test_runs_that_overlap_on_one_plan_each_get_their_own_buffers(rng):
+    # a run borrows its state buffers from the plan; a hook that runs
+    # the same trace again, and threads that run it together, must
+    # each find their own
+    cfg = ScheduleConfig(n=64, n_pe=2)
+    trace, roms = build_schedule(cfg), ROMS[2][2]
+    size = len(BankedMemory(cfg.banks).words)
+    images = [rng.uniform(-1, 1, 2 * size).view(np.complex128)
+              for _ in range(6)]
+    want = []
+    for words in images:
+        ref = BankedMemory(cfg.banks)
+        ref.words[:] = words
+        reference_execute(trace, ref, roms)
+        want.append(ref.words.view(np.uint64).copy())
+
+    def run(words):
+        mem = BankedMemory(cfg.banks)
+        mem.words[:] = words
+        execute(trace, mem, roms)
+        return mem.words.view(np.uint64)
+
+    inner = []
+    outer = BankedMemory(cfg.banks)
+    outer.words[:] = images[0]
+    execute(trace, outer, roms, lambda stage, cycle: inner.append(
+        run(images[1 + stage % 5])))
+    assert np.array_equal(outer.words.view(np.uint64), want[0])
+    assert all(np.array_equal(got, want[1 + s % 5])
+               for s, got in enumerate(inner))
+
+    bad = []
+
+    def worker(i):
+        for r in range(40):
+            k = (i + r) % len(images)
+            if not np.array_equal(run(images[k]), want[k]):
+                bad.append((i, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
