@@ -207,6 +207,7 @@ def cmd_polymul(args) -> int:
     if len(a) != len(b):
         raise CliError(f"length mismatch: {len(a)} vs {len(b)}")
     c = polymul_via_fft(a, b)
+    text = _poly_json(c)  # a non-finite product is an error before --check
     report = []
     if args.check:
         from .verify import max_abs_error, product_bound
@@ -217,7 +218,7 @@ def cmd_polymul(args) -> int:
         if not (dev <= bound):
             print(report[0])
             raise CliError("product deviates from the schoolbook oracle")
-    _emit(_poly_json(c), args.out, report)
+    _emit(text, args.out, report)
     return 0
 
 

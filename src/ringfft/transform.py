@@ -19,9 +19,11 @@ order has a closed form, `slot_eval_map`: with hn = n/2 and r the
 holds a(w(hn-1-2*r(m))).
 
 The network runs on one of two paths, chosen from the size alone.
-Below VECTOR_MIN_HN words it is the scalar loop over Python `complex`
-values, one butterfly at a time; it is also the reference the tests
-compare the other path against.  From VECTOR_MIN_HN words up it runs in
+Below VECTOR_MIN_HN words it is one flat loop over Python `complex`
+values, one butterfly at a time, through a program of (j, j + ht,
+twiddle) triples built once per size and direction; the tests check
+both paths against the same network written as nested loops over
+stages, groups and butterflies.  From VECTOR_MIN_HN words up it runs in
 constant geometry (Pease) over a (B, 2, n/2) float64 stack of real and
 imaginary planes, B polynomials at once: every stage reads the two
 contiguous halves of one buffer and writes a perfect shuffle of the
@@ -186,10 +188,12 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
 
 # Half-size (n/2 words) from which single calls run the array network.
 # Below it the per-call numpy overhead outweighs the loop it replaces:
-# on a 2-vCPU host, against the scalar loop in interleaved runs, the
-# array path took 0.82-0.84x (fft_inplace), 0.89-0.92x (ifft_inplace)
-# and 0.54-0.56x (polymul_via_fft) the time at n = 128 but 1.35x, 1.50x
-# and 0.93x at n = 64.
+# on a 2-vCPU host, against the flat scalar loop in interleaved runs,
+# the array path took 0.90-0.95x (polymul_via_fft) the time at n = 128
+# but 1.55x at n = 64.  It still took 1.25-1.45x (fft_inplace) and
+# 1.48-1.52x (ifft_inplace) at n = 128 (0.80-0.83x for both at n = 256);
+# one crossover serves all three, set by the product, which FALCON runs
+# at every size.
 VECTOR_MIN_HN = 64
 
 
@@ -198,9 +202,8 @@ def pack(a: Sequence[float]) -> list[complex]:
     return _pack(validate_polynomial(a))
 
 
-def _pack(coeffs: list[float]) -> list[complex]:
-    hn = len(coeffs) // 2
-    return [complex(coeffs[k], coeffs[k + hn]) for k in range(hn)]
+def _pack(c: list[float]) -> list[complex]:
+    return list(map(complex, c[:len(c) // 2], c[len(c) // 2:]))
 
 
 @lru_cache(maxsize=None)
@@ -214,52 +217,47 @@ def _stage_twiddles(forward: bool) -> tuple:
                  for sg in range(table.stages))
 
 
-def _run_forward_network(vals: list[complex]) -> None:
-    hn = len(vals)
-    tw_stages = _stage_twiddles(True)
-    for sg in range(hn.bit_length() - 1):
+@lru_cache(maxsize=None)
+def _butterfly_program(forward: bool, hn: int) -> tuple:
+    """The scalar network over hn words as one flat tuple of butterflies
+    (j, j + ht, w) in execution order, built once per size: stage sg
+    (ht = hn / 2^(sg+1)) pairs word j of group g with word j + ht under
+    twiddle w(sg, g) of `_stage_twiddles(forward)`, and the inverse runs
+    the stages last to first."""
+    stages = []
+    for sg, tws in enumerate(_stage_twiddles(forward)[:hn.bit_length() - 1]):
         ht = hn >> (sg + 1)
-        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
-            for j in range(base, base + ht):
-                u = vals[j]
-                t = tw * vals[j + ht]
-                vals[j] = u + t
-                vals[j + ht] = u - t
-
-
-def _run_inverse_network(vals: list[complex]) -> None:
-    hn = len(vals)
-    tw_stages = _stage_twiddles(False)
-    for sg in range(hn.bit_length() - 2, -1, -1):
-        ht = hn >> (sg + 1)
-        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
-            for j in range(base, base + ht):
-                u = vals[j]
-                v = vals[j + ht]
-                vals[j] = u + v
-                vals[j + ht] = (u - v) * tw
+        stages.append([(j, j + ht, w)
+                       for base, w in zip(range(0, hn, 2 * ht), tws)
+                       for j in range(base, base + ht)])
+    return tuple(b for stage in (stages if forward else stages[::-1])
+                 for b in stage)
 
 
 def _spectrum_scalar(coeffs: list[float]) -> list[complex]:
-    """Pack, forward network, readout conjugation; scalar path."""
+    """Pack, forward network, readout conjugation of the odd slots (the
+    ones `slot_eval_map` marks); scalar path."""
     vals = _pack(coeffs)
-    _run_forward_network(vals)
-    return [z.conjugate() if conj else z
-            for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
+    for j, k, w in _butterfly_program(True, len(vals)):
+        u = vals[j]
+        t = w * vals[k]
+        vals[j] = u + t
+        vals[k] = u - t
+    vals[1::2] = [z.conjugate() for z in vals[1::2]]
+    return vals
 
 
 def _coefficients_scalar(values) -> list[float]:
     """Input conjugation, inverse network, unpacking; scalar path."""
-    hn = len(values)
-    vals = [z.conjugate() if conj else z
-            for z, (_k, conj) in zip(values, slot_eval_map(hn))]
-    _run_inverse_network(vals)
-    scale = 2.0 / (2 * hn)
-    out = [0.0] * (2 * hn)
-    for k, z in enumerate(vals):
-        out[k] = z.real * scale
-        out[k + hn] = z.imag * scale
-    return out
+    vals = list(values)
+    vals[1::2] = [z.conjugate() for z in vals[1::2]]
+    for j, k, w in _butterfly_program(False, len(vals)):
+        u = vals[j]
+        v = vals[k]
+        vals[j] = u + v
+        vals[k] = (u - v) * w
+    scale = 2.0 / (2 * len(vals))
+    return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
 
 
 def internal_spectrum(z: np.ndarray) -> Spectrum:

@@ -3,13 +3,7 @@ import pytest
 
 from ringfft.banksim import BankConflictError, pe_butterfly
 from ringfft.scheduler import ScheduleConfig, ScheduleError
-from ringfft.transform import (
-    Direction,
-    _run_forward_network,
-    _run_inverse_network,
-    pack,
-    slot_eval_map,
-)
+from ringfft.transform import Direction, _stage_twiddles, slot_eval_map
 from ringfft.twiddles import CompressedRom, fetch_twiddle, stage0_constant
 
 
@@ -114,12 +108,41 @@ def reference_execute(trace, mem, roms, stage_hook=None) -> int:
     return cycle
 
 
-# The scalar network, composed as fft_inplace/ifft_inplace compose it
-# below VECTOR_MIN_HN: the bit-exact reference of the array path.
+# The scalar network as nested loops over stages, groups and butterflies,
+# composed as fft_inplace/ifft_inplace compose it: the bit-exact
+# reference of both network paths.
+
+def run_forward_network(vals):
+    hn = len(vals)
+    tw_stages = _stage_twiddles(True)
+    for sg in range(hn.bit_length() - 1):
+        ht = hn >> (sg + 1)
+        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
+            for j in range(base, base + ht):
+                u = vals[j]
+                t = tw * vals[j + ht]
+                vals[j] = u + t
+                vals[j + ht] = u - t
+
+
+def run_inverse_network(vals):
+    hn = len(vals)
+    tw_stages = _stage_twiddles(False)
+    for sg in range(hn.bit_length() - 2, -1, -1):
+        ht = hn >> (sg + 1)
+        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
+            for j in range(base, base + ht):
+                u = vals[j]
+                v = vals[j + ht]
+                vals[j] = u + v
+                vals[j + ht] = (u - v) * tw
+
 
 def scalar_fft(a):
-    vals = pack(a)
-    _run_forward_network(vals)
+    c = [float(x) for x in a]
+    hn = len(c) // 2
+    vals = [complex(c[k], c[k + hn]) for k in range(hn)]
+    run_forward_network(vals)
     return [z.conjugate() if conj else z
             for z, (_k, conj) in zip(vals, slot_eval_map(len(vals)))]
 
@@ -128,9 +151,13 @@ def scalar_ifft(values):
     hn = len(values)
     vals = [z.conjugate() if conj else z
             for z, (_k, conj) in zip(values, slot_eval_map(hn))]
-    _run_inverse_network(vals)
+    run_inverse_network(vals)
     scale = 2.0 / (2 * hn)
-    return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
+    out = [0.0] * (2 * hn)
+    for k, z in enumerate(vals):
+        out[k] = z.real * scale
+        out[k + hn] = z.imag * scale
+    return out
 
 
 def scalar_polymul(a, b):

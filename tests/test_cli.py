@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ringfft import cli
 from ringfft.cli import main
 
 
@@ -264,17 +265,36 @@ def test_ifft_rejects_empty_spectrum(tmp_path, capsys, engine, order):
     assert err.startswith("error:") and "got 0" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_polymul_check_fails_on_nan_deviation(tmp_path, capsys):
-    # overflow must stay silent in the product and in the oracle alike
+def test_polymul_check_fails_on_nan_deviation(tmp_path, capsys, monkeypatch):
+    # a NaN deviation must fail the bound, not pass it as NaN > bound does
+    def nan_oracle(a, b):
+        return [float("nan")] * len(a)
+
+    monkeypatch.setattr(cli, "polymul_negacyclic_oracle", nan_oracle)
     for n in (8, 1024):
-        big = _write_poly(tmp_path / "big.json", [1e300] * n)
+        a = _write_poly(tmp_path / "a.json", [1.0] * n)
         out = tmp_path / "c.json"
-        assert main(["polymul", big, big, "--check", "--out", str(out)]) == 2
+        assert main(["polymul", a, a, "--check", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "max_deviation=nan" in captured.out
         assert captured.err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coeffs", [[1e308] * 4, [1e300] * 8, [1e300] * 1024])
+def test_polymul_check_of_an_overflowing_product_is_one_error(
+        tmp_path, capsys, coeffs):
+    # overflow stays silent in the product; the non-finite result is the
+    # one error, before any deviation is computed or printed
+    big = _write_poly(tmp_path / "big.json", coeffs)
+    out = tmp_path / "c.json"
+    assert main(["polymul", big, big, "--check", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: result is not finite (the input "
+                            "overflows double precision)\n")
+    assert not out.exists()
 
 
 def test_polymul_non_finite_product_is_an_error(tmp_path, capsys):

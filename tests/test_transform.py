@@ -6,7 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import scalar_fft, scalar_ifft, scalar_polymul
+from conftest import (
+    run_forward_network,
+    scalar_fft,
+    scalar_ifft,
+    scalar_polymul,
+)
 
 from ringfft import transform
 from ringfft.transform import (
@@ -14,7 +19,6 @@ from ringfft.transform import (
     OrderTag,
     PointwiseDivideError,
     Spectrum,
-    _run_forward_network,
     fft_batch,
     fft_inplace,
     fft_ref,
@@ -173,10 +177,30 @@ def test_slot_eval_map_against_network_probe():
         for k in range(hn):
             e = (2 * k + 1) if k % 2 == 0 else (2 * n - (2 * k + 1))
             vals = [cmath.exp(-1j * math.pi * e * j / n) for j in range(hn)]
-            _run_forward_network(vals)
+            run_forward_network(vals)
             hits = [s for s, z in enumerate(vals) if abs(z - hn) < 1e-6]
             assert len(hits) == 1
             assert got[hits[0]] == (k, k % 2 == 1)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("hn", [1 << e for e in range(10)])
+def test_butterfly_program_structure(forward, hn):
+    program = transform._butterfly_program(forward, hn)
+    stages = hn.bit_length() - 1
+    assert len(program) == hn // 2 * stages
+    twiddles = transform._stage_twiddles(forward)
+    for s in range(stages):
+        # the inverse runs the forward's stages last to first
+        sg = s if forward else stages - 1 - s
+        ht = hn >> (sg + 1)
+        stage = program[s * hn // 2:(s + 1) * hn // 2]
+        pairs = [(j, k) for j, k, _w in stage]
+        assert sorted(i for pair in pairs for i in pair) == list(range(hn))
+        assert all(k - j == ht and j % (2 * ht) < ht for j, k in pairs)
+        assert np.array_equal(
+            _bits([w for _j, _k, w in stage]),
+            _bits([twiddles[sg][j // (2 * ht)] for j, _k in pairs]))
 
 
 @pytest.mark.parametrize("hn", [0, 3, 1024])
