@@ -37,28 +37,30 @@ dispatch reads, which checks the ROM set and each ROM address and
 conjugates for the inverse, and checks every memory address.  The port
 ledger's verdict is a property of the plan too: building it runs
 `_port_ledger`, the one statement of the ledger rule, on every stage
-once and keeps each stage's granted count and, for a conflict, the
-arguments of the `BankConflictError` it names.  A stage that touches a
-word slot twice is rejected as well: only then does running a stage at
-once equal running it batch by batch.  A run stops at the first stage
-that conflicts or rereads, so only the stages before it are lowered.
-What a run does (cycles, port accesses per bank, PE utilization,
-exchanges, ROM fetches by kind) is counted in the same pass, as the
-plan's `RunStats`, and whether the last stage leaves the words in
-natural order is decided there too.  The plan's initial and final
-memory indices place the words a run loads and reads back.
+once.  A stage that touches a word slot twice is rejected as well: only
+then does running a stage at once equal running it batch by batch.  A
+run ends at the first stage that conflicts or rereads, so the plan
+lowers only the stages before it, each with the port accesses the
+ledger grants it, and keeps that first stage as its `stop`: the
+accesses granted there and how to build its `BankConflictError` or
+`ScheduleError`.  What a run does (cycles, port accesses per bank, PE
+utilization, exchanges, ROM fetches by kind) is counted in the same
+pass, as the plan's `RunStats`, and whether the last stage leaves the
+words in natural order is decided there too.  The plan's initial and
+final memory indices place the words a run loads and reads back.
 
-`execute` adds each stage's granted count to the memory's port accesses
-and raises its conflict before the stage runs.  Memory is written only
-where someone can read it: after the last stage, before each
-`stage_hook` call, and before an exception leaves `execute`, so that
-memory then holds every completed stage.
+`execute` runs the plan's stages, adding each one's granted count to
+the memory's port accesses.  Memory is written only where someone can
+read it: before each `stage_hook` call, and once after the last stage
+the plan holds.  Then a stop adds its granted count and raises its
+error, so memory then holds every completed stage.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -231,22 +233,19 @@ class RunStats:
 
 
 class _Stage(NamedTuple):
-    """One stage of a plan; all arrays are read-only.  A stage that
-    conflicts or rereads ends the plan, and has no arrays."""
+    """One stage a run completes; all arrays are read-only."""
     stage: int
-    cycles: int
-    granted: int            # port accesses the ledger grants the stage
-    conflict: tuple | None  # BankConflictError arguments, if it conflicts
-    rereads: bool           # some word slot is read by two dispatches
-    take: np.ndarray | None  # gather of the stage's block from the last state
-    w: tuple | None         # the twiddle arrays of `array_butterfly`
-    put: np.ndarray | None  # float64 index in memory of each state part after
+    granted: int       # port accesses the ledger grants the stage
+    take: np.ndarray   # gather of the stage's block from the last state
+    w: tuple           # the twiddle arrays of `array_butterfly`
+    put: np.ndarray    # float64 index in memory of each state part after
 
 
 class _Plan(NamedTuple):
     """Everything a run of one trace reads besides the data, for one
     memory geometry and ROM set."""
-    stages: tuple
+    stages: tuple           # the `_Stage`s a run completes
+    stop: tuple | None      # (granted, error factory) of the stage that ends it
     forward: bool
     dispatches: int         # per stage
     rest: int               # float64 parts of the words a stage leaves alone
@@ -319,12 +318,20 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     xy = np.concatenate((lo.reshape(steps, k), hi.reshape(steps, k)), axis=1)
     slots = np.sort(uv, axis=1)
     rereads = (slots[:, 1:] == slots[:, :-1]).any(axis=1).tolist()
-    # A run stops at the first stage that conflicts or rereads, so only
-    # the stages before it are lowered, into state order: before stage
-    # j, the state holds the words the stage leaves alone, then its
-    # first and second operands; the stage leaves x and y in their place.
+    # A run ends at the first stage that conflicts or rereads, the plan's
+    # stop, so only the stages before it are lowered, into state order:
+    # before stage j, the state holds the words the stage leaves alone,
+    # then its first and second operands; the stage leaves x and y in
+    # their place.
     stops = [j for j, (_, c) in enumerate(verdicts) if c or rereads[j]]
     runs = stops[0] if stops else steps
+    stop = None
+    if stops:
+        granted, conflict = verdicts[runs]
+        # a factory, not an instance: a raised instance keeps its traceback
+        stop = (granted, partial(BankConflictError, *conflict) if conflict
+                else partial(ScheduleError, f"stage {trace.stage_order[runs]}"
+                             " reads a word slot in two dispatches"))
     read = np.zeros((runs, n_banks * capacity), bool)
     read[np.arange(runs)[:, None], uv[:runs]] = True
     touched = read.any(axis=0)
@@ -364,12 +371,9 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         stored_fetches=int((parity == 0).sum()),
         decompressed_fetches=int((parity == 1).sum()))
     return _Plan(
-        stages=tuple(_Stage(sg, 2 * batches, granted, conflict, rereads[j],
-                            *((take[j], w[j], after[j]) if j < runs
-                              else (None,) * 3))
-                     for j, (sg, (granted, conflict))
-                     in enumerate(zip(trace.stage_order, verdicts))
-                     if j <= runs),
+        stages=tuple(_Stage(sg, granted, *arrays) for sg, (granted, _), *arrays
+                     in zip(trace.stage_order, verdicts, take, w, after)),
+        stop=stop,
         forward=forward,
         dispatches=k,
         rest=rest,
@@ -426,7 +430,7 @@ def _workspace(plan: _Plan) -> tuple:
 
 
 def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
-            stage_hook=None, plan: _Plan | None = None) -> int:
+            stage_hook=None) -> int:
     """Run every dispatch batch; returns the cycle total.
 
     `roms` is the compressed ROM set for the trace's PE count, one
@@ -436,59 +440,52 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     `stage_hook(stage, cycle)` fires after the last batch of each stage,
     with the stage's results in memory (used for boundary memory dumps;
     the run does not read memory back, so a hook must not write it).
-    `plan`, if given, is the plan of (trace, mem's geometry, roms) the
-    caller already looked up.
 
-    Each stage first adds the port accesses the ledger granted it in
-    the plan to mem.port_accesses and, if the ledger found a bank
-    conflict there, raises that BankConflictError before the stage
-    runs.  A stage that reads a word slot twice raises ScheduleError,
-    after the ledger verdict, so a bank conflict is reported as such.
-    Otherwise the stage is one gather into a working buffer and one
-    `array_butterfly` on it; two buffers take turns.  Memory receives
-    the state after the last stage, before each hook call and before an
-    exception propagates, so it then holds every completed stage.
+    Each stage of the plan adds the port accesses the ledger granted it
+    to mem.port_accesses, then is one gather into a working buffer and
+    one `array_butterfly` on it; two buffers take turns.  Memory
+    receives the state before each hook call and once after the last
+    stage.  If the plan has a stop, it then adds the accesses granted
+    before it and raises its error afresh: the BankConflictError the
+    ledger named, or ScheduleError for a stage that reads a word slot
+    twice (a bank conflict is reported as such).  Memory then holds
+    every completed stage.
 
     A run takes its buffers, with their views, from the plan's free
-    list and puts them back when it ends, so only a plan's first run
-    builds them.  A run that overlaps another run of the same plan (in
-    another thread, or from a hook) finds them taken and builds its own.
+    list and puts them back when its stages are done, so only a plan's
+    first run builds them.  A run that overlaps another run of the same
+    plan (in another thread, or from a hook) finds them taken and builds
+    its own.
     """
-    if plan is None:
-        plan = _plan(trace, mem, roms)
-    forward = plan.forward
+    plan = _plan(trace, mem, roms)
+    forward, cycles = plan.forward, plan.stats.stage_cycles
     try:
         ws = plan.workspaces.pop()
     except IndexError:  # no run has returned one, or all are in use
         ws = _workspace(plan)
     rows, ops, states = ws
     memory = mem.words.view(np.float64)
-    cycle, done = 0, None  # done: the last stage memory does not hold
-    try:
-        # overflow yields inf/nan silently, as scalar complex arithmetic does
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, st in enumerate(plan.stages):
-                mem.port_accesses += st.granted
-                if st.conflict:
-                    raise BankConflictError(*st.conflict)
-                if st.rereads:
-                    raise ScheduleError(
-                        f"stage {st.stage} reads a word slot in two dispatches")
-                # take(indices, axis, out, mode); "clip" skips the copy
-                # "raise" makes of out, and the indices are in range
-                (rows[(j - 1) & 1] if j else memory).take(
-                    st.take, None, rows[j & 1], "clip")
-                array_butterfly(ops[j & 1], st.w, forward)
-                cycle += st.cycles
-                done = j
-                if stage_hook:
-                    memory[st.put] = states[j & 1]
-                    done = None
-                    stage_hook(st.stage, cycle)
-    finally:
-        if done is not None:
-            memory[plan.stages[done].put] = states[done & 1]
-        plan.workspaces.append(ws)
+    cycle = 0
+    # overflow yields inf/nan silently, as scalar complex arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, st in enumerate(plan.stages):
+            mem.port_accesses += st.granted
+            # take(indices, axis, out, mode); "clip" skips the copy
+            # "raise" makes of out, and the indices are in range
+            (rows[(j - 1) & 1] if j else memory).take(
+                st.take, None, rows[j & 1], "clip")
+            array_butterfly(ops[j & 1], st.w, forward)
+            cycle += cycles[j]
+            if stage_hook:
+                memory[st.put] = states[j & 1]
+                stage_hook(st.stage, cycle)
+    if plan.stages:  # st, j: the last stage
+        memory[st.put] = states[j & 1]
+    plan.workspaces.append(ws)
+    if plan.stop:
+        granted, error = plan.stop
+        mem.port_accesses += granted
+        raise error()
     return cycle
 
 
@@ -503,7 +500,6 @@ class Simulator:
         self._lowering = (None, None)  # (trace, its plan)
         # rejects all but cfg's compressed ROM set before any other use
         self._lowered()
-        self.measured_cycles: int | None = None
         self.stats: RunStats | None = None
 
     def _lowered(self) -> _Plan:
@@ -546,15 +542,13 @@ class Simulator:
     def run(self, stage_hook=None) -> int:
         """Execute the trace; returns the cycle total and leaves the
         run's RunStats in `stats`."""
-        plan = self._lowered()
-        self.measured_cycles = execute(self.trace, self.mem, self.roms,
-                                       stage_hook, plan)
-        self.stats = plan.stats
-        return self.measured_cycles
+        cycles = execute(self.trace, self.mem, self.roms, stage_hook)
+        self.stats = self._lowered().stats
+        return cycles
 
     def read_result(self):
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
-        if self.measured_cycles is None:
+        if self.stats is None:
             raise RuntimeError("run() the simulator before reading results")
         plan = self._lowered()
         z = self.mem.words[plan.final]

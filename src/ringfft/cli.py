@@ -33,6 +33,7 @@ from .transform import (
     ifft_ref,
     polymul_negacyclic_oracle,
     polymul_via_fft,
+    validate_spectrum_length,
 )
 from .twiddles import S_MAX, build_rom_set, check_pe_count, dump_rom
 
@@ -153,6 +154,8 @@ def _sim_run_forward(a, n_pe, dump_path=None):
 
 
 def _sim_run_inverse(s: Spectrum, n_pe):
+    # rejected as the other engines reject it, not by the n it implies
+    validate_spectrum_length(len(s.values))
     if len(s.values) == 1:
         check_pe_count(n_pe)
         return ifft_inplace(s), 0, RunStats()

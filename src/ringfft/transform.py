@@ -109,7 +109,7 @@ def validate_polynomial(a: Sequence[float]) -> list[float]:
     return coeffs
 
 
-def _validate_spectrum_length(hn: int) -> None:
+def validate_spectrum_length(hn: int) -> None:
     if hn < 1 or hn & (hn - 1) or 2 * hn > S_MAX:
         raise DomainError(
             f"spectrum length must be a power of two in 1..{S_MAX // 2}, "
@@ -158,7 +158,7 @@ def ifft_ref(s: Spectrum) -> list[float]:
     if s.order_tag is not OrderTag.NATURAL_EVAL:
         raise OrderTagError("ifft_ref expects a NATURAL_EVAL spectrum")
     hn = len(s.values)
-    _validate_spectrum_length(hn)
+    validate_spectrum_length(hn)
     n = 2 * hn
     vals = np.asarray(s.values, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,7 +174,7 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
     and slot 2m+1 holds conj(a(w(hn-1-2*rev(m)))); conjugation lands
     exactly on the odd evaluation indices.  Built once per hn.
     """
-    _validate_spectrum_length(hn)
+    validate_spectrum_length(hn)
     if hn == 1:
         return ((0, False),)
     w = hn.bit_length() - 2
@@ -430,7 +430,7 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     if s.order_tag is not OrderTag.FALCON_INTERNAL:
         raise OrderTagError("ifft_inplace expects a FALCON_INTERNAL spectrum")
     hn = len(s.values)
-    _validate_spectrum_length(hn)
+    validate_spectrum_length(hn)
     if hn < VECTOR_MIN_HN:
         return _coefficients_scalar(s.values)
     z = spectrum_array(s)

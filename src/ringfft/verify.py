@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .banksim import BankConflictError, Simulator
-from .scheduler import ScheduleConfig, cycle_count
+from .scheduler import ScheduleConfig, ScheduleError, cycle_count
 from .transform import (
     Direction,
     fft_batch,
@@ -38,7 +38,7 @@ from .twiddles import (
 TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
                 256: 448, 512: 1024, 1024: 2304}
 
-SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
+SIZES = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 class Check(NamedTuple):
@@ -134,14 +134,15 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
     # one input per configuration, forward then inverse on the simulator
     all_bitexact = all_roundtrip = all_cycles = all_util = all_restore = True
     errors, conflicts = {}, []
-    for n in (8, 32, 256, 1024) if quick else SIZES:
+    for n in (4, 8, 32, 256, 1024) if quick else SIZES:
         for npe in PE_COUNTS:
-            if npe > n // 4:
+            try:  # exactly the configurations the simulator accepts
+                fwd_cfg = ScheduleConfig(n=n, n_pe=npe)
+            except ScheduleError:
                 continue
+            inv_cfg = ScheduleConfig(n=n, n_pe=npe, direction=Direction.INVERSE)
             _, _, roms = build_rom_set(S_MAX, npe)
             a = rng.uniform(-1.0, 1.0, n).tolist()
-            fwd_cfg = ScheduleConfig(n=n, n_pe=npe, direction=Direction.FORWARD)
-            inv_cfg = ScheduleConfig(n=n, n_pe=npe, direction=Direction.INVERSE)
             try:
                 sim = Simulator(fwd_cfg, roms)
                 sim.load_polynomial(a)

@@ -290,9 +290,9 @@ def test_stage_hook_snapshots():
     sim = Simulator(ScheduleConfig(n=32, n_pe=2), roms)
     sim.load_polynomial(list(range(32)))
     seen = []
-    sim.run(stage_hook=lambda stage, cycle: seen.append((stage, cycle)))
+    cycles = sim.run(stage_hook=lambda stage, cycle: seen.append((stage, cycle)))
     assert [s for s, _ in seen] == [0, 1, 2, 3]
-    assert seen[-1][1] == sim.measured_cycles
+    assert seen[-1][1] == cycles == sum(sim.stats.stage_cycles)
     snap = sim.mem.snapshot(sim.cfg.s_m)
     assert len(snap) == 16  # banks x run-effective offsets
     assert all(type(v) is complex for _b, _o, v in snap)
@@ -418,6 +418,51 @@ def test_bank_conflict_stops_before_its_stage_touches_memory(
     with pytest.raises(BankConflictError):
         reference_execute(bad, ref, roms)
     assert mem.port_accesses == ref.port_accesses
+
+
+@pytest.mark.parametrize("kind", ["conflict", "reread"])
+def test_a_stopped_run_raises_afresh_each_time(kind, rng):
+    # the plan keeps how to build its stop's error, not an instance: one
+    # instance raised again would be the same object, its traceback
+    # growing with every raise
+    if kind == "conflict":  # stage 2: PE 3 reads PE 2's first bank
+        trace = build_schedule(ScheduleConfig(n=64, n_pe=4))
+        batch = trace.batches[9]
+        bad = _edit(trace, 9, 3, bank0=batch[2].bank0, addr0=batch[2].addr0)
+        error = BankConflictError
+    else:  # one PE, so no conflict: batch 17 rereads batch 16's slots
+        trace = build_schedule(ScheduleConfig(n=32, n_pe=1))
+        d = trace.batches[16][0]
+        bad = _edit(trace, 17, 0, bank0=d.bank0, addr0=d.addr0,
+                    bank1=d.bank1, addr1=d.addr1)
+        error = ScheduleError
+    cfg = trace.config
+    roms = ROMS[cfg.n_pe][2]
+    ref = BankedMemory(cfg.banks)
+    words = rng.uniform(-1, 1, 2 * len(ref.words)).view(np.complex128)
+    ref.words[:] = words
+    boundaries = []  # the reference's memory after each stage
+    try:
+        reference_execute(bad, ref, roms, lambda stage, cycle:
+                          boundaries.append(ref.words.view(np.uint64).copy()))
+    except BankConflictError:
+        pass
+    # stages 0 and 1 complete; the ledger grants stage 2 every access
+    # before a conflict, and all of them when it only rereads
+    granted = (ref.port_accesses if kind == "conflict"
+               else 4 * trace.columns.pe[:3].size)
+    mem = BankedMemory(cfg.banks)
+    raised = []
+    for run in (1, 2):
+        mem.words[:] = words
+        with pytest.raises(error) as exc:
+            execute(bad, mem, roms)
+        raised.append(exc.value)
+        assert mem.port_accesses == run * granted
+        assert np.array_equal(mem.words.view(np.uint64), boundaries[1])
+    assert raised[0] is not raised[1]
+    assert str(raised[0]) == str(raised[1])
+    assert kind == "conflict" or str(raised[0]).startswith("stage 2 ")
 
 
 def test_execute_takes_the_ledger_verdict_from_the_lowering(monkeypatch, rng):

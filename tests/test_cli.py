@@ -258,11 +258,17 @@ def test_verify_quick(capsys):
                                           ("simulator", "falcon_internal"),
                                           ("reference", "natural_eval")])
 def test_ifft_rejects_empty_spectrum(tmp_path, capsys, engine, order):
-    spec = tmp_path / "empty.json"
-    spec.write_text(json.dumps({"order": order, "values": []}))
-    assert main(["ifft", str(spec), "--engine", engine]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "got 0" in err
+    # and every other unsupported length, with the inplace engine's line:
+    # the simulator names the spectrum's length, not the n it implies
+    spec = tmp_path / "spec.json"
+    for length in (0, 3, 1024):
+        spec.write_text(json.dumps(
+            {"order": order, "values": [[1.0, 0.0]] * length}))
+        assert main(["ifft", str(spec), "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: spectrum length must be a power of "
+                                f"two in 1..512, got {length}\n")
 
 
 def test_polymul_check_fails_on_nan_deviation(tmp_path, capsys, monkeypatch):

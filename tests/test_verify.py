@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import all_configs
 
 from ringfft import verify
 from ringfft.banksim import BankConflictError, Simulator
@@ -150,6 +151,21 @@ def test_eight_pes_are_verified():
     assert 8 in verify.PE_COUNTS
     lines = []
     assert verify.run_verification(seed=5, quick=True, echo=lines.append)
+
+
+def test_every_accepted_configuration_is_verified(monkeypatch):
+    # n = 4 too, whose extra PEs idle: the checks run exactly the
+    # configurations ScheduleConfig accepts
+    ran = []
+
+    class Counted(Simulator):
+        def run(self, stage_hook=None):
+            ran.append(self.cfg)
+            return super().run(stage_hook)
+
+    monkeypatch.setattr(verify, "Simulator", Counted)
+    assert all(check.ok for check in verify.run_checks(seed=5))
+    assert ran == list(all_configs())
 
 
 def test_idle_pe_fails_the_utilization_check(monkeypatch):
