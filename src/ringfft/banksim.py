@@ -65,7 +65,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheduler import ScheduleConfig, ScheduleError, ScheduleTrace, build_schedule
+from .scheduler import (
+    ScheduleConfig,
+    ScheduleError,
+    ScheduleTrace,
+    build_schedule,
+    routing,
+)
 from .transform import (
     Direction,
     DomainError,
@@ -279,7 +285,7 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     """
     cfg = trace.config
     forward = cfg.direction is Direction.FORWARD
-    pe, bank0, addr0, bank1, addr1, rom, _, in_ex, out_ex = trace.columns
+    pe, bank0, addr0, bank1, addr1, rom, in_ex, out_ex = trace.columns
     w = fetch_twiddles(roms, cfg.n_pe, pe, rom, forward)
     s_m = cfg.s_m
 
@@ -291,11 +297,7 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     if (read_banks.min() < 0 or read_banks.max() >= n_banks
             or offsets.min() < 0 or offsets.max() >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
-    s0, s1 = bank0 * capacity + addr0, bank1 * capacity + addr1
-    u = np.where(in_ex, s1, s0)
-    v = np.where(in_ex, s0, s1)
-    lo = np.where(out_ex, v, u)
-    hi = np.where(out_ex, u, v)
+    u, v, lo, hi = routing(trace.columns, capacity)
 
     # Port accesses in the order they are made: per batch, every
     # dispatch's two reads (bank0, bank1), then every dispatch's two

@@ -17,12 +17,14 @@ by compensating on later reads:
   * on stages 1..S_sg the paired groups alternate between their PEs
     cycle by cycle, which keeps each PE's twiddle ROM block a +/-i pair.
 
-The control is closed-form per cycle and per PE, so a schedule is stated
-once, as arrays (`DispatchColumns`: one value per stage, cycle and PE);
-only the word placement is followed stage by stage.  ROM addresses
-invert `twiddles.rom_layout`.  Array checks reject a bank used twice in
-a batch, a second operand away from its partner offset and a twiddle
-missing from its PE's ROM, naming the configuration, stage and cycle.
+Each PE's cycle counter drives all of its control, so each column of a
+schedule (`DispatchColumns`: one value per stage, cycle and PE) is a
+closed form of the stage, the counter and the PE; the ROM addresses walk
+each stage's block of `twiddles.rom_layout` in layout order.  `routing`
+states once where a dispatch reads its operands and writes its results,
+for the final placement here and for the simulator.  An array check
+rejects a bank used twice in a batch, naming the configuration, stage
+and cycle.
 
 The inverse direction replays the same per-cycle control with the stage
 counter reversed; because output swaps permute a pair's two words within
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .transform import Direction, DomainError
-from .twiddles import S_MAX, check_pe_count, rom_layout
+from .twiddles import S_MAX, check_pe_count, stage_rom_bases
 
 
 class ScheduleError(ValueError):
@@ -122,7 +124,6 @@ class ButterflyDispatch:
     bank1: int
     addr1: int
     rom_addr: int           # -1 for the wired stage-0 constant
-    group: int              # logical twiddle group of the executed pair
     input_exchanged: bool
     output_exchanged: bool
 
@@ -138,7 +139,6 @@ class DispatchColumns(NamedTuple):
     bank1: np.ndarray
     addr1: np.ndarray
     rom_addr: np.ndarray
-    group: np.ndarray
     input_exchanged: np.ndarray     # bool
     output_exchanged: np.ndarray    # bool
 
@@ -174,9 +174,22 @@ class ScheduleTrace:
         return tuple(out)
 
 
+def routing(columns: DispatchColumns, rows: int) -> tuple:
+    """(u, v, lo, hi): the slots, bank * rows + offset, each dispatch
+    reads its first and second operands from and writes its x and y
+    results to, elementwise over the columns."""
+    s0 = columns.bank0 * rows + columns.addr0
+    s1 = columns.bank1 * rows + columns.addr1
+    in_ex, out_ex = columns.input_exchanged, columns.output_exchanged
+    u = np.where(in_ex, s1, s0)
+    v = np.where(in_ex, s0, s1)
+    return u, v, np.where(out_ex, v, u), np.where(out_ex, u, v)
+
+
 @lru_cache(maxsize=None)
 def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
-    """Generate the trace for cfg as columns, checking every stage.
+    """Generate the trace for cfg as columns, each a closed form of the
+    stage, the cycle counter and the PE, and check its bank use.
 
     A trace depends on cfg only, so it is built once per configuration
     and the same immutable object is handed to every caller.  The
@@ -199,7 +212,7 @@ def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
     c = np.arange(cfg.bt_pe_count)[:, None]
     pe = np.arange(n_pe)
 
-    bank0, bank1, addr1, group = np.empty((4, *shape), np.int64)
+    bank0, bank1, addr1 = np.empty((3, *shape), np.int64)
     for k, sg in enumerate(order):
         bank0[k], bank1[k] = _bank_pair(sg, pe, c, s_sg)
         addr1[k] = c ^ _partner_mask(sg, s_sg, s_m)
@@ -209,53 +222,34 @@ def build_schedule(cfg: ScheduleConfig) -> ScheduleTrace:
         k, i = np.argwhere(reused)[0].tolist()
         raise ScheduleError(
             f"bank conflict at n={n} n_pe={n_pe} sg={order[k]} c={i}")
-    ex_bit = stages - 2 - sg_of
     bt = cfg.bt_pe_count * pe + c
-    out_ex = (sg_of >= s_sg) & (ex_bit >= 0) & (
-        (bt >> np.maximum(ex_bit, 0)) & 1 == 1)
 
-    # Follow the word placement stage by stage: locate each pair, then
-    # apply all of the stage's output swaps at once.
-    slot_of = np.array(initial, np.int64)
-    word_at = np.argsort(slot_of)
-    in_ex = np.empty(shape, bool)
-    for k, sg in enumerate(order):
-        delta = 1 << (stages - sg - 1)
-        wa = word_at[bank0[k] * s_m + c]
-        wb = wa ^ delta
-        sb = slot_of[wb]
-        lost = sb != bank1[k] * s_m + addr1[k]
-        if lost.any():
-            i, p = np.argwhere(lost)[0].tolist()
-            raise ScheduleError(
-                f"partner mislocated at n={n} n_pe={n_pe} sg={sg} pe={p} "
-                f"c={i}: expected ({bank1[k, i, p]},{addr1[k, i, p]}), "
-                f"got slot {sb[i, p]}")
-        in_ex[k] = wa > wb
-        w0 = np.minimum(wa, wb)
-        group[k] = w0 >> (stages - sg)
-        w0 = w0[out_ex[k]]
-        w1 = w0 | delta
-        s0, s1 = slot_of[w0], slot_of[w1]
-        slot_of[w0], slot_of[w1] = s1, s0
-        word_at[s0], word_at[s1] = w1, w0
+    def out_ex(sg):  # false before stage S_sg and on the last stage
+        ex_bit = stages - 2 - sg
+        return (sg >= s_sg) & (ex_bit >= 0) & (
+            (bt >> np.maximum(ex_bit, 0)) & 1 == 1)
 
-    # ROM addresses invert the ROM layout, with twiddle (sg, g) at
-    # 2^sg + g; -1 where a PE's ROM lacks it, as for the wired stage 0
-    rom_stage, rom_group = rom_layout(cfg.n_pe, stages)
-    rom_addr_of = np.full((cfg.n_pe, 1 << stages), -1)
-    keys = (1 << rom_stage) + rom_group
-    rom_addr_of[np.arange(cfg.n_pe)[:, None], keys] = np.arange(len(rom_stage))
-    rom_addr = rom_addr_of[pe, (1 << sg_of) + group]
-    missing = (rom_addr < 0) & (sg_of > 0)
-    if missing.any():
-        k, i, p = np.argwhere(missing)[0].tolist()
-        raise ScheduleError(
-            f"twiddle group {group[k, i, p]} of stage {order[k]} is not in "
-            f"the ROM of PE {p} at n={n} n_pe={n_pe} c={i}")
+    # A forward pair arrives exchanged when the stage before swapped its
+    # results; an inverse pair finds where the forward stage left it,
+    # exchanged when exactly one of that stage and the one before swapped.
+    in_ex = out_ex(sg_of - 1)
+    if cfg.direction is Direction.INVERSE:
+        in_ex = in_ex ^ out_ex(sg_of)
+    # The cycle counter reads each stage's ROM block in layout order:
+    # the +/-i pair in alternate cycles on stages 1..S_sg, later one
+    # group per 2^(stages-1-sg) cycles; stage 0's constant is wired.
+    t = np.where(sg_of <= s_sg, c & 1, c >> (stages - 1 - sg_of))
+    rom_addr = np.where(sg_of > 0, np.array(
+        stage_rom_bases(cfg.n_pe, stages))[sg_of] + t, -1)
 
     columns = DispatchColumns(*(np.broadcast_to(a, shape) for a in (
-        pe, bank0, c, bank1, addr1, rom_addr, group, in_ex, out_ex)))
+        pe, bank0, c, bank1, addr1, rom_addr, in_ex, out_ex(sg_of))))
+    # every stage moves the word at u to lo and the word at v to hi
+    slot_of = np.array(initial)
+    for u, v, lo, hi in zip(*routing(columns, s_m)):
+        moved = np.empty(n // 2, np.int64)
+        moved[u], moved[v] = lo, hi
+        slot_of = moved[slot_of]
     return ScheduleTrace(config=cfg, stage_order=tuple(order),
                          columns=columns, initial_slots=initial,
                          final_slots=tuple(slot_of.tolist()))
@@ -279,7 +273,7 @@ def trace_csv_rows(trace: ScheduleTrace):
     table = np.stack(np.broadcast_arrays(
         2 * np.arange(steps * width).reshape(steps, width, 1), cols.pe,
         np.array(trace.stage_order)[:, None, None], width * cols.pe + c,
-        *cols[1:6], *cols[7:]), axis=-1)  # every column but group
+        *cols[1:]), axis=-1)
     return map(tuple, table.reshape(-1, 11).tolist())
 
 

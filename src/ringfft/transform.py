@@ -347,19 +347,21 @@ def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
     built once per call, so a stage is four ufunc calls and a swap.
     Overwrites x; returns the buffer holding the result.
 
-    A product w*v is (wr*vr + (-wi)*vi, wi*vr + wr*vi): one multiply by
-    the twiddle matrix, one sum over its columns.  Negation is exact and
-    IEEE 754 defines a - b as a + (-b), so each part rounds as CPython's
-    complex multiply rounds (wr*vr - wi*vi, wr*vi + wi*vr), and every
-    word is bit-identical to the scalar network's."""
+    A product w*v is (wr*vr + (-wi)*vi, wr*vi + wi*vr), the diagonal plus
+    the anti-diagonal of the twiddle matrix times v; d*w is the sum over
+    the columns of w times d.  Negation is exact and IEEE 754 defines
+    a - b as a + (-b), so each part rounds as CPython's complex multiply
+    rounds it, adding in its order (which decides the NaN payload of a
+    sum of two NaNs): every word is bit-identical to the scalar network's."""
     hn = x.shape[-1]
     h = hn // 2
     y = np.empty_like(x)
     t = np.empty(x.shape[:-1] + (h,))
     m = np.empty((len(x), 2, 2, h))
-    m0, m1 = m[:, :, 0], m[:, :, 1]
     stages = _stage_matrices(forward, hn)
     if forward:
+        cells = m.reshape(len(x), 4, h)
+        m0, m1 = cells[:, ::3], cells[:, 1:3]  # diagonal, anti-diagonal
         a = x[..., :h], x[:, None, :, h:], y[..., 0::2], y[..., 1::2]
         b = y[..., :h], y[:, None, :, h:], x[..., 0::2], x[..., 1::2]
         for w in stages:
@@ -370,7 +372,7 @@ def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
             np.subtract(u, t, out=q)
             a, b = b, a
     else:
-        t1 = t[:, None]
+        m0, m1, t1 = m[:, :, 0], m[:, :, 1], t[:, None]
         a = x[..., 0::2], x[..., 1::2], y[..., :h], y[..., h:]
         b = y[..., 0::2], y[..., 1::2], x[..., :h], x[..., h:]
         for w in stages:

@@ -162,8 +162,8 @@ def stage_rom_bases(n_pe: int, stages: int) -> tuple:
 
 def rom_layout(n_pe: int, stages: int) -> tuple:
     """(stage, group): address a of PE p's ROM holds the twiddle of stage
-    stage[a], group group[p, a].  `split_roms` fills the ROMs from this
-    and the scheduler inverts it into ROM addresses.  Stage sg's block
+    stage[a], group group[p, a].  `split_roms` fills the ROMs from this,
+    and the schedule's ROM addresses read it in order.  Stage sg's block
     starts at its `stage_rom_bases` entry and holds the groups
     g0 ^ gray_code(t), t = 0, 1, ..., from g0 = floor(p * 2^sg / n_pe):
     on stages 1..log2(n_pe) the +/-i pair the paired PEs alternate on,

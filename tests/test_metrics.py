@@ -2,6 +2,7 @@ import pytest
 
 from ringfft.metrics import (
     CORTEX_A72_CYCLES,
+    PEER_RECORDS,
     PRINTED_NORMALIZED,
     ImplRecord,
     all_records,
@@ -103,3 +104,18 @@ def test_proposed_execution_time_feeds_comparison():
     assert rec.exec_time_us == pytest.approx(13.824, rel=1e-12)
     _, p_hat, e_hat = normalized_row(rec)
     assert e_hat == pytest.approx(170, abs=1)
+
+
+def test_abstract_headline_numbers():
+    # speedup over the Cortex-A72 at most 2.32x (n = 8), 1.10x at n = 1024
+    speedup = {n: a72_ns / t_ns for n, _, t_ns, _, a72_ns in cycles_table()}
+    assert max(speedup, key=speedup.get) == 8
+    assert round(speedup[8], 2) == 2.32
+    assert round(speedup[1024], 2) == 1.10
+    # 42.0% less normalized area, 83.7% less power, averaged over the peers
+    a_hat, p_hat, _ = normalized_row(proposed_record())
+    peers = [normalized_row(r) for r in PEER_RECORDS]
+    assert len(peers) == 4
+    area = sum(1 - a_hat / a for a, _, _ in peers) / len(peers)
+    power = sum(1 - p_hat / p for _, p, _ in peers) / len(peers)
+    assert (round(100 * area, 1), round(100 * power, 1)) == (42.0, 83.7)

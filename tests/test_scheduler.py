@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import all_configs
 
-from ringfft import scheduler
+from ringfft import scheduler, twiddles, verify
 from ringfft.scheduler import (
     ScheduleConfig,
     ScheduleError,
@@ -13,6 +13,7 @@ from ringfft.scheduler import (
     trace_csv_rows,
 )
 from ringfft.transform import Direction, DomainError
+from ringfft.twiddles import build_rom_set, stage_twiddle
 
 ALL_CONFIGS = [(n, npe) for n in (8, 16, 32, 64, 128, 256, 512, 1024)
                for npe in (1, 2, 4) if npe <= n // 4]
@@ -112,11 +113,13 @@ def cfg_active(n, npe):
 
 def _replay(trace):
     """Independent placement replay; checks the distance law, operand
-    alignment, bank disjointness per batch, and the exchange flags."""
+    alignment, bank disjointness per batch, the exchange flags, and the
+    twiddle each dispatch reads from its PE's ROM."""
     cfg = trace.config
     hn = cfg.n // 2
     s_m = cfg.s_m
     stages = cfg.stages
+    images = build_rom_set(1024, cfg.n_pe)[1]
     slot_word = [0] * hn
     for w, s in enumerate(trace.initial_slots):
         slot_word[s] = w
@@ -132,7 +135,11 @@ def _replay(trace):
             wa, wb = slot_word[s0], slot_word[s1]
             assert (wa ^ wb) == delta  # operand distance law, logical indices
             assert d.input_exchanged == (wa > wb)
-            assert d.group == min(wa, wb) >> (stages - d.stage)
+            if d.stage == 0:
+                assert d.rom_addr == -1  # the wired constant
+            else:
+                assert images[d.pe].entries[d.rom_addr] == stage_twiddle(
+                    d.stage, min(wa, wb) >> (stages - d.stage))
             banks += [d.bank0, d.bank1]
             if d.output_exchanged:
                 moves.append((min(wa, wb), max(wa, wb)))
@@ -176,8 +183,6 @@ def test_stage_coverage():
 
 
 def test_rom_addresses_in_range():
-    from ringfft.twiddles import build_rom_set
-
     for n, npe in ALL_CONFIGS:
         _, images, _ = build_rom_set(1024, npe)
         for direction in (Direction.FORWARD, Direction.INVERSE):
@@ -188,11 +193,7 @@ def test_rom_addresses_in_range():
                     if d.stage == 0:
                         assert d.rom_addr == -1
                     else:
-                        img = images[d.pe]
-                        assert 0 <= d.rom_addr < len(img.entries)
-                        from ringfft.twiddles import stage_twiddle
-                        assert img.entries[d.rom_addr] == \
-                            stage_twiddle(d.stage, d.group)
+                        assert 0 <= d.rom_addr < len(images[d.pe].entries)
 
 
 def test_trace_csv_rows():
@@ -213,13 +214,17 @@ def cold_schedules():
     build_schedule.cache_clear()
 
 
+def _failed_checks():
+    return [c.name for c in verify.run_checks(quick=True) if not c.ok]
+
+
 def test_mislocated_partner_is_rejected(monkeypatch, cold_schedules):
     # without the offset complement the second operand of the first
     # conflict-prone stage (sg = 2 with two PEs) is not where it is read
     monkeypatch.setattr(scheduler, "_partner_mask", lambda sg, s_sg, s_m: 0)
-    with pytest.raises(ScheduleError, match=r"partner mislocated at n=64 "
-                       r"n_pe=2 sg=2 pe=\d c=\d+: expected \(\d,\d+\)"):
-        build_schedule(ScheduleConfig(n=64, n_pe=2))
+    with pytest.raises(AssertionError, match=r"assert \(\d+ \^ \d+\) == 4"):
+        _replay(build_schedule(ScheduleConfig(n=64, n_pe=2)))
+    assert _failed_checks() == ["simulator == in-place transform, bit-exact"]
 
 
 def test_bank_reused_in_a_batch_is_rejected(monkeypatch, cold_schedules):
@@ -232,20 +237,27 @@ def test_bank_reused_in_a_batch_is_rejected(monkeypatch, cold_schedules):
         build_schedule(ScheduleConfig(n=64, n_pe=2))
 
 
-def test_twiddle_missing_from_its_pe_rom_is_rejected(monkeypatch,
-                                                     cold_schedules):
-    # with the two PEs' ROM layouts swapped, stage 2 on PE 0 needs a
-    # group only PE 1's ROM holds
-    real = scheduler.rom_layout
+@pytest.fixture
+def cold_roms():
+    """An empty ROM-set cache before and after the test."""
+    build_rom_set.cache_clear()
+    yield
+    build_rom_set.cache_clear()
+
+
+def test_twiddle_missing_from_its_pe_rom_is_rejected(monkeypatch, cold_roms):
+    # with the two PEs' ROM layouts swapped, each PE reads the other's
+    # twiddles from stage 1 on, at the addresses its counter computes
+    real = twiddles.rom_layout
 
     def swapped(n_pe, stages):
         stage, group = real(n_pe, stages)
         return stage, group[::-1]
 
-    monkeypatch.setattr(scheduler, "rom_layout", swapped)
-    with pytest.raises(ScheduleError, match=r"twiddle group \d+ of stage 2 "
-                       r"is not in the ROM of PE 0 at n=64 n_pe=2"):
-        build_schedule(ScheduleConfig(n=64, n_pe=2))
+    monkeypatch.setattr(twiddles, "rom_layout", swapped)
+    with pytest.raises(AssertionError, match="stage_twiddle"):
+        _replay(build_schedule(ScheduleConfig(n=64, n_pe=2)))
+    assert _failed_checks() == ["simulator == in-place transform, bit-exact"]
 
 
 def test_dispatch_view_equals_columns():

@@ -414,6 +414,18 @@ def test_array_path_overflow_matches_scalar_to_the_bit(rng, n, scale):
                                   _bits(want))
 
 
+def test_plane_network_sums_w_times_v_in_cpython_order():
+    # both parts of v NaN: each part of w*v sums two NaNs, and a sum
+    # keeps its first addend's payload, so only CPython's addend order
+    # (wr*vr - wi*vi, wr*vi + wi*vr) gives the scalar network's bits
+    u, v = complex(0.5, -0.25), complex(_nan(0, 1), _nan(1, 2))
+    want = [u, v]
+    run_forward_network(want)
+    planes = np.array([[[u.real, v.real], [u.imag, v.imag]]])
+    got = transform._run_planes(planes, True)[0]
+    assert np.array_equal(_bits(got.T.ravel().tolist()), _bits(want))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_fft_batch_bit_identical_to_one_by_one(rng, n):
     polys = [rng.uniform(-1e4, 1e4, n).tolist() for _ in range(3)]
