@@ -24,7 +24,8 @@ each stage's block of `twiddles.rom_layout` in layout order.  `routing`
 states once where a dispatch reads its operands and writes its results,
 for the final placement here and for the simulator.  An array check
 rejects a bank used twice in a batch, naming the configuration, stage
-and cycle.
+and cycle.  `CONFIGS` lists every accepted configuration: n_PE <= n/4,
+or n = 4, whose one butterfly reads the wired constant, no ROM word.
 
 The inverse direction replays the same per-cycle control with the stage
 counter reversed; because output swaps permute a pair's two words within
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .transform import Direction, DomainError
-from .twiddles import S_MAX, check_pe_count, stage_rom_bases
+from .twiddles import PE_COUNTS, S_MAX, check_pe_count, stage_rom_bases
 
 
 class ScheduleError(ValueError):
@@ -72,6 +73,14 @@ def _bank_pair(sg: int, pe, c, p_bits: int):
     return bank0, bank0 | (1 << (p_bits - sg))
 
 
+def _fits(n: int, n_pe: int) -> bool:
+    """Whether each of the n_pe PEs gets a butterfly per batch.  Fewer
+    active PEs would read ROM words laid out for n_pe at the wrong
+    addresses; n = 4 is exempt, as its one butterfly reads the wired
+    constant and no ROM word."""
+    return n_pe <= n // 4 or n == 4
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     n: int
@@ -83,7 +92,7 @@ class ScheduleConfig:
             raise ScheduleError(
                 f"n must be a power of two in 4..{S_MAX}, got {self.n}")
         check_pe_count(self.n_pe, ScheduleError)
-        if self.n_pe > self.n // 4 and self.n != 4:
+        if not _fits(self.n, self.n_pe):
             raise ScheduleError(
                 f"n_pe={self.n_pe} exceeds the {self.n // 4} butterflies "
                 f"of one stage at n={self.n}")
@@ -112,6 +121,12 @@ class ScheduleConfig:
     @property
     def bt_pe_count(self) -> int:
         return (self.n // 4) // self.active_pes
+
+
+# every accepted configuration (66), forward then inverse per (n, n_pe)
+CONFIGS = tuple(ScheduleConfig(n, n_pe, direction)
+                for n in (1 << k for k in range(2, S_MAX.bit_length()))
+                for n_pe in PE_COUNTS if _fits(n, n_pe) for direction in Direction)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,9 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .banksim import BankConflictError, Simulator
-from .scheduler import ScheduleConfig, ScheduleError, cycle_count
+from .scheduler import CONFIGS, cycle_count
 from .transform import (
-    Direction,
     fft_batch,
     fft_inplace,
     fft_ref,
@@ -37,8 +36,6 @@ from .twiddles import (
 
 TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
                 256: 448, 512: 1024, 1024: 2304}
-
-SIZES = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 class Check(NamedTuple):
@@ -134,40 +131,36 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
     # one input per configuration, forward then inverse on the simulator
     all_bitexact = all_roundtrip = all_cycles = all_util = all_restore = True
     errors, conflicts = {}, []
-    for n in (4, 8, 32, 256, 1024) if quick else SIZES:
-        for npe in PE_COUNTS:
-            try:  # exactly the configurations the simulator accepts
-                fwd_cfg = ScheduleConfig(n=n, n_pe=npe)
-            except ScheduleError:
-                continue
-            inv_cfg = ScheduleConfig(n=n, n_pe=npe, direction=Direction.INVERSE)
-            _, _, roms = build_rom_set(S_MAX, npe)
-            a = rng.uniform(-1.0, 1.0, n).tolist()
-            try:
-                sim = Simulator(fwd_cfg, roms)
-                sim.load_polynomial(a)
-                cycles = sim.run()
-                spec = sim.read_result()
+    for fwd_cfg, inv_cfg in zip(CONFIGS[::2], CONFIGS[1::2]):
+        n, npe = fwd_cfg.n, fwd_cfg.n_pe
+        if quick and n not in (4, 8, 32, 256, 1024):
+            continue
+        _, _, roms = build_rom_set(S_MAX, npe)
+        a = rng.uniform(-1.0, 1.0, n).tolist()
+        try:
+            sim = Simulator(fwd_cfg, roms)
+            sim.load_polynomial(a)
+            cycles = sim.run()
+            spec = sim.read_result()
 
-                isim = Simulator(inv_cfg, roms)
-                isim.load_spectrum(spec)
-                cycles_i = isim.run()
-                back = isim.read_result()
-            except BankConflictError as e:
-                conflicts.append(f"bank conflict at n={n} npe={npe}: {e}")
-                continue
-            except Exception as e:  # reported as a failed check, not raised
-                errors[f"n={n} npe={npe}"] = f"{type(e).__name__}: {e}"
-                continue
+            isim = Simulator(inv_cfg, roms)
+            isim.load_spectrum(spec)
+            cycles_i = isim.run()
+            back = isim.read_result()
+        except BankConflictError as e:
+            conflicts.append(f"bank conflict at n={n} npe={npe}: {e}")
+            continue
+        except Exception as e:  # reported as a failed check, not raised
+            errors[f"n={n} npe={npe}"] = f"{type(e).__name__}: {e}"
+            continue
 
-            all_cycles &= cycles == cycles_i == cycle_count(n, npe)
-            pes = np.sort(sim.trace.columns.pe, axis=-1)  # each PE once
-            all_util &= np.array_equal(pes, np.tile(np.arange(
-                fwd_cfg.active_pes), (*pes.shape[:-1], 1)))
-            all_bitexact &= np.array_equal(_bits(spec.values),
-                                           _bits(fft_inplace(a).values))
-            all_restore &= tuple(isim.trace.final_slots) == tuple(range(n // 2))
-            all_roundtrip &= max_abs_error(back, a) <= relative_bound(a)
+        all_cycles &= cycles == cycles_i == cycle_count(n, npe)
+        full = (fwd_cfg.active_pes / npe,) * (cycle_count(n, npe) // 2)
+        all_util &= sim.stats.pe_utilization == isim.stats.pe_utilization == full
+        all_bitexact &= np.array_equal(_bits(spec.values),
+                                       _bits(fft_inplace(a).values))
+        all_restore &= tuple(isim.trace.final_slots) == tuple(range(n // 2))
+        all_roundtrip &= max_abs_error(back, a) <= relative_bound(a)
 
     checks += [
         Check("simulator runs completed without error", not errors,

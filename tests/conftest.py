@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ringfft.banksim import BankConflictError, pe_butterfly
-from ringfft.scheduler import ScheduleConfig, ScheduleError
 from ringfft.transform import Direction, _stage_twiddles, slot_eval_map
 from ringfft.twiddles import CompressedRom, fetch_twiddle, stage0_constant
 
@@ -10,17 +9,6 @@ from ringfft.twiddles import CompressedRom, fetch_twiddle, stage0_constant
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xF0F0)
-
-
-def all_configs():
-    """Every valid ScheduleConfig (66), in a fixed order."""
-    for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
-        for npe in (1, 2, 4, 8):
-            for direction in (Direction.FORWARD, Direction.INVERSE):
-                try:
-                    yield ScheduleConfig(n=n, n_pe=npe, direction=direction)
-                except ScheduleError:
-                    pass
 
 
 def reference_fetch(roms, pe, addr, forward):

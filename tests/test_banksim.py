@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import all_configs, load_natural, reference_execute
+from conftest import load_natural, reference_execute
 
 from ringfft import banksim
 from ringfft.banksim import (
@@ -20,6 +20,7 @@ from ringfft.banksim import (
     pe_butterfly,
 )
 from ringfft.scheduler import (
+    CONFIGS,
     ScheduleConfig,
     ScheduleError,
     build_schedule,
@@ -30,7 +31,7 @@ from ringfft.twiddles import TwiddleError, build_rom_set, fetch_twiddles
 from ringfft.verify import max_abs_error, relative_bound
 
 ROMS = {npe: build_rom_set(1024, npe) for npe in (1, 2, 4, 8)}
-ALL_CONFIGS = list(all_configs())
+FORWARD = [c for c in CONFIGS if c.direction is Direction.FORWARD]
 
 
 def test_pe_butterfly_forward():
@@ -83,9 +84,7 @@ def test_load_natural_placement():
             assert not rows[:, cfg.s_m:].any()
 
 
-@pytest.mark.parametrize(
-    "cfg", [c for c in ALL_CONFIGS if c.direction is Direction.FORWARD],
-    ids=lambda c: f"{c.n}-{c.n_pe}")
+@pytest.mark.parametrize("cfg", FORWARD, ids=lambda c: f"{c.n}-{c.n_pe}")
 def test_load_polynomial_places_words_as_the_reference(cfg, rng):
     a = rng.uniform(-1, 1, cfg.n)
     a[::3] = -0.0
@@ -97,14 +96,12 @@ def test_load_polynomial_places_words_as_the_reference(cfg, rng):
                           ref.words.view(np.uint64))
 
 
-@pytest.mark.parametrize("npe", [1, 2, 4])
-@pytest.mark.parametrize("n", [8, 32, 256, 1024])
-def test_forward_matches_inplace_bit_exact(n, npe, rng):
-    if npe > n // 4:
-        pytest.skip("more PEs than butterflies")
-    _, _, roms = ROMS[npe]
-    a = rng.uniform(-1, 1, n).tolist()
-    sim = Simulator(ScheduleConfig(n=n, n_pe=npe), roms)
+@pytest.mark.parametrize(
+    "cfg", [c for c in FORWARD if c.n in (8, 32, 256, 1024)],
+    ids=lambda c: f"{c.n}-{c.n_pe}")
+def test_forward_matches_inplace_bit_exact(cfg, rng):
+    a = rng.uniform(-1, 1, cfg.n).tolist()
+    sim = Simulator(cfg, ROMS[cfg.n_pe][2])
     sim.load_polynomial(a)
     sim.run()
     assert sim.read_result().values == fft_inplace(a).values
@@ -189,7 +186,7 @@ def test_uncompressed_or_foreign_roms_are_a_type_error():
 
 
 @pytest.mark.parametrize(
-    "cfg", ALL_CONFIGS,
+    "cfg", CONFIGS,
     ids=lambda c: f"{c.n}-{c.n_pe}-{c.direction.value}")
 def test_rom_set_for_another_pe_count_is_rejected(cfg):
     # a foreign set has the same execution-table format, so without the
@@ -218,22 +215,20 @@ def test_rom_set_of_the_wrong_length_is_rejected():
         Simulator(cfg, roms)
 
 
-@pytest.mark.parametrize("npe", [1, 2, 4])
-@pytest.mark.parametrize("n", [8, 64, 1024])
-def test_roundtrip_through_simulator(n, npe, rng):
-    if npe > n // 4:
-        pytest.skip("more PEs than butterflies")
-    _, _, roms = ROMS[npe]
-    a = rng.uniform(-1, 1, n).tolist()
-    fwd = Simulator(ScheduleConfig(n=n, n_pe=npe), roms)
+@pytest.mark.parametrize(
+    "cfg", [c for c in FORWARD if c.n in (8, 64, 1024)],
+    ids=lambda c: f"{c.n}-{c.n_pe}")
+def test_roundtrip_through_simulator(cfg, rng):
+    roms, cycles = ROMS[cfg.n_pe][2], cycle_count(cfg.n, cfg.n_pe)
+    a = rng.uniform(-1, 1, cfg.n).tolist()
+    fwd = Simulator(cfg, roms)
     fwd.load_polynomial(a)
-    assert fwd.run() == cycle_count(n, npe)
+    assert fwd.run() == cycles
     spec = fwd.read_result()
 
-    inv = Simulator(ScheduleConfig(n=n, n_pe=npe,
-                                   direction=Direction.INVERSE), roms)
+    inv = Simulator(dataclasses.replace(cfg, direction=Direction.INVERSE), roms)
     inv.load_spectrum(spec)
-    assert inv.run() == cycle_count(n, npe)
+    assert inv.run() == cycles
     back = inv.read_result()
     assert max_abs_error(back, a) <= relative_bound(a)
 
@@ -263,17 +258,6 @@ def test_constant_input_forward():
         sim.load_polynomial([3.5] + [0.0] * (n - 1))
         sim.run()
         assert all(abs(z - 3.5) < 1e-12 for z in sim.read_result().values)
-
-
-def test_measured_cycles_all_configs():
-    for n in (8, 16, 32, 64, 128, 256, 512, 1024):
-        for npe in (1, 2, 4):
-            if npe > n // 4:
-                continue
-            _, _, roms = ROMS[npe]
-            sim = Simulator(ScheduleConfig(n=n, n_pe=npe), roms)
-            sim.load_polynomial([0.0] * n)
-            assert sim.run() == cycle_count(n, npe)
 
 
 def test_port_access_accounting():
@@ -335,12 +319,8 @@ def _run_both(trace, roms, words, reference_roms=None):
     return out
 
 
-def test_every_valid_config_is_compared():
-    assert len(ALL_CONFIGS) == 66
-
-
 @pytest.mark.parametrize(
-    "cfg", ALL_CONFIGS,
+    "cfg", CONFIGS,
     ids=lambda c: f"{c.n}-{c.n_pe}-{c.direction.value}")
 def test_lowered_execute_matches_reference(cfg, rng):
     trace = build_schedule(cfg)
@@ -534,7 +514,7 @@ def _counted_from_columns(trace):
 
 
 @pytest.mark.parametrize(
-    "cfg", ALL_CONFIGS,
+    "cfg", CONFIGS,
     ids=lambda c: f"{c.n}-{c.n_pe}-{c.direction.value}")
 def test_run_stats_match_the_trace_columns(cfg):
     sim = Simulator(cfg, ROMS[cfg.n_pe][2])
@@ -658,7 +638,7 @@ def test_inverse_that_does_not_restore_natural_order_is_an_error(rng):
     # one or two dispatches per stage: numpy's complex add keeps the
     # other operand's NaN on such short arrays
     *(pytest.param(c, seed, id=f"{c.n}-{c.n_pe}-{c.direction.value}-{seed}")
-      for c in ALL_CONFIGS if c.n <= 16 for seed in range(3))])
+      for c in CONFIGS if c.n <= 16 for seed in range(3))])
 def test_overflowing_words_match_reference_to_the_bit(cfg, seed):
     # inf - inf and NaN operands: which NaN survives a sum depends on
     # the addend order, and NaN hex() hides the sign, so compare words

@@ -5,14 +5,18 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import all_configs
 
-from ringfft.scheduler import ScheduleConfig, build_schedule, trace_csv_rows
+from ringfft.scheduler import (
+    CONFIGS,
+    ScheduleConfig,
+    build_schedule,
+    trace_csv_rows,
+)
 from ringfft.transform import Direction, slot_eval_map
 from ringfft.twiddles import S_MAX, build_rom_set, build_twiddle_table
 
 # SHA-256 over every valid configuration's trace (placements and CSV
-# rows, in all_configs order); any change to a generated schedule,
+# rows, in CONFIGS order); any change to a generated schedule,
 # however it is built, changes it.
 SCHEDULE_DIGEST = \
     "9888b0319a400b6af885a6cfbff59bc9972cddd3793172a32a7f83157e0b899b"
@@ -20,9 +24,8 @@ SCHEDULE_DIGEST = \
 
 def test_schedule_digest_pinned():
     h = hashlib.sha256()
-    configs = list(all_configs())
-    assert len(configs) == 66
-    for cfg in configs:
+    assert len(CONFIGS) == 66
+    for cfg in CONFIGS:
         trace = build_schedule(cfg)
         h.update(repr((cfg.n, cfg.n_pe, cfg.direction.value,
                        trace.initial_slots, trace.final_slots,

@@ -9,6 +9,7 @@ import pytest
 
 from ringfft import cli
 from ringfft.cli import main
+from ringfft.scheduler import CONFIGS
 
 
 def _write_poly(path, coeffs):
@@ -175,6 +176,22 @@ def test_schedule_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("cycle,pe,stage,bt")
     assert len(lines) == 1 + 4
+
+
+# SHA-256 of `ringfft schedule --n 1024` per PE count
+SCHEDULE_CSV_DIGESTS = {
+    1: "cf5f88d8a6e8ef2a88fa0d79d11a4e3a4981e950cf9286e2da62807cf4975740",
+    2: "6549e51c52b7759402caae7bba86fe1ccef5fff1c39785bcb7d3bc5732d79cf1",
+    4: "df58ad20515157ff21f7f91c050466710ce226214a3e0f155c0349a9ddfd224a",
+    8: "7e9139de6595823d7c06b7564505c156ba48b38292609b75ce083d07d085a42b",
+}
+
+
+@pytest.mark.parametrize("npe", [c.n_pe for c in CONFIGS[::2] if c.n == 1024])
+def test_schedule_csv_pinned(capsys, npe):
+    assert main(["schedule", "--n", "1024", "--npe", str(npe)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SCHEDULE_CSV_DIGESTS[npe]
 
 
 def test_rom_dump(tmp_path, capsys):
@@ -581,3 +598,18 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: --seed must be a non-negative integer, got -1\n")
+
+
+@pytest.mark.parametrize("n,npe", [(8, 4), (8, 8), (16, 8)])
+def test_more_pes_than_butterflies_is_an_error(tmp_path, capsys, n, npe):
+    src = _write_poly(tmp_path / "a.json", [1.0] * n)
+    spec = _write_poly(tmp_path / "s.json", {"order": "falcon_internal",
+                                             "values": [[1.0, 0.0]] * (n // 2)})
+    for argv in (["fft", src, "--engine", "simulator"],
+                 ["ifft", spec, "--engine", "simulator"],
+                 ["schedule", "--n", str(n)]):
+        assert main([*argv, "--npe", str(npe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: n_pe={npe} exceeds the {n // 4} "
+                                f"butterflies of one stage at n={n}\n")

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from conftest import all_configs
 
 from ringfft import scheduler, twiddles, verify
+from ringfft.banksim import Simulator
 from ringfft.scheduler import (
+    CONFIGS,
     ScheduleConfig,
     ScheduleError,
     _bank_pair,
@@ -12,11 +15,10 @@ from ringfft.scheduler import (
     cycle_count,
     trace_csv_rows,
 )
-from ringfft.transform import Direction, DomainError
+from ringfft.transform import Direction, DomainError, fft_inplace
 from ringfft.twiddles import build_rom_set, stage_twiddle
 
-ALL_CONFIGS = [(n, npe) for n in (8, 16, 32, 64, 128, 256, 512, 1024)
-               for npe in (1, 2, 4) if npe <= n // 4]
+PAIRS = [(c.n, c.n_pe) for c in CONFIGS if c.direction is Direction.FORWARD]
 
 
 # The paper's MemAddr and MemSelect are the generator's `_partner_mask`
@@ -52,45 +54,34 @@ def test_mem_select_examples():
 
 
 def test_config_validation():
-    with pytest.raises(ScheduleError):
-        ScheduleConfig(n=6)
-    with pytest.raises(ScheduleError):
-        ScheduleConfig(n=2048)
-    with pytest.raises(ScheduleError):
-        ScheduleConfig(n=16, n_pe=8)
-    with pytest.raises(ScheduleError):
-        ScheduleConfig(n=32, n_pe=3)
+    # accepted exactly when a forward entry of CONFIGS, else rejected
+    # with the first rule the pair breaks
+    sizes = {1 << k for k in range(2, 11)}
+    for n in sorted({0, 1, 2, 3, 6, 1000, *(1 << k for k in range(12))}):
+        for npe in range(17):
+            if (n, npe) in PAIRS:
+                assert ScheduleConfig(n, npe) in CONFIGS
+                continue
+            with pytest.raises(ScheduleError, match=(
+                    f"^n must be .*, got {n}$" if n not in sizes else
+                    f"^n_pe must be .*, got {npe}$" if npe not in (1, 2, 4, 8)
+                    else f"^n_pe={npe} exceeds the {n // 4} butterflies of ")):
+                ScheduleConfig(n, npe)
 
 
 def test_dispatch_counts():
-    trace = build_schedule(ScheduleConfig(n=8, n_pe=2))
-    assert trace.columns.pe.size == 4  # 2 stages x 2 butterflies
-    for n, npe in ALL_CONFIGS:
-        trace = build_schedule(ScheduleConfig(n=n, n_pe=npe))
-        stages = n.bit_length() - 2
-        assert trace.columns.pe.size == stages * (n // 4)
-        per_stage = {}
-        for batch in trace.batches:
-            for d in batch:
-                per_stage[d.stage] = per_stage.get(d.stage, 0) + 1
-        assert all(v == n // 4 for v in per_stage.values())
-
-
-def test_stage0_has_no_input_exchange():
-    trace = build_schedule(ScheduleConfig(n=32, n_pe=2))
-    for batch in trace.batches:
-        for d in batch:
-            if d.stage == 0:
-                assert not d.input_exchanged
+    for cfg in CONFIGS:
+        trace = build_schedule(cfg)
+        stages = cfg.n.bit_length() - 2
+        assert trace.columns.pe.size == stages * (cfg.n // 4)
+        per_stage = Counter(d.stage for batch in trace.batches for d in batch)
+        assert per_stage == dict.fromkeys(range(stages), cfg.n // 4)
 
 
 def test_n4_runs_single_pe():
-    for npe in (1, 2, 4):
-        cfg = ScheduleConfig(n=4, n_pe=npe)
-        trace = build_schedule(cfg)
-        assert trace.columns.pe.size == 1
-        assert trace.batches[0][0].pe == 0
-        assert trace.cycles == 2
+    for cfg in (c for c in CONFIGS if c.n == 4):
+        trace = build_schedule(cfg)  # one dispatch, on PE 0
+        assert (trace.columns.pe.tolist(), trace.cycles) == ([[[0]]], 2)
 
 
 def test_cycle_count_examples():
@@ -101,14 +92,11 @@ def test_cycle_count_examples():
 
 
 def test_cycle_count_equals_batches():
-    for n, npe in ALL_CONFIGS:
-        trace = build_schedule(ScheduleConfig(n=n, n_pe=npe))
-        assert trace.cycles == cycle_count(n, npe)
-        assert trace.cycles == 2 * trace.columns.pe.size // cfg_active(n, npe)
-
-
-def cfg_active(n, npe):
-    return min(npe, n // 4)
+    for cfg in CONFIGS:
+        trace = build_schedule(cfg)
+        assert trace.cycles == cycle_count(cfg.n, cfg.n_pe)
+        active = min(cfg.n_pe, cfg.n // 4)
+        assert trace.cycles == 2 * trace.columns.pe.size // active
 
 
 def _replay(trace):
@@ -149,22 +137,20 @@ def _replay(trace):
             word_slot[w0], word_slot[w1] = sb, sa
             slot_word[sa], slot_word[sb] = w1, w0
     assert tuple(word_slot) == tuple(trace.final_slots)
-    if inverse:
+    if inverse:  # from where the forward trace left each word, home
+        fwd = build_schedule(ScheduleConfig(cfg.n, cfg.n_pe))
+        assert trace.initial_slots == fwd.final_slots
         assert tuple(word_slot) == tuple(range(hn))
 
 
-@pytest.mark.parametrize("n,npe", ALL_CONFIGS)
+@pytest.mark.parametrize("n,npe", PAIRS)
 def test_schedule_invariants_forward(n, npe):
-    _replay(build_schedule(ScheduleConfig(n=n, n_pe=npe)))
+    _replay(build_schedule(ScheduleConfig(n, npe)))
 
 
-@pytest.mark.parametrize("n,npe", ALL_CONFIGS)
+@pytest.mark.parametrize("n,npe", PAIRS)
 def test_schedule_invariants_inverse(n, npe):
-    fwd = build_schedule(ScheduleConfig(n=n, n_pe=npe))
-    inv = build_schedule(ScheduleConfig(n=n, n_pe=npe,
-                                        direction=Direction.INVERSE))
-    assert inv.initial_slots == fwd.final_slots
-    _replay(inv)
+    _replay(build_schedule(ScheduleConfig(n, npe, Direction.INVERSE)))
 
 
 def test_stage_coverage():
@@ -183,17 +169,14 @@ def test_stage_coverage():
 
 
 def test_rom_addresses_in_range():
-    for n, npe in ALL_CONFIGS:
-        _, images, _ = build_rom_set(1024, npe)
-        for direction in (Direction.FORWARD, Direction.INVERSE):
-            trace = build_schedule(
-                ScheduleConfig(n=n, n_pe=npe, direction=direction))
-            for batch in trace.batches:
-                for d in batch:
-                    if d.stage == 0:
-                        assert d.rom_addr == -1
-                    else:
-                        assert 0 <= d.rom_addr < len(images[d.pe].entries)
+    for cfg in CONFIGS:
+        _, images, _ = build_rom_set(1024, cfg.n_pe)
+        for batch in build_schedule(cfg).batches:
+            for d in batch:
+                if d.stage == 0:
+                    assert d.rom_addr == -1
+                else:
+                    assert 0 <= d.rom_addr < len(images[d.pe].entries)
 
 
 def test_trace_csv_rows():
@@ -237,6 +220,19 @@ def test_bank_reused_in_a_batch_is_rejected(monkeypatch, cold_schedules):
         build_schedule(ScheduleConfig(n=64, n_pe=2))
 
 
+@pytest.mark.parametrize("n,npe", [(8, 4), (8, 8), (16, 8)])
+def test_more_pes_than_butterflies_misread_the_roms(
+        monkeypatch, cold_schedules, rng, n, npe):
+    # why the predicate rejects these: the run completes, but with fewer
+    # active PEs than ROMs the ROM addresses follow the n_pe layout
+    monkeypatch.setattr(scheduler, "_fits", lambda n, n_pe: True)
+    a = rng.uniform(-1, 1, n).tolist()
+    sim = Simulator(ScheduleConfig(n, npe), build_rom_set(1024, npe)[2])
+    sim.load_polynomial(a)
+    assert sim.run() == cycle_count(n, min(npe, n // 4))
+    assert sim.read_result().values != fft_inplace(a).values
+
+
 @pytest.fixture
 def cold_roms():
     """An empty ROM-set cache before and after the test."""
@@ -261,7 +257,7 @@ def test_twiddle_missing_from_its_pe_rom_is_rejected(monkeypatch, cold_roms):
 
 
 def test_dispatch_view_equals_columns():
-    for cfg in all_configs():
+    for cfg in CONFIGS:
         trace = build_schedule(cfg)
         cols = trace.columns
         assert len(trace.batches) == trace.cycles // 2

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import all_configs
 
 from ringfft import verify
 from ringfft.banksim import BankConflictError, Simulator
+from ringfft.scheduler import CONFIGS
 from ringfft.transform import Spectrum
 
 
@@ -147,12 +147,6 @@ def test_simulator_nan_deviation_fails_round_trip(monkeypatch):
         assert failed == ["FAIL  forward+inverse round trip <= 1e-9 relative"]
 
 
-def test_eight_pes_are_verified():
-    assert 8 in verify.PE_COUNTS
-    lines = []
-    assert verify.run_verification(seed=5, quick=True, echo=lines.append)
-
-
 def test_every_accepted_configuration_is_verified(monkeypatch):
     # n = 4 too, whose extra PEs idle: the checks run exactly the
     # configurations ScheduleConfig accepts
@@ -165,20 +159,18 @@ def test_every_accepted_configuration_is_verified(monkeypatch):
 
     monkeypatch.setattr(verify, "Simulator", Counted)
     assert all(check.ok for check in verify.run_checks(seed=5))
-    assert ran == list(all_configs())
+    assert ran == list(CONFIGS)
 
 
 def test_idle_pe_fails_the_utilization_check(monkeypatch):
-    # after a correct run, one batch of one trace names PE 0 twice
+    # after a correct run, one batch of one run counts PE 1 idle
     class IdlePe(Simulator):
         def run(self, stage_hook=None):
             cycles = super().run(stage_hook)
             if (self.cfg.n, self.cfg.n_pe) == (32, 2):
-                cols = self.trace.columns
-                pe = cols.pe.copy()
-                pe[0, 0, 1] = 0
-                self.trace = dataclasses.replace(
-                    self.trace, columns=cols._replace(pe=pe))
+                util = self.stats.pe_utilization
+                self.stats = dataclasses.replace(
+                    self.stats, pe_utilization=(0.5, *util[1:]))
             return cycles
 
     ok, out = _run(monkeypatch, IdlePe)
