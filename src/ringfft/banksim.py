@@ -76,6 +76,7 @@ from .transform import (
     Direction,
     DomainError,
     OrderTag,
+    OrderTagError,
     Spectrum,
     coefficient_rows,
     internal_spectrum,
@@ -533,7 +534,7 @@ class Simulator:
         if self.cfg.direction is not Direction.INVERSE:
             raise DomainError("spectrum input is for inverse runs")
         if s.order_tag is not OrderTag.FALCON_INTERNAL:
-            raise DomainError("simulator inverse expects FALCON_INTERNAL order")
+            raise OrderTagError("simulator inverse expects FALCON_INTERNAL order")
         hn = self.cfg.n // 2
         if len(s.values) != hn:
             raise DomainError(f"expected {hn} spectrum values")

@@ -113,93 +113,77 @@ def _emit(text: str, out: str | None, report=()) -> None:
 
 
 def _check_simulator_flags(args) -> None:
-    flags = (("--stats", args.stats),
-             ("--dump-stages", getattr(args, "dump_stages", None)))
-    for flag, value in flags:
+    for flag, value in (("--stats", args.stats),
+                        ("--dump-stages", args.dump_stages)):
         if value is not None and args.engine != "simulator":
             raise CliError(f"{flag} needs --engine simulator")
 
 
-def _run_report(cycles: int, stats: RunStats, args) -> list[str]:
-    """The `cycles=` line, then with --stats json the run's RunStats as
-    one JSON line."""
-    report = [f"cycles={cycles}"]
-    if args.stats:
-        report.append(_json(dataclasses.asdict(stats)))
-    return report
+# For each engine: its forward transform, its inverse, and the spectrum
+# order that inverse reads.  The simulator's are its runner's directions.
+_ENGINES = {
+    "reference": (fft_ref, ifft_ref, OrderTag.NATURAL_EVAL),
+    "inplace": (fft_inplace, ifft_inplace, OrderTag.FALCON_INTERNAL),
+    "simulator": (Direction.FORWARD, Direction.INVERSE,
+                  OrderTag.FALCON_INTERNAL),
+}
 
 
-def _sim_run_forward(a, n_pe, dump_path=None):
+def _sim_run(x, direction: Direction, args):
+    """Run x through the simulator; returns the result and the report:
+    the `cycles=` line, then with --stats json the run's RunStats as one
+    JSON line."""
+    inverse = direction is Direction.INVERSE
+    if inverse:
+        # rejected as the other engines reject it, not by the n it implies
+        validate_spectrum_length(len(x.values))
+    n = 2 * len(x.values) if inverse else len(x)
     dump_lines = ["stage,cycle,bank,offset,re,im"]
-    if len(a) == 2:
+    if n == 2:
         # the packed word already is the transform: no stage, no cycles
-        check_pe_count(n_pe)
-        result = fft_inplace(a), 0, RunStats()
+        check_pe_count(args.npe)
+        out, cycles, stats = _ENGINES["inplace"][inverse](x), 0, RunStats()
     else:
-        cfg = ScheduleConfig(n=len(a), n_pe=n_pe, direction=Direction.FORWARD)
-        _, _, roms = build_rom_set(S_MAX, n_pe)
-        sim = Simulator(cfg, roms)
-        sim.load_polynomial(a)
+        cfg = ScheduleConfig(n=n, n_pe=args.npe, direction=direction)
+        sim = Simulator(cfg, build_rom_set(S_MAX, args.npe)[2])
+        (sim.load_spectrum if inverse else sim.load_polynomial)(x)
 
         def hook(stage, cycle):
             for b, o, z in sim.mem.snapshot(cfg.s_m):
                 dump_lines.append(
                     f"{stage},{cycle},{b},{o},{z.real!r},{z.imag!r}")
 
-        cycles = sim.run(stage_hook=hook if dump_path else None)
-        result = sim.read_result(), cycles, sim.stats
-    if dump_path:
-        _write_text(dump_path, "\n".join(dump_lines) + "\n")
-    return result
+        cycles = sim.run(stage_hook=hook if args.dump_stages else None)
+        out, stats = sim.read_result(), sim.stats
+    if args.dump_stages:
+        _write_text(args.dump_stages, "\n".join(dump_lines) + "\n")
+    report = [f"cycles={cycles}"]
+    if args.stats:
+        report.append(_json(dataclasses.asdict(stats)))
+    return out, report
 
 
-def _sim_run_inverse(s: Spectrum, n_pe):
-    # rejected as the other engines reject it, not by the n it implies
-    validate_spectrum_length(len(s.values))
-    if len(s.values) == 1:
-        check_pe_count(n_pe)
-        return ifft_inplace(s), 0, RunStats()
-    cfg = ScheduleConfig(n=2 * len(s.values), n_pe=n_pe,
-                         direction=Direction.INVERSE)
-    _, _, roms = build_rom_set(S_MAX, n_pe)
-    sim = Simulator(cfg, roms)
-    sim.load_spectrum(s)
-    cycles = sim.run()
-    return sim.read_result(), cycles, sim.stats
+def _transform(args, x, inverse: bool):
+    """x through args.engine: the result, and the report lines printed
+    before it."""
+    *transforms, order = _ENGINES[args.engine]
+    if inverse and x.order_tag is not order:
+        raise CliError(f"{args.engine} engine needs a {order.value} spectrum")
+    if args.engine == "simulator":
+        return _sim_run(x, transforms[inverse], args)
+    return transforms[inverse](x), []
 
 
 def cmd_fft(args) -> int:
     _check_simulator_flags(args)
-    a = _load_polynomial(args.input)
-    report = []
-    if args.engine == "reference":
-        out = fft_ref(a)
-    elif args.engine == "inplace":
-        out = fft_inplace(a)
-    else:
-        out, cycles, stats = _sim_run_forward(a, args.npe, args.dump_stages)
-        report = _run_report(cycles, stats, args)
+    out, report = _transform(args, _load_polynomial(args.input), inverse=False)
     _emit(_spectrum_json(out), args.out, report)
     return 0
 
 
 def cmd_ifft(args) -> int:
     _check_simulator_flags(args)
-    s = _load_spectrum(args.input)
-    report = []
-    if args.engine == "reference":
-        if s.order_tag is not OrderTag.NATURAL_EVAL:
-            raise CliError("reference engine needs a natural_eval spectrum")
-        out = ifft_ref(s)
-    elif args.engine == "inplace":
-        if s.order_tag is not OrderTag.FALCON_INTERNAL:
-            raise CliError("inplace engine needs a falcon_internal spectrum")
-        out = ifft_inplace(s)
-    else:
-        if s.order_tag is not OrderTag.FALCON_INTERNAL:
-            raise CliError("simulator engine needs a falcon_internal spectrum")
-        out, cycles, stats = _sim_run_inverse(s, args.npe)
-        report = _run_report(cycles, stats, args)
+    out, report = _transform(args, _load_spectrum(args.input), inverse=True)
     _emit(_poly_json(out), args.out, report)
     return 0
 
@@ -235,7 +219,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_rom(args) -> int:
-    table, images, roms = build_rom_set(S_MAX, args.npe)
+    roms = build_rom_set(S_MAX, args.npe)[2]
     outdir = Path(args.out_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +302,7 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise CliError(
             f"--seed must be a non-negative integer, got {args.seed}")
-    ok = run_verification(seed=args.seed, quick=args.quick, echo=print)
+    ok = run_verification(seed=args.seed, quick=args.quick)
     return 0 if ok else 1
 
 
@@ -332,30 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write result to this file")
 
-    def add_stats(p):
+    for name, func, help in (
+            ("fft", cmd_fft, "forward transform of a coefficient file"),
+            ("ifft", cmd_ifft, "inverse transform of a spectrum file")):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input")
+        p.add_argument("--engine", choices=tuple(_ENGINES), default="inplace")
+        p.add_argument("--npe", type=int, default=2)
+        if name == "fft":
+            p.add_argument("--dump-stages",
+                           help="simulator only: stage-boundary memory CSV")
         p.add_argument("--stats", choices=("json",),
                        help="simulator only: print the run's statistics "
                             "(RunStats) as one JSON line after cycles=")
-
-    p = sub.add_parser("fft", help="forward transform of a coefficient file")
-    p.add_argument("input")
-    p.add_argument("--engine", choices=("reference", "inplace", "simulator"),
-                   default="inplace")
-    p.add_argument("--npe", type=int, default=2)
-    p.add_argument("--dump-stages",
-                   help="simulator only: stage-boundary memory CSV")
-    add_stats(p)
-    add_common(p)
-    p.set_defaults(func=cmd_fft)
-
-    p = sub.add_parser("ifft", help="inverse transform of a spectrum file")
-    p.add_argument("input")
-    p.add_argument("--engine", choices=("reference", "inplace", "simulator"),
-                   default="inplace")
-    p.add_argument("--npe", type=int, default=2)
-    add_stats(p)
-    add_common(p)
-    p.set_defaults(func=cmd_ifft)
+        add_common(p)
+        p.set_defaults(func=func, dump_stages=None)
 
     p = sub.add_parser("polymul", help="negacyclic product of two files")
     p.add_argument("a")

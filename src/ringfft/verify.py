@@ -212,15 +212,15 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
     return checks
 
 
-def run_verification(seed: int = 2024, quick: bool = False, echo=print) -> bool:
+def run_verification(seed: int = 2024, quick: bool = False) -> bool:
     """Print the seed, then each check's report line and notes, then a
     summary; True when every check passed."""
-    echo(f"verification seed={seed}")
+    print(f"verification seed={seed}")
     checks = run_checks(seed, quick)
     for check in checks:
-        echo(str(check))
+        print(check)
         for note in check.notes:
-            echo(f"  {note}")
+            print(f"  {note}")
     failures = sum(not check.ok for check in checks)
-    echo("ALL CHECKS PASSED" if not failures else f"{failures} CHECK(S) FAILED")
+    print("ALL CHECKS PASSED" if not failures else f"{failures} CHECK(S) FAILED")
     return not failures

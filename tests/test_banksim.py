@@ -26,7 +26,15 @@ from ringfft.scheduler import (
     build_schedule,
     cycle_count,
 )
-from ringfft.transform import Direction, Spectrum, fft_inplace, ifft_inplace
+from ringfft.transform import (
+    Direction,
+    DomainError,
+    OrderTag,
+    OrderTagError,
+    Spectrum,
+    fft_inplace,
+    ifft_inplace,
+)
 from ringfft.twiddles import TwiddleError, build_rom_set, fetch_twiddles
 from ringfft.verify import max_abs_error, relative_bound
 
@@ -293,6 +301,23 @@ def test_simulator_input_validation():
                                    direction=Direction.INVERSE), roms)
     with pytest.raises(ValueError):
         inv.load_polynomial([1.0] * 8)
+
+    # each spectrum guard raises the class the transforms raise for the
+    # same fault, and leaves the loaded memory as it was
+    inv.load_spectrum(fft_inplace([1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0]))
+    before = inv.mem.words.copy()
+    for target, s, error, message in (
+            (sim, Spectrum((1j,) * 4, OrderTag.FALCON_INTERNAL), DomainError,
+             "spectrum input is for inverse runs"),
+            (inv, Spectrum((1j,) * 4, OrderTag.NATURAL_EVAL), OrderTagError,
+             "simulator inverse expects FALCON_INTERNAL order"),
+            (inv, Spectrum((1j,) * 2, OrderTag.FALCON_INTERNAL), DomainError,
+             "expected 4 spectrum values")):
+        with pytest.raises(error) as exc:
+            target.load_spectrum(s)
+        assert type(exc.value) is error and str(exc.value) == message
+    assert np.array_equal(inv.mem.words.view(np.uint64),
+                          before.view(np.uint64))
 
 
 # -- the lowered execute against the per-dispatch reference -----------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -508,8 +509,9 @@ def test_stats_json_of_a_run_without_stages(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["fft", "ifft"])
 @pytest.mark.parametrize("engine", ["reference", "inplace"])
 def test_stats_needs_the_simulator_engine(tmp_path, capsys, command, engine):
-    src = _write_poly(tmp_path / "a.json", [1.0, 2.0, 3.0, 4.0])
-    assert main([command, src, "--engine", engine, "--stats", "json"]) == 2
+    # a flag error comes before the input file is read
+    missing = str(tmp_path / "missing.json")
+    assert main([command, missing, "--engine", engine, "--stats", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --stats needs --engine simulator\n"
@@ -613,3 +615,82 @@ def test_more_pes_than_butterflies_is_an_error(tmp_path, capsys, n, npe):
         assert captured.out == ""
         assert captured.err == (f"error: n_pe={npe} exceeds the {n // 4} "
                                 f"butterflies of one stage at n={n}\n")
+
+
+@pytest.mark.parametrize("engine,order,want", [
+    ("reference", "falcon_internal", "reference engine needs a natural_eval"),
+    ("inplace", "natural_eval", "inplace engine needs a falcon_internal"),
+    ("simulator", "natural_eval", "simulator engine needs a falcon_internal"),
+], ids=["reference", "inplace", "simulator"])
+def test_ifft_names_the_order_its_engine_needs(tmp_path, capsys, engine,
+                                               order, want):
+    # the order is checked before the length: 3 values is no spectrum
+    for length in (2, 3):
+        spec = _write_poly(tmp_path / "s.json", {
+            "order": order, "values": [[1.0, 0.0]] * length})
+        assert main(["ifft", spec, "--engine", engine]) == 2
+        assert capsys.readouterr() == ("", f"error: {want} spectrum\n")
+
+
+def test_ifft_has_no_dump_stages_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ifft", str(tmp_path / "s.json"), "--engine", "simulator",
+              "--dump-stages", str(tmp_path / "d.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dump-stages" in capsys.readouterr().err
+
+
+# The n = 1024 polynomial the paper-configuration checks below read.
+A1024 = [((k * 37) % 101 - 50) / 8.0 for k in range(1024)]
+
+
+def test_dump_stages_of_the_paper_configuration(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json", A1024)
+    argv = ["fft", src, "--engine", "simulator", "--npe", "2"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    dump = tmp_path / "stages.csv"
+    assert main([*argv, "--dump-stages", str(dump)]) == 0
+    assert capsys.readouterr().out == plain
+    # the header, then 512 words at each of the 9 stage boundaries
+    assert dump.read_text().count("\n") == 1 + 9 * 512
+
+
+@pytest.mark.parametrize("npe", [1, 2, 4, 8])
+def test_simulator_round_trip_through_files(tmp_path, capsys, npe):
+    from ringfft.verify import max_abs_error, relative_bound
+
+    src = _write_poly(tmp_path / "a.json", A1024)
+    spec, back = tmp_path / "spec.json", tmp_path / "back.json"
+    sim = ["--engine", "simulator", "--npe", str(npe)]
+    for argv in (["fft", src, *sim, "--out", str(spec)],
+                 ["ifft", str(spec), *sim, "--out", str(back)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"cycles={4608 // npe}\n"
+    got = json.loads(back.read_text())
+    assert max_abs_error(got, A1024) <= relative_bound(A1024)
+
+    rom_dir = tmp_path / "rom"
+    assert main(["rom", "--npe", str(npe), "--out-dir", str(rom_dir)]) == 0
+    total = 0
+    for pe in range(npe):
+        size = (rom_dir / f"rom_pe{pe}.bin").stat().st_size
+        sidecar = (rom_dir / f"rom_pe{pe}.txt").read_text().splitlines()
+        stored = int(next(line.split()[1] for line in sidecar
+                          if line.startswith("stored_entries ")))
+        assert size == 16 * stored
+        total += size
+    assert npe != 2 or total == 4096
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_polymul_check_on_both_sides_of_the_network_crossover(tmp_path,
+                                                              capsys, n):
+    pa, pb = (_write_poly(tmp_path / f"{name}.json",
+                          [((k * m) % 101 - 50) / 8.0 for k in range(n)])
+              for name, m in (("a", 37), ("b", 53)))
+    assert main(["polymul", pa, pb, "--check",
+                 "--out", str(tmp_path / "c.json")]) == 0
+    dev, bound = re.fullmatch(r"max_deviation=(\S+) bound=(\S+)\n",
+                              capsys.readouterr().out).groups()
+    assert float(dev) <= float(bound)

@@ -12,14 +12,13 @@ from ringfft.scheduler import CONFIGS
 from ringfft.transform import Spectrum
 
 
-def _run(monkeypatch, sim_class):
+def _run(monkeypatch, capsys, sim_class):
     monkeypatch.setattr(verify, "Simulator", sim_class)
-    lines = []
-    ok = verify.run_verification(seed=5, quick=True, echo=lines.append)
-    return ok, "\n".join(lines)
+    ok = verify.run_verification(seed=5, quick=True)
+    return ok, capsys.readouterr().out
 
 
-def test_uncompressed_mismatch_fails_only_its_own_check(monkeypatch):
+def test_uncompressed_mismatch_fails_only_its_own_check(monkeypatch, capsys):
     # flip the lowest mantissa bit of one decompressed word, then of the
     # last word one array fetch serves, as the ROM check sees them
     for skew in ("decompress_rom", "fetch_twiddles"):
@@ -32,36 +31,35 @@ def test_uncompressed_mismatch_fails_only_its_own_check(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(verify, skew, skewed)
-            lines = []
-            assert not verify.run_verification(seed=5, quick=True,
-                                               echo=lines.append)
+            assert not verify.run_verification(seed=5, quick=True)
+        lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if line.startswith("FAIL")]
         assert failed == ["FAIL  compressed ROM == uncompressed table, bit-exact"]
         assert "PASS  simulator == in-place transform, bit-exact" in lines
 
 
-def test_other_exceptions_are_errors_not_conflicts(monkeypatch):
+def test_other_exceptions_are_errors_not_conflicts(monkeypatch, capsys):
     class Broken(Simulator):
         def run(self, stage_hook=None):
             if self.cfg.n == 32 and self.cfg.n_pe == 4:
                 raise KeyError("boom")
             return super().run(stage_hook)
 
-    ok, out = _run(monkeypatch, Broken)
+    ok, out = _run(monkeypatch, capsys, Broken)
     assert not ok
     assert "FAIL  simulator runs completed without error  (n=32 npe=4)" in out
     assert "error at n=32 npe=4: KeyError" in out
     assert "PASS  conflict-free execution" in out
 
 
-def test_bank_conflicts_are_reported_as_conflicts(monkeypatch):
+def test_bank_conflicts_are_reported_as_conflicts(monkeypatch, capsys):
     class Conflicting(Simulator):
         def run(self, stage_hook=None):
             if self.cfg.n == 8:
                 raise BankConflictError(0, 1, (0, 1))
             return super().run(stage_hook)
 
-    ok, out = _run(monkeypatch, Conflicting)
+    ok, out = _run(monkeypatch, capsys, Conflicting)
     assert not ok
     assert "FAIL  conflict-free execution" in out
     assert "PASS  simulator runs completed without error" in out
@@ -134,14 +132,14 @@ def test_nan_in_a_batched_spectrum_fails_the_oracle_and_round_trip(
                       "library round trip <= 1e-9 relative"]
 
 
-def test_simulator_nan_deviation_fails_round_trip(monkeypatch):
+def test_simulator_nan_deviation_fails_round_trip(monkeypatch, capsys):
     for spoil in SPOILERS:
         class Spoiled(Simulator):
             def read_result(self):
                 out = super().read_result()
                 return spoil(out) if isinstance(out, list) else out
 
-        ok, out = _run(monkeypatch, Spoiled)
+        ok, out = _run(monkeypatch, capsys, Spoiled)
         assert not ok, spoil.__name__
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == ["FAIL  forward+inverse round trip <= 1e-9 relative"]
@@ -162,7 +160,7 @@ def test_every_accepted_configuration_is_verified(monkeypatch):
     assert ran == list(CONFIGS)
 
 
-def test_idle_pe_fails_the_utilization_check(monkeypatch):
+def test_idle_pe_fails_the_utilization_check(monkeypatch, capsys):
     # after a correct run, one batch of one run counts PE 1 idle
     class IdlePe(Simulator):
         def run(self, stage_hook=None):
@@ -173,7 +171,7 @@ def test_idle_pe_fails_the_utilization_check(monkeypatch):
                     self.stats, pe_utilization=(0.5, *util[1:]))
             return cycles
 
-    ok, out = _run(monkeypatch, IdlePe)
+    ok, out = _run(monkeypatch, capsys, IdlePe)
     assert not ok
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL  full PE utilization per batch"]
