@@ -12,8 +12,8 @@ epochs never overlap.
 Apart from the data, a run depends only on the trace, the memory
 geometry and the ROM set: the schedule fixes which bank, slot and ROM
 word each PE touches in each cycle.  So everything else a run reads is
-built once per (trace, geometry, ROM set), as one plan, and kept in
-one store keyed by the identity of the trace and of each ROM.
+built once, as one plan, and kept in one slot per configuration, as
+the schedule and the ROM set it is built from are.
 
 Per stage, a plan holds one gather index, the stage's twiddles, and the
 memory index of every part of the state after the stage.  The run
@@ -58,7 +58,6 @@ error, so memory then holds every completed stage.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -251,6 +250,9 @@ class _Stage(NamedTuple):
 class _Plan(NamedTuple):
     """Everything a run of one trace reads besides the data, for one
     memory geometry and ROM set."""
+    trace: ScheduleTrace    # what the plan was built from
+    roms: tuple
+    n_banks: int
     stages: tuple           # the `_Stage`s a run completes
     stop: tuple | None      # (granted, error factory) of the stage that ends it
     forward: bool
@@ -374,6 +376,9 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         stored_fetches=int((parity == 0).sum()),
         decompressed_fetches=int((parity == 1).sum()))
     return _Plan(
+        trace=trace,
+        roms=roms,
+        n_banks=n_banks,
         stages=tuple(_Stage(sg, granted, *arrays) for sg, (granted, _), *arrays
                      in zip(trace.stage_order, verdicts, take, w, after)),
         stop=stop,
@@ -387,35 +392,28 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         workspaces=[])
 
 
-_plans: dict[tuple, _Plan] = {}
+_plans: dict[ScheduleConfig, _Plan] = {}
 
 
 def _plan(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Plan:
     """The plan of this very trace object on mem's geometry and the ROM
-    set `roms`, built on first use.
+    set `roms`, from its configuration's slot.
 
-    Keyed by the id() of the trace and of each ROM, so a lookup never
-    hashes their contents and a hand-edited trace gets a plan of its
-    own, never the cached schedule's.  An id can be reused once its
-    object dies, so the entry goes as soon as the trace or any ROM does,
-    and the finalizers on the others are detached then: none outlives
-    the entry, even on a ROM set that lives on.  An entry exists only
-    for immutable objects that already passed `_build_plan`'s checks,
-    so a hit skips them.
+    The slot's plan serves only the trace and ROM set objects it was
+    built from, and mem's bank count; anything else gets a new plan,
+    which takes the slot.  So a lookup never hashes their contents, and
+    a hand-edited trace never runs the cached schedule's plan.  The
+    slot holds the objects it compares, so their ids cannot be reused
+    while it is kept.  Callers pass each configuration's cached trace
+    and ROM set, so a configuration's plan is built once per process.
+    A plan exists only for immutable objects that already passed
+    `_build_plan`'s checks, so a hit skips them.
     """
-    key = (id(trace), mem.n_banks, *map(id, roms))
-    plan = _plans.get(key)
-    if plan is None:
-        plan = _plans[key] = _build_plan(trace, mem.n_banks, mem.capacity,
-                                         roms)
-        finalizers = []
-
-        def drop():
-            _plans.pop(key, None)
-            for f in finalizers:
-                f.detach()
-
-        finalizers.extend(weakref.finalize(o, drop) for o in (trace, *roms))
+    plan = _plans.get(trace.config)
+    if (plan is None or plan.trace is not trace or plan.roms is not roms
+            or plan.n_banks != mem.n_banks):
+        plan = _plans[trace.config] = _build_plan(
+            trace, mem.n_banks, mem.capacity, roms)
     return plan
 
 
@@ -500,18 +498,9 @@ class Simulator:
         self.trace = build_schedule(cfg)
         self.roms = roms
         self.mem = BankedMemory(cfg.banks)
-        self._lowering = (None, None)  # (trace, its plan)
         # rejects all but cfg's compressed ROM set before any other use
-        self._lowered()
+        _plan(self.trace, self.mem, roms)
         self.stats: RunStats | None = None
-
-    def _lowered(self) -> _Plan:
-        """The plan of `trace`, looked up again only once `trace` has
-        been replaced."""
-        if self._lowering[0] is not self.trace:
-            self._lowering = (self.trace,
-                              _plan(self.trace, self.mem, self.roms))
-        return self._lowering[1]
 
     def load_polynomial(self, a) -> None:
         """Place word k = a_k + i*a_{k+n/2} (the packing of
@@ -524,7 +513,7 @@ class Simulator:
             raise DomainError(
                 f"expected {self.cfg.n} coefficients, got {len(c)}")
         hn = self.cfg.n // 2
-        at = self._lowered().initial
+        at = _plan(self.trace, self.mem, self.roms).initial
         self.mem.words.real[at] = c[:hn]
         self.mem.words.imag[at] = c[hn:]
 
@@ -540,20 +529,20 @@ class Simulator:
             raise DomainError(f"expected {hn} spectrum values")
         z = spectrum_array(s)
         negate_odd(z.imag)
-        self.mem.words[self._lowered().initial] = z
+        self.mem.words[_plan(self.trace, self.mem, self.roms).initial] = z
 
     def run(self, stage_hook=None) -> int:
         """Execute the trace; returns the cycle total and leaves the
         run's RunStats in `stats`."""
         cycles = execute(self.trace, self.mem, self.roms, stage_hook)
-        self.stats = self._lowered().stats
+        self.stats = _plan(self.trace, self.mem, self.roms).stats
         return cycles
 
     def read_result(self):
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
         if self.stats is None:
             raise RuntimeError("run() the simulator before reading results")
-        plan = self._lowered()
+        plan = _plan(self.trace, self.mem, self.roms)
         z = self.mem.words[plan.final]
         if self.cfg.direction is Direction.FORWARD:
             negate_odd(z.imag)

@@ -62,17 +62,30 @@ def _load_polynomial(path: str):
         raise CliError(f"{path}: {e}")
 
 
+_ORDERS = tuple(tag.value for tag in OrderTag)
+_SPECTRUM_FILE = ('{"order": ' + " | ".join(f'"{o}"' for o in _ORDERS)
+                  + ', "values": [[re, im], ...]}')
+
+
 def _load_spectrum(path: str) -> Spectrum:
+    """A spectrum file's order and values; a file of another shape, or
+    of another order, is rejected with the shape or the orders."""
     data = _read_json(path)
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected {_SPECTRUM_FILE}")
+    if data.get("order") not in _ORDERS:
+        raise CliError(f"{path}: order must be "
+                       + " or ".join(f'"{o}"' for o in _ORDERS))
     try:
-        order = OrderTag(data["order"])
         values = tuple(complex(re, im) for re, im in data["values"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except OverflowError as e:
         raise CliError(f"{path}: malformed spectrum file ({e})")
+    except (KeyError, TypeError, ValueError):
+        raise CliError(f"{path}: expected {_SPECTRUM_FILE}") from None
     if not all(math.isfinite(z.real) and math.isfinite(z.imag)
                for z in values):
         raise CliError(f"{path}: spectrum values must be finite")
-    return Spectrum(values=values, order_tag=order)
+    return Spectrum(values=values, order_tag=OrderTag(data["order"]))
 
 
 def _json(obj) -> str:
@@ -114,7 +127,8 @@ def _emit(text: str, out: str | None, report=()) -> None:
 
 def _check_simulator_flags(args) -> None:
     for flag, value in (("--stats", args.stats),
-                        ("--dump-stages", args.dump_stages)):
+                        ("--dump-stages", args.dump_stages),
+                        ("--npe", args.npe)):
         if value is not None and args.engine != "simulator":
             raise CliError(f"{flag} needs --engine simulator")
 
@@ -138,14 +152,15 @@ def _sim_run(x, direction: Direction, args):
         # rejected as the other engines reject it, not by the n it implies
         validate_spectrum_length(len(x.values))
     n = 2 * len(x.values) if inverse else len(x)
+    npe = 2 if args.npe is None else args.npe
     dump_lines = ["stage,cycle,bank,offset,re,im"]
     if n == 2:
         # the packed word already is the transform: no stage, no cycles
-        check_pe_count(args.npe)
+        check_pe_count(npe)
         out, cycles, stats = _ENGINES["inplace"][inverse](x), 0, RunStats()
     else:
-        cfg = ScheduleConfig(n=n, n_pe=args.npe, direction=direction)
-        sim = Simulator(cfg, build_rom_set(S_MAX, args.npe)[2])
+        cfg = ScheduleConfig(n=n, n_pe=npe, direction=direction)
+        sim = Simulator(cfg, build_rom_set(S_MAX, npe)[2])
         (sim.load_spectrum if inverse else sim.load_polynomial)(x)
 
         def hook(stage, cycle):
@@ -322,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("input")
         p.add_argument("--engine", choices=tuple(_ENGINES), default="inplace")
-        p.add_argument("--npe", type=int, default=2)
+        p.add_argument("--npe", type=int,
+                       help="simulator only: PE count (default 2)")
         if name == "fft":
             p.add_argument("--dump-stages",
                            help="simulator only: stage-boundary memory CSV")

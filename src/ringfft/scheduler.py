@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transform import Direction, DomainError
+from .transform import Direction
 from .twiddles import PE_COUNTS, S_MAX, check_pe_count, stage_rom_bases
 
 
@@ -52,13 +52,12 @@ class ScheduleError(ValueError):
 def _partner_mask(sg: int, s_sg: int, s_m: int) -> int:
     """Offset bits complemented to reach stage sg's second operand: none
     in safe stages, else the top sg - S_sg offset bits, which is where
-    the accumulated output exchanges have parked it."""
+    the accumulated output exchanges have parked it.  Every accepted
+    configuration has at least that many offset bits."""
     if sg <= s_sg:
         return 0
     width = s_m.bit_length() - 1
     flip = sg - s_sg
-    if flip > width:
-        raise DomainError(f"stage {sg} deeper than the offset width allows")
     return (s_m - 1) & ~((1 << (width - flip)) - 1)
 
 

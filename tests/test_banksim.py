@@ -1,8 +1,6 @@
 import dataclasses
-import gc
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -574,13 +572,16 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     _, _, roms = ROMS[2]
     size = len(BankedMemory(cfg.banks).words)
     words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
+    unedited = _run_both(trace, roms, words)[0]
+    cached = banksim._plans[cfg]
+    assert cached.trace is trace and cached.roms is roms
     lowered, reference = _run_both(edited, roms, words)
     assert lowered == reference
-    assert lowered != _run_both(trace, roms, words)[0]
+    assert lowered != unedited
 
-    key = (id(edited), cfg.banks, *map(id, roms))
-    plan = banksim._plans[key]
-    assert plan is not banksim._plans[id(trace), cfg.banks, *map(id, roms)]
+    plan = banksim._plans[cfg]
+    assert plan.trace is edited and plan.roms is roms
+    assert plan is not cached
     assert len(plan.stages) == cfg.stages
     for arr in (plan.initial, plan.final, *(
             a for st in plan.stages for a in (st.take, *st.w, st.put))):
@@ -588,14 +589,10 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     # the edit flips one output exchange of the last stage: only where
     # that stage's results land in memory differs from the cached
     # trace's plan
-    cached = banksim._plans[id(trace), cfg.banks, *map(id, roms)]
     for st, other in zip(plan.stages, cached.stages, strict=True):
         assert np.array_equal(st.take, other.take)
         assert all(map(np.array_equal, st.w, other.w))
         assert np.array_equal(st.put, other.put) is (st is not plan.stages[-1])
-    del edited, plan
-    gc.collect()
-    assert key not in banksim._plans
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -683,9 +680,10 @@ def test_overflowing_words_match_reference_to_the_bit(cfg, seed):
 
 
 def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
-    # plans are keyed by ids, and the second ROM set may reuse the first
-    # one's, so a stale entry would serve the wrong twiddles (or a wrong
-    # shape)
+    # a configuration's slot keeps the plan of one trace object and one
+    # ROM set object: another trace, or an equal but distinct ROM set,
+    # gets a plan with its own twiddles, which takes the slot, and only
+    # the very same pair reuses it
     tables = []
 
     def counted(*args):
@@ -694,29 +692,39 @@ def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
 
     monkeypatch.setattr(banksim, "fetch_twiddles", counted)
     for npe in (2, 4):
-        roms = build_rom_set.__wrapped__(1024, npe)[2]  # held by no cache
-        rom_ids = set(map(id, roms))
+        # equal but distinct ROM sets, held by no cache
+        first, second = (build_rom_set.__wrapped__(1024, npe)[2]
+                         for _ in range(2))
         for direction in Direction:
             cfg = ScheduleConfig(n=256, n_pe=npe, direction=direction)
-            kept = build_schedule(cfg)  # cached: outlives the ROM set
-            own = dataclasses.replace(kept)
+            kept = build_schedule(cfg)
+            # the edit moves one dispatch of the last stage to another
+            # word of its PE's ROM, so a stale plan fetches the wrong one
+            d = kept.batches[-1][0]
+            other = next(e.rom_addr for batch in kept.batches for e in batch
+                         if e.pe == d.pe and e.rom_addr not in (-1, d.rom_addr))
+            edited = _edit(kept, len(kept.batches) - 1, 0, rom_addr=other)
             size = len(BankedMemory(cfg.banks).words)
             words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
-            for trace in (kept, own, kept):
+            monkeypatch.delitem(banksim._plans, cfg, raising=False)
+            slot, results = None, {}
+            for trace, roms in ((kept, first), (kept, first),
+                                (edited, first), (edited, second),
+                                (kept, second), (kept, second),
+                                (kept, first)):
+                rebuilt = (slot is None or slot.trace is not trace
+                           or slot.roms is not roms)
                 lowered, reference = _run_both(trace, roms, words)
                 assert lowered == reference
-                plan = banksim._plans[id(trace), cfg.banks, *map(id, roms)]
-                for st in plan.stages:
+                slot = banksim._plans[cfg]
+                assert slot.trace is trace and slot.roms is roms
+                for st in slot.stages:
                     assert not any(w.flags.writeable for w in st.w)
-            assert len(tables) == 2  # one fetch per plan, none per run
-            tables.clear()
-            key = (id(own), cfg.banks, *map(id, roms))
-            del own, trace, plan
-            gc.collect()
-            assert key not in banksim._plans
-        del roms
-        gc.collect()
-        assert not any(rom_ids & set(key[2:]) for key in banksim._plans)
+                # one fetch per rebuild, none per hit
+                assert len(tables) == rebuilt
+                tables.clear()
+                results[trace is edited] = lowered
+            assert results[True] != results[False]
 
 
 @pytest.mark.parametrize("big", [False, True])
@@ -748,23 +756,6 @@ def test_spectrum_loads_alike_with_and_without_words(big, rng):
     assert np.array_equal(outs[0], outs[2])
     assert np.array_equal(outs[1], outs[3])
     assert bool(np.isfinite(outs[0].view(np.float64)).all()) is not big
-
-
-def test_cached_entries_leave_no_finalizer_behind(rng):
-    # short-lived traces run against the process-wide ROM set: once each
-    # trace dies, no finalizer of its entries may stay registered on the
-    # long-lived execution table
-    _, _, roms = ROMS[2]
-    cfg = ScheduleConfig(n=64, n_pe=2)
-    words = rng.uniform(-1, 1, 2 * len(BankedMemory(cfg.banks).words))
-    _run_both(build_schedule(cfg), roms, words.view(np.complex128))
-    gc.collect()
-    registered = len(weakref.finalize._registry)
-    for _ in range(3):
-        _run_both(dataclasses.replace(build_schedule(cfg)), roms,
-                  words.view(np.complex128))
-    gc.collect()
-    assert len(weakref.finalize._registry) == registered
 
 
 def test_runs_that_overlap_on_one_plan_each_get_their_own_buffers(rng):

@@ -6,6 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from ringfft import banksim
+from ringfft.banksim import Simulator
 from ringfft.scheduler import (
     CONFIGS,
     ScheduleConfig,
@@ -53,6 +55,37 @@ def test_inverse_on_cold_cache_equals_inverse_after_forward():
         (warm.stage_order, warm.initial_slots, warm.final_slots)
     for x, y in zip(cold.columns, warm.columns, strict=True):
         assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_plan_built_once_per_config(monkeypatch, rng):
+    builds, build_plan = [], banksim._build_plan
+
+    def counted(*args):
+        builds.append(args[0].config)
+        return build_plan(*args)
+
+    monkeypatch.setattr(banksim, "_build_plan", counted)
+    fwd_cfg = ScheduleConfig(n=1024, n_pe=2)
+    inv_cfg = dataclasses.replace(fwd_cfg, direction=Direction.INVERSE)
+    for cfg in (fwd_cfg, inv_cfg):
+        monkeypatch.delitem(banksim._plans, cfg, raising=False)
+    roms = build_rom_set(S_MAX, 2)[2]
+    a = rng.uniform(-1, 1, 1024).tolist()
+    for expected in ([fwd_cfg, inv_cfg], []):
+        fwd = Simulator(fwd_cfg, roms)
+        fwd.load_polynomial(a)
+        fwd.run()
+        inv = Simulator(inv_cfg, roms)
+        inv.load_spectrum(fwd.read_result())
+        inv.run()
+        assert np.allclose(inv.read_result(), a, rtol=0, atol=1e-9)
+        assert builds == expected
+        builds.clear()
+    # one slot per configuration, however many runs
+    for cfg in CONFIGS:
+        Simulator(cfg, build_rom_set(S_MAX, cfg.n_pe)[2]).run()
+    assert len(banksim._plans) <= len(CONFIGS)
+    assert set(banksim._plans) <= set(CONFIGS)
 
 
 def test_rom_set_and_tables_built_once():

@@ -10,7 +10,7 @@ import pytest
 
 from ringfft import cli
 from ringfft.cli import main
-from ringfft.scheduler import CONFIGS
+from ringfft.scheduler import CONFIGS, cycle_count
 
 
 def _write_poly(path, coeffs):
@@ -517,6 +517,30 @@ def test_stats_needs_the_simulator_engine(tmp_path, capsys, command, engine):
     assert captured.err == "error: --stats needs --engine simulator\n"
 
 
+@pytest.mark.parametrize("npe", [0, 2, 3])
+@pytest.mark.parametrize("command", ["fft", "ifft"])
+@pytest.mark.parametrize("engine", ["reference", "inplace"])
+def test_npe_needs_the_simulator_engine(tmp_path, capsys, command, engine,
+                                        npe):
+    # even the simulator's default is a flag error, before the input
+    # file is read
+    missing = str(tmp_path / "missing.json")
+    assert main([command, missing, "--engine", engine, "--npe", str(npe)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --npe needs --engine simulator\n"
+
+
+def test_simulator_runs_two_pes_by_default(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json", [1.0] * 64)
+    outs = []
+    for npe in ([], ["--npe", "2"]):
+        assert main(["fft", src, "--engine", "simulator", *npe]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(f"cycles={cycle_count(64, 2)}\n")
+
+
 HUGE = 10 ** 400  # an integer no double can hold
 
 
@@ -630,6 +654,29 @@ def test_ifft_names_the_order_its_engine_needs(tmp_path, capsys, engine,
             "order": order, "values": [[1.0, 0.0]] * length})
         assert main(["ifft", spec, "--engine", engine]) == 2
         assert capsys.readouterr() == ("", f"error: {want} spectrum\n")
+
+
+SPECTRUM_FILE = ('{"order": "natural_eval" | "falcon_internal", '
+                 '"values": [[re, im], ...]}')
+
+
+@pytest.mark.parametrize("data,want", [
+    ([[1, 2]], f"expected {SPECTRUM_FILE}"),
+    ({"order": "falcon_internal", "values": [[1, 2, 3]]},
+     f"expected {SPECTRUM_FILE}"),
+    ({"order": "falcon_internal", "values": [1, 2]},
+     f"expected {SPECTRUM_FILE}"),
+    ({"order": "falcon_internal", "values": "ab"},
+     f"expected {SPECTRUM_FILE}"),
+    ({"order": "nope", "values": [[1, 2]]},
+     'order must be "natural_eval" or "falcon_internal"'),
+], ids=["array", "triple", "flat", "string", "order"])
+@pytest.mark.parametrize("engine", ["reference", "inplace", "simulator"])
+def test_ifft_names_the_spectrum_file_shape(tmp_path, capsys, engine, data,
+                                            want):
+    spec = _write_poly(tmp_path / "s.json", data)
+    assert main(["ifft", spec, "--engine", engine]) == 2
+    assert capsys.readouterr() == ("", f"error: {spec}: {want}\n")
 
 
 def test_ifft_has_no_dump_stages_flag(tmp_path, capsys):

@@ -4,7 +4,8 @@ package itself or from the benchmark, or is public.
 A name counts as reached when some module of `src/ringfft` or
 `perfbench` uses it as a name, an attribute or an import; the tests do
 not count, so code that only tests reach shows up here.  Dunders are
-called by Python itself and are exempt.
+called by Python itself and are exempt.  The definitions that only the
+benchmark reaches are listed by name.
 """
 
 import ast
@@ -48,13 +49,27 @@ def _uses(tree):
                 yield node.asname
 
 
-def test_every_definition_is_reached_outside_the_tests():
-    used = {name for _path, tree in _trees(PACKAGE, BENCHMARK)
-            for name in _uses(tree)}
-    unreached = [
+def _unreached(*dirs):
+    """The package's definitions no module of dirs uses, but dunders
+    and public names."""
+    used = {name for _path, tree in _trees(*dirs) for name in _uses(tree)}
+    return [
         f"{path.relative_to(ROOT)}: {qualname}"
         for path, tree in _trees(PACKAGE)
         for qualname, name in _definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
         and name not in used and name not in ringfft.__all__]
-    assert unreached == []
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    assert _unreached(PACKAGE, BENCHMARK) == []
+
+
+def test_only_the_benchmark_reaches_these_definitions():
+    # the package itself does not use them; a change that adds or frees
+    # a path only the benchmark takes updates this list
+    assert _unreached(PACKAGE) == [
+        "src/ringfft/banksim.py: pe_butterfly",
+        "src/ringfft/transform.py: pack",
+        "src/ringfft/twiddles.py: fetch_twiddle",
+    ]
