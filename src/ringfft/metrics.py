@@ -129,17 +129,6 @@ PEER_RECORDS = (
                       "figures at 2048 points"),
 )
 
-# Normalized rows as printed in the published comparison, for checking
-# reproduction to +/-1 unit in the last digit.
-PRINTED_NORMALIZED = {
-    "proposed": (0.146, 12.3, 170.0),
-    "fp32-65nm-5xr4": (0.224, 377.0, 765.0),
-    "fp32-45nm-4xr2": (1.12, 114.1, 157.0),
-    "fp32-65nm-mixed": (0.164, 131.1, 335.0),
-    "fp32-45nm-16xr2": (0.227, 29.5, 6090.0),
-}
-
-
 def all_records() -> tuple[ImplRecord, ...]:
     return (proposed_record(),) + PEER_RECORDS
 

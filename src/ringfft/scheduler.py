@@ -176,16 +176,12 @@ class ScheduleTrace:
     @cached_property
     def batches(self) -> tuple:
         """Per-cycle tuples of ButterflyDispatch records, built from the
-        columns on first use; the simulator reads the columns."""
-        width = self.columns.pe.shape[1]
-        out = []
-        for sg, *stage in zip(self.stage_order,
-                              *(col.tolist() for col in self.columns)):
-            for c, row in enumerate(zip(*stage)):
-                out.append(tuple(
-                    ButterflyDispatch(sg, width * pe + c, pe, *rest)
-                    for pe, *rest in zip(*row)))
-        return tuple(out)
+        `trace_csv_rows` on first use; the simulator reads the columns."""
+        out = [ButterflyDispatch(sg, bt, pe, *rest, bool(in_ex), bool(out_ex))
+               for _cycle, pe, sg, bt, *rest, in_ex, out_ex
+               in trace_csv_rows(self)]
+        n_pe = self.columns.pe.shape[2]
+        return tuple(tuple(out[k:k + n_pe]) for k in range(0, len(out), n_pe))
 
 
 def routing(columns: DispatchColumns, rows: int) -> tuple:

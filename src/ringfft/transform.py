@@ -471,14 +471,11 @@ def pointwise_op(s1: Spectrum, s2: Spectrum, op: str) -> Spectrum:
 def polymul_negacyclic_oracle(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Schoolbook product reduced mod x^n + 1 (the wrap-around terms
     enter with negated sign)."""
-    ca = validate_polynomial(a)
-    cb = validate_polynomial(b)
-    if len(ca) != len(cb):
-        raise DomainError("polynomials must have equal length")
+    ca, cb = coefficient_rows((a, b))
     n = len(ca)
     # overflow yields inf/nan silently, as in polymul_via_fft
     with np.errstate(over="ignore", invalid="ignore"):
-        conv = np.convolve(np.asarray(ca), np.asarray(cb))
+        conv = np.convolve(ca, cb)
         out = np.empty(n)
         out[:] = conv[:n]
         out[:n - 1] -= conv[n:]

@@ -23,9 +23,9 @@ halves them.  Compression stores only the entries at even ROM
 addresses; the odd-address neighbour of every pair equals +/- i times
 its even partner, so hardware recovers it by swapping the real/imaginary
 words and negating one sign bit.  That rule is stated once, by
-`_times_i` on the (re, im) parts, which the odd twiddles, compression,
-decompression and both fetches share: on floats for one word, on
-float64 arrays for a whole ROM or ROM set.  Both operations are exact
+`_times_i` on the (re, im) parts, which the odd twiddles, compression
+and both fetches share: on floats for one word, on float64 arrays for
+a whole ROM or ROM set.  Both operations are exact
 on IEEE-754 doubles, which is what makes the compressed and
 uncompressed paths bit-identical, and `compress_rom` accepts a pair
 only when it is exact.  `fetch_twiddle` serves one word at a time;
@@ -257,11 +257,6 @@ def compress_rom(rom: RomImage) -> CompressedRom:
     return CompressedRom(pe=rom.pe, stored=rom.entries[0::2],
                          pair_signs=tuple(signs.tolist()),
                          stage_bases=rom.stage_bases)
-
-
-def decompress_rom(rom: CompressedRom) -> tuple:
-    """Exact inverse of compress_rom (component swaps only)."""
-    return tuple(_words(rom.stored, rom.pair_signs).tolist())
 
 
 def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> complex:

@@ -3,12 +3,33 @@ import pytest
 
 from ringfft.banksim import BankConflictError, pe_butterfly
 from ringfft.transform import Direction, _stage_twiddles, slot_eval_map
-from ringfft.twiddles import CompressedRom, fetch_twiddle, stage0_constant
+from ringfft.twiddles import (
+    CompressedRom,
+    _words,
+    fetch_twiddle,
+    stage0_constant,
+)
+
+# Normalized rows as printed in the published comparison, for checking
+# reproduction to +/-1 unit in the last digit.
+PRINTED_NORMALIZED = {
+    "proposed": (0.146, 12.3, 170.0),
+    "fp32-65nm-5xr4": (0.224, 377.0, 765.0),
+    "fp32-45nm-4xr2": (1.12, 114.1, 157.0),
+    "fp32-65nm-mixed": (0.164, 131.1, 335.0),
+    "fp32-45nm-16xr2": (0.227, 29.5, 6090.0),
+}
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xF0F0)
+
+
+def decompress_rom(rom: CompressedRom) -> tuple:
+    """Every logical word of a compressed ROM, in address order: each
+    stored entry followed by its +/-i partner."""
+    return tuple(_words(rom.stored, rom.pair_signs).tolist())
 
 
 def reference_fetch(roms, pe, addr, forward):

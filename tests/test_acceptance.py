@@ -12,11 +12,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import load_natural, reference_execute
+from conftest import PRINTED_NORMALIZED, load_natural, reference_execute
 
 from ringfft.banksim import BankedMemory, Simulator
 from ringfft.metrics import (
-    PRINTED_NORMALIZED,
     ImplRecord,
     all_records,
     exec_time_ns,

@@ -22,6 +22,7 @@ from ringfft.transform import (
     DomainError,
     coefficient_rows,
     fft_inplace,
+    polymul_negacyclic_oracle,
     polymul_via_fft,
 )
 from ringfft.twiddles import build_rom_set
@@ -102,6 +103,10 @@ def _entry_points(n, coefficient):
         "fft_inplace": lambda: fft_inplace(a).values,
         "polymul_via_fft(a, b)": lambda: polymul_via_fft(a, b),
         "polymul_via_fft(b, a)": lambda: polymul_via_fft(b, a),
+        "polymul_negacyclic_oracle(a, b)":
+            lambda: polymul_negacyclic_oracle(a, b),
+        "polymul_negacyclic_oracle(b, a)":
+            lambda: polymul_negacyclic_oracle(b, a),
         "Simulator.load_polynomial": lambda: _loads(n, a)[0],
         "load_natural": lambda: _loads(n, a)[1],
     }
@@ -148,22 +153,23 @@ def test_sequence_forms_convert_alike(n):
 @pytest.mark.parametrize("n", [4, 1024])
 def test_polymul_reports_the_first_operand_first(n):
     none, nan = _poly(n, None), _poly(n, float("nan"))
-    with pytest.raises(TypeError):
-        polymul_via_fft(none, nan)
-    with pytest.raises(DomainError, match="finite"):
-        polymul_via_fft(nan, none)
-    with pytest.raises(DomainError, match="finite"):
-        polymul_via_fft(nan, [0.0] * (n // 2))
-    # the path follows the first operand's length; either path checks
-    # both operands before their lengths
-    with pytest.raises(DomainError, match="finite"):
-        polymul_via_fft([0.0] * (n // 2), nan)
-    with pytest.raises(TypeError):
-        polymul_via_fft([0.0] * n, none[:n // 2])
-    with pytest.raises(DomainError, match="equal length"):
-        polymul_via_fft([0.0] * n, [0.0] * (n // 2))
-    with pytest.raises(DomainError, match="power of two"):
-        polymul_via_fft([0.0] * (n - 1), [0.0] * n)
+    for polymul in (polymul_via_fft, polymul_negacyclic_oracle):
+        with pytest.raises(TypeError):
+            polymul(none, nan)
+        with pytest.raises(DomainError, match="finite"):
+            polymul(nan, none)
+        with pytest.raises(DomainError, match="finite"):
+            polymul(nan, [0.0] * (n // 2))
+        # polymul_via_fft's path follows the first operand's length;
+        # every path checks both operands before their lengths
+        with pytest.raises(DomainError, match="finite"):
+            polymul([0.0] * (n // 2), nan)
+        with pytest.raises(TypeError):
+            polymul([0.0] * n, none[:n // 2])
+        with pytest.raises(DomainError, match="equal length"):
+            polymul([0.0] * n, [0.0] * (n // 2))
+        with pytest.raises(DomainError, match="power of two"):
+            polymul([0.0] * (n - 1), [0.0] * n)
 
 
 @pytest.mark.parametrize("a", [[0.0] * 3, [0.0] * 2048, [], [1.0]])

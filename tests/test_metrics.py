@@ -1,9 +1,10 @@
 import pytest
 
+from conftest import PRINTED_NORMALIZED
+
 from ringfft.metrics import (
     CORTEX_A72_CYCLES,
     PEER_RECORDS,
-    PRINTED_NORMALIZED,
     ImplRecord,
     all_records,
     cycles_table,

@@ -1,8 +1,8 @@
-"""Every function, class and method of the package is reached from the
-package itself or from the benchmark, or is public.
+"""Every function, class, method and module constant of the package is
+reached from the package itself or from the benchmark, or is public.
 
 A name counts as reached when some module of `src/ringfft` or
-`perfbench` uses it as a name, an attribute or an import; the tests do
+`perfbench` reads it as a name, an attribute or an import; the tests do
 not count, so code that only tests reach shows up here.  Dunders are
 called by Python itself and are exempt.  The definitions that only the
 benchmark reaches are listed by name.
@@ -25,12 +25,19 @@ def _trees(*dirs):
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the methods of those
-    classes, as (qualified name, name)."""
+    """Top-level functions, classes and assigned names, and the methods
+    of those classes, as (qualified name, name)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs):
@@ -39,7 +46,7 @@ def _definitions(tree):
 
 def _uses(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

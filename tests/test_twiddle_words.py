@@ -20,10 +20,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import decompress_rom
+
 from ringfft.twiddles import (
     S_MAX,
     build_rom_set,
-    decompress_rom,
     fetch_twiddles,
     rom_layout,
     stage0_constant,

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import decompress_rom
+
 from ringfft.twiddles import (
     S_MAX,
     TwiddleError,
@@ -11,7 +13,6 @@ from ringfft.twiddles import (
     build_rom_set,
     build_twiddle_table,
     compress_rom,
-    decompress_rom,
     fetch_twiddle,
     fetch_twiddles,
     gray_code,

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ringfft import verify
+from ringfft import twiddles, verify
 from ringfft.banksim import BankConflictError, Simulator
 from ringfft.scheduler import CONFIGS
-from ringfft.transform import Spectrum
+from ringfft.transform import Direction, Spectrum
 
 
 def _run(monkeypatch, capsys, sim_class):
@@ -18,24 +18,91 @@ def _run(monkeypatch, capsys, sim_class):
     return ok, capsys.readouterr().out
 
 
+def _failed(out):
+    """The names of the FAIL lines of a report, without their details."""
+    return [line.split("  (")[0] for line in out.splitlines()
+            if line.startswith("FAIL")]
+
+
 def test_uncompressed_mismatch_fails_only_its_own_check(monkeypatch, capsys):
-    # flip the lowest mantissa bit of one decompressed word, then of the
-    # last word one array fetch serves, as the ROM check sees them
-    for skew in ("decompress_rom", "fetch_twiddles"):
-        real = getattr(verify, skew)
+    # flip the lowest mantissa bit of the last word one array fetch
+    # serves, as the ROM check sees it
+    real = verify.fetch_twiddles
 
-        def skewed(*args, real=real):
-            words = np.array(real(*args))
-            words.view(np.uint64)[-1] ^= 1
-            return words
+    def skewed(*args):
+        words = np.array(real(*args))
+        words.view(np.uint64)[-1] ^= 1
+        return words
 
-        with monkeypatch.context() as m:
-            m.setattr(verify, skew, skewed)
-            assert not verify.run_verification(seed=5, quick=True)
-        lines = capsys.readouterr().out.splitlines()
-        failed = [line for line in lines if line.startswith("FAIL")]
-        assert failed == ["FAIL  compressed ROM == uncompressed table, bit-exact"]
-        assert "PASS  simulator == in-place transform, bit-exact" in lines
+    monkeypatch.setattr(verify, "fetch_twiddles", skewed)
+    assert not verify.run_verification(seed=5, quick=True)
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL  compressed ROM == uncompressed table, bit-exact"]
+    assert "PASS  simulator == in-place transform, bit-exact" in lines
+
+
+def test_rom_over_budget_fails_only_its_own_check(monkeypatch, capsys):
+    # each two-PE ROM keeps one spare +/-i pair past its last stage (the
+    # next two groups its counter would walk); no dispatch reads it
+    real = twiddles.stage_rom_bases
+
+    def padded(n_pe, stages):
+        bases = real(n_pe, stages)
+        if n_pe == 2 and stages == twiddles.S_MAX.bit_length() - 1:
+            return (*bases[:-1], bases[-1] + 2)
+        return bases
+
+    monkeypatch.setattr(twiddles, "stage_rom_bases", padded)
+    twiddles.build_rom_set.cache_clear()
+    try:
+        ok, out = _run(monkeypatch, capsys, Simulator)
+    finally:
+        twiddles.build_rom_set.cache_clear()
+    assert not ok
+    assert _failed(out) == ["FAIL  ROM budget n_PE=2"]
+    assert "(stored=258 bytes=4128)" in out
+
+
+def test_unrestored_natural_order_fails_its_check(monkeypatch, capsys):
+    # every inverse run leaves its words in reversed slots; read_result
+    # raises on that, so the check must look before it
+    class Reversed(Simulator):
+        def __init__(self, cfg, roms):
+            super().__init__(cfg, roms)
+            if cfg.direction is Direction.INVERSE:
+                self.trace = dataclasses.replace(
+                    self.trace, final_slots=self.trace.final_slots[::-1])
+
+    ok, out = _run(monkeypatch, capsys, Reversed)
+    assert not ok
+    assert _failed(out) == ["FAIL  simulator runs completed without error",
+                            "FAIL  natural order restored after inverse"]
+
+
+def test_wrong_measured_cycles_fail_only_their_check(monkeypatch, capsys):
+    # one forward run at (32, 2) reports one batch too many
+    class Slow(Simulator):
+        def run(self, stage_hook=None):
+            cycles = super().run(stage_hook)
+            if (self.cfg.n, self.cfg.n_pe, self.cfg.direction) == (
+                    32, 2, Direction.FORWARD):
+                cycles += 2
+            return cycles
+
+    ok, out = _run(monkeypatch, capsys, Slow)
+    assert not ok
+    assert _failed(out) == ["FAIL  measured cycles == closed form"]
+
+
+def test_wrong_closed_form_fails_the_table_and_measured_cycles(monkeypatch):
+    real = verify.cycle_count
+    monkeypatch.setattr(verify, "cycle_count",
+                        lambda n, n_pe: real(n, n_pe) + (n == 8))
+    failed = [c.name for c in verify.run_checks(seed=5, quick=True)
+              if not c.ok]
+    assert failed == ["cycle-count table (n_PE=2)",
+                      "measured cycles == closed form"]
 
 
 def test_other_exceptions_are_errors_not_conflicts(monkeypatch, capsys):
