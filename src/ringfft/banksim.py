@@ -506,6 +506,7 @@ class Simulator:
         """Place word k = a_k + i*a_{k+n/2} (the packing of
         `transform.pack`) where the forward trace starts it: bank
         k // S_M, offset k % S_M."""
+        self.stats = None
         if self.cfg.direction is not Direction.FORWARD:
             raise DomainError("polynomial input is for forward runs")
         c = coefficient_rows((a,))[0]
@@ -520,6 +521,7 @@ class Simulator:
     def load_spectrum(self, s: Spectrum) -> None:
         """Place an internal-order spectrum at the forward-final layout
         (undoing the readout conjugation)."""
+        self.stats = None
         if self.cfg.direction is not Direction.INVERSE:
             raise DomainError("spectrum input is for inverse runs")
         if s.order_tag is not OrderTag.FALCON_INTERNAL:
@@ -533,7 +535,8 @@ class Simulator:
 
     def run(self, stage_hook=None) -> int:
         """Execute the trace; returns the cycle total and leaves the
-        run's RunStats in `stats`."""
+        run's RunStats in `stats` (None after a load or a failed run)."""
+        self.stats = None
         cycles = execute(self.trace, self.mem, self.roms, stage_hook)
         self.stats = _plan(self.trace, self.mem, self.roms).stats
         return cycles

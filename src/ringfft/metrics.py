@@ -28,19 +28,15 @@ REF_WORD_BITS = 64.0
 # Placement closed at a 6 ns clock period (167 MHz nominal); timing
 # tables use the exact period so cycle counts map to round nanoseconds.
 CLOCK_PERIOD_NS = 6.0
-PROPOSED_CLOCK_MHZ = 1000.0 / CLOCK_PERIOD_NS
 
 TABLE_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
 
-# Reference software implementation on a Cortex-A72 @ 1.8 GHz
-# (display-only columns; not reproducible at desk scale).
+# Reference software implementation on a Cortex-A72 (display-only
+# columns; not reproducible at desk scale), timed at its clock to 0.1 ns.
+CORTEX_A72_CLOCK_GHZ = 1.8
 CORTEX_A72_CYCLES = {
     8: 100, 16: 232, 32: 516, 64: 1132, 128: 2529,
     256: 5474, 512: 11807, 1024: 27366,
-}
-CORTEX_A72_TIME_NS = {
-    8: 55.6, 16: 128.9, 32: 286.7, 64: 628.9, 128: 1405.0,
-    256: 3041.1, 512: 6559.4, 1024: 15203.3,
 }
 
 
@@ -55,12 +51,11 @@ class ImplRecord:
     channel_nm: float
     supply_v: float
     word_bits: int
-    clock_mhz: float
     source: str
 
     def __post_init__(self):
         for name in ("area_mm2", "power_mw", "exec_time_us", "fft_size",
-                     "channel_nm", "supply_v", "word_bits", "clock_mhz"):
+                     "channel_nm", "supply_v", "word_bits"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if self.fft_size & (self.fft_size - 1):
@@ -85,12 +80,10 @@ def normalized_energy(p_hat: float, t_e_us: float) -> float:
     return p_hat * t_e_us
 
 
-def exec_time_ns(cycles: int, clock_mhz: float = PROPOSED_CLOCK_MHZ) -> float:
-    if clock_mhz <= 0:
-        raise DomainError("clock frequency must be positive")
+def exec_time_ns(cycles: int) -> float:
     if cycles < 0:
         raise DomainError("cycle count must be non-negative")
-    return cycles * 1000.0 / clock_mhz
+    return cycles * CLOCK_PERIOD_NS
 
 
 def proposed_record() -> ImplRecord:
@@ -100,7 +93,6 @@ def proposed_record() -> ImplRecord:
         label="proposed",
         area_mm2=0.15, power_mw=12.6, exec_time_us=t_us,
         fft_size=1024, channel_nm=22, supply_v=0.72, word_bits=64,
-        clock_mhz=167.0,
         source="this work: ring FFT/IFFT, 2x radix-2 PEs, 22 nm, 64-bit FP")
 
 
@@ -110,21 +102,21 @@ def proposed_record() -> ImplRecord:
 PEER_RECORDS = (
     ImplRecord(label="fp32-65nm-5xr4", area_mm2=1.003, power_mw=372.3,
                exec_time_us=2.03, fft_size=1024, channel_nm=65,
-               supply_v=1.0, word_bits=32, clock_mhz=500.0,
+               supply_v=1.0, word_bits=32,
                source="pipelined 5x radix-4 FFT ASIC, 65 nm, 32-bit FP "
                       "(power entered at top of 43.5-372.3 mW range)"),
     ImplRecord(label="fp32-45nm-4xr2", area_mm2=2.4, power_mw=91.3,
                exec_time_us=1.38, fft_size=1024, channel_nm=45,
-               supply_v=0.9, word_bits=32, clock_mhz=1000.0,
+               supply_v=0.9, word_bits=32,
                source="variable-size 4x radix-2 FFT ASIC, 45 nm, 32-bit FP"),
     ImplRecord(label="fp32-65nm-mixed", area_mm2=0.736, power_mw=129.5,
                exec_time_us=2.56, fft_size=1024, channel_nm=65,
-               supply_v=1.0, word_bits=32, clock_mhz=400.0,
+               supply_v=1.0, word_bits=32,
                source="3x radix-4 + 2x half radix-4 FFT ASIC, 65 nm, 32-bit "
                       "FP (power entered at top of 35.9-129.5 mW range)"),
     ImplRecord(label="fp32-45nm-16xr2", area_mm2=0.973, power_mw=68.0,
                exec_time_us=196.0, fft_size=2048, channel_nm=45,
-               supply_v=1.08, word_bits=32, clock_mhz=100.0,
+               supply_v=1.08, word_bits=32,
                source="low-power 16x radix-2 FFT ASIC, 45 nm, 32-bit FP, "
                       "figures at 2048 points"),
 )
@@ -143,7 +135,7 @@ def cycles_table():
     """(n, cycles, time_ns, a72_cycles, a72_time_ns) per table size."""
     rows = []
     for n in TABLE_SIZES:
-        c = cycle_count(n, 2)
+        c, a72 = cycle_count(n, 2), CORTEX_A72_CYCLES[n]
         rows.append((n, c, exec_time_ns(c),
-                     CORTEX_A72_CYCLES[n], CORTEX_A72_TIME_NS[n]))
+                     a72, round(a72 / CORTEX_A72_CLOCK_GHZ, 1)))
     return rows

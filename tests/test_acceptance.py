@@ -135,8 +135,7 @@ def test_criterion_8_metrics_reproduction():
           and abs(e_hat - pe_) <= _unit(pe_))
     peer = ImplRecord(label="peer", area_mm2=2.4, power_mw=91.3,
                       exec_time_us=1.38, fft_size=1024, channel_nm=45,
-                      supply_v=0.9, word_bits=32, clock_mhz=1000.0,
-                      source="check")
+                      supply_v=0.9, word_bits=32, source="check")
     ok = ok and abs(normalized_area(peer) - 1.12) <= 0.01
     _report(8, ok,
             f"normalized metrics reproduce: proposed "

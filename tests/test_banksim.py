@@ -654,6 +654,43 @@ def test_inverse_that_does_not_restore_natural_order_is_an_error(rng):
         inv.read_result()
 
 
+def test_a_load_after_a_run_needs_a_new_run(rng):
+    # memory then holds the new input, which no run has transformed
+    a, b = rng.uniform(-1, 1, (2, 64)).tolist()
+    sim = Simulator(ScheduleConfig(n=64, n_pe=2), ROMS[2][2])
+    sim.load_polynomial(a)
+    sim.run()
+    assert sim.read_result().values == fft_inplace(a).values
+    sim.load_polynomial(b)
+    with pytest.raises(RuntimeError, match="run\\(\\) the simulator"):
+        sim.read_result()
+    inv = Simulator(ScheduleConfig(n=64, n_pe=2, direction=Direction.INVERSE),
+                    ROMS[2][2])
+    inv.load_spectrum(fft_inplace(a))
+    inv.run()
+    inv.load_spectrum(fft_inplace(b))
+    with pytest.raises(RuntimeError, match="run\\(\\) the simulator"):
+        inv.read_result()
+
+
+def test_a_stopped_run_leaves_no_result(rng):
+    # after a good run, a trace with a bank conflict in stage 2 stops
+    # the next run with the first two of its stages in memory
+    a = rng.uniform(-1, 1, 64).tolist()
+    sim = Simulator(ScheduleConfig(n=64, n_pe=2), ROMS[2][2])
+    sim.load_polynomial(a)
+    sim.run()
+    batch_index = 2 * sim.cfg.bt_pe_count
+    batch = sim.trace.batches[batch_index]
+    assert batch[0].stage == 2
+    sim.trace = _edit(sim.trace, batch_index, 1,
+                      bank0=batch[0].bank0, addr0=batch[0].addr0)
+    with pytest.raises(BankConflictError):
+        sim.run()
+    with pytest.raises(RuntimeError, match="run\\(\\) the simulator"):
+        sim.read_result()
+
+
 @pytest.mark.parametrize("cfg,seed", [
     *(pytest.param(ScheduleConfig(n=1024, n_pe=2, direction=d), 0xF0F0,
                    id=str(d)) for d in Direction),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringfft import scheduler, twiddles, verify
-from ringfft.banksim import Simulator
+from ringfft.banksim import BankConflictError, Simulator
 from ringfft.scheduler import (
     CONFIGS,
     ScheduleConfig,
@@ -209,13 +209,19 @@ def test_mislocated_partner_is_rejected(monkeypatch, cold_schedules):
 
 
 def test_bank_reused_in_a_batch_is_rejected(monkeypatch, cold_schedules):
-    # every PE reading PE 0's banks
+    # every PE reading PE 0's banks: the generator builds the trace, and
+    # the simulator's port ledger refuses it in the first cycle
     real = scheduler._bank_pair
     monkeypatch.setattr(scheduler, "_bank_pair",
                         lambda sg, pe, c, p_bits: real(sg, 0 * pe, c, p_bits))
-    with pytest.raises(ScheduleError,
-                       match="bank conflict at n=64 n_pe=2 sg=0 c=0"):
-        build_schedule(ScheduleConfig(n=64, n_pe=2))
+    cfg = ScheduleConfig(n=64, n_pe=2)
+    build_schedule(cfg)
+    sim = Simulator(cfg, build_rom_set(1024, 2)[2])
+    with pytest.raises(BankConflictError) as exc:
+        sim.run()
+    assert (exc.value.cycle, exc.value.bank, exc.value.pes) == (0, 0, (0, 1))
+    assert _failed_checks() == [
+        "conflict-free execution (all configs, both directions)"]
 
 
 @pytest.mark.parametrize("n,npe", [(8, 4), (8, 8), (16, 8)])
