@@ -17,20 +17,13 @@ the schedule and the ROM set it is built from are.
 
 Per stage, a plan holds one gather index, the stage's twiddles, and the
 memory index of every part of the state after the stage.  The run
-keeps the words the trace touches in a working state, not in memory.
-Before a stage, the state holds every touched word the stage does not
-read, then the stage's first operands and then its second operands, in
-dispatch order, each block planar (its real parts, then its imaginary
-parts); the stage leaves its x and y results in place of the operands.
-Which part sits where depends on the trace alone, so each stage's state
-is one `take` from the previous stage's state (stage 0 takes from
-memory), with no scatter.  For the forward the same gather also lays
-down the second operands with their parts swapped, and the twiddle
-block holds the matching twiddle parts, so that the butterfly
-(`array_butterfly`) is four calls on contiguous float64 arrays; the
-inverse's is six.  A plan is read-only but for a free list of run
-buffers: a run borrows its two state buffers, and their views, from it
-and puts them back, so after a plan's first run no run allocates them.
+keeps the words the trace touches in a working state, not in memory,
+lowered by `transform.state_order` as the golden model's array path
+is: each stage is one `take` from the previous state (stage 0 takes
+from memory) and one `transform.array_butterfly` call.  A plan is
+read-only but for a free list of run buffers: a run borrows its two
+state buffers, and their views, from it and puts them back, so after
+a plan's first run no run allocates them.
 
 Building a plan first asks `twiddles.fetch_twiddles` for the word every
 dispatch reads, which checks the ROM set and each ROM address and
@@ -77,10 +70,15 @@ from .transform import (
     OrderTag,
     OrderTagError,
     Spectrum,
+    _frozen,
+    array_butterfly,
     coefficient_rows,
     internal_spectrum,
     negate_odd,
     spectrum_array,
+    state_order,
+    twiddle_blocks,
+    workspace,
 )
 from .twiddles import S_MAX, fetch_twiddles
 
@@ -108,69 +106,6 @@ def pe_butterfly(u: complex, v: complex, w: complex,
         t = w * v
         return u + t, u - t
     return u + v, (u - v) * w
-
-
-def operand_views(block: np.ndarray, k: int, forward: bool) -> tuple:
-    """The views `array_butterfly` works on, of a float64 block holding
-    k first operands u, then k second operands v, each planar (every
-    real part, then every imaginary part), then, for the forward only,
-    v planar with its halves swapped, (vi, vr).  The inverse gets
-    scratch of its own."""
-    m = 2 * k
-    u, v = block[:m], block[m:2 * m]
-    if forward:
-        return u, v, block[m:3 * m], block[2 * m:3 * m]
-    d, a = np.empty(m), np.empty(m)
-    return u, v, v[:k], v[k:], d, d[:k], d[k:], a, a[:k], a[k:]
-
-
-def array_butterfly(ops: tuple, w, forward: bool) -> None:
-    """`pe_butterfly` over k operand pairs, in place, on the
-    `operand_views` ops of a block: u and v are overwritten with x = u
-    + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w (inverse,
-    w already conjugated).  Every call is on contiguous float64 arrays.
-
-    - forward, four calls: w is ([wr | wr | -wi | wi],) (k each).  One
-      multiply of [v | swapped v] = [vr | vi | vi | vr] gives [wr*vr |
-      wr*vi | -wi*vi | wi*vr], and one add of its halves gives CPython's
-      w*v, (wr*vr - wi*vi, wr*vi + wi*vr).  Adding -wi*vi equals
-      subtracting wi*vi bit for bit: IEEE 754 defines a - b as a + (-b),
-      rounding is symmetric in sign, so (-wi)*vi is -(wi*vi), and a NaN
-      operand passes through a product or a sum unchanged, whichever
-      sign its other factor had.
-    - inverse, six calls: w is the pair ([wr | wi], [wi | wr]).  With d
-      = u - v = [dr | di], d*w[0] = [dr*wr | di*wi] and d*w[1] = [dr*wi |
-      di*wr]; the difference of the first one's halves and the sum of
-      the second one's are CPython's d*w, (dr*wr - di*wi, dr*wi +
-      di*wr), term for term.
-
-    Both products keep CPython's factor order (w first for w*v, d first
-    for d*w) and addend order.  After an overflow both addends can be
-    NaN, and then their order decides whose payload survives.  The sums
-    u + t, u - t, u + v and u - v run on float64 parts too: numpy's
-    complex add keeps the second operand's NaN on arrays of one or two
-    elements, the float64 add keeps the first one's at every length, as
-    CPython does.  So every element is bit-identical to the scalar
-    butterfly on Python complex values (a fused multiply-add would not
-    be).  Run it under np.errstate(over="ignore", invalid="ignore") to
-    keep overflow as silent as complex arithmetic.
-    """
-    # Outputs are passed by position: parsing out= costs more per call
-    # than the arithmetic on a few hundred words.
-    if forward:
-        u, v, p, t = ops
-        np.multiply(w[0], p, p)
-        np.add(v, t, t)  # t: w*v
-        np.subtract(u, t, v)
-        np.add(u, t, u)
-    else:
-        u, v, y_r, y_i, d, d0, d1, a, a0, a1 = ops
-        np.subtract(u, v, d)
-        np.add(u, v, u)
-        np.multiply(d, w[0], a)
-        np.multiply(d, w[1], d)
-        np.subtract(a0, a1, y_r)
-        np.add(d0, d1, y_i)
 
 
 def _port_ledger(banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
@@ -262,19 +197,7 @@ class _Plan(NamedTuple):
     final: np.ndarray       # word -> memory index after the last stage
     natural: bool           # the last stage leaves word k in slot k
     stats: RunStats
-    workspaces: list        # free `_workspace`s of finished runs
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _planar(*blocks) -> np.ndarray:
-    """float64 indices of complex words, block by block: the real
-    parts of a block's words, then their imaginary parts."""
-    return np.concatenate([f for b in blocks for f in (2 * b, 2 * b + 1)],
-                          axis=-1)
+    workspaces: list        # free `workspace`s of finished runs
 
 
 def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
@@ -324,10 +247,9 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     slots = np.sort(uv, axis=1)
     rereads = (slots[:, 1:] == slots[:, :-1]).any(axis=1).tolist()
     # A run ends at the first stage that conflicts or rereads, the plan's
-    # stop, so only the stages before it are lowered, into state order:
-    # before stage j, the state holds the words the stage leaves alone,
-    # then its first and second operands; the stage leaves x and y in
-    # their place.
+    # stop, so only the stages before it are lowered (`state_order`);
+    # each one's state also carries every word the run touches that the
+    # stage leaves alone.
     stops = [j for j, (_, c) in enumerate(verdicts) if c or rereads[j]]
     runs = stops[0] if stops else steps
     stop = None
@@ -342,24 +264,10 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     touched = read.any(axis=0)
     rest = 2 * (int(touched.sum()) - 2 * k) if runs else 0
     others = np.nonzero(touched & ~read)[1].reshape(runs, rest // 2)
-    second = uv[:runs, k:]
-    before = _planar(others, uv[:runs, :k], second)
-    if forward:  # and the second operands with their halves swapped
-        before = np.concatenate((before, 2 * second + 1, 2 * second), axis=1)
-    after = _frozen(_planar(others, xy[:runs, :k], xy[:runs, k:]))
-    take = before  # stage 0 takes from memory, the others from the state
-    position = np.empty(2 * n_banks * capacity, np.int64)  # in the state
-    for j in range(1, runs):
-        position[after[j - 1]] = np.arange(after.shape[1])
-        take[j] = position[take[j]]
-    _frozen(take)
-    w = w.reshape(steps, k)
-    if forward:
-        w = _frozen(np.concatenate((w.real, w.real, -w.imag, w.imag), axis=1))
-        w = [(row,) for row in w]
-    else:
-        w = _frozen(np.concatenate((w.real, w.imag, w.imag, w.real), axis=1))
-        w = [(row[:2 * k], row[2 * k:]) for row in w]
+    # stage 0 takes from memory, which holds part p at p
+    take, after = state_order(others, uv[:runs], xy[:runs], forward,
+                              np.arange(2 * n_banks * capacity))
+    w = twiddle_blocks(w.reshape(steps, k), forward)
 
     busy = np.sort(pe, axis=2)
     busy = 1 + (busy[..., 1:] != busy[..., :-1]).sum(axis=2)
@@ -417,19 +325,6 @@ def _plan(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Plan:
     return plan
 
 
-def _workspace(plan: _Plan) -> tuple:
-    """Two buffers that take turns holding a run's state, the
-    `operand_views` of each, and the state part of each."""
-    k = plan.dispatches
-    state = plan.rest + 4 * k
-    # the forward gather also lays down the swapped second operands
-    rows = tuple(np.empty((2, state + 2 * k if plan.forward else state)))
-    return (rows,
-            tuple(operand_views(row[plan.rest:], k, plan.forward)
-                  for row in rows),
-            tuple(row[:state] for row in rows))
-
-
 def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
             stage_hook=None) -> int:
     """Run every dispatch batch; returns the cycle total.
@@ -463,8 +358,8 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     try:
         ws = plan.workspaces.pop()
     except IndexError:  # no run has returned one, or all are in use
-        ws = _workspace(plan)
-    rows, ops, states = ws
+        ws = workspace(plan.rest, plan.dispatches, forward)
+    rows, ops = ws
     memory = mem.words.view(np.float64)
     cycle = 0
     # overflow yields inf/nan silently, as scalar complex arithmetic does
@@ -478,10 +373,10 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
             array_butterfly(ops[j & 1], st.w, forward)
             cycle += cycles[j]
             if stage_hook:
-                memory[st.put] = states[j & 1]
+                memory[st.put] = rows[j & 1][:len(st.put)]
                 stage_hook(st.stage, cycle)
     if plan.stages:  # st, j: the last stage
-        memory[st.put] = states[j & 1]
+        memory[st.put] = rows[j & 1][:len(st.put)]
     plan.workspaces.append(ws)
     if plan.stop:
         granted, error = plan.stop

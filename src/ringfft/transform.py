@@ -18,26 +18,18 @@ order has a closed form, `slot_eval_map`: with hn = n/2 and r the
 (log2(hn)-1)-bit reversal, slot 2m holds a(w(2*r(m))) and slot 2m+1
 holds a(w(hn-1-2*r(m))).
 
-The network runs on one of two paths, chosen from the size alone.
-Below VECTOR_MIN_HN words it is one flat loop over Python `complex`
-values, one butterfly at a time, through a program of (j, j + ht,
-twiddle) triples built once per size and direction; the tests check
-both paths against the same network written as nested loops over
-stages, groups and butterflies.  From VECTOR_MIN_HN words up it runs in
-constant geometry (Pease) over a (B, 2, n/2) float64 stack of real and
-imaginary planes, B polynomials at once: every stage reads the two
-contiguous halves of one buffer and writes a perfect shuffle of the
-results into another, so that all stages share one layout, and after
-the last stage every word is back in its in-place slot.  Each size's
-stage twiddles are built once, as read-only matrices in execution
-order, and a call builds the views of its buffers once, so a stage is
-four ufunc calls.  Packing is a reshape in this layout, since word k =
-a_k + i*a_{k+n/2} puts a's first half in the real plane and its second
-half in the imaginary one.  Each product rounds as CPython's complex
-multiply does, so both paths give the same bits.  `polymul_via_fft`
-transforms both operands in one batch and stays in planes until
-unpacking; `fft_batch` runs any number of same-length polynomials
-through one pass at every size.
+The network, `_network`'s per-stage (u, v, w) arrays, runs on one of
+two paths, chosen from the size alone.  Below VECTOR_MIN_HN words it
+is one flat loop over Python `complex` values through those arrays
+zipped into (j, j + ht, twiddle) triples; the tests check both paths
+against the network written as nested loops.  From VECTOR_MIN_HN words
+up it runs on the simulator's kernel, `array_butterfly`, lowered by the
+simulator's lowering, `state_order`: per stage one gather into a
+working state and one kernel call, with B polynomials as a trailing
+axis of that state.  The forward's first gather packs the
+coefficients and its last lays down spectrum words; the inverse the
+reverse.  Both paths give the same bits.  `fft_batch` runs any number
+of same-length polynomials through one pass at every size.
 """
 
 from __future__ import annotations
@@ -189,11 +181,10 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
 # Half-size (n/2 words) from which single calls run the array network.
 # Below it the per-call numpy overhead outweighs the loop it replaces:
 # on a 2-vCPU host, against the flat scalar loop in interleaved runs,
-# the array path took 0.90-0.95x (polymul_via_fft) the time at n = 128
-# but 1.55x at n = 64.  It still took 1.25-1.45x (fft_inplace) and
-# 1.48-1.52x (ifft_inplace) at n = 128 (0.80-0.83x for both at n = 256);
-# one crossover serves all three, set by the product, which FALCON runs
-# at every size.
+# the array path took 0.78x (polymul_via_fft) the time at n = 128 but
+# 1.29x at n = 64.  At n = 128 it took 0.97x (fft_inplace) and 1.18x
+# (ifft_inplace), and 0.58x and 0.59x at n = 256; one crossover serves
+# all three, set by the product, which FALCON runs at every size.
 VECTOR_MIN_HN = 64
 
 
@@ -217,21 +208,35 @@ def _stage_twiddles(forward: bool) -> tuple:
                  for sg in range(table.stages))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _network(forward: bool, hn: int) -> tuple:
+    """The in-place network over hn words as read-only (stages, hn/2)
+    arrays (u, v, w) in execution order (the inverse's stages last to
+    first): butterfly i of a stage pairs word u[i] with word v[i] under
+    twiddle w[i].  Stage sg pairs word j of group g with word j + ht, ht
+    = hn / 2^(sg+1), under w(sg, g) of `_stage_twiddles(forward)`."""
+    ht = hn >> np.arange(1, hn.bit_length())[:, None]
+    j = np.arange(hn // 2)
+    g = j // ht  # group; stage sg's 2^sg twiddles start at 2^sg - 1
+    u = 2 * ht * g + j % ht
+    w = np.array([t for tws in _stage_twiddles(forward) for t in tws])
+    w = w[hn // (2 * ht) - 1 + g]
+    order = slice(None, None, 1 if forward else -1)
+    return tuple(_frozen(a[order]) for a in (u, u + ht, w))
+
+
 @lru_cache(maxsize=None)
 def _butterfly_program(forward: bool, hn: int) -> tuple:
-    """The scalar network over hn words as one flat tuple of butterflies
-    (j, j + ht, w) in execution order, built once per size: stage sg
-    (ht = hn / 2^(sg+1)) pairs word j of group g with word j + ht under
-    twiddle w(sg, g) of `_stage_twiddles(forward)`, and the inverse runs
-    the stages last to first."""
-    stages = []
-    for sg, tws in enumerate(_stage_twiddles(forward)[:hn.bit_length() - 1]):
-        ht = hn >> (sg + 1)
-        stages.append([(j, j + ht, w)
-                       for base, w in zip(range(0, hn, 2 * ht), tws)
-                       for j in range(base, base + ht)])
-    return tuple(b for stage in (stages if forward else stages[::-1])
-                 for b in stage)
+    """`_network(forward, hn)` as one flat tuple of Python butterflies
+    (j, j + ht, w) in execution order, for the scalar loop."""
+    u, v, w = _network(forward, hn)
+    return tuple(zip(u.ravel().tolist(), v.ravel().tolist(),
+                     w.ravel().tolist()))
 
 
 def _spectrum_scalar(coeffs: list[float]) -> list[complex]:
@@ -276,8 +281,7 @@ def spectrum_array(s: Spectrum) -> np.ndarray:
 
 def negate_odd(im: np.ndarray) -> None:
     """Negate, in place, the odd elements along im's last axis.  On the
-    imaginary parts of spectrum words (`z.imag`, or the imaginary planes
-    `x[:, 1]` of a plane stack) that conjugates the slots
+    imaginary parts `z.imag` of spectrum words that conjugates the slots
     `slot_eval_map` marks conjugated: exactly the odd ones."""
     odd = im[..., 1::2]
     np.negative(odd, out=odd)
@@ -320,88 +324,182 @@ def coefficient_rows(polys) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=None)
-def _stage_matrices(forward: bool, hn: int) -> tuple:
-    """The twiddles of the constant-geometry network over hn words, one
-    read-only (2, 2, hn/2) array per stage in execution order (the
-    inverse's reversed): entry [:, :, j] of stage sg's array is the real
-    matrix [[wr, -wi], [wi, wr]] of multiplication by w = w(sg, j mod
-    2^sg) of `_stage_twiddles(forward)`, the twiddle of butterfly j."""
-    matrices = []
-    for tws in _stage_twiddles(forward)[:hn.bit_length() - 1]:
-        w = np.resize(np.array(tws, np.complex128), hn // 2)
-        m = np.array([[w.real, -w.imag], [w.imag, w.real]])
-        m.flags.writeable = False
-        matrices.append(m)
-    return tuple(matrices if forward else matrices[::-1])
-
-
-def _run_planes(x: np.ndarray, forward: bool) -> np.ndarray:
-    """The scalar networks' stages over a (B, 2, hn) stack of real and
-    imaginary planes, in constant geometry (Pease): every forward stage
-    pairs the halves [..., :h] and [..., h:] (h = hn/2) and writes x to
-    the even and y to the odd slots of a second buffer, and every
-    inverse stage undoes that shuffle.  Butterfly j of stage sg then
-    belongs to group j mod 2^sg, and after all log2(hn) stages every
-    word is back in its in-place slot.  The views of both buffers are
-    built once per call, so a stage is four ufunc calls and a swap.
-    Overwrites x; returns the buffer holding the result.
-
-    A product w*v is (wr*vr + (-wi)*vi, wr*vi + wi*vr), the diagonal plus
-    the anti-diagonal of the twiddle matrix times v; d*w is the sum over
-    the columns of w times d.  Negation is exact and IEEE 754 defines
-    a - b as a + (-b), so each part rounds as CPython's complex multiply
-    rounds it, adding in its order (which decides the NaN payload of a
-    sum of two NaNs): every word is bit-identical to the scalar network's."""
-    hn = x.shape[-1]
-    h = hn // 2
-    y = np.empty_like(x)
-    t = np.empty(x.shape[:-1] + (h,))
-    m = np.empty((len(x), 2, 2, h))
-    stages = _stage_matrices(forward, hn)
+def operand_views(block: np.ndarray, k: int, forward: bool) -> tuple:
+    """The views `array_butterfly` works on, of a float64 block holding
+    k first operands u, then k second operands v, each planar (every
+    real part, then every imaginary part), then, for the forward only,
+    v planar with its halves swapped, (vi, vr).  The inverse gets
+    scratch of its own.  Further axes of the block are rows of a batch."""
+    m = 2 * k
+    u, v = block[:m], block[m:2 * m]
     if forward:
-        cells = m.reshape(len(x), 4, h)
-        m0, m1 = cells[:, ::3], cells[:, 1:3]  # diagonal, anti-diagonal
-        a = x[..., :h], x[:, None, :, h:], y[..., 0::2], y[..., 1::2]
-        b = y[..., :h], y[:, None, :, h:], x[..., 0::2], x[..., 1::2]
-        for w in stages:
-            u, v, p, q = a
-            np.multiply(w, v, out=m)
-            np.add(m0, m1, out=t)                   # t = w*v
-            np.add(u, t, out=p)
-            np.subtract(u, t, out=q)
-            a, b = b, a
+        return u, v, block[m:3 * m], block[2 * m:3 * m]
+    d, a = np.empty((2,) + u.shape)
+    return u, v, v[:k], v[k:], d, d[:k], d[k:], a, a[:k], a[k:]
+
+
+def array_butterfly(ops: tuple, w, forward: bool) -> None:
+    """`banksim.pe_butterfly` over k operand pairs, in place, on the
+    `operand_views` ops of a block: u and v are overwritten with x = u
+    + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w (inverse,
+    w already conjugated), on contiguous float64 arrays with a column
+    per row for a batch, w's too.  This is the one vectorized butterfly:
+    the golden model's array path and the simulator both run it.
+
+    - forward, four calls: w is ([wr | wr | -wi | wi],) (k each).  One
+      multiply of [v | swapped v] = [vr | vi | vi | vr] gives [wr*vr |
+      wr*vi | -wi*vi | wi*vr], and one add of its halves gives CPython's
+      w*v, (wr*vr - wi*vi, wr*vi + wi*vr).  Adding -wi*vi equals
+      subtracting wi*vi bit for bit: IEEE 754 defines a - b as a + (-b),
+      rounding is symmetric in sign, so (-wi)*vi is -(wi*vi), and a NaN
+      operand passes through a product or a sum unchanged, whichever
+      sign its other factor had.
+    - inverse, six calls: w is the pair ([wr | wi], [wi | wr]).  With d
+      = u - v = [dr | di], d*w[0] = [dr*wr | di*wi] and d*w[1] = [dr*wi |
+      di*wr]; the difference of the first one's halves and the sum of
+      the second one's are CPython's d*w, (dr*wr - di*wi, dr*wi +
+      di*wr), term for term.
+
+    Both products keep CPython's factor order (w first for w*v, d first
+    for d*w) and addend order.  After an overflow both addends can be
+    NaN, and then their order decides whose payload survives.  The sums
+    u + t, u - t, u + v and u - v run on float64 parts too: numpy's
+    complex add keeps the second operand's NaN on arrays of one or two
+    elements, the float64 add keeps the first one's at every length, as
+    CPython does.  So every element is bit-identical to the scalar
+    butterfly on Python complex values (a fused multiply-add would not
+    be).  Run it under np.errstate(over="ignore", invalid="ignore") to
+    keep overflow as silent as complex arithmetic.
+    """
+    # Outputs are passed by position: parsing out= costs more per call
+    # than the arithmetic on a few hundred words.
+    if forward:
+        u, v, p, t = ops
+        np.multiply(w[0], p, p)
+        np.add(v, t, t)  # t: w*v
+        np.subtract(u, t, v)
+        np.add(u, t, u)
     else:
-        m0, m1, t1 = m[:, :, 0], m[:, :, 1], t[:, None]
-        a = x[..., 0::2], x[..., 1::2], y[..., :h], y[..., h:]
-        b = y[..., 0::2], y[..., 1::2], x[..., :h], x[..., h:]
-        for w in stages:
-            u, v, p, q = a
-            np.subtract(u, v, out=t)
-            np.add(u, v, out=p)
-            np.multiply(w, t1, out=m)
-            np.add(m0, m1, out=q)                   # (u - v)*w
-            a, b = b, a
-    return y if len(stages) & 1 else x
+        u, v, y_r, y_i, d, d0, d1, a, a0, a1 = ops
+        np.subtract(u, v, d)
+        np.add(u, v, u)
+        np.multiply(d, w[0], a)
+        np.multiply(d, w[1], d)
+        np.subtract(a0, a1, y_r)
+        np.add(d0, d1, y_i)
 
 
-def _forward_planes(c: np.ndarray) -> np.ndarray:
-    """Pack, forward network, readout conjugation over the rows of a
-    (B, n) coefficient array: word k = a_k + i*a_{k+n/2} makes the
-    array's (B, 2, n/2) reshape the packed planes.  Overwrites c."""
-    r = _run_planes(c.reshape(len(c), 2, -1), True)
-    negate_odd(r[:, 1])
+def twiddle_blocks(w: np.ndarray, forward: bool) -> list:
+    """Per row of w (one stage's twiddles, in dispatch order), the
+    read-only w of `array_butterfly`: ([wr | wr | -wi | wi],) forward,
+    ([wr | wi], [wi | wr]) inverse."""
+    if forward:
+        w = np.concatenate((w.real, w.real, -w.imag, w.imag), axis=1)
+        return [(row,) for row in _frozen(w)]
+    w = _frozen(np.concatenate((w.real, w.imag, w.imag, w.real), axis=1))
+    return [(row[:w.shape[1] // 2], row[w.shape[1] // 2:]) for row in w]
+
+
+def workspace(rest: int, k: int, forward: bool, rows: tuple = ()) -> tuple:
+    """Two buffers that take turns holding a `state_order` state of
+    `rest` carried parts and k dispatches, one per element of the
+    trailing axes `rows`, and the `operand_views` of each."""
+    state = rest + 4 * k
+    # the forward gather also lays down the swapped second operands
+    bufs = tuple(np.empty((2, state + 2 * k if forward else state) + rows))
+    return bufs, tuple(operand_views(b[rest:], k, forward) for b in bufs)
+
+
+def _planar(*blocks) -> np.ndarray:
+    """float64 indices of complex words, block by block: the real
+    parts of a block's words, then their imaginary parts."""
+    return np.concatenate([f for b in blocks for f in (2 * b, 2 * b + 1)],
+                          axis=-1)
+
+
+def state_order(others, read, written, forward: bool, position) -> tuple:
+    """A network lowered into state order: read-only (take, after).
+
+    Row j of the integer arrays read and written lists the words stage
+    j's k dispatches read (first operands, then second ones) and write
+    (x, then y); others[j] lists the words it carries through.  Word i
+    has parts 2i (real) and 2i + 1 (imaginary).  Before stage j the
+    state holds others[j] and the operands, each block planar (real
+    parts, then imaginary parts), and for the forward the second
+    operands again with their parts swapped: the block `operand_views`
+    reads.  x and y land in place of the operands; after[j] lists the
+    part at each element then.  take[j] gathers stage j's state from the
+    one before, stage 0's from a source holding part p at position[p],
+    which is left holding each touched part's element of the last state.
+    """
+    k = read.shape[1] // 2
+    take = _planar(others, read[:, :k], read[:, k:])
+    if forward:  # and the second operands with their halves swapped
+        second = read[:, k:]
+        take = np.concatenate((take, 2 * second + 1, 2 * second), axis=1)
+    after = _planar(others, written[:, :k], written[:, k:])
+    for t, parts in zip(take, after):
+        t[:] = position[t]
+        position[parts] = np.arange(len(parts))
+    return _frozen(take), _frozen(after)
+
+
+@lru_cache(maxsize=None)
+def _lowering(forward: bool, hn: int) -> tuple:
+    """`_network(forward, hn)` lowered once: per stage the gather of its
+    state, the readout gather, and a free store of `workspace`s.  The
+    forward reads coefficients (word s's parts at s and hn + s) and lays
+    down complex words; the inverse the reverse."""
+    u, v, _ = _network(forward, hn)
+    parts = np.arange(2 * hn)
+    coefficients = parts.reshape(2, hn).T.ravel()
+    position = coefficients if forward else parts
+    read = np.concatenate((u, v), axis=1)
+    take, _ = state_order(np.empty((len(u), 0), np.int64), read, read,
+                          forward, position)
+    if not forward:
+        position = position[np.argsort(coefficients)]
+    return tuple(take), _frozen(position), {}
+
+
+def _run_lowered(x: np.ndarray, forward: bool) -> np.ndarray:
+    """The array path over the B rows of x, a trailing axis of one
+    (parts, B) state.  Forward: pack, network and readout conjugation
+    of (B, n) coefficients, read only, into (B, n/2) spectrum words.
+    Inverse: input conjugation (in place), network, scaling and
+    unpacking of (B, hn) spectrum words into (B, 2*hn) coefficients.
+    A run borrows buffers, and twiddles repeated across the rows, from
+    the lowering's free store (one per B, for the two B run last)."""
+    hn = x.shape[1] // 2 if forward else x.shape[1]
+    takes, readout, workspaces = _lowering(forward, hn)
+    ws = workspaces.pop(len(x), None)
+    if ws is None:  # no run of B rows has returned one, or it is in use
+        # numpy multiplies by a column broadcast over few rows one
+        # element at a time, several times slower than by equal shapes
+        w = twiddle_blocks(_network(forward, hn)[2], forward)
+        tw = [tuple(t[:, None].repeat(len(x), 1) for t in ts) for ts in w]
+        ws = workspace(0, hn // 2, forward, (len(x),)) + (tw,)
+    bufs, ops, tw = ws
+    if not forward:
+        negate_odd(x.imag)
+    state = (x if forward else x.view(np.float64)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, take in enumerate(takes):
+            # take(indices, axis, out, mode); "clip" skips the copy
+            # "raise" makes of out, and the indices are in range
+            state.take(take, 0, bufs[j & 1], "clip")
+            array_butterfly(ops[j & 1], tw[j], forward)
+            state = bufs[j & 1]
+    r = np.ascontiguousarray(state.take(readout, 0).T)
+    workspaces[len(x)] = ws
+    for rows in list(workspaces)[:-2]:  # keep the two B run last
+        workspaces.pop(rows, None)
+    if forward:
+        r = r.view(np.complex128)
+        negate_odd(r.imag)
+    else:
+        np.multiply(r, 2.0 / (2 * hn), out=r)
     return r
-
-
-def _inverse_planes(x: np.ndarray) -> list:
-    """Input conjugation, inverse network, scaling and unpacking of a
-    (B, 2, hn) stack of spectrum planes: B coefficient lists.
-    Overwrites x."""
-    negate_odd(x[:, 1])
-    r = _run_planes(x, False)
-    np.multiply(r, 2.0 / (2 * r.shape[-1]), out=r)
-    return r.reshape(len(r), -1).tolist()
 
 
 def fft_inplace(a: Sequence[float]) -> Spectrum:
@@ -414,14 +512,11 @@ def fft_inplace(a: Sequence[float]) -> Spectrum:
 
 def fft_batch(polys: Sequence[Sequence[float]]) -> list[Spectrum]:
     """`fft_inplace` of each of `polys`, all of one length, through one
-    pass of the array network over a leading batch axis; bit-identical
+    pass of the array network over a batch axis; bit-identical
     to transforming them one by one, at any length."""
     if not len(polys):
         return []
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _forward_planes(coefficient_rows(polys))
-    z = np.empty((len(r), r.shape[-1]), np.complex128)
-    z.real, z.imag = r[:, 0], r[:, 1]
+    z = _run_lowered(coefficient_rows(polys), True)
     return [Spectrum(values=tuple(v), order_tag=OrderTag.FALCON_INTERNAL)
             for v in z.tolist()]
 
@@ -435,11 +530,7 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     validate_spectrum_length(hn)
     if hn < VECTOR_MIN_HN:
         return _coefficients_scalar(s.values)
-    z = spectrum_array(s)
-    x = np.empty((1, 2, hn))
-    x[0, 0], x[0, 1] = z.real, z.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _inverse_planes(x)[0]
+    return _run_lowered(spectrum_array(s)[None], False)[0].tolist()
 
 
 _POINTWISE_OPS = ("add", "sub", "mul", "div")
@@ -487,7 +578,7 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
 
     Bit-identical to ifft_inplace(pointwise_op(fft_inplace(a),
     fft_inplace(b), "mul")); on the array path both operands go through
-    one batched forward pass and stay in planes until unpacking."""
+    one batched forward pass and stay in arrays until unpacking."""
     if not _array_path(a):
         ca = validate_polynomial(a)
         cb = validate_polynomial(b)
@@ -496,9 +587,10 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
         return _coefficients_scalar(
             [x * y for x, y in zip(_spectrum_scalar(ca), _spectrum_scalar(cb))])
     with np.errstate(over="ignore", invalid="ignore"):
-        sa, sb = _forward_planes(coefficient_rows((a, b)))
+        sa, sb = _run_lowered(coefficient_rows((a, b)), True).view(np.float64)
         # CPython's complex multiply: (ar*br - ai*bi, ar*bi + ai*br)
-        p, q = sa * sb, sa * sb[::-1]
-        np.subtract(p[0], p[1], out=sa[0])
-        np.add(q[0], q[1], out=sa[1])
-        return _inverse_planes(sa[None])[0]
+        p, q = sa * sb, sa * sb.reshape(-1, 2)[:, ::-1].ravel()
+        z = np.empty((1, len(sa) // 2), np.complex128)
+        np.subtract(p[0::2], p[1::2], out=z.real[0])
+        np.add(q[0::2], q[1::2], out=z.imag[0])
+        return _run_lowered(z, False)[0].tolist()

@@ -16,6 +16,8 @@ import numpy as np
 from .banksim import BankConflictError, Simulator
 from .scheduler import CONFIGS, cycle_count
 from .transform import (
+    _coefficients_scalar,
+    _spectrum_scalar,
     fft_batch,
     fft_inplace,
     fft_ref,
@@ -90,9 +92,12 @@ def oracle_error(internal, natural) -> float:
         internal, [natural[k] for k, _conj in slot_eval_map(len(internal))])
 
 
-def _bits(words) -> np.ndarray:
-    """The binary64 words of complex values, so that -0.0 != 0.0."""
-    return np.asarray(words, np.complex128).view(np.uint64)
+def _same_bits(words, *others) -> bool:
+    """Whether the complex values words and each of others are the same
+    binary64 words, so that -0.0 != 0.0 and NaN payloads count."""
+    bits = [np.asarray(x, np.complex128).view(np.uint64)
+            for x in (words, *others)]
+    return all(np.array_equal(bits[0], b) for b in bits[1:])
 
 
 def rom_bit_exact(images, roms) -> bool:
@@ -105,8 +110,8 @@ def rom_bit_exact(images, roms) -> bool:
     addr = np.tile(np.arange(-1, size), n_pe)
     words = np.array([w for img in images
                       for w in (stage0_constant(), *img.entries)])
-    return all(np.array_equal(_bits(fetch_twiddles(roms, n_pe, pe, addr, fwd)),
-                              _bits(words if fwd else words.conj()))
+    return all(_same_bits(fetch_twiddles(roms, n_pe, pe, addr, fwd),
+                          words if fwd else words.conj())
                for fwd in (True, False))
 
 
@@ -123,7 +128,8 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
     ]
 
     # one input per configuration, forward then inverse on the simulator
-    all_bitexact = all_roundtrip = all_cycles = all_util = all_restore = True
+    all_bitexact = inverse_bitexact = all_roundtrip = True
+    all_cycles = all_util = all_restore = True
     errors, conflicts = {}, []
     for fwd_cfg, inv_cfg in zip(CONFIGS[::2], CONFIGS[1::2]):
         n, npe = fwd_cfg.n, fwd_cfg.n_pe
@@ -154,8 +160,12 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
         all_cycles &= cycles == cycles_i == cycle_count(n, npe)
         full = (fwd_cfg.active_pes / npe,) * (cycle_count(n, npe) // 2)
         all_util &= sim.stats.pe_utilization == isim.stats.pe_utilization == full
-        all_bitexact &= np.array_equal(_bits(spec.values),
-                                       _bits(fft_inplace(a).values))
+        # the flat scalar loop too: unlike the in-place transform's array
+        # path, it shares no kernel with the simulator
+        all_bitexact &= _same_bits(spec.values, fft_inplace(a).values,
+                                   _spectrum_scalar(a))
+        inverse_bitexact &= _same_bits(back, ifft_inplace(spec),
+                                       _coefficients_scalar(spec.values))
         all_roundtrip &= max_abs_error(back, a) <= relative_bound(a)
 
     checks += [
@@ -165,6 +175,8 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
         Check("conflict-free execution (all configs, both directions)",
               not conflicts, notes=tuple(conflicts)),
         Check("simulator == in-place transform, bit-exact", all_bitexact),
+        Check("simulator inverse == in-place inverse, bit-exact",
+              inverse_bitexact),
         Check("compressed ROM == uncompressed table, bit-exact",
               all(rom_bit_exact(*build_rom_set(S_MAX, npe)[1:])
                   for npe in PE_COUNTS)),

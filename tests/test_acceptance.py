@@ -41,6 +41,7 @@ CRITERION = {
     "simulator runs completed without error": 5,
     "conflict-free execution (all configs, both directions)": 5,
     "simulator == in-place transform, bit-exact": 7,
+    "simulator inverse == in-place inverse, bit-exact": 7,
     "compressed ROM == uncompressed table, bit-exact": 7,
     "forward+inverse round trip <= 1e-9 relative": 6,
     "natural order restored after inverse": 6,

@@ -12,9 +12,7 @@ from ringfft.banksim import (
     BankedMemory,
     RunStats,
     Simulator,
-    array_butterfly,
     execute,
-    operand_views,
     pe_butterfly,
 )
 from ringfft.scheduler import (
@@ -30,8 +28,10 @@ from ringfft.transform import (
     OrderTag,
     OrderTagError,
     Spectrum,
+    array_butterfly,
     fft_inplace,
     ifft_inplace,
+    operand_views,
 )
 from ringfft.twiddles import TwiddleError, build_rom_set, fetch_twiddles
 from ringfft.verify import max_abs_error, relative_bound

@@ -35,6 +35,26 @@ def test_schedule_digest_pinned():
     assert h.hexdigest() == SCHEDULE_DIGEST
 
 
+# SHA-256 over every valid configuration's simulator plan (each stage's
+# gather, twiddle block and write-back index, in CONFIGS order); a
+# change to how a trace is lowered that moves any of them changes it.
+PLAN_DIGEST = \
+    "1cd26af5649c8803ffe2637f2d936997e8719521b5ded089c4545d7d87a3a81e"
+
+
+def test_plan_digest_pinned():
+    h = hashlib.sha256()
+    for cfg in CONFIGS:
+        plan = banksim._build_plan(build_schedule(cfg), cfg.banks,
+                                   banksim.BankedMemory(cfg.banks).capacity,
+                                   build_rom_set(S_MAX, cfg.n_pe)[2])
+        for st in plan.stages:
+            for a in (st.take, *st.w, st.put):
+                h.update(repr((a.dtype.str, a.shape)).encode())
+                h.update(a.tobytes())
+    assert h.hexdigest() == PLAN_DIGEST
+
+
 def test_schedule_built_once_per_config():
     cfg = ScheduleConfig(n=64, n_pe=2, direction=Direction.INVERSE)
     assert build_schedule(cfg) is build_schedule(cfg)

@@ -442,8 +442,8 @@ def test_closed_stdout_is_not_a_traceback(unbuffered):
 # SHA-256 of the stdout of a passing `ringfft verify`, recorded before the
 # checks were returned as records; the output does not depend on the mode.
 VERIFY_DIGESTS = {
-    2024: "738434f065a22703bfc057d0bfed47c70b519d36587b6f06c8f8a0e194e26359",
-    5: "b8565459f36ea6fac5e647e63ff43566064ca9d55d282ce6edf2d2ccce4acc0e",
+    2024: "183f67b1ff32fa6622dd6cb9a657a00f1eed133766c230ce2d6824a2159fe988",
+    5: "545260fdb113afedb58bfd9650e65125a5e4629cf3450b75a6b2caae6df50ebf",
 }
 
 

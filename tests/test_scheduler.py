@@ -205,7 +205,9 @@ def test_mislocated_partner_is_rejected(monkeypatch, cold_schedules):
     monkeypatch.setattr(scheduler, "_partner_mask", lambda sg, s_sg, s_m: 0)
     with pytest.raises(AssertionError, match=r"assert \(\d+ \^ \d+\) == 4"):
         _replay(build_schedule(ScheduleConfig(n=64, n_pe=2)))
-    assert _failed_checks() == ["simulator == in-place transform, bit-exact"]
+    assert _failed_checks() == ["simulator == in-place transform, bit-exact",
+                                "simulator inverse == in-place inverse, "
+                                "bit-exact"]
 
 
 def test_bank_reused_in_a_batch_is_rejected(monkeypatch, cold_schedules):
@@ -257,7 +259,9 @@ def test_twiddle_missing_from_its_pe_rom_is_rejected(monkeypatch, cold_roms):
     monkeypatch.setattr(twiddles, "rom_layout", swapped)
     with pytest.raises(AssertionError, match="stage_twiddle"):
         _replay(build_schedule(ScheduleConfig(n=64, n_pe=2)))
-    assert _failed_checks() == ["simulator == in-place transform, bit-exact"]
+    assert _failed_checks() == ["simulator == in-place transform, bit-exact",
+                                "simulator inverse == in-place inverse, "
+                                "bit-exact"]
 
 
 def test_dispatch_view_equals_columns():

@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -415,15 +417,14 @@ def test_array_path_overflow_matches_scalar_to_the_bit(rng, n, scale):
 
 
 def test_plane_network_sums_w_times_v_in_cpython_order():
+    # the array engine (`_run_lowered` on `array_butterfly`) at n = 4;
     # both parts of v NaN: each part of w*v sums two NaNs, and a sum
     # keeps its first addend's payload, so only CPython's addend order
     # (wr*vr - wi*vi, wr*vi + wi*vr) gives the scalar network's bits
     u, v = complex(0.5, -0.25), complex(_nan(0, 1), _nan(1, 2))
-    want = [u, v]
-    run_forward_network(want)
-    planes = np.array([[[u.real, v.real], [u.imag, v.imag]]])
-    got = transform._run_planes(planes, True)[0]
-    assert np.array_equal(_bits(got.T.ravel().tolist()), _bits(want))
+    a = [u.real, v.real, u.imag, v.imag]
+    got = transform._run_lowered(np.array([a]), True)[0]
+    assert np.array_equal(_bits(got.tolist()), _bits(scalar_fft(a)))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -435,6 +436,51 @@ def test_fft_batch_bit_identical_to_one_by_one(rng, n):
     for a, s in zip(polys, got, strict=True):
         assert np.array_equal(_bits(s.values), _bits(fft_inplace(a).values))
         assert np.array_equal(_bits(s.values), _bits(scalar_fft(a)))
+
+
+def test_lowering_keeps_the_workspaces_of_the_last_two_row_counts(rng):
+    # any row count runs the same gathers; only the buffers and the
+    # repeated twiddles depend on it, and a run of another count evicts
+    # the one used longest ago
+    n = 256
+    polys = rng.uniform(-1, 1, (5, n)).tolist()
+    want = [_bits(fft_inplace(a).values) for a in polys]
+    for rows in (1, 2, 5, 2, 1, 3):
+        got = fft_batch(polys[:rows])
+        for s, w in zip(got, want[:rows], strict=True):
+            assert np.array_equal(_bits(s.values), w)
+    assert sorted(transform._lowering(True, n // 2)[2]) == [1, 3]
+
+
+def test_runs_that_overlap_on_one_lowering_get_their_own_workspaces(rng):
+    # threads running batches of different row counts at once share the
+    # lowering's free store; every run must still give the same bits
+    n = 256
+    polys = rng.uniform(-1, 1, (3, n)).tolist()
+    want = [_bits(fft_inplace(a).values) for a in polys]
+    bad = []
+
+    def worker(i):
+        for r in range(30):
+            rows = 1 + (i + r) % 3
+            got = fft_batch(polys[:rows])
+            if not all(np.array_equal(_bits(s.values), w)
+                       for s, w in zip(got, want[:rows], strict=True)):
+                bad.append((i, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_fft_batch_overflow_stays_in_its_item(rng):
