@@ -15,38 +15,35 @@ word each PE touches in each cycle.  So everything else a run reads is
 built once, as one plan, and kept in one slot per configuration, as
 the schedule and the ROM set it is built from are.
 
-Per stage, a plan holds one gather index, the stage's twiddles, and the
-memory index of every part of the state after the stage.  The run
+A plan holds the trace lowered by `transform.state_order`, as the
+golden model's array path is, into a `transform.Lowering`, and per
+stage the memory index of every part of the state after it.  A run
 keeps the words the trace touches in a working state, not in memory,
-lowered by `transform.state_order` as the golden model's array path
-is: each stage is one `take` from the previous state (stage 0 takes
-from memory) and one `transform.array_butterfly` call.  A plan is
-read-only but for a free list of run buffers: a run borrows its two
-state buffers, and their views, from it and puts them back, so after
-a plan's first run no run allocates them.
+and `transform.run_lowering` runs it as it runs the golden model's.  A
+plan is read-only but for the lowering's free store of run buffers.
 
 Building a plan first asks `twiddles.fetch_twiddles` for the word every
 dispatch reads, which checks the ROM set and each ROM address and
 conjugates for the inverse, and checks every memory address.  The port
 ledger's verdict is a property of the plan too: building it runs
-`_port_ledger`, the one statement of the ledger rule, on every stage
-once.  A stage that touches a word slot twice is rejected as well: only
-then does running a stage at once equal running it batch by batch.  A
-run ends at the first stage that conflicts or rereads, so the plan
-lowers only the stages before it, each with the port accesses the
-ledger grants it, and keeps that first stage as its `stop`: the
-accesses granted there and how to build its `BankConflictError` or
-`ScheduleError`.  What a run does (cycles, port accesses per bank, PE
-utilization, exchanges, ROM fetches by kind) is counted in the same
-pass, as the plan's `RunStats`, and whether the last stage leaves the
-words in natural order is decided there too.  The plan's initial and
-final memory indices place the words a run loads and reads back.
+`_port_ledger`, the one statement of the ledger rule, once over every
+access of the trace.  A stage that touches a word slot twice is
+rejected as well: only then does running a stage at once equal running
+it batch by batch.  A run ends at the first stage that conflicts or
+rereads, so the plan lowers only the stages before it, and keeps how to
+build that stage's `BankConflictError` or `ScheduleError` as its
+`stop` and the port accesses granted up to it as its `granted`.  What
+a run does (cycles, port accesses per bank, PE utilization, exchanges,
+ROM fetches by kind) is counted in the same pass, as the plan's
+`RunStats`, and whether the last stage leaves the words in natural
+order is decided there too.  The plan's initial and final memory
+indices place the words a run loads and reads back.
 
-`execute` runs the plan's stages, adding each one's granted count to
-the memory's port accesses.  Memory is written only where someone can
-read it: before each `stage_hook` call, and once after the last stage
-the plan holds.  Then a stop adds its granted count and raises its
-error, so memory then holds every completed stage.
+`execute` runs the plan's lowering from memory.  Memory is written only
+where someone can read it: before each `stage_hook` call, and once after
+the last stage the plan holds.  Then the run adds the plan's granted
+count to the memory's port accesses, and a stop raises its error, so
+memory then holds every completed stage.
 """
 
 from __future__ import annotations
@@ -71,14 +68,13 @@ from .transform import (
     OrderTagError,
     Spectrum,
     _frozen,
-    array_butterfly,
     coefficient_rows,
     internal_spectrum,
     negate_odd,
     spectrum_array,
+    Lowering,
+    run_lowering,
     state_order,
-    twiddle_blocks,
-    workspace,
 )
 from .twiddles import S_MAX, fetch_twiddles
 
@@ -108,19 +104,19 @@ def pe_butterfly(u: complex, v: complex, w: complex,
     return u + v, (u - v) * w
 
 
-def _port_ledger(banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
-                 first_cycle: int, n_banks: int) -> tuple:
+def _port_ledger(banks: np.ndarray, cycles: np.ndarray, pes: np.ndarray,
+                 n_banks: int) -> tuple:
     """The single-port rule on a run of port accesses, listed in the
     order they are made: (granted, conflict).
 
-    Access j uses bank banks[j] (in range(n_banks)) in cycle
-    first_cycle + epochs[j] on behalf of PE pes[j]; epochs never
-    decrease.  A bank serves one access per cycle.  conflict is None, or
-    the `BankConflictError` arguments (cycle, bank, (first user, second
-    user)) of the first access to a bank already used in its cycle;
-    granted counts the accesses before it.
+    Access j uses bank banks[j] (in range(n_banks)) in cycle cycles[j]
+    on behalf of PE pes[j]; cycles never decrease.  A bank serves one
+    access per cycle.  conflict is None, or the `BankConflictError`
+    arguments (cycle, bank, (first user, second user)) of the first
+    access to a bank already used in its cycle; granted counts the
+    accesses before it.
     """
-    keys = epochs * n_banks + banks
+    keys = cycles * n_banks + banks
     _, first = np.unique(keys, return_index=True)
     if len(first) == len(keys):
         return len(keys), None
@@ -128,8 +124,8 @@ def _port_ledger(banks: np.ndarray, epochs: np.ndarray, pes: np.ndarray,
     repeat[first] = False
     j = int(repeat.argmax())
     i = int((keys == keys[j]).argmax())
-    epoch, bank = divmod(int(keys[j]), n_banks)
-    return j, (first_cycle + epoch, bank, (int(pes[i]), int(pes[j])))
+    cycle, bank = divmod(int(keys[j]), n_banks)
+    return j, (cycle, bank, (int(pes[i]), int(pes[j])))
 
 
 class BankedMemory:
@@ -173,31 +169,21 @@ class RunStats:
     decompressed_fetches: int = 0  # odd ROM addresses: +/-i * a stored word
 
 
-class _Stage(NamedTuple):
-    """One stage a run completes; all arrays are read-only."""
-    stage: int
-    granted: int       # port accesses the ledger grants the stage
-    take: np.ndarray   # gather of the stage's block from the last state
-    w: tuple           # the twiddle arrays of `array_butterfly`
-    put: np.ndarray    # float64 index in memory of each state part after
-
-
 class _Plan(NamedTuple):
     """Everything a run of one trace reads besides the data, for one
-    memory geometry and ROM set."""
+    memory geometry and ROM set; all arrays are read-only."""
     trace: ScheduleTrace    # what the plan was built from
     roms: tuple
     n_banks: int
-    stages: tuple           # the `_Stage`s a run completes
-    stop: tuple | None      # (granted, error factory) of the stage that ends it
-    forward: bool
-    dispatches: int         # per stage
-    rest: int               # float64 parts of the words a stage leaves alone
+    lowering: Lowering      # the stages a run completes, from memory
+    puts: tuple             # per stage, the memory index of each state part
+    readout: np.ndarray     # the state parts puts[-1] places
+    granted: int            # port accesses the ledger grants a run
+    stop: partial | None    # the error of the stage that ends a run
     initial: np.ndarray     # word -> memory index before the first stage
     final: np.ndarray       # word -> memory index after the last stage
     natural: bool           # the last stage leaves word k in slot k
     stats: RunStats
-    workspaces: list        # free `workspace`s of finished runs
 
 
 def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
@@ -227,17 +213,16 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
 
     # Port accesses in the order they are made: per batch, every
     # dispatch's two reads (bank0, bank1), then every dispatch's two
-    # writes (lo, hi), so access j of a stage falls in epoch j // 2width.
-    # The ledger's verdict on them depends on nothing else, so it is
-    # taken here, once per stage.
+    # writes (lo, hi), so access j falls in cycle j // 2width.  The
+    # ledger's verdict on them depends on nothing else, so it is taken
+    # here, once.
     steps, batches, width = pe.shape
     reads = np.stack((bank0, bank1), axis=-1)
     writes = np.stack((lo, hi), axis=-1) // capacity
-    banks = np.concatenate((reads, writes), axis=2).reshape(steps, -1)
-    pes = np.tile(np.repeat(pe, 2, axis=2), 2).reshape(steps, -1)
-    epochs = np.arange(4 * width * batches) // (2 * width)
-    verdicts = [_port_ledger(banks[k], epochs, pes[k], 2 * batches * k,
-                             n_banks) for k in range(steps)]
+    banks = np.concatenate((reads, writes), axis=2).ravel()
+    pes = np.tile(np.repeat(pe, 2, axis=2), 2).ravel()
+    granted, conflict = _port_ledger(
+        banks, np.arange(len(banks)) // (2 * width), pes, n_banks)
 
     # Each dispatch writes back the two slots it read, so distinct reads
     # also mean distinct writes.
@@ -247,27 +232,28 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     slots = np.sort(uv, axis=1)
     rereads = (slots[:, 1:] == slots[:, :-1]).any(axis=1).tolist()
     # A run ends at the first stage that conflicts or rereads, the plan's
-    # stop, so only the stages before it are lowered (`state_order`);
-    # each one's state also carries every word the run touches that the
-    # stage leaves alone.
-    stops = [j for j, (_, c) in enumerate(verdicts) if c or rereads[j]]
-    runs = stops[0] if stops else steps
+    # stop (a factory, not an instance: a raised instance keeps its
+    # traceback), so only the stages before it are lowered
+    # (`state_order`); each one's state also carries every word the run
+    # touches that the stage leaves alone.  A stage makes 4k accesses.
+    runs = rereads.index(True) if True in rereads else steps
     stop = None
-    if stops:
-        granted, conflict = verdicts[runs]
-        # a factory, not an instance: a raised instance keeps its traceback
-        stop = (granted, partial(BankConflictError, *conflict) if conflict
-                else partial(ScheduleError, f"stage {trace.stage_order[runs]}"
-                             " reads a word slot in two dispatches"))
+    if conflict and granted < 4 * k * (runs + 1):  # by the first reread
+        runs = granted // (4 * k)
+        stop = partial(BankConflictError, *conflict)
+    elif runs < steps:
+        granted = 4 * k * (runs + 1)
+        stop = partial(ScheduleError, f"stage {trace.stage_order[runs]}"
+                       " reads a word slot in two dispatches")
     read = np.zeros((runs, n_banks * capacity), bool)
     read[np.arange(runs)[:, None], uv[:runs]] = True
     touched = read.any(axis=0)
     rest = 2 * (int(touched.sum()) - 2 * k) if runs else 0
     others = np.nonzero(touched & ~read)[1].reshape(runs, rest // 2)
     # stage 0 takes from memory, which holds part p at p
-    take, after = state_order(others, uv[:runs], xy[:runs], forward,
-                              np.arange(2 * n_banks * capacity))
-    w = twiddle_blocks(w.reshape(steps, k), forward)
+    lowering, puts = state_order(others, uv[:runs], xy[:runs],
+                                 w.reshape(steps, k)[:runs], forward,
+                                 np.arange(2 * n_banks * capacity))
 
     busy = np.sort(pe, axis=2)
     busy = 1 + (busy[..., 1:] != busy[..., :-1]).sum(axis=2)
@@ -287,17 +273,15 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         trace=trace,
         roms=roms,
         n_banks=n_banks,
-        stages=tuple(_Stage(sg, granted, *arrays) for sg, (granted, _), *arrays
-                     in zip(trace.stage_order, verdicts, take, w, after)),
+        lowering=lowering,
+        puts=tuple(puts),
+        readout=_frozen(np.arange(puts.shape[1])),
+        granted=granted,
         stop=stop,
-        forward=forward,
-        dispatches=k,
-        rest=rest,
         initial=memory_index(trace.initial_slots),
         final=memory_index(trace.final_slots),
         natural=np.array_equal(trace.final_slots, np.arange(cfg.n // 2)),
-        stats=stats,
-        workspaces=[])
+        stats=stats)
 
 
 _plans: dict[ScheduleConfig, _Plan] = {}
@@ -337,52 +321,31 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     with the stage's results in memory (used for boundary memory dumps;
     the run does not read memory back, so a hook must not write it).
 
-    Each stage of the plan adds the port accesses the ledger granted it
-    to mem.port_accesses, then is one gather into a working buffer and
-    one `array_butterfly` on it; two buffers take turns.  Memory
+    The plan's stages run from memory in one `transform.run_lowering`
+    call, on buffers borrowed from the lowering's free store.  Memory
     receives the state before each hook call and once after the last
-    stage.  If the plan has a stop, it then adds the accesses granted
-    before it and raises its error afresh: the BankConflictError the
-    ledger named, or ScheduleError for a stage that reads a word slot
-    twice (a bank conflict is reported as such).  Memory then holds
-    every completed stage.
-
-    A run takes its buffers, with their views, from the plan's free
-    list and puts them back when its stages are done, so only a plan's
-    first run builds them.  A run that overlaps another run of the same
-    plan (in another thread, or from a hook) finds them taken and builds
-    its own.
+    stage; then mem.port_accesses gains the accesses the ledger grants
+    the run.  If the plan has a stop, the run then raises its error
+    afresh: the BankConflictError the ledger named, or ScheduleError for
+    a stage that reads a word slot twice (a bank conflict is reported as
+    such).  Memory then holds every completed stage.
     """
     plan = _plan(trace, mem, roms)
-    forward, cycles = plan.forward, plan.stats.stage_cycles
-    try:
-        ws = plan.workspaces.pop()
-    except IndexError:  # no run has returned one, or all are in use
-        ws = workspace(plan.rest, plan.dispatches, forward)
-    rows, ops = ws
     memory = mem.words.view(np.float64)
-    cycle = 0
-    # overflow yields inf/nan silently, as scalar complex arithmetic does
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, st in enumerate(plan.stages):
-            mem.port_accesses += st.granted
-            # take(indices, axis, out, mode); "clip" skips the copy
-            # "raise" makes of out, and the indices are in range
-            (rows[(j - 1) & 1] if j else memory).take(
-                st.take, None, rows[j & 1], "clip")
-            array_butterfly(ops[j & 1], st.w, forward)
-            cycle += cycles[j]
-            if stage_hook:
-                memory[st.put] = rows[j & 1][:len(st.put)]
-                stage_hook(st.stage, cycle)
-    if plan.stages:  # st, j: the last stage
-        memory[st.put] = rows[j & 1][:len(st.put)]
-    plan.workspaces.append(ws)
+    each = None
+    if stage_hook:
+        cycles = plan.stats.stage_cycles
+
+        def each(j, state):
+            memory[plan.puts[j]] = state[:len(plan.puts[j])]
+            stage_hook(trace.stage_order[j], sum(cycles[:j + 1]))
+    if plan.puts:
+        memory[plan.puts[-1]] = run_lowering(plan.lowering, memory,
+                                             plan.readout, each=each)
+    mem.port_accesses += plan.granted
     if plan.stop:
-        granted, error = plan.stop
-        mem.port_accesses += granted
-        raise error()
-    return cycle
+        raise plan.stop()
+    return sum(plan.stats.stage_cycles)
 
 
 class Simulator:
@@ -399,7 +362,7 @@ class Simulator:
 
     def load_polynomial(self, a) -> None:
         """Place word k = a_k + i*a_{k+n/2} (the packing of
-        `transform.pack`) where the forward trace starts it: bank
+        `transform.fft_inplace`) where the forward trace starts it: bank
         k // S_M, offset k % S_M."""
         self.stats = None
         if self.cfg.direction is not Direction.FORWARD:

@@ -23,13 +23,14 @@ two paths, chosen from the size alone.  Below VECTOR_MIN_HN words it
 is one flat loop over Python `complex` values through those arrays
 zipped into (j, j + ht, twiddle) triples; the tests check both paths
 against the network written as nested loops.  From VECTOR_MIN_HN words
-up it runs on the simulator's kernel, `array_butterfly`, lowered by the
-simulator's lowering, `state_order`: per stage one gather into a
-working state and one kernel call, with B polynomials as a trailing
-axis of that state.  The forward's first gather packs the
-coefficients and its last lays down spectrum words; the inverse the
-reverse.  Both paths give the same bits.  `fft_batch` runs any number
-of same-length polynomials through one pass at every size.
+up it is lowered once per direction and size by `state_order` into a
+`Lowering`, which `run_lowering` runs as it runs the simulator's plans:
+per stage one gather into a working state and one `array_butterfly`
+call, with B polynomials as a trailing axis of that state.  The
+forward's first gather packs the coefficients and its readout lays
+down spectrum words; the inverse the reverse.  Both paths give the same
+bits.  `fft_batch` runs any number of same-length polynomials through
+one pass at every size.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,37 +198,26 @@ def _pack(c: list[float]) -> list[complex]:
     return list(map(complex, c[:len(c) // 2], c[len(c) // 2:]))
 
 
-@lru_cache(maxsize=None)
-def _stage_twiddles(forward: bool) -> tuple:
-    """Per stage sg, the group twiddles w(sg, g), g = 0 .. 2^sg - 1, of
-    the shared table, conjugated for the inverse: the one twiddle source
-    of both network paths."""
-    table = build_twiddle_table(S_MAX)
-    return tuple(tuple(w if forward else w.conjugate()
-                       for w in table.entries[1 << sg:2 << sg])
-                 for sg in range(table.stages))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-@lru_cache(maxsize=None)
 def _network(forward: bool, hn: int) -> tuple:
-    """The in-place network over hn words as read-only (stages, hn/2)
-    arrays (u, v, w) in execution order (the inverse's stages last to
-    first): butterfly i of a stage pairs word u[i] with word v[i] under
-    twiddle w[i].  Stage sg pairs word j of group g with word j + ht, ht
-    = hn / 2^(sg+1), under w(sg, g) of `_stage_twiddles(forward)`."""
+    """The in-place network over hn words as (stages, hn/2) arrays (u,
+    v, w) in execution order (the inverse's stages last to first):
+    butterfly i of a stage pairs word u[i] with word v[i] under twiddle
+    w[i].  Stage sg pairs word j of group g with word j + ht, ht = hn /
+    2^(sg+1), under the shared table's w(sg, g), conjugated for the
+    inverse: the one twiddle source of both network paths."""
     ht = hn >> np.arange(1, hn.bit_length())[:, None]
     j = np.arange(hn // 2)
-    g = j // ht  # group; stage sg's 2^sg twiddles start at 2^sg - 1
+    g = j // ht
     u = 2 * ht * g + j % ht
-    w = np.array([t for tws in _stage_twiddles(forward) for t in tws])
-    w = w[hn // (2 * ht) - 1 + g]
+    # entries[2^sg + g] is w(sg, g), and 2^sg = hn / (2 * ht)
+    w = np.array(build_twiddle_table(S_MAX).entries)[hn // (2 * ht) + g]
     order = slice(None, None, 1 if forward else -1)
-    return tuple(_frozen(a[order]) for a in (u, u + ht, w))
+    return u[order], (u + ht)[order], (w if forward else w.conj())[order]
 
 
 @lru_cache(maxsize=None)
@@ -400,16 +390,6 @@ def twiddle_blocks(w: np.ndarray, forward: bool) -> list:
     return [(row[:w.shape[1] // 2], row[w.shape[1] // 2:]) for row in w]
 
 
-def workspace(rest: int, k: int, forward: bool, rows: tuple = ()) -> tuple:
-    """Two buffers that take turns holding a `state_order` state of
-    `rest` carried parts and k dispatches, one per element of the
-    trailing axes `rows`, and the `operand_views` of each."""
-    state = rest + 4 * k
-    # the forward gather also lays down the swapped second operands
-    bufs = tuple(np.empty((2, state + 2 * k if forward else state) + rows))
-    return bufs, tuple(operand_views(b[rest:], k, forward) for b in bufs)
-
-
 def _planar(*blocks) -> np.ndarray:
     """float64 indices of complex words, block by block: the real
     parts of a block's words, then their imaginary parts."""
@@ -417,20 +397,31 @@ def _planar(*blocks) -> np.ndarray:
                           axis=-1)
 
 
-def state_order(others, read, written, forward: bool, position) -> tuple:
-    """A network lowered into state order: read-only (take, after).
+class Lowering(NamedTuple):
+    """A network lowered into state order by `state_order`, which
+    `run_lowering` runs; read-only but for the free store."""
+    forward: bool
+    rest: int       # float64 parts of the words a stage carries through
+    k: int          # dispatches per stage
+    takes: tuple    # per stage, the gather of its state from the last one
+    twiddles: list  # per stage, the `twiddle_blocks` of `array_butterfly`
+    free: dict      # row shape -> workspace a finished run put back
+
+
+def state_order(others, read, written, w, forward: bool, position) -> tuple:
+    """A network lowered into state order: (`Lowering`, after).
 
     Row j of the integer arrays read and written lists the words stage
     j's k dispatches read (first operands, then second ones) and write
-    (x, then y); others[j] lists the words it carries through.  Word i
-    has parts 2i (real) and 2i + 1 (imaginary).  Before stage j the
-    state holds others[j] and the operands, each block planar (real
-    parts, then imaginary parts), and for the forward the second
-    operands again with their parts swapped: the block `operand_views`
-    reads.  x and y land in place of the operands; after[j] lists the
-    part at each element then.  take[j] gathers stage j's state from the
-    one before, stage 0's from a source holding part p at position[p],
-    which is left holding each touched part's element of the last state.
+    (x, then y), row j of w their twiddles, and others[j] the words the
+    stage carries through.  Word i has parts 2i (real) and 2i + 1
+    (imaginary).  Before stage j the state holds others[j] and the
+    operands, each block planar (real parts, then imaginary parts), and
+    for the forward the second operands again with their parts swapped:
+    the block `operand_views` reads.  x and y land in place of the
+    operands; after[j], read-only, lists the part at each element then.
+    Stage j's gather takes its state from the one before, stage 0's
+    from a source holding part p at position[p].
     """
     k = read.shape[1] // 2
     take = _planar(others, read[:, :k], read[:, k:])
@@ -438,62 +429,92 @@ def state_order(others, read, written, forward: bool, position) -> tuple:
         second = read[:, k:]
         take = np.concatenate((take, 2 * second + 1, 2 * second), axis=1)
     after = _planar(others, written[:, :k], written[:, k:])
+    position = np.array(position)  # part -> element of the last state
     for t, parts in zip(take, after):
         t[:] = position[t]
         position[parts] = np.arange(len(parts))
-    return _frozen(take), _frozen(after)
+    return Lowering(forward, 2 * others.shape[1], k, tuple(_frozen(take)),
+                    twiddle_blocks(w, forward), {}), _frozen(after)
 
 
-@lru_cache(maxsize=None)
-def _lowering(forward: bool, hn: int) -> tuple:
-    """`_network(forward, hn)` lowered once: per stage the gather of its
-    state, the readout gather, and a free store of `workspace`s.  The
-    forward reads coefficients (word s's parts at s and hn + s) and lays
-    down complex words; the inverse the reverse."""
-    u, v, _ = _network(forward, hn)
-    parts = np.arange(2 * hn)
-    coefficients = parts.reshape(2, hn).T.ravel()
-    position = coefficients if forward else parts
-    read = np.concatenate((u, v), axis=1)
-    take, _ = state_order(np.empty((len(u), 0), np.int64), read, read,
-                          forward, position)
-    if not forward:
-        position = position[np.argsort(coefficients)]
-    return tuple(take), _frozen(position), {}
+def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
+                 rows: tuple = (), each=None) -> np.ndarray:
+    """Run low from source, which holds part p at the position
+    `state_order` was given, and return a new array of the last state's
+    elements at readout.
 
-
-def _run_lowered(x: np.ndarray, forward: bool) -> np.ndarray:
-    """The array path over the B rows of x, a trailing axis of one
-    (parts, B) state.  Forward: pack, network and readout conjugation
-    of (B, n) coefficients, read only, into (B, n/2) spectrum words.
-    Inverse: input conjugation (in place), network, scaling and
-    unpacking of (B, hn) spectrum words into (B, 2*hn) coefficients.
-    A run borrows buffers, and twiddles repeated across the rows, from
-    the lowering's free store (one per B, for the two B run last)."""
-    hn = x.shape[1] // 2 if forward else x.shape[1]
-    takes, readout, workspaces = _lowering(forward, hn)
-    ws = workspaces.pop(len(x), None)
-    if ws is None:  # no run of B rows has returned one, or it is in use
-        # numpy multiplies by a column broadcast over few rows one
-        # element at a time, several times slower than by equal shapes
-        w = twiddle_blocks(_network(forward, hn)[2], forward)
-        tw = [tuple(t[:, None].repeat(len(x), 1) for t in ts) for ts in w]
-        ws = workspace(0, hn // 2, forward, (len(x),)) + (tw,)
+    rows is () for one state and (B,) for B states at once, a trailing
+    axis of source and of every state.  Each stage is one gather into
+    one of two buffers, which take turns, and one `array_butterfly` on
+    it; each(j, state), if given, sees the state after stage j.  A run
+    borrows the buffers, their views and the twiddles, repeated across
+    a batch's rows, from `low.free` and puts them back; the store keeps
+    one workspace per row shape, for the two shapes run last.  A run
+    that overlaps another of the same shape (in another thread, or from
+    `each`) finds it taken and builds its own.
+    """
+    forward, rest, k = low.forward, low.rest, low.k
+    ws = low.free.pop(rows, None)
+    if ws is None:
+        # the forward gather also lays down the swapped second operands
+        bufs = tuple(np.empty((2, rest + (6 if forward else 4) * k) + rows))
+        tw = low.twiddles
+        if rows:
+            # numpy multiplies by a column broadcast over few rows one
+            # element at a time, several times slower than by equal shapes
+            tw = [tuple(t[:, None].repeat(rows[0], 1) for t in ts)
+                  for ts in tw]
+        ws = bufs, [operand_views(b[rest:], k, forward) for b in bufs], tw
     bufs, ops, tw = ws
-    if not forward:
-        negate_odd(x.imag)
-    state = (x if forward else x.view(np.float64)).T
+    state = source
+    # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, take in enumerate(takes):
+        for j, take in enumerate(low.takes):
             # take(indices, axis, out, mode); "clip" skips the copy
             # "raise" makes of out, and the indices are in range
             state.take(take, 0, bufs[j & 1], "clip")
             array_butterfly(ops[j & 1], tw[j], forward)
             state = bufs[j & 1]
-    r = np.ascontiguousarray(state.take(readout, 0).T)
-    workspaces[len(x)] = ws
-    for rows in list(workspaces)[:-2]:  # keep the two B run last
-        workspaces.pop(rows, None)
+            if each:
+                each(j, state)
+    out = state.take(readout, 0)
+    low.free[rows] = ws
+    for shape in list(low.free)[:-2]:
+        low.free.pop(shape, None)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lowering(forward: bool, hn: int) -> tuple:
+    """`_network(forward, hn)` lowered once, and its readout gather.
+    The forward reads coefficients (word s's parts at s and hn + s) and
+    lays down complex words; the inverse the reverse."""
+    u, v, w = _network(forward, hn)
+    parts = np.arange(2 * hn)
+    coefficients = parts.reshape(2, hn).T.ravel()  # part -> coefficient
+    read = np.concatenate((u, v), axis=1)
+    low, after = state_order(np.empty((len(u), 0), np.int64), read, read, w,
+                             forward, coefficients if forward else parts)
+    # the element of the last state that holds each part; n = 2 has no
+    # stage, and there coefficients and parts are one order
+    readout = np.argsort(after[-1]) if len(after) else parts
+    if not forward:
+        readout = readout[np.argsort(coefficients)]
+    return low, _frozen(readout)
+
+
+def _run_lowered(x: np.ndarray, forward: bool) -> np.ndarray:
+    """The array path over the B rows of x, `run_lowering` on a
+    trailing axis of B.  Forward: pack, network and readout conjugation
+    of (B, n) coefficients, read only, into (B, n/2) spectrum words.
+    Inverse: input conjugation (in place), network, scaling and
+    unpacking of (B, hn) spectrum words into (B, 2*hn) coefficients."""
+    hn = x.shape[1] // 2 if forward else x.shape[1]
+    low, readout = _lowering(forward, hn)
+    if not forward:
+        negate_odd(x.imag)
+    source = (x if forward else x.view(np.float64)).T
+    r = np.ascontiguousarray(run_lowering(low, source, readout, (len(x),)).T)
     if forward:
         r = r.view(np.complex128)
         negate_odd(r.imag)

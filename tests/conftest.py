@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ringfft.banksim import BankConflictError, pe_butterfly
-from ringfft.transform import Direction, _stage_twiddles, slot_eval_map
+from ringfft.transform import Direction, slot_eval_map
 from ringfft.twiddles import (
     CompressedRom,
     _words,
+    build_twiddle_table,
     fetch_twiddle,
     stage0_constant,
 )
@@ -118,15 +119,17 @@ def reference_execute(trace, mem, roms, stage_hook=None) -> int:
 
 
 # The scalar network as nested loops over stages, groups and butterflies,
-# composed as fft_inplace/ifft_inplace compose it: the bit-exact
-# reference of both network paths.
+# composed as fft_inplace/ifft_inplace compose it, each group's twiddle
+# looked up in the shared table: the bit-exact reference of both
+# network paths.
 
 def run_forward_network(vals):
     hn = len(vals)
-    tw_stages = _stage_twiddles(True)
+    table = build_twiddle_table()
     for sg in range(hn.bit_length() - 1):
         ht = hn >> (sg + 1)
-        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
+        for g, base in enumerate(range(0, hn, 2 * ht)):
+            tw = table.lookup(sg, g)
             for j in range(base, base + ht):
                 u = vals[j]
                 t = tw * vals[j + ht]
@@ -136,10 +139,11 @@ def run_forward_network(vals):
 
 def run_inverse_network(vals):
     hn = len(vals)
-    tw_stages = _stage_twiddles(False)
+    table = build_twiddle_table()
     for sg in range(hn.bit_length() - 2, -1, -1):
         ht = hn >> (sg + 1)
-        for base, tw in zip(range(0, hn, 2 * ht), tw_stages[sg]):
+        for g, base in enumerate(range(0, hn, 2 * ht)):
+            tw = table.lookup(sg, g).conjugate()
             for j in range(base, base + ht):
                 u = vals[j]
                 v = vals[j + ht]

@@ -59,18 +59,18 @@ def test_pe_butterfly_inverse_undoes_forward():
 
 
 def test_banked_memory_single_port_ledger():
-    def ledger(banks, epochs, pes, first_cycle):
-        return banksim._port_ledger(np.array(banks), np.array(epochs),
-                                    np.array(pes), first_cycle, 4)
+    def ledger(banks, cycles, pes):
+        return banksim._port_ledger(np.array(banks), np.array(cycles),
+                                    np.array(pes), 4)
 
     # cycle 0: PE 0 on bank 0, PE 1 on bank 1; cycle 1: PE 1 on bank 0
-    assert ledger([0, 1, 0], [0, 0, 1], [0, 1, 1], 0) == (3, None)
+    assert ledger([0, 1, 0], [0, 0, 1], [0, 1, 1]) == (3, None)
     # PE 1 takes bank 0 in cycle 4 after PE 0: the three accesses before
     # the repeat are granted
-    assert ledger([2, 0, 3, 0], [0, 0, 0, 0], [0, 0, 1, 1], 4) == (
+    assert ledger([2, 0, 3, 0], [4, 4, 4, 4], [0, 0, 1, 1]) == (
         3, (4, 0, (0, 1)))
     # a new cycle opens the port again
-    assert ledger([0, 0], [0, 1], [1, 0], 5) == (2, None)
+    assert ledger([0, 0], [5, 6], [1, 0]) == (2, None)
 
 
 def test_load_natural_placement():
@@ -582,17 +582,19 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     plan = banksim._plans[cfg]
     assert plan.trace is edited and plan.roms is roms
     assert plan is not cached
-    assert len(plan.stages) == cfg.stages
-    for arr in (plan.initial, plan.final, *(
-            a for st in plan.stages for a in (st.take, *st.w, st.put))):
+    low, other = plan.lowering, cached.lowering
+    assert len(low.takes) == len(plan.puts) == cfg.stages
+    for arr in (plan.initial, plan.final, plan.readout, *low.takes,
+                *(a for w in low.twiddles for a in w), *plan.puts):
         assert not arr.flags.writeable
     # the edit flips one output exchange of the last stage: only where
     # that stage's results land in memory differs from the cached
     # trace's plan
-    for st, other in zip(plan.stages, cached.stages, strict=True):
-        assert np.array_equal(st.take, other.take)
-        assert all(map(np.array_equal, st.w, other.w))
-        assert np.array_equal(st.put, other.put) is (st is not plan.stages[-1])
+    assert all(map(np.array_equal, low.takes, other.takes))
+    for w, other_w in zip(low.twiddles, other.twiddles, strict=True):
+        assert all(map(np.array_equal, w, other_w))
+    assert [np.array_equal(a, b) for a, b in zip(
+        plan.puts, cached.puts, strict=True)] == [True] * (cfg.stages - 1) + [False]
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -755,8 +757,8 @@ def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
                 assert lowered == reference
                 slot = banksim._plans[cfg]
                 assert slot.trace is trace and slot.roms is roms
-                for st in slot.stages:
-                    assert not any(w.flags.writeable for w in st.w)
+                for w in slot.lowering.twiddles:
+                    assert not any(t.flags.writeable for t in w)
                 # one fetch per rebuild, none per hit
                 assert len(tables) == rebuilt
                 tables.clear()
@@ -847,3 +849,21 @@ def test_runs_that_overlap_on_one_plan_each_get_their_own_buffers(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def test_nested_runs_of_one_plan_leave_it_one_free_workspace():
+    # each run's stage hook starts the next run of the same plan until
+    # five hold their buffers at once; when all are done, the plan keeps
+    # one set of buffers, not one per run that overlapped
+    cfg = ScheduleConfig(n=64, n_pe=2)
+    trace, roms = build_schedule(cfg), ROMS[2][2]
+    started = []
+
+    def nest(stage, cycle):
+        if len(started) < 5:
+            started.append(stage)
+            execute(trace, BankedMemory(cfg.banks), roms, nest)
+
+    nest(None, 0)
+    assert started == [None, 0, 0, 0, 0]
+    assert len(banksim._plans[cfg].lowering.free) == 1

@@ -48,8 +48,9 @@ def test_plan_digest_pinned():
         plan = banksim._build_plan(build_schedule(cfg), cfg.banks,
                                    banksim.BankedMemory(cfg.banks).capacity,
                                    build_rom_set(S_MAX, cfg.n_pe)[2])
-        for st in plan.stages:
-            for a in (st.take, *st.w, st.put):
+        for take, w, put in zip(plan.lowering.takes, plan.lowering.twiddles,
+                                plan.puts, strict=True):
+            for a in (take, *w, put):
                 h.update(repr((a.dtype.str, a.shape)).encode())
                 h.update(a.tobytes())
     assert h.hexdigest() == PLAN_DIGEST

@@ -34,6 +34,7 @@ from ringfft.transform import (
     slot_eval_map,
     validate_polynomial,
 )
+from ringfft.twiddles import build_twiddle_table
 from ringfft.verify import (
     max_abs_error,
     oracle_error,
@@ -191,7 +192,7 @@ def test_butterfly_program_structure(forward, hn):
     program = transform._butterfly_program(forward, hn)
     stages = hn.bit_length() - 1
     assert len(program) == hn // 2 * stages
-    twiddles = transform._stage_twiddles(forward)
+    table = build_twiddle_table()
     for s in range(stages):
         # the inverse runs the forward's stages last to first
         sg = s if forward else stages - 1 - s
@@ -200,9 +201,10 @@ def test_butterfly_program_structure(forward, hn):
         pairs = [(j, k) for j, k, _w in stage]
         assert sorted(i for pair in pairs for i in pair) == list(range(hn))
         assert all(k - j == ht and j % (2 * ht) < ht for j, k in pairs)
+        want = [table.lookup(sg, j // (2 * ht)) for j, _k in pairs]
         assert np.array_equal(
             _bits([w for _j, _k, w in stage]),
-            _bits([twiddles[sg][j // (2 * ht)] for j, _k in pairs]))
+            _bits(want if forward else [t.conjugate() for t in want]))
 
 
 @pytest.mark.parametrize("hn", [0, 3, 1024])
@@ -449,7 +451,7 @@ def test_lowering_keeps_the_workspaces_of_the_last_two_row_counts(rng):
         got = fft_batch(polys[:rows])
         for s, w in zip(got, want[:rows], strict=True):
             assert np.array_equal(_bits(s.values), w)
-    assert sorted(transform._lowering(True, n // 2)[2]) == [1, 3]
+    assert sorted(transform._lowering(True, n // 2)[0].free) == [(1,), (3,)]
 
 
 def test_runs_that_overlap_on_one_lowering_get_their_own_workspaces(rng):
