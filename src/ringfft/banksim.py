@@ -205,8 +205,8 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         slots = np.asarray(slots, np.int64)
         return _frozen(slots // s_m * capacity + slots % s_m)
 
-    read_banks, offsets = np.stack((bank0, bank1)), np.stack((addr0, addr1))
-    if (read_banks.min() < 0 or read_banks.max() >= n_banks
+    reads, offsets = np.stack((bank0, bank1), -1), np.stack((addr0, addr1))
+    if (reads.min() < 0 or reads.max() >= n_banks
             or offsets.min() < 0 or offsets.max() >= capacity):
         raise ScheduleError("a dispatch addresses a word outside the memory")
     u, v, lo, hi = routing(trace.columns, capacity)
@@ -217,7 +217,6 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     # ledger's verdict on them depends on nothing else, so it is taken
     # here, once.
     steps, batches, width = pe.shape
-    reads = np.stack((bank0, bank1), axis=-1)
     writes = np.stack((lo, hi), axis=-1) // capacity
     banks = np.concatenate((reads, writes), axis=2).ravel()
     pes = np.tile(np.repeat(pe, 2, axis=2), 2).ravel()

@@ -50,14 +50,23 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {e}")
 
 
+def _number(x):
+    """x if it is a JSON number; a string, a bool (which json reads as
+    an int), or anything else raises TypeError."""
+    if type(x) not in (int, float):
+        raise TypeError(f"expected JSON numbers, got {type(x).__name__}")
+    return x
+
+
 def _load_polynomial(path: str):
     """The coefficients of a polynomial file as one float64 array,
-    converted once; a rejection reads as `validate_polynomial`'s."""
+    converted once; a coefficient that is no JSON number is rejected
+    as such, any other as `validate_polynomial` rejects it."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise CliError(f"{path}: expected a JSON array of coefficients")
     try:
-        return coefficient_rows((data,))[0]
+        return coefficient_rows(([_number(x) for x in data],))[0]
     except (TypeError, ValueError, OverflowError) as e:
         raise CliError(f"{path}: {e}")
 
@@ -77,7 +86,8 @@ def _load_spectrum(path: str) -> Spectrum:
         raise CliError(f"{path}: order must be "
                        + " or ".join(f'"{o}"' for o in _ORDERS))
     try:
-        values = tuple(complex(re, im) for re, im in data["values"])
+        values = tuple(complex(_number(re), _number(im))
+                       for re, im in data["values"])
     except OverflowError as e:
         raise CliError(f"{path}: malformed spectrum file ({e})")
     except (KeyError, TypeError, ValueError):
@@ -245,7 +255,7 @@ def cmd_rom(args) -> int:
         data = outdir / f"rom_pe{rom.pe}.bin"
         sidecar = outdir / f"rom_pe{rom.pe}.txt"
         try:
-            dump_rom(rom, data, sidecar)
+            dump_rom(rom, args.npe, data, sidecar)
         except OSError as e:
             raise CliError(f"cannot write {data}: {e}")
         total += len(rom.stored)

@@ -116,14 +116,14 @@ def _ref_angles(j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     return np.pi * (j * (2 * k + 1) % (2 * n)) / n
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _ref_forward_matrix(n: int) -> np.ndarray:
     k = np.arange(n // 2)[:, None]
     j = np.arange(n)[None, :]
     return np.exp(1j * _ref_angles(j, k, n))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _ref_inverse_matrix(n: int) -> np.ndarray:
     j = np.arange(n)[:, None]
     k = np.arange(n // 2)[None, :]
@@ -447,23 +447,22 @@ def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
     axis of source and of every state.  Each stage is one gather into
     one of two buffers, which take turns, and one `array_butterfly` on
     it; each(j, state), if given, sees the state after stage j.  A run
-    borrows the buffers, their views and the twiddles, repeated across
-    a batch's rows, from `low.free` and puts them back; the store keeps
-    one workspace per row shape, for the two shapes run last.  A run
-    that overlaps another of the same shape (in another thread, or from
-    `each`) finds it taken and builds its own.
+    borrows the buffers, their views and the twiddles (repeated across
+    a batch's rows; one row reads `low.twiddles` in place) from
+    `low.free` and puts them back; the store keeps one workspace per
+    row shape, for the two shapes run last.  A run that overlaps
+    another of the same shape (in another thread, or from `each`) finds
+    it taken and builds its own.
     """
     forward, rest, k = low.forward, low.rest, low.k
     ws = low.free.pop(rows, None)
     if ws is None:
         # the forward gather also lays down the swapped second operands
         bufs = tuple(np.empty((2, rest + (6 if forward else 4) * k) + rows))
-        tw = low.twiddles
-        if rows:
-            # numpy multiplies by a column broadcast over few rows one
-            # element at a time, several times slower than by equal shapes
-            tw = [tuple(t[:, None].repeat(rows[0], 1) for t in ts)
-                  for ts in tw]
+        # numpy multiplies by a column broadcast over few rows one
+        # element at a time, several times slower than by equal shapes
+        tw = [tuple(np.ascontiguousarray(np.broadcast_to(t, rows + t.shape).T)
+                    for t in ts) for ts in low.twiddles]
         ws = bufs, [operand_views(b[rest:], k, forward) for b in bufs], tw
     bufs, ops, tw = ws
     state = source

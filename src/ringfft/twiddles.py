@@ -15,11 +15,12 @@ their values: `build_twiddle_table` holds the consumed half in that
 reference order, entry 2^sg + g being w(sg, g).  `rom_layout` gives the
 order each PE's ROM stores them in: per stage, the groups the PE's cycle
 counter walks, in Gray-code order, so that neighbouring words form exact
-+/-i pairs.  (The paper reaches the one-PE order by block-permuting the
-full bit-reversed table and keeping the consumed half; the tests run
-that pipeline as the oracle `rom_layout` must match.)  `split_roms`
-fills the per-PE images from the table in that order and `compress_rom`
-halves them.  Compression stores only the entries at even ROM
++/-i pairs, each stage's block from its `stage_rom_bases` entry on (no
+ROM record copies the bases).  (The paper reaches the one-PE order by
+block-permuting the full bit-reversed table and keeping the consumed
+half; the tests run that pipeline as the oracle `rom_layout` must
+match.)  `split_roms` fills the per-PE images from the table in that
+order and `compress_rom` halves them.  Compression stores only the entries at even ROM
 addresses; the odd-address neighbour of every pair equals +/- i times
 its even partner, so hardware recovers it by swapping the real/imaginary
 words and negating one sign bit.  That rule is stated once, by
@@ -178,26 +179,18 @@ def rom_layout(n_pe: int, stages: int) -> tuple:
 
 @dataclass(frozen=True)
 class RomImage:
-    """Uncompressed per-PE ROM: logical entries in consumption order.
-
-    stage_bases[sg] is where stage sg's block starts (see
-    `stage_rom_bases`).  The scheduler emits absolute ROM addresses, so
-    the bases only describe the layout, in the ROM sidecar `dump_rom`
-    writes.
-    """
+    """Uncompressed per-PE ROM: logical entries in consumption order,
+    stage sg's block from its `stage_rom_bases` entry on."""
     pe: int
     entries: tuple
-    stage_bases: tuple
 
 
 def split_roms(table: TwiddleTable, n_pe: int) -> list[RomImage]:
     """Distribute the table into one consumption-ordered image per PE,
     laid out by `rom_layout`."""
     check_pe_count(n_pe)
-    bases = stage_rom_bases(n_pe, table.stages)
     stage, group = (a.tolist() for a in rom_layout(n_pe, table.stages))
-    return [RomImage(pe=pe, entries=tuple(map(table.lookup, stage, groups)),
-                     stage_bases=bases)
+    return [RomImage(pe=pe, entries=tuple(map(table.lookup, stage, groups)))
             for pe, groups in enumerate(group)]
 
 
@@ -212,7 +205,6 @@ class CompressedRom:
     pe: int
     stored: tuple
     pair_signs: tuple
-    stage_bases: tuple
 
     @property
     def logical_len(self) -> int:
@@ -255,8 +247,7 @@ def compress_rom(rom: RomImage) -> CompressedRom:
             f"{rom.entries[2 * t + 1]!r} is not exactly +/-i * "
             f"{rom.entries[2 * t]!r} (wrong ROM layout upstream?)")
     return CompressedRom(pe=rom.pe, stored=rom.entries[0::2],
-                         pair_signs=tuple(signs.tolist()),
-                         stage_bases=rom.stage_bases)
+                         pair_signs=tuple(signs.tolist()))
 
 
 def fetch_twiddle(rom: CompressedRom, addr: int, forward: bool = True) -> complex:
@@ -281,22 +272,21 @@ def fetch_twiddles(roms, n_pe: int, pe, addr,
     wired stage-0 constant.
 
     The set is checked before any word is served.  Anything but a
-    non-empty sequence of CompressedRom raises TypeError; ROMs of
-    different lengths, a set not built for n_pe PEs, and a PE or an
-    address outside the set raise TwiddleError.  The set is then
-    decompressed once for the whole gather.
+    non-empty sequence of CompressedRom raises TypeError; a set that is
+    not n_pe ROMs of the n_pe-PE length, and a PE or an address outside
+    the set, raise TwiddleError.  The set is then decompressed once for
+    the whole gather.
     """
     bad = [type(r).__name__ for r in roms if not isinstance(r, CompressedRom)]
     if bad or not roms:
         raise TypeError("expected a non-empty sequence of CompressedRom, got "
                         f"{type(roms).__name__} holding {', '.join(bad) or 'nothing'}")
-    if len({rom.logical_len for rom in roms}) != 1:
-        raise TwiddleError("the ROMs of one set differ in logical length")
+    lengths = sorted({rom.logical_len for rom in roms})
     size = stage_rom_bases(n_pe, S_MAX.bit_length() - 1)[-1]
-    if len(roms) != n_pe or roms[0].logical_len != size:
+    if len(roms) != n_pe or lengths != [size]:
         raise TwiddleError(
-            f"a ROM set for n_pe={len(roms)} ({roms[0].logical_len} words "
-            f"per ROM) cannot serve an n_pe={n_pe} run, which reads "
+            f"a ROM set for n_pe={len(roms)} ({' or '.join(map(str, lengths))}"
+            f" words per ROM) cannot serve an n_pe={n_pe} run, which reads "
             f"{n_pe} ROMs of {size} words")
     pe = np.asarray(pe, np.int64)
     addr = np.asarray(addr, np.int64)
@@ -329,9 +319,10 @@ def build_rom_set(n_max: int = S_MAX, n_pe: int = 2) -> tuple:
     return table, images, tuple(compress_rom(img) for img in images)
 
 
-def dump_rom(rom: CompressedRom, data_path, sidecar_path) -> None:
+def dump_rom(rom: CompressedRom, n_pe: int, data_path, sidecar_path) -> None:
     """Write stored entries as little-endian binary64 (re, im) pairs and
-    a text sidecar with the pair signs and per-stage base offsets."""
+    a text sidecar with the pair signs and the `stage_rom_bases` of an
+    n_pe-PE set."""
     with open(data_path, "wb") as f:
         f.write(np.array(rom.stored, "<c16").tobytes())
     with open(sidecar_path, "w") as f:
@@ -339,5 +330,6 @@ def dump_rom(rom: CompressedRom, data_path, sidecar_path) -> None:
         f.write(f"stored_entries {len(rom.stored)}\n")
         f.write("pair_signs " +
                 "".join("+" if s > 0 else "-" for s in rom.pair_signs) + "\n")
-        for sg in range(1, len(rom.stage_bases)):
-            f.write(f"stage_base {sg} {rom.stage_bases[sg]}\n")
+        bases = stage_rom_bases(n_pe, S_MAX.bit_length() - 2)
+        for sg in range(1, len(bases)):
+            f.write(f"stage_base {sg} {bases[sg]}\n")

@@ -221,6 +221,19 @@ def test_rom_set_of_the_wrong_length_is_rejected():
         Simulator(cfg, roms)
 
 
+def test_rom_set_of_mixed_lengths_is_rejected_before_any_access():
+    cfg = ScheduleConfig(n=32, n_pe=2)
+    roms = ROMS[2][2]
+    short = dataclasses.replace(roms[1], stored=roms[1].stored[:-1],
+                                pair_signs=roms[1].pair_signs[:-1])
+    mem = BankedMemory(cfg.banks)
+    before = mem.words.copy()
+    with pytest.raises(TwiddleError, match=r"\(254 or 256 words per ROM\)"):
+        execute(build_schedule(cfg), mem, (roms[0], short))
+    assert mem.port_accesses == 0
+    assert np.array_equal(mem.words, before)
+
+
 @pytest.mark.parametrize(
     "cfg", [c for c in FORWARD if c.n in (8, 64, 1024)],
     ids=lambda c: f"{c.n}-{c.n_pe}")

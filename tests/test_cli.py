@@ -568,6 +568,23 @@ def test_integer_too_large_for_a_double_is_an_error(tmp_path, capsys,
         assert "int too large to convert to float" in captured.err
 
 
+@pytest.mark.parametrize("data", [["1", "2.5"], [True, False]],
+                         ids=["strings", "bools"])
+@pytest.mark.parametrize("argv", [("fft", "bad"), ("polymul", "bad", "ok"),
+                                  ("polymul", "ok", "bad")],
+                         ids=["fft", "polymul-a", "polymul-b"])
+def test_polynomial_files_hold_json_numbers_only(tmp_path, capsys, argv,
+                                                 data):
+    # float() reads "2.5" as 2.5 and true as 1.0
+    files = {"bad": _write_poly(tmp_path / "bad.json", data),
+             "ok": _write_poly(tmp_path / "ok.json", [1.0, 2.0])}
+    assert main([argv[0], *(files[f] for f in argv[1:])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {files['bad']}: expected JSON numbers, "
+                            f"got {type(data[0]).__name__}\n")
+
+
 @pytest.mark.parametrize("engine", ["reference", "inplace"])
 def test_dump_stages_needs_the_simulator_engine(tmp_path, capsys, engine):
     src = _write_poly(tmp_path / "a.json", [1.0, 2.0, 3.0, 4.0])
@@ -668,9 +685,11 @@ SPECTRUM_FILE = ('{"order": "natural_eval" | "falcon_internal", '
      f"expected {SPECTRUM_FILE}"),
     ({"order": "falcon_internal", "values": "ab"},
      f"expected {SPECTRUM_FILE}"),
+    ({"order": "falcon_internal", "values": [[True, False]]},
+     f"expected {SPECTRUM_FILE}"),
     ({"order": "nope", "values": [[1, 2]]},
      'order must be "natural_eval" or "falcon_internal"'),
-], ids=["array", "triple", "flat", "string", "order"])
+], ids=["array", "triple", "flat", "string", "bools", "order"])
 @pytest.mark.parametrize("engine", ["reference", "inplace", "simulator"])
 def test_ifft_names_the_spectrum_file_shape(tmp_path, capsys, engine, data,
                                             want):

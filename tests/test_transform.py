@@ -454,6 +454,26 @@ def test_lowering_keeps_the_workspaces_of_the_last_two_row_counts(rng):
     assert sorted(transform._lowering(True, n // 2)[0].free) == [(1,), (3,)]
 
 
+def test_one_row_reads_the_lowerings_twiddles_in_place(rng):
+    # a batch repeats each twiddle across its rows; one row needs no copy
+    n = 1024
+    a = rng.uniform(-1, 1, n).tolist()
+    ifft_inplace(fft_inplace(a))
+    for forward in (True, False):
+        low = transform._lowering(forward, n // 2)[0]
+        tw = low.free[(1,)][2]
+        assert all(np.shares_memory(t, w)
+                   for ts, ws in zip(tw, low.twiddles, strict=True)
+                   for t, w in zip(ts, ws, strict=True))
+    polymul_via_fft(a, a)  # the forward runs both operands as two rows
+    low = transform._lowering(True, n // 2)[0]
+    for ts, ws in zip(low.free[(2,)][2], low.twiddles, strict=True):
+        for t, w in zip(ts, ws, strict=True):
+            assert t.shape == w.shape + (2,) and t.flags.c_contiguous
+            assert not np.shares_memory(t, w)
+            assert np.array_equal(t, np.stack((w, w), axis=1))
+
+
 def test_runs_that_overlap_on_one_lowering_get_their_own_workspaces(rng):
     # threads running batches of different row counts at once share the
     # lowering's free store; every run must still give the same bits
