@@ -22,6 +22,16 @@ keeps the words the trace touches in a working state, not in memory,
 and `transform.run_lowering` runs it as it runs the golden model's.  A
 plan is read-only but for the lowering's free store of run buffers.
 
+A run's source holds the loaded words in the order a load gives them:
+a forward's coefficient row (word k's parts at k and k + n/2), an
+inverse's complex words.  The plan's `load` names the memory part
+behind each source element, so stage 0's gather places the words where
+the trace starts them, as `transform._lowering` folds in the
+coefficient order.  The readout gathers the words the trace leaves at
+its final slots from the last state, in the order a read gives them: a
+forward's complex words, an inverse's coefficients; `store` names the
+memory part behind each element it returns.
+
 Building a plan first asks `twiddles.fetch_twiddles` for the word every
 dispatch reads, which checks the ROM set and each ROM address and
 conjugates for the inverse, and checks every memory address.  The port
@@ -36,14 +46,16 @@ build that stage's `BankConflictError` or `ScheduleError` as its
 a run does (cycles, port accesses per bank, PE utilization, exchanges,
 ROM fetches by kind) is counted in the same pass, as the plan's
 `RunStats`, and whether the last stage leaves the words in natural
-order is decided there too.  The plan's initial and final memory
-indices place the words a run loads and reads back.
+order is decided there too.
 
-`execute` runs the plan's lowering from memory.  Memory is written only
-where someone can read it: before each `stage_hook` call, and once after
-the last stage the plan holds.  Then the run adds the plan's granted
-count to the memory's port accesses, and a stop raises its error, so
-memory then holds every completed stage.
+`execute` gathers a run's source from memory and writes what the run
+returns back to it.  Memory is written only where someone can read it:
+before each `stage_hook` call, and once after the last stage the plan
+holds.  Then the run adds the plan's granted count to the memory's port
+accesses, and a stop raises its error, so memory then holds every
+completed stage.  A `Simulator` runs the same plan from the words it
+was loaded with and reads back from what the run returns; it builds a
+memory image only when something reads `mem`.
 """
 
 from __future__ import annotations
@@ -175,13 +187,14 @@ class _Plan(NamedTuple):
     trace: ScheduleTrace    # what the plan was built from
     roms: tuple
     n_banks: int
-    lowering: Lowering      # the stages a run completes, from memory
-    puts: tuple             # per stage, the memory index of each state part
-    readout: np.ndarray     # the state parts puts[-1] places
+    lowering: Lowering      # the stages a run completes, from its source
+    load: np.ndarray        # the memory part behind each source element
+    puts: tuple             # per stage, the memory part of each state element
+    readout: np.ndarray     # the last state's elements a run returns
+    store: np.ndarray       # the memory part of each element it returns
+    final: np.ndarray       # the memory parts of the words read back
     granted: int            # port accesses the ledger grants a run
     stop: partial | None    # the error of the stage that ends a run
-    initial: np.ndarray     # word -> memory index before the first stage
-    final: np.ndarray       # word -> memory index after the last stage
     natural: bool           # the last stage leaves word k in slot k
     stats: RunStats
 
@@ -203,7 +216,13 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
 
     def memory_index(slots):
         slots = np.asarray(slots, np.int64)
-        return _frozen(slots // s_m * capacity + slots % s_m)
+        return slots // s_m * capacity + slots % s_m
+
+    def parts(words, interleaved):
+        """The memory parts of words: each word's real and imaginary
+        part in turn, or every real part, then every imaginary part."""
+        return np.stack((2 * words, 2 * words + 1),
+                        axis=-1 if interleaved else 0).ravel()
 
     reads, offsets = np.stack((bank0, bank1), -1), np.stack((addr0, addr1))
     if (reads.min() < 0 or reads.max() >= n_banks
@@ -249,10 +268,35 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     touched = read.any(axis=0)
     rest = 2 * (int(touched.sum()) - 2 * k) if runs else 0
     others = np.nonzero(touched & ~read)[1].reshape(runs, rest // 2)
-    # stage 0 takes from memory, which holds part p at p
+    # A run's source holds the loaded words' parts in the order a load
+    # gives them (a forward's coefficient row, an inverse's complex
+    # words), then the parts of any other word the run touches (an
+    # edited trace's); stage 0 gathers from it.
+    initial = memory_index(trace.initial_slots)
+    loaded = np.zeros(n_banks * capacity, bool)
+    loaded[initial] = True
+    load = np.concatenate((parts(initial, not forward),
+                           parts(np.flatnonzero(touched & ~loaded), True)))
+    position = np.zeros(2 * n_banks * capacity, np.int64)
+    position[load] = np.arange(len(load))
     lowering, puts = state_order(others, uv[:runs], xy[:runs],
-                                 w.reshape(steps, k)[:runs], forward,
-                                 np.arange(2 * n_banks * capacity))
+                                 w.reshape(steps, k)[:runs], forward, position)
+
+    # A run returns the parts of the words read back that its last
+    # state holds, in the order a read gives them (a forward's complex
+    # words, an inverse's coefficients), then the rest of that state.
+    # Every stage reads n/2 distinct words, so a run that touches no
+    # word outside the load holds every word read back: the first
+    # elements it returns are the words `Simulator.read_result` reads.
+    final = parts(memory_index(trace.final_slots), forward)
+    last = puts[-1] if runs else np.empty(0, np.int64)
+    element = np.full(2 * n_banks * capacity, -1)
+    element[last] = np.arange(len(last))
+    readout = element[final]
+    readout = readout[readout >= 0]
+    unread = np.ones(len(last), bool)
+    unread[readout] = False
+    readout = np.concatenate((readout, np.flatnonzero(unread)))
 
     busy = np.sort(pe, axis=2)
     busy = 1 + (busy[..., 1:] != busy[..., :-1]).sum(axis=2)
@@ -273,12 +317,13 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         roms=roms,
         n_banks=n_banks,
         lowering=lowering,
+        load=_frozen(load),
         puts=tuple(puts),
-        readout=_frozen(np.arange(puts.shape[1])),
+        readout=_frozen(readout),
+        store=_frozen(last[readout]),
+        final=_frozen(final),
         granted=granted,
         stop=stop,
-        initial=memory_index(trace.initial_slots),
-        final=memory_index(trace.final_slots),
         natural=np.array_equal(trace.final_slots, np.arange(cfg.n // 2)),
         stats=stats)
 
@@ -286,12 +331,12 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
 _plans: dict[ScheduleConfig, _Plan] = {}
 
 
-def _plan(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Plan:
-    """The plan of this very trace object on mem's geometry and the ROM
-    set `roms`, from its configuration's slot.
+def _plan(trace: ScheduleTrace, n_banks: int, roms) -> _Plan:
+    """The plan of this very trace object on a memory of n_banks banks
+    and the ROM set `roms`, from its configuration's slot.
 
     The slot's plan serves only the trace and ROM set objects it was
-    built from, and mem's bank count; anything else gets a new plan,
+    built from, and its bank count; anything else gets a new plan,
     which takes the slot.  So a lookup never hashes their contents, and
     a hand-edited trace never runs the cached schedule's plan.  The
     slot holds the objects it compares, so their ids cannot be reused
@@ -302,9 +347,9 @@ def _plan(trace: ScheduleTrace, mem: BankedMemory, roms) -> _Plan:
     """
     plan = _plans.get(trace.config)
     if (plan is None or plan.trace is not trace or plan.roms is not roms
-            or plan.n_banks != mem.n_banks):
+            or plan.n_banks != n_banks):
         plan = _plans[trace.config] = _build_plan(
-            trace, mem.n_banks, mem.capacity, roms)
+            trace, n_banks, S_MAX // (2 * n_banks), roms)
     return plan
 
 
@@ -320,16 +365,18 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
     with the stage's results in memory (used for boundary memory dumps;
     the run does not read memory back, so a hook must not write it).
 
-    The plan's stages run from memory in one `transform.run_lowering`
-    call, on buffers borrowed from the lowering's free store.  Memory
-    receives the state before each hook call and once after the last
-    stage; then mem.port_accesses gains the accesses the ledger grants
-    the run.  If the plan has a stop, the run then raises its error
-    afresh: the BankConflictError the ledger named, or ScheduleError for
-    a stage that reads a word slot twice (a bank conflict is reported as
-    such).  Memory then holds every completed stage.
+    The run's source is one gather of memory, `plan.load`; the plan's
+    stages run from it in one `transform.run_lowering` call, on buffers
+    borrowed from the lowering's free store, and what it returns is
+    written back at `plan.store`.  Memory also receives the state before
+    each hook call; then mem.port_accesses gains the accesses the ledger
+    grants the run.  If the plan has a stop, the run then raises its
+    error afresh: the BankConflictError the ledger named, or
+    ScheduleError for a stage that reads a word slot twice (a bank
+    conflict is reported as such).  Memory then holds every completed
+    stage.
     """
-    plan = _plan(trace, mem, roms)
+    plan = _plan(trace, mem.n_banks, roms)
     memory = mem.words.view(np.float64)
     each = None
     if stage_hook:
@@ -339,8 +386,9 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
             memory[plan.puts[j]] = state[:len(plan.puts[j])]
             stage_hook(trace.stage_order[j], sum(cycles[:j + 1]))
     if plan.puts:
-        memory[plan.puts[-1]] = run_lowering(plan.lowering, memory,
-                                             plan.readout, each=each)
+        source = memory.take(plan.load)
+        memory[plan.store] = run_lowering(plan.lowering, source, plan.readout,
+                                          each=each)
     mem.port_accesses += plan.granted
     if plan.stop:
         raise plan.stop()
@@ -348,19 +396,56 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
 
 
 class Simulator:
-    """One transform run: load, execute, read back, count cycles."""
+    """One transform run: load, execute, read back, count cycles.
+
+    A simulator keeps no memory image until something reads `mem`.  Its
+    first load keeps the words as a run's source (a forward's
+    coefficient row, an inverse's complex words), its first run keeps
+    what the plan's readout returns, the words read back first, and
+    `read_result` takes them from there.  Reading `mem` builds the image
+    those leave, bit for bit the memory a run through `execute` leaves,
+    port accesses included; from then on every load, run and read goes
+    through it.  So does a second load or run, a run with a
+    `stage_hook`, a run whose plan has a stop (memory then holds every
+    completed stage) or touches words outside the load, and a run of
+    another trace than the one loaded.
+    """
 
     def __init__(self, cfg: ScheduleConfig, roms):
         self.cfg = cfg
         self.trace = build_schedule(cfg)
         self.roms = roms
-        self.mem = BankedMemory(cfg.banks)
         # rejects all but cfg's compressed ROM set before any other use
-        _plan(self.trace, self.mem, roms)
+        _plan(self.trace, cfg.banks, roms)
         self.stats: RunStats | None = None
+        self._mem: BankedMemory | None = None
+        self._loaded = None  # (plan, source) of the load mem lacks
+        self._out = None     # what the run of that source returned
+
+    @property
+    def mem(self) -> BankedMemory:
+        """The memory, its image built on the first read."""
+        if self._mem is None:
+            mem = BankedMemory(self.cfg.banks)
+            if self._loaded:
+                plan, source = self._loaded
+                memory = mem.words.view(np.float64)
+                memory[plan.load[:len(source)]] = source
+                if self._out is not None:
+                    memory[plan.store] = self._out
+                    mem.port_accesses += plan.granted
+            self._mem, self._loaded, self._out = mem, None, None
+        return self._mem
+
+    def _load(self, source: np.ndarray) -> None:
+        plan = _plan(self.trace, self.cfg.banks, self.roms)
+        if self._mem is None and self._loaded is None:
+            self._loaded = plan, source
+        else:
+            self.mem.words.view(np.float64)[plan.load[:len(source)]] = source
 
     def load_polynomial(self, a) -> None:
-        """Place word k = a_k + i*a_{k+n/2} (the packing of
+        """Load word k = a_k + i*a_{k+n/2} (the packing of
         `transform.fft_inplace`) where the forward trace starts it: bank
         k // S_M, offset k % S_M."""
         self.stats = None
@@ -370,13 +455,10 @@ class Simulator:
         if len(c) != self.cfg.n:
             raise DomainError(
                 f"expected {self.cfg.n} coefficients, got {len(c)}")
-        hn = self.cfg.n // 2
-        at = _plan(self.trace, self.mem, self.roms).initial
-        self.mem.words.real[at] = c[:hn]
-        self.mem.words.imag[at] = c[hn:]
+        self._load(c)
 
     def load_spectrum(self, s: Spectrum) -> None:
-        """Place an internal-order spectrum at the forward-final layout
+        """Load an internal-order spectrum at the forward-final layout
         (undoing the readout conjugation)."""
         self.stats = None
         if self.cfg.direction is not Direction.INVERSE:
@@ -388,26 +470,37 @@ class Simulator:
             raise DomainError(f"expected {hn} spectrum values")
         z = spectrum_array(s)
         negate_odd(z.imag)
-        self.mem.words[_plan(self.trace, self.mem, self.roms).initial] = z
+        self._load(z.view(np.float64))
 
     def run(self, stage_hook=None) -> int:
         """Execute the trace; returns the cycle total and leaves the
         run's RunStats in `stats` (None after a load or a failed run)."""
         self.stats = None
-        cycles = execute(self.trace, self.mem, self.roms, stage_hook)
-        self.stats = _plan(self.trace, self.mem, self.roms).stats
+        plan = _plan(self.trace, self.cfg.banks, self.roms)
+        if (self._loaded and self._loaded[0] is plan and self._out is None
+                and len(plan.load) == self.cfg.n  # touches only the load
+                and not (stage_hook or plan.stop)):
+            self._out = run_lowering(plan.lowering, self._loaded[1],
+                                     plan.readout)
+            cycles = sum(plan.stats.stage_cycles)
+        else:
+            cycles = execute(self.trace, self.mem, self.roms, stage_hook)
+        self.stats = plan.stats
         return cycles
 
     def read_result(self):
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
         if self.stats is None:
             raise RuntimeError("run() the simulator before reading results")
-        plan = _plan(self.trace, self.mem, self.roms)
-        z = self.mem.words[plan.final]
+        plan = _plan(self.trace, self.cfg.banks, self.roms)
+        if self.cfg.direction is Direction.INVERSE and not plan.natural:
+            raise RuntimeError("inverse run did not restore natural order")
+        if self._out is not None and self._loaded[0] is plan:
+            r = self._out[:len(plan.final)].copy()
+        else:
+            r = self.mem.words.view(np.float64)[plan.final]
         if self.cfg.direction is Direction.FORWARD:
+            z = r.view(np.complex128)
             negate_odd(z.imag)
             return internal_spectrum(z)
-        if not plan.natural:
-            raise RuntimeError("inverse run did not restore natural order")
-        scale = 2.0 / self.cfg.n
-        return np.concatenate((z.real * scale, z.imag * scale)).tolist()
+        return (r * (2.0 / self.cfg.n)).tolist()

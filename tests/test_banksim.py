@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import load_natural, reference_execute
+from conftest import load_natural, peek, poke, reference_execute
 
 from ringfft import banksim
 from ringfft.banksim import (
@@ -331,6 +331,141 @@ def test_simulator_input_validation():
                           before.view(np.uint64))
 
 
+def _place(mem, s_m, slots, words) -> None:
+    """Word e of words at slot slots[e]: bank slot // S_M, offset
+    slot % S_M, one word at a time."""
+    for slot, z in zip(slots, words, strict=True):
+        poke(mem, slot // s_m, slot % s_m, z)
+
+
+def _read_back(mem, trace) -> np.ndarray:
+    """What `Simulator.read_result` makes of the words at the trace's
+    final slots, one word at a time, as uint64: forward, the spectrum
+    (odd slots conjugated); inverse, the coefficients (scaled by 2/n)."""
+    cfg = trace.config
+    z = np.array([peek(mem, s // cfg.s_m, s % cfg.s_m)
+                  for s in trace.final_slots], np.complex128)
+    if cfg.direction is Direction.FORWARD:
+        z.imag[1::2] = -z.imag[1::2]
+        return z.view(np.uint64)
+    return (np.concatenate((z.real, z.imag)) * (2.0 / cfg.n)).view(np.uint64)
+
+
+def _conflicting(trace):
+    """trace with the first dispatch of its last stage reading its first
+    operand's bank twice: a bank conflict once every earlier stage has
+    completed."""
+    batch = (trace.config.stages - 1) * trace.config.bt_pe_count
+    d = trace.batches[batch][0]
+    return _edit(trace, batch, 0, bank1=d.bank0, addr1=d.addr0)
+
+
+@pytest.mark.parametrize("cfg", FORWARD, ids=lambda c: f"{c.n}-{c.n_pe}")
+def test_folded_round_trip_equals_execute_and_the_reference(cfg, rng):
+    # the simulator loads into a run's source and reads back from what
+    # the run returns; execute and the reference run from memory.  Each
+    # direction's result, and the image `mem` shows after a load, a run
+    # or a stopped run of an edited trace, must be the same bits
+    roms = ROMS[cfg.n_pe][2]
+    a = rng.uniform(-1, 1, cfg.n)
+    a[::5] = -0.0
+    fwd = Simulator(cfg, roms)
+    fwd.load_polynomial(a.tolist())
+    fwd.run()
+    spec = fwd.read_result()
+    inv = Simulator(dataclasses.replace(cfg, direction=Direction.INVERSE),
+                    roms)
+    inv.load_spectrum(spec)
+    inv.run()
+    results = {fwd.cfg: np.array(spec.values).view(np.uint64),
+               inv.cfg: np.array(inv.read_result()).view(np.uint64)}
+    # the words each load places: packed coefficients, and the
+    # spectrum with its odd slots conjugated back
+    packed = np.empty(cfg.n // 2, np.complex128)
+    packed.real, packed.imag = a[:cfg.n // 2], a[cfg.n // 2:]
+    words = np.array(spec.values)
+    words.imag[1::2] = -words.imag[1::2]
+    inputs = {fwd.cfg: packed, inv.cfg: words}
+
+    def loaded(sim_cfg):
+        sim = Simulator(sim_cfg, roms)
+        if sim_cfg is fwd.cfg:
+            sim.load_polynomial(a.tolist())
+        else:
+            sim.load_spectrum(spec)
+        return sim
+
+    for sim_cfg in (fwd.cfg, inv.cfg):
+        trace = build_schedule(sim_cfg)
+        images = {}
+        for stop in (False, True):
+            for run in (execute, reference_execute):
+                mem = BankedMemory(cfg.banks)
+                _place(mem, cfg.s_m, trace.initial_slots, inputs[sim_cfg])
+                if stop:
+                    with pytest.raises(BankConflictError):
+                        run(_conflicting(trace), mem, roms)
+                else:
+                    run(trace, mem, roms)
+                    assert np.array_equal(_read_back(mem, trace),
+                                          results[sim_cfg])
+                images[stop, run] = (mem.words.view(np.uint64).copy(),
+                                     mem.port_accesses)
+            (words, ports), (want, want_ports) = (
+                images[stop, execute], images[stop, reference_execute])
+            assert ports == want_ports and np.array_equal(words, want)
+        # the images a simulator builds when mem is read
+        mem = BankedMemory(cfg.banks)
+        _place(mem, cfg.s_m, trace.initial_slots, inputs[sim_cfg])
+        sim = loaded(sim_cfg)
+        assert np.array_equal(sim.mem.words.view(np.uint64),
+                              mem.words.view(np.uint64))
+        assert sim.mem.port_accesses == 0
+        for read_first in (False, True):
+            sim = loaded(sim_cfg)
+            sim.run()
+            built = sim.mem if read_first else None
+            got = sim.read_result()  # from the image, if one was built
+            got = got.values if sim_cfg is fwd.cfg else got
+            assert np.array_equal(np.array(got).view(np.uint64),
+                                  results[sim_cfg])
+            assert np.array_equal(sim.mem.words.view(np.uint64),
+                                  images[False, execute][0])
+            assert sim.mem.port_accesses == images[False, execute][1]
+            assert built in (None, sim.mem)
+        sim = loaded(sim_cfg)
+        sim.trace = _conflicting(sim.trace)
+        with pytest.raises(BankConflictError):
+            sim.run()
+        assert np.array_equal(sim.mem.words.view(np.uint64),
+                              images[True, execute][0])
+        assert sim.mem.port_accesses == images[True, execute][1]
+
+
+def test_a_run_without_hooks_builds_no_memory(monkeypatch, rng):
+    # load, run and read of every configuration pair go from the loaded
+    # source to what the run returns: no memory image, no execute
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hook-free run built or wrote memory")
+
+    monkeypatch.setattr(banksim, "BankedMemory", refuse)
+    monkeypatch.setattr(banksim, "execute", refuse)
+    for cfg in FORWARD:
+        roms = ROMS[cfg.n_pe][2]
+        a = rng.uniform(-1, 1, cfg.n).tolist()
+        fwd = Simulator(cfg, roms)
+        fwd.load_polynomial(a)
+        fwd.run()
+        spec = fwd.read_result()
+        inv = Simulator(dataclasses.replace(cfg, direction=Direction.INVERSE),
+                        roms)
+        inv.load_spectrum(spec)
+        inv.run()
+        assert spec.values == fft_inplace(a).values
+        assert np.array_equal(np.array(inv.read_result()).view(np.uint64),
+                              np.array(ifft_inplace(spec)).view(np.uint64))
+
+
 # -- the lowered execute against the per-dispatch reference -----------------
 
 
@@ -597,17 +732,21 @@ def test_execute_lowers_the_trace_it_is_given(rng):
     assert plan is not cached
     low, other = plan.lowering, cached.lowering
     assert len(low.takes) == len(plan.puts) == cfg.stages
-    for arr in (plan.initial, plan.final, plan.readout, *low.takes,
+    for arr in (plan.load, plan.readout, plan.store, plan.final, *low.takes,
                 *(a for w in low.twiddles for a in w), *plan.puts):
         assert not arr.flags.writeable
     # the edit flips one output exchange of the last stage: only where
-    # that stage's results land in memory differs from the cached
-    # trace's plan
+    # that stage's results land in memory, and so which elements of the
+    # last state the readout gathers, differs from the cached trace's
+    # plan; the words read back stay where the trace says they are
     assert all(map(np.array_equal, low.takes, other.takes))
     for w, other_w in zip(low.twiddles, other.twiddles, strict=True):
         assert all(map(np.array_equal, w, other_w))
     assert [np.array_equal(a, b) for a, b in zip(
         plan.puts, cached.puts, strict=True)] == [True] * (cfg.stages - 1) + [False]
+    assert not np.array_equal(plan.readout, cached.readout)
+    for name in ("load", "store", "final"):
+        assert np.array_equal(getattr(plan, name), getattr(cached, name))
 
 
 @pytest.mark.parametrize("direction", list(Direction))

@@ -38,8 +38,10 @@ def test_schedule_digest_pinned():
 # SHA-256 over every valid configuration's simulator plan (each stage's
 # gather, twiddle block and write-back index, in CONFIGS order); a
 # change to how a trace is lowered that moves any of them changes it.
+# Stage 0 gathers from a run's source, whose elements `plan.load` maps
+# to memory.
 PLAN_DIGEST = \
-    "1cd26af5649c8803ffe2637f2d936997e8719521b5ded089c4545d7d87a3a81e"
+    "83cea717a7ed3b633b0bca7d6e334df695ba1f911887b0a5087bf9cdedcce379"
 
 
 def test_plan_digest_pinned():

@@ -16,13 +16,18 @@ from conftest import reference_execute
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ringfft.banksim import BankConflictError, BankedMemory, execute  # noqa: E402
+from ringfft.banksim import (  # noqa: E402
+    BankConflictError,
+    BankedMemory,
+    Simulator,
+    execute,
+)
 from ringfft.scheduler import (  # noqa: E402
     ScheduleConfig,
     ScheduleError,
     build_schedule,
 )
-from ringfft.transform import Direction  # noqa: E402
+from ringfft.transform import Direction, OrderTag, Spectrum  # noqa: E402
 from ringfft.twiddles import build_rom_set  # noqa: E402
 
 CONFIGS = [ScheduleConfig(n=n, n_pe=npe, direction=d)
@@ -114,6 +119,57 @@ def test_edited_trace_runs_as_the_reference(trace, big, seed):
     bare = _run(execute, trace, words, hook=False)
     assert bare[:2] == got[:2] and not bare[2]
     assert np.array_equal(bare[3], done)
+
+
+def _session(sim, inputs) -> list:
+    """Each input loaded into sim, run and read back, then one more run
+    and read without a load between; then sim's memory.  Results as
+    bits, failures as their class and message."""
+    forward = sim.cfg.direction is Direction.FORWARD
+    seen = []
+    for x in (*inputs, None):
+        if x is not None:
+            (sim.load_polynomial if forward else sim.load_spectrum)(x)
+        try:
+            sim.run()
+            r = sim.read_result()
+            seen.append(np.array(r.values if forward else r).view(np.uint64))
+        except (BankConflictError, ScheduleError, RuntimeError) as e:
+            seen.append((type(e), str(e)))
+    seen.append((sim.mem.words.view(np.uint64), sim.mem.port_accesses))
+    return seen
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(edited_traces(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_simulator_without_memory_runs_as_one_with_it(trace, big, seed):
+    # one simulator builds its memory image before its first load, so
+    # every load, run and read goes through memory; the other builds
+    # none until its last read, and must give the same bits throughout
+    cfg = trace.config
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (2, cfg.n)) * (1.7e308 if big else 1)
+    if cfg.direction is Direction.FORWARD:
+        inputs = x.tolist()
+    else:
+        inputs = [Spectrum(tuple(row.view(np.complex128).tolist()),
+                           OrderTag.FALCON_INTERNAL) for row in x]
+    sessions = []
+    for with_memory in (True, False):
+        sim = Simulator(cfg, ROMS[cfg.n_pe])
+        sim.trace = trace
+        if with_memory:
+            assert sim.mem.port_accesses == 0
+        sessions.append(_session(sim, inputs))
+    got, want = sessions
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+        elif isinstance(a[0], np.ndarray):
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        else:
+            assert a == b
 
 
 def test_edits_reach_conflicts_partial_stages_and_clean_runs():

@@ -474,6 +474,40 @@ def test_one_row_reads_the_lowerings_twiddles_in_place(rng):
             assert np.array_equal(t, np.stack((w, w), axis=1))
 
 
+def _held_bytes(store) -> int:
+    """Summed nbytes of the distinct arrays a free store holds, each
+    view counted as the array it views."""
+    held = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            held[id(x)] = x
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                walk(y)
+
+    walk(list(store.values()))
+    return sum(a.nbytes for a in held.values())
+
+
+def test_a_large_batch_leaves_a_chunks_workspace(rng):
+    # a batch runs BATCH_ROWS rows at a time, so what the store keeps
+    # does not grow with the batch; run whole, 1000 rows left 94 MiB
+    n = 1024
+    polys = rng.uniform(-1, 1, (1000, n))
+    got = fft_batch(polys)
+    low = transform._lowering(True, n // 2)[0]
+    assert _held_bytes(low.free) < 2_000_000
+    for s, a in zip(got, polys.tolist(), strict=True):
+        assert np.array_equal(_bits(s.values), _bits(fft_inplace(a).values))
+    # polymul_via_fft's two-row forward and one-row inverse are kept
+    polymul_via_fft(polys[0].tolist(), polys[1].tolist())
+    assert (2,) in low.free
+    assert (1,) in transform._lowering(False, n // 2)[0].free
+
+
 def test_runs_that_overlap_on_one_lowering_get_their_own_workspaces(rng):
     # threads running batches of different row counts at once share the
     # lowering's free store; every run must still give the same bits
