@@ -24,13 +24,14 @@ is one flat loop over Python `complex` values through those arrays
 zipped into (j, j + ht, twiddle) triples; the tests check both paths
 against the network written as nested loops.  From VECTOR_MIN_HN words
 up it is lowered once per direction and size by `state_order` into a
-`Lowering`, which `run_lowering` runs as it runs the simulator's plans:
-per stage one gather into a working state and one `array_butterfly`
-call, with B polynomials as a trailing axis of that state.  The
-forward's first gather packs the coefficients and its readout lays
-down spectrum words; the inverse the reverse.  Both paths give the same
-bits.  `fft_batch` runs any number of same-length polynomials through
-one pass at every size.
+`Lowering`, which `run_lowering` runs as it runs the simulator's plans,
+as one flat program of numpy calls: per stage a gather into a working
+state and the `array_butterfly` calls, with B polynomials as a trailing
+axis of that state.  The forward's first gather packs (B, n) rows of
+coefficients and its readout lays down rows of spectrum words; the
+inverse the reverse, one spectrum as a 1-D state.  Both paths give the
+same bits.  `fft_batch` runs any number of same-length polynomials
+through one pass at every size.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
 # Half-size (n/2 words) from which single calls run the array network.
 # Below it the per-call numpy overhead outweighs the loop it replaces:
 # on a 2-vCPU host, against the flat scalar loop in interleaved runs,
-# the array path took 0.78x (polymul_via_fft) the time at n = 128 but
-# 1.29x at n = 64.  At n = 128 it took 0.97x (fft_inplace) and 1.18x
-# (ifft_inplace), and 0.58x and 0.59x at n = 256; one crossover serves
-# all three, set by the product, which FALCON runs at every size.
+# the array path took 0.61x (polymul_via_fft), 0.77x (fft_inplace) and
+# 0.88x (ifft_inplace) the time at n = 128, but 1.04x, 1.23x and 1.56x
+# at n = 64.  One crossover serves all three, set by the product, which
+# FALCON runs at every size.
 VECTOR_MIN_HN = 64
 
 
@@ -328,13 +329,14 @@ def operand_views(block: np.ndarray, k: int, forward: bool) -> tuple:
     return u, v, v[:k], v[k:], d, d[:k], d[k:], a, a[:k], a[k:]
 
 
-def array_butterfly(ops: tuple, w, forward: bool) -> None:
+def array_butterfly(ops: tuple, w, forward: bool) -> tuple:
     """`banksim.pe_butterfly` over k operand pairs, in place, on the
-    `operand_views` ops of a block: u and v are overwritten with x = u
-    + w*v, y = u - w*v (forward) or x = u + v, y = (u - v)*w (inverse,
-    w already conjugated), on contiguous float64 arrays with a column
-    per row for a batch, w's too.  This is the one vectorized butterfly:
-    the golden model's array path and the simulator both run it.
+    `operand_views` ops of a block, as (ufunc, args) calls to run in
+    order: they overwrite u and v with x = u + w*v, y = u - w*v
+    (forward) or x = u + v, y = (u - v)*w (inverse, w already
+    conjugated), on contiguous float64 arrays with a column per row for
+    a batch, w's too.  This is the one vectorized butterfly: the golden
+    model's array path and the simulator both run it.
 
     - forward, four calls: w is ([wr | wr | -wi | wi],) (k each).  One
       multiply of [v | swapped v] = [vr | vi | vi | vr] gives [wr*vr |
@@ -358,25 +360,24 @@ def array_butterfly(ops: tuple, w, forward: bool) -> None:
     elements, the float64 add keeps the first one's at every length, as
     CPython does.  So every element is bit-identical to the scalar
     butterfly on Python complex values (a fused multiply-add would not
-    be).  Run it under np.errstate(over="ignore", invalid="ignore") to
+    be).  Run them under np.errstate(over="ignore", invalid="ignore") to
     keep overflow as silent as complex arithmetic.
     """
     # Outputs are passed by position: parsing out= costs more per call
     # than the arithmetic on a few hundred words.
     if forward:
         u, v, p, t = ops
-        np.multiply(w[0], p, p)
-        np.add(v, t, t)  # t: w*v
-        np.subtract(u, t, v)
-        np.add(u, t, u)
-    else:
-        u, v, y_r, y_i, d, d0, d1, a, a0, a1 = ops
-        np.subtract(u, v, d)
-        np.add(u, v, u)
-        np.multiply(d, w[0], a)
-        np.multiply(d, w[1], d)
-        np.subtract(a0, a1, y_r)
-        np.add(d0, d1, y_i)
+        return ((np.multiply, (w[0], p, p)),
+                (np.add, (v, t, t)),  # t: w*v
+                (np.subtract, (u, t, v)),
+                (np.add, (u, t, u)))
+    u, v, y_r, y_i, d, d0, d1, a, a0, a1 = ops
+    return ((np.subtract, (u, v, d)),
+            (np.add, (u, v, u)),
+            (np.multiply, (d, w[0], a)),
+            (np.multiply, (d, w[1], d)),
+            (np.subtract, (a0, a1, y_r)),
+            (np.add, (d0, d1, y_i)))
 
 
 def twiddle_blocks(w: np.ndarray, forward: bool) -> list:
@@ -437,46 +438,72 @@ def state_order(others, read, written, w, forward: bool, position) -> tuple:
                     twiddle_blocks(w, forward), {}), _frozen(after)
 
 
-def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
-                 rows: tuple = (), each=None) -> np.ndarray:
-    """Run low from source, which holds part p at the position
-    `state_order` was given, and return a new array of the last state's
-    elements at readout.
-
-    rows is () for one state and (B,) for B states at once, a trailing
-    axis of source and of every state.  Each stage is one gather into
-    one of two buffers, which take turns, and one `array_butterfly` on
-    it; each(j, state), if given, sees the state after stage j.  A run
-    borrows the buffers, their views and the twiddles (repeated across
-    a batch's rows; one row reads `low.twiddles` in place) from
-    `low.free` and puts them back; the store keeps one workspace per
-    row shape, for the two shapes run last.  A run that overlaps
-    another of the same shape (in another thread, or from `each`) finds
-    it taken and builds its own.
-    """
-    forward, rest, k = low.forward, low.rest, low.k
-    ws = low.free.pop(rows, None)
-    if ws is None:
-        # the forward gather also lays down the swapped second operands
-        bufs = tuple(np.empty((2, rest + (6 if forward else 4) * k) + rows))
+def _workspace(low: Lowering, width: int, readout: np.ndarray,
+               rows: tuple) -> tuple:
+    """A run's workspace for rows + (width,) sources: (stage 0's flat
+    gather index into the source, the program, its two state buffers,
+    the readout's flat gather index into the last state, readout)."""
+    forward, rest, k, takes = low.forward, low.rest, low.k, low.takes
+    # the forward gather also lays down the swapped second operands
+    bufs = tuple(np.empty((2, rest + (6 if forward else 4) * k) + rows))
+    ops = [operand_views(b[rest:], k, forward) for b in bufs]
+    program = []
+    for j, (take, ts) in enumerate(zip(takes, low.twiddles)):
+        if j:  # take(indices, axis, out, mode); "clip" skips the copy
+            # "raise" makes of out, and the indices are in range
+            program.append((bufs[~j & 1].take, (take, 0, bufs[j & 1], "clip")))
         # numpy multiplies by a column broadcast over few rows one
         # element at a time, several times slower than by equal shapes
-        tw = [tuple(np.ascontiguousarray(np.broadcast_to(t, rows + t.shape).T)
-                    for t in ts) for ts in low.twiddles]
-        ws = bufs, [operand_views(b[rest:], k, forward) for b in bufs], tw
-    bufs, ops, tw = ws
-    state = source
+        tw = [np.ascontiguousarray(np.broadcast_to(t, rows + t.shape).T)
+              for t in ts]
+        program += array_butterfly(ops[j & 1], tw, forward)
+    row = np.arange(math.prod(rows)).reshape(rows)
+    if not takes:  # the last state is the source
+        return None, (), bufs, np.add.outer(width * row, readout), readout
+    return (np.add.outer(takes[0], width * row), tuple(program), bufs,
+            np.add.outer(row, readout * row.size), readout)
+
+
+def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
+                 rows: tuple = (), each=None) -> np.ndarray:
+    """Run low from source, each row of which holds part p at the
+    position `state_order` was given, and return a new array of each
+    row's last state's elements at readout, row by row.
+
+    rows is () for one state and (B,) for B states at once, a trailing
+    axis of every state, from a (B, width) source to a (B, len(readout))
+    result.  A run is stage 0's gather from source, a flat program of
+    calls bound once (each stage's `array_butterfly` calls, after its
+    gather into one of two buffers, which take turns, from stage 1 on)
+    and the readout gather; each(j, state), if given, sees the state
+    after stage j, the program run stage by stage.  A run borrows its
+    workspace (twiddles repeated across a batch's rows; one row reads
+    `low.twiddles` in place) from `low.free` and puts it back; the store
+    keeps one per row shape, for the two shapes run last.  A run that
+    overlaps another of the same shape (in another thread, or from
+    `each`) finds it taken and builds its own.
+    """
+    ws = low.free.pop(rows, None)
+    if ws is None or ws[-1] is not readout:
+        ws = _workspace(low, source.shape[-1], readout, rows)
+    first, program, bufs, final, _ = ws
+    stages = len(low.takes)
     # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, take in enumerate(low.takes):
-            # take(indices, axis, out, mode); "clip" skips the copy
-            # "raise" makes of out, and the indices are in range
-            state.take(take, 0, bufs[j & 1], "clip")
-            array_butterfly(ops[j & 1], tw[j], forward)
-            state = bufs[j & 1]
-            if each:
-                each(j, state)
-    out = state.take(readout, 0)
+        if stages:
+            source.take(first, None, bufs[0], "clip")
+            if each is None:
+                for f, args in program:
+                    f(*args)
+            else:  # stage j's gather, if any, and its butterfly calls
+                per = (len(program) + 1) // stages
+                for j in range(stages):
+                    for f, args in program[max(j * per - 1, 0):
+                                           (j + 1) * per - 1]:
+                        f(*args)
+                    each(j, bufs[j & 1])
+            source = bufs[~stages & 1]
+    out = source.take(final)
     low.free[rows] = ws
     for shape in list(low.free)[:-2]:
         low.free.pop(shape, None)
@@ -512,21 +539,21 @@ BATCH_ROWS = 8
 
 
 def _run_lowered(x: np.ndarray, forward: bool) -> np.ndarray:
-    """The array path over the B rows of x, `run_lowering` on a
-    trailing axis of B (at most BATCH_ROWS at a time).  Forward: pack,
-    network and readout conjugation of (B, n) coefficients, read only,
-    into (B, n/2) spectrum words.  Inverse: input conjugation (in
+    """The array path over the B rows of x (at most BATCH_ROWS to a
+    `run_lowering` call), or over x as one row if it is 1-D.  Forward:
+    pack, network and readout conjugation of (B, n) coefficients, read
+    only, into (B, n/2) spectrum words.  Inverse: input conjugation (in
     place), network, scaling and unpacking of (B, hn) spectrum words
     into (B, 2*hn) coefficients."""
-    if len(x) > BATCH_ROWS:
+    if x.ndim > 1 and len(x) > BATCH_ROWS:
         return np.concatenate([_run_lowered(x[i:i + BATCH_ROWS], forward)
                                for i in range(0, len(x), BATCH_ROWS)])
-    hn = x.shape[1] // 2 if forward else x.shape[1]
+    hn = x.shape[-1] // 2 if forward else x.shape[-1]
     low, readout = _lowering(forward, hn)
     if not forward:
         negate_odd(x.imag)
-    source = (x if forward else x.view(np.float64)).T
-    r = np.ascontiguousarray(run_lowering(low, source, readout, (len(x),)).T)
+    r = run_lowering(low, x if forward else x.view(np.float64), readout,
+                     x.shape[:-1])
     if forward:
         r = r.view(np.complex128)
         negate_odd(r.imag)
@@ -563,7 +590,7 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     validate_spectrum_length(hn)
     if hn < VECTOR_MIN_HN:
         return _coefficients_scalar(s.values)
-    return _run_lowered(spectrum_array(s)[None], False)[0].tolist()
+    return _run_lowered(spectrum_array(s), False).tolist()
 
 
 _POINTWISE_OPS = ("add", "sub", "mul", "div")
@@ -610,8 +637,9 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Negacyclic product through the half-size transform pipeline.
 
     Bit-identical to ifft_inplace(pointwise_op(fft_inplace(a),
-    fft_inplace(b), "mul")); on the array path both operands go through
-    one batched forward pass and stay in arrays until unpacking."""
+    fft_inplace(b), "mul")).  On the array path both operands go as two
+    rows through one forward pass, and their product, formed from those
+    rows of interleaved words, through a 1-D inverse."""
     if not _array_path(a):
         ca = validate_polynomial(a)
         cb = validate_polynomial(b)
@@ -620,10 +648,10 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
         return _coefficients_scalar(
             [x * y for x, y in zip(_spectrum_scalar(ca), _spectrum_scalar(cb))])
     with np.errstate(over="ignore", invalid="ignore"):
-        sa, sb = _run_lowered(coefficient_rows((a, b)), True).view(np.float64)
+        sa, sb = _run_lowered(coefficient_rows((a, b)), True)
+        ar, ai, br, bi = sa.real, sa.imag, sb.real, sb.imag
+        z = np.empty(len(sa), np.complex128)
         # CPython's complex multiply: (ar*br - ai*bi, ar*bi + ai*br)
-        p, q = sa * sb, sa * sb.reshape(-1, 2)[:, ::-1].ravel()
-        z = np.empty((1, len(sa) // 2), np.complex128)
-        np.subtract(p[0::2], p[1::2], out=z.real[0])
-        np.add(q[0::2], q[1::2], out=z.imag[0])
-        return _run_lowered(z, False)[0].tolist()
+        np.subtract(ar * br, ai * bi, out=z.real)
+        np.add(ar * bi, ai * br, out=z.imag)
+        return _run_lowered(z, False).tolist()

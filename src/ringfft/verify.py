@@ -22,6 +22,7 @@ from .transform import (
     fft_inplace,
     fft_ref,
     ifft_inplace,
+    pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
     slot_eval_map,
@@ -202,15 +203,20 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
 
     products = (dict.fromkeys((2, 4, 8, 16, 512), 3) if quick else
                 {**dict.fromkeys((2, 4, 8, 16), 250), 512: 10, 1024: 10})
-    ok = True
+    ok = composed = True
     for n, count in products.items():
         for _ in range(count):
             a = rng.uniform(-1.0, 1.0, n).tolist()
             b = rng.uniform(-1.0, 1.0, n).tolist()
-            ok &= (max_abs_error(polymul_via_fft(a, b),
-                                 polymul_negacyclic_oracle(a, b))
+            p = polymul_via_fft(a, b)
+            ok &= (max_abs_error(p, polymul_negacyclic_oracle(a, b))
                    <= product_bound(n))
+            composed &= _same_bits(p, ifft_inplace(pointwise_op(
+                fft_inplace(a), fft_inplace(b), "mul")))
     checks.append(Check("convolution theorem vs schoolbook oracle", ok))
+    checks.append(Check("polymul_via_fft == ifft_inplace(pointwise_op("
+                        'fft_inplace(a), fft_inplace(b), "mul")), bit-exact',
+                        composed))
 
     for n in (4, 32, 1024):
         a = rng.uniform(-1000.0, 1000.0, n).tolist()

@@ -49,6 +49,8 @@ CRITERION = {
     "full PE utilization per batch": None,
     "in-place vs brute-force oracle (elementwise)": 3,
     "convolution theorem vs schoolbook oracle": 4,
+    'polymul_via_fft == ifft_inplace(pointwise_op(fft_inplace(a), '
+    'fft_inplace(b), "mul")), bit-exact': 4,
     "library round trip <= 1e-9 relative": 3,
 }
 

@@ -781,7 +781,9 @@ def test_array_butterfly_matches_pe_butterfly_to_the_bit(direction, rng):
         w_block = (np.concatenate((w.real, w.imag)),
                    np.concatenate((w.imag, w.real)))
     with np.errstate(over="ignore", invalid="ignore"):
-        array_butterfly(operand_views(block, k, forward), w_block, forward)
+        for f, args in array_butterfly(operand_views(block, k, forward),
+                                       w_block, forward):
+            f(*args)
     parts = block[:4 * k].reshape(2, 2, k)  # x, y; each re, im
     uv = np.empty(2 * k, np.complex128)
     uv.real, uv.imag = parts[:, 0].ravel(), parts[:, 1].ravel()

@@ -15,7 +15,8 @@ from conftest import (
     scalar_polymul,
 )
 
-from ringfft import transform
+from ringfft import banksim, transform
+from ringfft.scheduler import CONFIGS, build_schedule
 from ringfft.transform import (
     DomainError,
     OrderTag,
@@ -31,10 +32,11 @@ from ringfft.transform import (
     pointwise_op,
     polymul_negacyclic_oracle,
     polymul_via_fft,
+    run_lowering,
     slot_eval_map,
     validate_polynomial,
 )
-from ringfft.twiddles import build_twiddle_table
+from ringfft.twiddles import S_MAX, build_rom_set, build_twiddle_table
 from ringfft.verify import (
     max_abs_error,
     oracle_error,
@@ -454,24 +456,75 @@ def test_lowering_keeps_the_workspaces_of_the_last_two_row_counts(rng):
     assert sorted(transform._lowering(True, n // 2)[0].free) == [(1,), (3,)]
 
 
+def _program_twiddles(low, rows) -> list:
+    """The twiddle blocks the multiplies of the program in low's free
+    store for rows read, in order: w[0] of each forward stage, w[0] and
+    w[1] of each inverse one."""
+    return [args[0 if low.forward else 1]
+            for f, args in low.free[rows][1] if f is np.multiply]
+
+
 def test_one_row_reads_the_lowerings_twiddles_in_place(rng):
     # a batch repeats each twiddle across its rows; one row needs no copy
+    # (a single fft_inplace runs one row, a single ifft_inplace a 1-D state)
     n = 1024
     a = rng.uniform(-1, 1, n).tolist()
     ifft_inplace(fft_inplace(a))
-    for forward in (True, False):
+    for forward, rows in ((True, (1,)), (False, ())):
         low = transform._lowering(forward, n // 2)[0]
-        tw = low.free[(1,)][2]
-        assert all(np.shares_memory(t, w)
-                   for ts, ws in zip(tw, low.twiddles, strict=True)
-                   for t, w in zip(ts, ws, strict=True))
+        ws = [w for ts in low.twiddles for w in ts]
+        assert all(np.shares_memory(t, w) for t, w in zip(
+            _program_twiddles(low, rows), ws, strict=True))
     polymul_via_fft(a, a)  # the forward runs both operands as two rows
     low = transform._lowering(True, n // 2)[0]
-    for ts, ws in zip(low.free[(2,)][2], low.twiddles, strict=True):
-        for t, w in zip(ts, ws, strict=True):
-            assert t.shape == w.shape + (2,) and t.flags.c_contiguous
-            assert not np.shares_memory(t, w)
-            assert np.array_equal(t, np.stack((w, w), axis=1))
+    ws = [w for ts in low.twiddles for w in ts]
+    for t, w in zip(_program_twiddles(low, (2,)), ws, strict=True):
+        assert t.shape == w.shape + (2,) and t.flags.c_contiguous
+        assert not np.shares_memory(t, w)
+        assert np.array_equal(t, np.stack((w, w), axis=1))
+
+
+def _lowerings():
+    """Every golden lowering at n = 4..1024, each with rows (), (1,) and
+    (3,), and the lowering of every simulator plan, with rows ():
+    (what it is, lowering, readout, rows, source width)."""
+    for n in SIZES[1:]:
+        for forward in (True, False):
+            low, readout = transform._lowering(forward, n // 2)
+            for rows in ((), (1,), (3,)):
+                yield (n, forward, rows), low, readout, rows, n
+    for cfg in CONFIGS:
+        plan = banksim._plan(build_schedule(cfg), cfg.banks,
+                             build_rom_set(S_MAX, cfg.n_pe)[2])
+        yield cfg, plan.lowering, plan.readout, (), len(plan.load)
+
+
+def test_a_hooked_run_gives_the_bits_of_a_plain_one(rng):
+    # `each` walks the program stage by stage, a plain run in one go;
+    # some inputs overflow, so NaN payloads are compared too
+    for key, low, readout, rows, width in _lowerings():
+        source = rng.uniform(-1, 1, rows + (width,))
+        source.flat[::7] *= 1.7e308
+        seen = []
+        hooked = run_lowering(low, source, readout, rows,
+                              lambda j, state: seen.append(j))
+        plain = run_lowering(low, source, readout, rows)
+        assert seen == list(range(len(low.takes))), key
+        assert plain.shape == rows + (len(readout),), key
+        assert np.array_equal(_bits(hooked), _bits(plain)), key
+
+
+def test_a_program_holds_a_gather_and_a_butterfly_per_stage(rng):
+    # stage 0 gathers from the source, outside the program; any extra
+    # call per stage costs every run of every lowering
+    for key, low, readout, rows, width in _lowerings():
+        run_lowering(low, rng.uniform(-1, 1, rows + (width,)), readout, rows)
+        program = low.free[rows][1]
+        stages = len(low.takes)
+        gathers = sum(f.__name__ == "take" for f, _ in program)
+        assert gathers == stages - 1, key
+        assert len(program) - gathers == (4 if low.forward else 6) * stages, \
+            key
 
 
 def _held_bytes(store) -> int:
@@ -502,10 +555,10 @@ def test_a_large_batch_leaves_a_chunks_workspace(rng):
     assert _held_bytes(low.free) < 2_000_000
     for s, a in zip(got, polys.tolist(), strict=True):
         assert np.array_equal(_bits(s.values), _bits(fft_inplace(a).values))
-    # polymul_via_fft's two-row forward and one-row inverse are kept
+    # polymul_via_fft's two-row forward and 1-D inverse are kept
     polymul_via_fft(polys[0].tolist(), polys[1].tolist())
     assert (2,) in low.free
-    assert (1,) in transform._lowering(False, n // 2)[0].free
+    assert () in transform._lowering(False, n // 2)[0].free
 
 
 def test_runs_that_overlap_on_one_lowering_get_their_own_workspaces(rng):

@@ -156,6 +156,9 @@ def _drop_last(values):
     return list(values[:-1])
 
 
+COMPOSED = ('polymul_via_fft == ifft_inplace(pointwise_op(fft_inplace(a), '
+            'fft_inplace(b), "mul")), bit-exact')
+
 # A check written max(abs(x - y) for x, y in zip(got, want)) > tol passes
 # both spoiled results: max() skips a NaN that is not first, and zip()
 # stops at the shorter sequence.
@@ -179,10 +182,13 @@ def test_nan_deviation_fails_its_check(monkeypatch, name, check):
         monkeypatch.setattr(verify, name, spoiled)
         failed = [c.name for c in verify.run_checks(seed=5, quick=True)
                   if not c.ok]
-        # the simulator's inverse is checked against ifft_inplace too
-        also = (["simulator inverse == in-place inverse, bit-exact"]
-                if name == "ifft_inplace" else [])
-        assert failed == [*also, check], spoil.__name__
+        # the simulator's inverse is checked against ifft_inplace too,
+        # and polymul_via_fft bit for bit against ifft_inplace of the
+        # pointwise product
+        want = {"polymul_via_fft": [check, COMPOSED],
+                "ifft_inplace": ["simulator inverse == in-place inverse, "
+                                 "bit-exact", COMPOSED, check]}
+        assert failed == want.get(name, [check]), spoil.__name__
 
 
 def test_nan_in_a_batched_spectrum_fails_the_oracle_and_round_trip(
