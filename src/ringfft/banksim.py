@@ -27,8 +27,9 @@ a forward's coefficient row (word k's parts at k and k + n/2), an
 inverse's complex words.  The plan's `load` names the memory part
 behind each source element, so stage 0's gather places the words where
 the trace starts them, as `transform._lowering` folds in the
-coefficient order.  The readout gathers the words the trace leaves at
-its final slots from the last state, in the order a read gives them: a
+coefficient order.  The lowering's readout, which `state_order` builds
+from the parts of the words the trace leaves at its final slots,
+gathers them from the last state in the order a read gives them: a
 forward's complex words, an inverse's coefficients; `store` names the
 memory part behind each element it returns.
 
@@ -190,8 +191,7 @@ class _Plan(NamedTuple):
     lowering: Lowering      # the stages a run completes, from its source
     load: np.ndarray        # the memory part behind each source element
     puts: tuple             # per stage, the memory part of each state element
-    readout: np.ndarray     # the last state's elements a run returns
-    store: np.ndarray       # the memory part of each element it returns
+    store: np.ndarray       # the memory part of each element a run returns
     final: np.ndarray       # the memory parts of the words read back
     granted: int            # port accesses the ledger grants a run
     stop: partial | None    # the error of the stage that ends a run
@@ -277,10 +277,6 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     loaded[initial] = True
     load = np.concatenate((parts(initial, not forward),
                            parts(np.flatnonzero(touched & ~loaded), True)))
-    position = np.zeros(2 * n_banks * capacity, np.int64)
-    position[load] = np.arange(len(load))
-    lowering, puts = state_order(others, uv[:runs], xy[:runs],
-                                 w.reshape(steps, k)[:runs], forward, position)
 
     # A run returns the parts of the words read back that its last
     # state holds, in the order a read gives them (a forward's complex
@@ -289,14 +285,9 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     # word outside the load holds every word read back: the first
     # elements it returns are the words `Simulator.read_result` reads.
     final = parts(memory_index(trace.final_slots), forward)
-    last = puts[-1] if runs else np.empty(0, np.int64)
-    element = np.full(2 * n_banks * capacity, -1)
-    element[last] = np.arange(len(last))
-    readout = element[final]
-    readout = readout[readout >= 0]
-    unread = np.ones(len(last), bool)
-    unread[readout] = False
-    readout = np.concatenate((readout, np.flatnonzero(unread)))
+    lowering, puts = state_order(others, uv[:runs], xy[:runs],
+                                 w.reshape(steps, k)[:runs], forward, load,
+                                 final)
 
     busy = np.sort(pe, axis=2)
     busy = 1 + (busy[..., 1:] != busy[..., :-1]).sum(axis=2)
@@ -319,8 +310,7 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
         lowering=lowering,
         load=_frozen(load),
         puts=tuple(puts),
-        readout=_frozen(readout),
-        store=_frozen(last[readout]),
+        store=_frozen((puts[-1] if runs else load)[lowering.readout]),
         final=_frozen(final),
         granted=granted,
         stop=stop,
@@ -387,8 +377,7 @@ def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
             stage_hook(trace.stage_order[j], sum(cycles[:j + 1]))
     if plan.puts:
         source = memory.take(plan.load)
-        memory[plan.store] = run_lowering(plan.lowering, source, plan.readout,
-                                          each=each)
+        memory[plan.store] = run_lowering(plan.lowering, source, each)
     mem.port_accesses += plan.granted
     if plan.stop:
         raise plan.stop()
@@ -480,8 +469,7 @@ class Simulator:
         if (self._loaded and self._loaded[0] is plan and self._out is None
                 and len(plan.load) == self.cfg.n  # touches only the load
                 and not (stage_hook or plan.stop)):
-            self._out = run_lowering(plan.lowering, self._loaded[1],
-                                     plan.readout)
+            self._out = run_lowering(plan.lowering, self._loaded[1])
             cycles = sum(plan.stats.stage_cycles)
         else:
             cycles = execute(self.trace, self.mem, self.roms, stage_hook)

@@ -110,35 +110,30 @@ def validate_spectrum_length(hn: int) -> None:
             f"got {hn}")
 
 
-def _ref_angles(j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """pi*j*(2k+1)/n with the integer j*(2k+1) first reduced mod 2n,
-    which exp's period of 2*pi allows.  An angle's rounding error grows
-    with the angle, and unreduced ones reach about pi*n rad."""
-    return np.pi * (j * (2 * k + 1) % (2 * n)) / n
-
-
 @lru_cache(maxsize=None)
-def _ref_forward_matrix(n: int) -> np.ndarray:
-    k = np.arange(n // 2)[:, None]
-    j = np.arange(n)[None, :]
-    return np.exp(1j * _ref_angles(j, k, n))
-
-
-@lru_cache(maxsize=None)
-def _ref_inverse_matrix(n: int) -> np.ndarray:
-    j = np.arange(n)[:, None]
-    k = np.arange(n // 2)[None, :]
-    return np.exp(-1j * _ref_angles(j, k, n))
+def _ref_roots(n: int) -> np.ndarray:
+    """The roots exp(i*pi*m/n), m = j*(2k+1) mod 2n, of both oracles as
+    read-only float64 planes (cos, sin), k by row and j by column.  m is
+    reduced first, as exp's period of 2*pi allows: an angle's rounding
+    error grows with the angle, and unreduced ones reach about pi*n rad.
+    Each of the 2n roots comes from `math`, as the twiddles do.  Both
+    oracles multiply by them elementwise and sum pairwise (Higham 2002,
+    section 4.2); a matrix product would go to BLAS, whose result and
+    thread use depend on the host."""
+    roots = np.array([(math.cos(t), math.sin(t))
+                      for t in (np.pi * np.arange(2 * n) / n).tolist()])
+    m = np.arange(n) * (2 * np.arange(n // 2)[:, None] + 1) % (2 * n)
+    return _frozen(roots.T.take(m, axis=1))
 
 
 def fft_ref(a: Sequence[float]) -> Spectrum:
     """Brute-force oracle: values[k] = sum_j a_j exp(i*pi*j*(2k+1)/n)."""
-    coeffs = validate_polynomial(a)
-    n = len(coeffs)
-    # overflow yields inf/nan silently, as in the in-place transform
+    coeffs = np.array(validate_polynomial(a))
+    # overflow yields inf/nan silently, as in the in-place transform;
+    # numpy sums along the contiguous axis pairwise
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _ref_forward_matrix(n) @ np.asarray(coeffs, dtype=np.float64)
-    return Spectrum(values=tuple(complex(z) for z in vals),
+        re, im = (_ref_roots(len(coeffs)) * coeffs).sum(axis=2).tolist()
+    return Spectrum(values=tuple(map(complex, re, im)),
                     order_tag=OrderTag.NATURAL_EVAL)
 
 
@@ -154,10 +149,14 @@ def ifft_ref(s: Spectrum) -> list[float]:
     hn = len(s.values)
     validate_spectrum_length(hn)
     n = 2 * hn
-    vals = np.asarray(s.values, dtype=np.complex128)
+    vals = np.array(s.values, np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (2.0 / n) * (_ref_inverse_matrix(n) @ vals).real
-    return [float(x) for x in out]
+        # rows re s_k * cos, then im s_k * sin, summed two rows at a time
+        terms = _ref_roots(n) * np.stack((vals.real, vals.imag))[..., None]
+        terms = terms.reshape(n, n)
+        while len(terms) > 1:
+            terms = terms[::2] + terms[1::2]
+        return ((2.0 / n) * terms[0]).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -406,23 +405,28 @@ class Lowering(NamedTuple):
     k: int          # dispatches per stage
     takes: tuple    # per stage, the gather of its state from the last one
     twiddles: list  # per stage, the `twiddle_blocks` of `array_butterfly`
+    readout: np.ndarray  # the last state's elements a run returns
     free: dict      # row shape -> workspace a finished run put back
 
 
-def state_order(others, read, written, w, forward: bool, position) -> tuple:
+def state_order(others, read, written, w, forward: bool, source,
+                wanted) -> tuple:
     """A network lowered into state order: (`Lowering`, after).
 
     Row j of the integer arrays read and written lists the words stage
     j's k dispatches read (first operands, then second ones) and write
     (x, then y), row j of w their twiddles, and others[j] the words the
-    stage carries through.  Word i has parts 2i (real) and 2i + 1
-    (imaginary).  Before stage j the state holds others[j] and the
-    operands, each block planar (real parts, then imaginary parts), and
-    for the forward the second operands again with their parts swapped:
-    the block `operand_views` reads.  x and y land in place of the
-    operands; after[j], read-only, lists the part at each element then.
-    Stage j's gather takes its state from the one before, stage 0's
-    from a source holding part p at position[p].
+    stage carries through.  Word i (below S_MAX / 2) has parts 2i (real)
+    and 2i + 1 (imaginary).  Before stage j the state holds others[j]
+    and the operands, each block planar (real parts, then imaginary
+    parts), and for the forward the second operands again with their
+    parts swapped: the block `operand_views` reads.  x and y land in
+    place of the operands; after[j], read-only, lists the part at each
+    element then.  Stage j's gather takes its state from the one before,
+    stage 0's from a source whose element e holds part source[e].  The
+    readout lists the elements of the last state (with no stage, the
+    source) that hold the parts of the array wanted, in its order, then
+    the rest of that state.
     """
     k = read.shape[1] // 2
     take = _planar(others, read[:, :k], read[:, k:])
@@ -430,19 +434,25 @@ def state_order(others, read, written, w, forward: bool, position) -> tuple:
         second = read[:, k:]
         take = np.concatenate((take, 2 * second + 1, 2 * second), axis=1)
     after = _planar(others, written[:, :k], written[:, k:])
-    position = np.array(position)  # part -> element of the last state
+    position = np.zeros(S_MAX, np.int64)  # part -> element of the last state
+    position[source] = np.arange(len(source))
     for t, parts in zip(take, after):
         t[:] = position[t]
         position[parts] = np.arange(len(parts))
+    last = after[-1] if len(after) else source
+    # np.setdiff1d and a sorting np.isin call np.unique, whose first call
+    # imports numpy.ma: about 10 ms of a fresh process
+    first = position[wanted[np.isin(wanted, last, kind="table")]]
+    rest = np.delete(np.arange(len(last)), first)
     return Lowering(forward, 2 * others.shape[1], k, tuple(_frozen(take)),
-                    twiddle_blocks(w, forward), {}), _frozen(after)
+                    twiddle_blocks(w, forward),
+                    _frozen(np.concatenate((first, rest))), {}), _frozen(after)
 
 
-def _workspace(low: Lowering, width: int, readout: np.ndarray,
-               rows: tuple) -> tuple:
+def _workspace(low: Lowering, width: int, rows: tuple) -> tuple:
     """A run's workspace for rows + (width,) sources: (stage 0's flat
     gather index into the source, the program, its two state buffers,
-    the readout's flat gather index into the last state, readout)."""
+    the readout's flat gather index into the last state)."""
     forward, rest, k, takes = low.forward, low.rest, low.k, low.takes
     # the forward gather also lays down the swapped second operands
     bufs = tuple(np.empty((2, rest + (6 if forward else 4) * k) + rows))
@@ -459,19 +469,18 @@ def _workspace(low: Lowering, width: int, readout: np.ndarray,
         program += array_butterfly(ops[j & 1], tw, forward)
     row = np.arange(math.prod(rows)).reshape(rows)
     if not takes:  # the last state is the source
-        return None, (), bufs, np.add.outer(width * row, readout), readout
+        return None, (), bufs, np.add.outer(width * row, low.readout)
     return (np.add.outer(takes[0], width * row), tuple(program), bufs,
-            np.add.outer(row, readout * row.size), readout)
+            np.add.outer(row, low.readout * row.size))
 
 
-def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
-                 rows: tuple = (), each=None) -> np.ndarray:
-    """Run low from source, each row of which holds part p at the
-    position `state_order` was given, and return a new array of each
-    row's last state's elements at readout, row by row.
+def run_lowering(low: Lowering, source: np.ndarray, each=None) -> np.ndarray:
+    """Run low from source, each row of which holds its parts in the
+    order `state_order` was given, and return a new array of each row's
+    last state's elements at `low.readout`, row by row.
 
-    rows is () for one state and (B,) for B states at once, a trailing
-    axis of every state, from a (B, width) source to a (B, len(readout))
+    A 1-D source is one state; a (B, width) source runs B states at
+    once, as a trailing axis of every state, into a (B, len(readout))
     result.  A run is stage 0's gather from source, a flat program of
     calls bound once (each stage's `array_butterfly` calls, after its
     gather into one of two buffers, which take turns, from stage 1 on)
@@ -483,10 +492,9 @@ def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
     overlaps another of the same shape (in another thread, or from
     `each`) finds it taken and builds its own.
     """
-    ws = low.free.pop(rows, None)
-    if ws is None or ws[-1] is not readout:
-        ws = _workspace(low, source.shape[-1], readout, rows)
-    first, program, bufs, final, _ = ws
+    rows = source.shape[:-1]
+    ws = low.free.pop(rows, None) or _workspace(low, source.shape[-1], rows)
+    first, program, bufs, final = ws
     stages = len(low.takes)
     # overflow yields inf/nan silently, as scalar complex arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
@@ -511,22 +519,17 @@ def run_lowering(low: Lowering, source: np.ndarray, readout: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _lowering(forward: bool, hn: int) -> tuple:
-    """`_network(forward, hn)` lowered once, and its readout gather.
-    The forward reads coefficients (word s's parts at s and hn + s) and
-    lays down complex words; the inverse the reverse."""
+def _lowering(forward: bool, hn: int) -> Lowering:
+    """`_network(forward, hn)` lowered once.  The forward reads
+    coefficients (word s's parts at s and hn + s) and lays down complex
+    words; the inverse the reverse."""
     u, v, w = _network(forward, hn)
     parts = np.arange(2 * hn)
-    coefficients = parts.reshape(2, hn).T.ravel()  # part -> coefficient
+    coefficients = parts.reshape(hn, 2).T.ravel()  # coefficient -> part
     read = np.concatenate((u, v), axis=1)
-    low, after = state_order(np.empty((len(u), 0), np.int64), read, read, w,
-                             forward, coefficients if forward else parts)
-    # the element of the last state that holds each part; n = 2 has no
-    # stage, and there coefficients and parts are one order
-    readout = np.argsort(after[-1]) if len(after) else parts
-    if not forward:
-        readout = readout[np.argsort(coefficients)]
-    return low, _frozen(readout)
+    return state_order(np.empty((len(u), 0), np.int64), read, read, w, forward,
+                       *((coefficients, parts) if forward
+                         else (parts, coefficients)))[0]
 
 
 # Rows one `run_lowering` call takes at most.  A larger batch runs in
@@ -549,11 +552,10 @@ def _run_lowered(x: np.ndarray, forward: bool) -> np.ndarray:
         return np.concatenate([_run_lowered(x[i:i + BATCH_ROWS], forward)
                                for i in range(0, len(x), BATCH_ROWS)])
     hn = x.shape[-1] // 2 if forward else x.shape[-1]
-    low, readout = _lowering(forward, hn)
     if not forward:
         negate_odd(x.imag)
-    r = run_lowering(low, x if forward else x.view(np.float64), readout,
-                     x.shape[:-1])
+    r = run_lowering(_lowering(forward, hn),
+                     x if forward else x.view(np.float64))
     if forward:
         r = r.view(np.complex128)
         negate_odd(r.imag)

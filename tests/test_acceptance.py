@@ -56,8 +56,9 @@ CRITERION = {
 
 # the criteria's bounds, in seconds, on the CPU time of the thread that
 # runs the checks.  Wall-clock time counts other processes' load on the
-# host, and so does process time: numpy's BLAS helper threads spin while
-# they wait for work, for as long as the calling thread takes.
+# host, and process time every thread of this one.  The package makes no
+# matrix product (tests/test_reachability.py): a threaded BLAS call
+# spins the calling thread while it waits for its helper threads.
 RUNTIME_BOUND_S = {1: 1.0, 3: 30.0}
 
 

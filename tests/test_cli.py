@@ -362,6 +362,13 @@ FFT_SIM32_DIGESTS = {
 }
 IFFT_SIM1024_DIGEST = \
     "5d18ba101894161d0e31c04bd49192b547c6e93e19b6c4874a7707c72a7d3cb3"
+# and of the reference engine at n = 1024, whose oracles sum elementwise
+# products with numpy: these bytes follow from numpy's sums and the
+# roots `math` gives, not from the matrix kernel a BLAS picks per CPU.
+REFERENCE1024_DIGESTS = {
+    "fft": "abe5f81b9fc73ad789cb6e5cb952bc727c4a5f0de7c22df15b69839fa6b88e39",
+    "ifft": "f986fd98b9553db6a7d351c4607f65d028ab75eeb3c3af7204c646d0e58eaf06",
+}
 
 
 def _sha256(path):
@@ -391,6 +398,23 @@ def test_simulator_ifft_output_pinned(tmp_path, capsys, npe, cycles):
                  str(npe), "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"cycles={cycles}\n"
     assert _sha256(out) == IFFT_SIM1024_DIGEST
+
+
+def test_reference_engine_output_pinned(tmp_path, capsys):
+    src = _write_poly(tmp_path / "a.json",
+                      [((k * 37) % 101 - 50) / 8.0 for k in range(1024)])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "order": "natural_eval",
+        "values": [[((k * 29) % 97 - 48) / 16.0, ((k * 53) % 89 - 44) / 32.0]
+                   for k in range(512)]}))
+    fwd, inv = tmp_path / "s.json", tmp_path / "p.json"
+    assert main(["fft", src, "--engine", "reference", "--out", str(fwd)]) == 0
+    assert main(["ifft", str(spec), "--engine", "reference",
+                 "--out", str(inv)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert {"fft": _sha256(fwd), "ifft": _sha256(inv)} == \
+        REFERENCE1024_DIGESTS
 
 
 # SHA-256 of the `cycles` and `metrics` tables in every format, recorded

@@ -80,3 +80,20 @@ def test_only_the_benchmark_reaches_these_definitions():
         "src/ringfft/transform.py: pack",
         "src/ringfft/twiddles.py: fetch_twiddle",
     ]
+
+
+BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+
+
+def test_the_package_makes_no_matrix_product():
+    # numpy hands matrix products to BLAS, whose kernel is picked per
+    # CPU and whose helper threads spin on the calling thread's CPU time;
+    # the oracles multiply elementwise and sum instead
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(PACKAGE) for node in ast.walk(tree)
+        if isinstance(getattr(node, "op", None), ast.MatMult)  # a @ b, @=
+        or isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) in BLAS_CALLS
+            or getattr(node.func, "id", None) in BLAS_CALLS)]
+    assert found == []

@@ -1,10 +1,12 @@
 import cmath
 import dataclasses
+import decimal
 import hashlib
 import math
 import sys
 import threading
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     scalar_ifft,
     scalar_polymul,
 )
+from test_twiddle_words import PI, PREC, _cos_sin
 
 from ringfft import banksim, transform
 from ringfft.scheduler import CONFIGS, build_schedule
@@ -118,6 +121,60 @@ def test_ifft_ref_rejects_internal_order():
     s = fft_inplace([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         ifft_ref(s)
+
+
+# The oracles' error bound is ORACLE_C * ceil(log2 n) * u * sum|a_j|,
+# u = 2^-53, with sum|a_j| over the summed values (the spectrum's real
+# and imaginary parts, and the factor 2/n, for ifft_ref).  Each root
+# errs by at most 4*pi*u through its angle fl(fl(pi) * m) / n < 2*pi,
+# and by about u more through cos or sin; each product rounds once.
+# Each of the n terms of a sum then passes through at most L additions
+# (Higham 2002, section 4.2): log2 n in ifft_ref's halving of whole rows,
+# and in numpy's sum along a row, which fft_ref makes, N/8 + 2 for N <=
+# 128 terms (8 running sums) and one more per halving above: 3, 10 and
+# 19 at n = 8, 64 and 256, below 2.4 * log2 n.  So (4*pi + 2 + 2.4 *
+# log2 n) * u bounds the error per unit of sum|a_j|, and from n = 8 up
+# 8 * log2 n * u does.
+ORACLE_C = 8
+
+
+def _decimal_roots(n: int) -> tuple:
+    """cos and sin of pi*m/n for m < 2n, from Machin's pi and the Taylor
+    series of test_twiddle_words: no `math` trigonometry."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = PREC
+        half = [_cos_sin(PI * m / n) for m in range(n)]
+    return tuple([sign * r[p] for sign in (1, -1) for r in half]
+                 for p in (0, 1))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_the_oracles_err_within_the_pairwise_summation_bound(n):
+    # fft_ref and ifft_ref against their docstring formulas evaluated in
+    # decimal arithmetic; every root rounded to 12 digits fails this
+    rng = np.random.default_rng(n)
+    cos, sin = _decimal_roots(n)
+    bound = ORACLE_C * (n.bit_length() - 1) * Decimal(2) ** -53
+    for x in (rng.uniform(-1, 1, n), rng.integers(-9, 10, n) / 8.0,
+              rng.uniform(-1, 1, n) * 2.0 ** rng.integers(-20, 21, n)):
+        x = x.tolist()
+        s = Spectrum(tuple(map(complex, x[:n // 2], x[n // 2:])),
+                     OrderTag.NATURAL_EVAL)
+        with decimal.localcontext() as ctx:
+            ctx.prec = PREC
+            d = [Decimal(v) for v in x]
+            tol = bound * sum(map(abs, d))
+            for k, z in enumerate(fft_ref(x).values):
+                m = [j * (2 * k + 1) % (2 * n) for j in range(n)]
+                re = sum(a * cos[i] for a, i in zip(d, m))
+                im = sum(a * sin[i] for a, i in zip(d, m))
+                assert abs(Decimal(z.real) - re) <= tol, (k, x)
+                assert abs(Decimal(z.imag) - im) <= tol, (k, x)
+            for j, y in enumerate(ifft_ref(s)):
+                m = [j * (2 * k + 1) % (2 * n) for k in range(n // 2)]
+                want = sum(a * cos[i] + b * sin[i]
+                           for a, b, i in zip(d, d[n // 2:], m))
+                assert abs(Decimal(y) - 2 * want / n) <= 2 * tol / n, (j, x)
 
 
 def test_fft_inplace_n2_is_packing():
@@ -453,7 +510,7 @@ def test_lowering_keeps_the_workspaces_of_the_last_two_row_counts(rng):
         got = fft_batch(polys[:rows])
         for s, w in zip(got, want[:rows], strict=True):
             assert np.array_equal(_bits(s.values), w)
-    assert sorted(transform._lowering(True, n // 2)[0].free) == [(1,), (3,)]
+    assert sorted(transform._lowering(True, n // 2).free) == [(1,), (3,)]
 
 
 def _program_twiddles(low, rows) -> list:
@@ -471,12 +528,12 @@ def test_one_row_reads_the_lowerings_twiddles_in_place(rng):
     a = rng.uniform(-1, 1, n).tolist()
     ifft_inplace(fft_inplace(a))
     for forward, rows in ((True, (1,)), (False, ())):
-        low = transform._lowering(forward, n // 2)[0]
+        low = transform._lowering(forward, n // 2)
         ws = [w for ts in low.twiddles for w in ts]
         assert all(np.shares_memory(t, w) for t, w in zip(
             _program_twiddles(low, rows), ws, strict=True))
     polymul_via_fft(a, a)  # the forward runs both operands as two rows
-    low = transform._lowering(True, n // 2)[0]
+    low = transform._lowering(True, n // 2)
     ws = [w for ts in low.twiddles for w in ts]
     for t, w in zip(_program_twiddles(low, (2,)), ws, strict=True):
         assert t.shape == w.shape + (2,) and t.flags.c_contiguous
@@ -487,38 +544,37 @@ def test_one_row_reads_the_lowerings_twiddles_in_place(rng):
 def _lowerings():
     """Every golden lowering at n = 4..1024, each with rows (), (1,) and
     (3,), and the lowering of every simulator plan, with rows ():
-    (what it is, lowering, readout, rows, source width)."""
+    (what it is, lowering, rows, source width)."""
     for n in SIZES[1:]:
         for forward in (True, False):
-            low, readout = transform._lowering(forward, n // 2)
+            low = transform._lowering(forward, n // 2)
             for rows in ((), (1,), (3,)):
-                yield (n, forward, rows), low, readout, rows, n
+                yield (n, forward, rows), low, rows, n
     for cfg in CONFIGS:
         plan = banksim._plan(build_schedule(cfg), cfg.banks,
                              build_rom_set(S_MAX, cfg.n_pe)[2])
-        yield cfg, plan.lowering, plan.readout, (), len(plan.load)
+        yield cfg, plan.lowering, (), len(plan.load)
 
 
 def test_a_hooked_run_gives_the_bits_of_a_plain_one(rng):
     # `each` walks the program stage by stage, a plain run in one go;
     # some inputs overflow, so NaN payloads are compared too
-    for key, low, readout, rows, width in _lowerings():
+    for key, low, rows, width in _lowerings():
         source = rng.uniform(-1, 1, rows + (width,))
         source.flat[::7] *= 1.7e308
         seen = []
-        hooked = run_lowering(low, source, readout, rows,
-                              lambda j, state: seen.append(j))
-        plain = run_lowering(low, source, readout, rows)
+        hooked = run_lowering(low, source, lambda j, state: seen.append(j))
+        plain = run_lowering(low, source)
         assert seen == list(range(len(low.takes))), key
-        assert plain.shape == rows + (len(readout),), key
+        assert plain.shape == rows + (len(low.readout),), key
         assert np.array_equal(_bits(hooked), _bits(plain)), key
 
 
 def test_a_program_holds_a_gather_and_a_butterfly_per_stage(rng):
     # stage 0 gathers from the source, outside the program; any extra
     # call per stage costs every run of every lowering
-    for key, low, readout, rows, width in _lowerings():
-        run_lowering(low, rng.uniform(-1, 1, rows + (width,)), readout, rows)
+    for key, low, rows, width in _lowerings():
+        run_lowering(low, rng.uniform(-1, 1, rows + (width,)))
         program = low.free[rows][1]
         stages = len(low.takes)
         gathers = sum(f.__name__ == "take" for f, _ in program)
@@ -551,14 +607,14 @@ def test_a_large_batch_leaves_a_chunks_workspace(rng):
     n = 1024
     polys = rng.uniform(-1, 1, (1000, n))
     got = fft_batch(polys)
-    low = transform._lowering(True, n // 2)[0]
+    low = transform._lowering(True, n // 2)
     assert _held_bytes(low.free) < 2_000_000
     for s, a in zip(got, polys.tolist(), strict=True):
         assert np.array_equal(_bits(s.values), _bits(fft_inplace(a).values))
     # polymul_via_fft's two-row forward and 1-D inverse are kept
     polymul_via_fft(polys[0].tolist(), polys[1].tolist())
     assert (2,) in low.free
-    assert () in transform._lowering(False, n // 2)[0].free
+    assert () in transform._lowering(False, n // 2).free
 
 
 def test_runs_that_overlap_on_one_lowering_get_their_own_workspaces(rng):
