@@ -82,7 +82,6 @@ from .transform import (
     Spectrum,
     _frozen,
     coefficient_rows,
-    internal_spectrum,
     negate_odd,
     spectrum_array,
     Lowering,
@@ -455,7 +454,7 @@ class Simulator:
         if s.order_tag is not OrderTag.FALCON_INTERNAL:
             raise OrderTagError("simulator inverse expects FALCON_INTERNAL order")
         hn = self.cfg.n // 2
-        if len(s.values) != hn:
+        if len(s) != hn:
             raise DomainError(f"expected {hn} spectrum values")
         z = spectrum_array(s)
         negate_odd(z.imag)
@@ -481,14 +480,17 @@ class Simulator:
         if self.stats is None:
             raise RuntimeError("run() the simulator before reading results")
         plan = _plan(self.trace, self.cfg.banks, self.roms)
-        if self.cfg.direction is Direction.INVERSE and not plan.natural:
+        forward = self.cfg.direction is Direction.FORWARD
+        if not (forward or plan.natural):
             raise RuntimeError("inverse run did not restore natural order")
         if self._out is not None and self._loaded[0] is plan:
-            r = self._out[:len(plan.final)].copy()
+            r = self._out[:len(plan.final)]
+            if forward:  # the spectrum keeps r, and a second read rereads
+                r = r.copy()
         else:
             r = self.mem.words.view(np.float64)[plan.final]
-        if self.cfg.direction is Direction.FORWARD:
+        if forward:
             z = r.view(np.complex128)
             negate_odd(z.imag)
-            return internal_spectrum(z)
+            return Spectrum._of_words(z, OrderTag.FALCON_INTERNAL)
         return (r * (2.0 / self.cfg.n)).tolist()

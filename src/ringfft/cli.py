@@ -160,8 +160,8 @@ def _sim_run(x, direction: Direction, args):
     inverse = direction is Direction.INVERSE
     if inverse:
         # rejected as the other engines reject it, not by the n it implies
-        validate_spectrum_length(len(x.values))
-    n = 2 * len(x.values) if inverse else len(x)
+        validate_spectrum_length(len(x))
+    n = 2 * len(x) if inverse else len(x)
     npe = 2 if args.npe is None else args.npe
     dump_lines = ["stage,cycle,bank,offset,re,im"]
     if n == 2:

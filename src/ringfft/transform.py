@@ -77,19 +77,48 @@ class PointwiseDivideError(ZeroDivisionError):
 class Spectrum:
     """Half-size FFT-domain representation: n/2 complex values.
 
-    A producer that lists `values` from a complex128 array may keep that
-    array, read-only, as `words`, so that a consumer copies it instead of
-    converting the values back (`spectrum_array`).  `words` is not an
-    __init__ argument, so `dataclasses.replace` drops it, and it takes no
-    part in ==, hash or repr.
+    A spectrum built from values holds them as given, and no `words`.
+    One built from a complex128 array, as the array network and the
+    simulator build theirs, keeps that array, read-only, as `words` and
+    lists `values` from it only on first read, then keeps them; a
+    consumer that reads the array (`spectrum_array`, `len`, and from
+    VECTOR_MIN_HN values up `ifft_inplace`) never lists them.  `words`
+    is not an __init__ argument, so `dataclasses.replace` drops it, and
+    it takes no part in ==, hash or repr, which read the values.
     """
     values: tuple
     order_tag: OrderTag
     words: np.ndarray | None = field(init=False, default=None,
                                      compare=False, repr=False)
 
+    @classmethod
+    def _of_words(cls, z: np.ndarray, order_tag: OrderTag) -> Spectrum:
+        """The spectrum of the complex128 array z, which becomes
+        read-only; its values are listed when first read."""
+        z.flags.writeable = False
+        s = object.__new__(cls)
+        object.__setattr__(s, "order_tag", order_tag)
+        object.__setattr__(s, "words", z)
+        return s
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the values of
+        # a spectrum built from words, until first read
+        if name != "values" or self.words is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = tuple(self.words.tolist())
+        object.__setattr__(self, "values", values)
+        return values
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.values if self.words is None else self.words)
+
+
+def spectrum_array(s: Spectrum) -> np.ndarray:
+    """s's words as a new complex128 array: a copy of s.words if set,
+    else s.values converted."""
+    return np.array(s.values if s.words is None else s.words, np.complex128)
 
 
 def validate_polynomial(a: Sequence[float]) -> list[float]:
@@ -146,10 +175,10 @@ def ifft_ref(s: Spectrum) -> list[float]:
     """
     if s.order_tag is not OrderTag.NATURAL_EVAL:
         raise OrderTagError("ifft_ref expects a NATURAL_EVAL spectrum")
-    hn = len(s.values)
+    hn = len(s)
     validate_spectrum_length(hn)
     n = 2 * hn
-    vals = np.array(s.values, np.complex128)
+    vals = spectrum_array(s)
     with np.errstate(over="ignore", invalid="ignore"):
         # rows re s_k * cos, then im s_k * sin, summed two rows at a time
         terms = _ref_roots(n) * np.stack((vals.real, vals.imag))[..., None]
@@ -253,20 +282,6 @@ def _coefficients_scalar(values) -> list[float]:
         vals[k] = (u - v) * w
     scale = 2.0 / (2 * len(vals))
     return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
-
-
-def internal_spectrum(z: np.ndarray) -> Spectrum:
-    """The FALCON_INTERNAL Spectrum listed from the complex128 array z,
-    which it keeps as its words; z becomes read-only."""
-    z.flags.writeable = False
-    s = Spectrum(values=tuple(z.tolist()), order_tag=OrderTag.FALCON_INTERNAL)
-    object.__setattr__(s, "words", z)
-    return s
-
-
-def spectrum_array(s: Spectrum) -> np.ndarray:
-    """s.values as a new complex128 array, copied from s.words if set."""
-    return np.array(s.values if s.words is None else s.words, np.complex128)
 
 
 def negate_odd(im: np.ndarray) -> None:
@@ -579,8 +594,9 @@ def fft_batch(polys: Sequence[Sequence[float]]) -> list[Spectrum]:
     if not len(polys):
         return []
     z = _run_lowered(coefficient_rows(polys), True)
-    return [Spectrum(values=tuple(v), order_tag=OrderTag.FALCON_INTERNAL)
-            for v in z.tolist()]
+    # a row of its own each, so that a kept spectrum keeps no other row
+    return [Spectrum._of_words(row.copy(), OrderTag.FALCON_INTERNAL)
+            for row in z]
 
 
 def ifft_inplace(s: Spectrum) -> list[float]:
@@ -588,7 +604,7 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     twiddles, division by n/2, then unpacking to real coefficients."""
     if s.order_tag is not OrderTag.FALCON_INTERNAL:
         raise OrderTagError("ifft_inplace expects a FALCON_INTERNAL spectrum")
-    hn = len(s.values)
+    hn = len(s)
     validate_spectrum_length(hn)
     if hn < VECTOR_MIN_HN:
         return _coefficients_scalar(s.values)
@@ -602,7 +618,7 @@ def pointwise_op(s1: Spectrum, s2: Spectrum, op: str) -> Spectrum:
     """Coefficient-wise complex arithmetic in the FFT domain."""
     if op not in _POINTWISE_OPS:
         raise DomainError(f"op must be one of {_POINTWISE_OPS}, got {op!r}")
-    if len(s1.values) != len(s2.values):
+    if len(s1) != len(s2):
         raise DomainError("spectra must have equal length")
     if s1.order_tag is not s2.order_tag:
         raise OrderTagError("spectra must share the same ordering")

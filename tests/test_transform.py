@@ -19,7 +19,7 @@ from conftest import (
 from test_twiddle_words import PI, PREC, _cos_sin
 
 from ringfft import banksim, transform
-from ringfft.scheduler import CONFIGS, build_schedule
+from ringfft.scheduler import CONFIGS, ScheduleConfig, build_schedule
 from ringfft.transform import (
     DomainError,
     OrderTag,
@@ -30,7 +30,6 @@ from ringfft.transform import (
     fft_ref,
     ifft_inplace,
     ifft_ref,
-    internal_spectrum,
     negate_odd,
     pointwise_op,
     polymul_negacyclic_oracle,
@@ -673,18 +672,71 @@ def test_fft_batch_domain():
 
 @pytest.mark.parametrize("n", [4, 1024])
 def test_spectrum_words_take_no_part_in_the_value(rng, n):
-    # only the simulator keeps words; the transform's own spectra carry none
+    # the transform's spectra of words hold them read-only, bit for bit
+    # their values; a spectrum of values holds none
     a = rng.uniform(-1, 1, n).tolist()
-    bare = fft_inplace(a)
-    assert bare.words is None and fft_batch([a])[0].words is None
-    s = internal_spectrum(np.array(bare.values, np.complex128))
-    assert not s.words.flags.writeable
-    assert np.array_equal(s.words.view(np.uint64), _bits(s.values))
+    bare = _internal(scalar_fft(a))
+    assert bare.words is None
+    s = fft_batch([a])[0]
+    # fft_inplace runs the array network from 2 * VECTOR_MIN_HN up
+    arrays = (s, fft_inplace(a)) if n >= 2 * transform.VECTOR_MIN_HN else (s,)
+    for t in arrays:
+        assert not t.words.flags.writeable
+        assert np.array_equal(t.words.view(np.uint64), _bits(t.values))
     assert s == bare and hash(s) == hash(bare) and repr(s) == repr(bare)
     assert dataclasses.replace(s).words is None
     other = dataclasses.replace(s, values=s.values[::-1])
     assert other.words is None and other != s
     assert np.array_equal(_bits(ifft_inplace(s)), _bits(ifft_inplace(bare)))
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_spectra_of_words_list_their_values_on_first_read(rng, n):
+    # neither a length, an inverse nor a simulator load lists a spectrum
+    # of words; its first read of values does, once
+    a, b = rng.uniform(-1, 1, (2, n)).tolist()
+    roms = build_rom_set(S_MAX, 2)[2]
+    fwd = banksim.Simulator(ScheduleConfig(n=n, n_pe=2), roms)
+    fwd.load_polynomial(a)
+    fwd.run()
+    batch = fft_batch([a, b, a])
+    # each row owns its words: a kept row keeps no other row alive
+    assert all(s.words.base is None for s in batch)
+    spectra = [fwd.read_result(), fft_inplace(a), *batch]
+    for s in spectra:
+        assert len(s) == n // 2
+        ifft_inplace(s)
+        inv = banksim.Simulator(
+            ScheduleConfig(n=n, n_pe=2, direction=transform.Direction.INVERSE),
+            roms)
+        inv.load_spectrum(s)
+        inv.run()
+        inv.read_result()
+    for s in spectra:
+        assert "values" not in vars(s)
+        values = s.values
+        assert vars(s)["values"] is values and s.values is values
+        assert np.array_equal(_bits(values), s.words.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_listed_values_are_the_words_to_the_bit(rng, n):
+    # at 1.7e308 sums overflow to inf, and inf - inf gives NaNs of either
+    # sign: the listed values keep every word's bits
+    polys = [rng.uniform(-1, 1, n).tolist(),
+             (rng.uniform(-1, 1, n) * 1.7e308).tolist(), [1.7e308] * n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectra = fft_batch(polys)
+    for a, s in zip(polys, spectra, strict=True):
+        words = s.words.view(np.uint64).copy()
+        assert np.array_equal(_bits(s.values), words)
+        assert np.array_equal(words, _bits(scalar_fft(a)))
+    big = np.concatenate([s.words for s in spectra[1:]]).view(np.float64)
+    assert bool(np.isfinite(big).all()) is (n < 4)
+    if n >= 8:
+        signs = np.signbit(big[np.isnan(big)])
+        assert signs.any() and not signs.all()
 
 
 def test_falcon_shaped_products_round_to_the_exact_product(rng):
