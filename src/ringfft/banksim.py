@@ -49,14 +49,13 @@ ROM fetches by kind) is counted in the same pass, as the plan's
 `RunStats`, and whether the last stage leaves the words in natural
 order is decided there too.
 
-`execute` gathers a run's source from memory and writes what the run
-returns back to it.  Memory is written only where someone can read it:
-before each `stage_hook` call, and once after the last stage the plan
-holds.  Then the run adds the plan's granted count to the memory's port
-accesses, and a stop raises its error, so memory then holds every
-completed stage.  A `Simulator` runs the same plan from the words it
-was loaded with and reads back from what the run returns; it builds a
-memory image only when something reads `mem`.
+A `Simulator`'s memory is a `BankedMemory` image, all zeros until
+something reads it, overlaid by the words the simulator holds at
+memory parts: a load's at the plan's `load`, a run's result at its
+`store`, and, while a stage hook runs, that stage's state at its
+`puts`.  `Simulator.run` is the one run path: its source is the held
+words or one gather of the image, and it holds what its one
+`transform.run_lowering` call returns.
 """
 
 from __future__ import annotations
@@ -342,61 +341,18 @@ def _plan(trace: ScheduleTrace, n_banks: int, roms) -> _Plan:
     return plan
 
 
-def execute(trace: ScheduleTrace, mem: BankedMemory, roms,
-            stage_hook=None) -> int:
-    """Run every dispatch batch; returns the cycle total.
-
-    `roms` is the compressed ROM set for the trace's PE count, one
-    CompressedRom per PE; anything else raises TypeError, and a set for
-    another PE count, or a dispatch whose ROM address lies outside its
-    PE's ROM, raises TwiddleError, all before any memory access.
-    `stage_hook(stage, cycle)` fires after the last batch of each stage,
-    with the stage's results in memory (used for boundary memory dumps;
-    the run does not read memory back, so a hook must not write it).
-
-    The run's source is one gather of memory, `plan.load`; the plan's
-    stages run from it in one `transform.run_lowering` call, on buffers
-    borrowed from the lowering's free store, and what it returns is
-    written back at `plan.store`.  Memory also receives the state before
-    each hook call; then mem.port_accesses gains the accesses the ledger
-    grants the run.  If the plan has a stop, the run then raises its
-    error afresh: the BankConflictError the ledger named, or
-    ScheduleError for a stage that reads a word slot twice (a bank
-    conflict is reported as such).  Memory then holds every completed
-    stage.
-    """
-    plan = _plan(trace, mem.n_banks, roms)
-    memory = mem.words.view(np.float64)
-    each = None
-    if stage_hook:
-        cycles = plan.stats.stage_cycles
-
-        def each(j, state):
-            memory[plan.puts[j]] = state[:len(plan.puts[j])]
-            stage_hook(trace.stage_order[j], sum(cycles[:j + 1]))
-    if plan.puts:
-        source = memory.take(plan.load)
-        memory[plan.store] = run_lowering(plan.lowering, source, each)
-    mem.port_accesses += plan.granted
-    if plan.stop:
-        raise plan.stop()
-    return sum(plan.stats.stage_cycles)
-
-
 class Simulator:
-    """One transform run: load, execute, read back, count cycles.
+    """One transform run: load, run, read back, count cycles.
 
-    A simulator keeps no memory image until something reads `mem`.  Its
-    first load keeps the words as a run's source (a forward's
-    coefficient row, an inverse's complex words), its first run keeps
-    what the plan's readout returns, the words read back first, and
-    `read_result` takes them from there.  Reading `mem` builds the image
-    those leave, bit for bit the memory a run through `execute` leaves,
-    port accesses included; from then on every load, run and read goes
-    through it.  So does a second load or run, a run with a
-    `stage_hook`, a run whose plan has a stop (memory then holds every
-    completed stage) or touches words outside the load, and a run of
-    another trace than the one loaded.
+    A simulator holds words only while it has no memory image: a load
+    holds a run's source (a forward's coefficient row, an inverse's
+    complex words), a run what the plan's readout returns, the words
+    read back first, which `read_result` takes.  Reading `mem` builds
+    the image they leave, port accesses included; from then on loads,
+    runs and hooks write to it.  A run gathers its source from the
+    image when the held words are not its plan's load: after a second
+    load or a run, or for a trace that touches words outside the load
+    or was swapped in after it.
     """
 
     def __init__(self, cfg: ScheduleConfig, roms):
@@ -407,29 +363,36 @@ class Simulator:
         _plan(self.trace, cfg.banks, roms)
         self.stats: RunStats | None = None
         self._mem: BankedMemory | None = None
-        self._loaded = None  # (plan, source) of the load mem lacks
-        self._out = None     # what the run of that source returned
+        # what mem lacks: (memory parts, float64 words, port accesses)
+        self._held = None
 
     @property
     def mem(self) -> BankedMemory:
-        """The memory, its image built on the first read."""
+        """The memory, its image built on the first read: all zeros,
+        then the held words and the port accesses counted so far."""
         if self._mem is None:
-            mem = BankedMemory(self.cfg.banks)
-            if self._loaded:
-                plan, source = self._loaded
-                memory = mem.words.view(np.float64)
-                memory[plan.load[:len(source)]] = source
-                if self._out is not None:
-                    memory[plan.store] = self._out
-                    mem.port_accesses += plan.granted
-            self._mem, self._loaded, self._out = mem, None, None
+            self._mem = BankedMemory(self.cfg.banks)
+            if self._held:
+                held, self._held = self._held, None
+                self._hold(*held)
         return self._mem
+
+    def _hold(self, parts: np.ndarray, words: np.ndarray,
+              accesses: int = 0) -> None:
+        """Give memory part parts[e] the value words[e] and count port
+        accesses: in the image if there is one, else held for it.  Only
+        a run's last hold counts accesses, and no hold replaces it."""
+        if self._mem is None:
+            self._held = parts, words, accesses
+        else:
+            self._mem.words.view(np.float64)[parts] = words
+            self._mem.port_accesses += accesses
 
     def _load(self, source: np.ndarray) -> None:
         plan = _plan(self.trace, self.cfg.banks, self.roms)
-        if self._mem is None and self._loaded is None:
-            self._loaded = plan, source
-        else:
+        if self._held is None and len(plan.load) == len(source):
+            self._hold(plan.load, source)
+        else:  # a second load, or a trace touching words outside it
             self.mem.words.view(np.float64)[plan.load[:len(source)]] = source
 
     def load_polynomial(self, a) -> None:
@@ -461,19 +424,40 @@ class Simulator:
         self._load(z.view(np.float64))
 
     def run(self, stage_hook=None) -> int:
-        """Execute the trace; returns the cycle total and leaves the
-        run's RunStats in `stats` (None after a load or a failed run)."""
+        """Run the trace; returns the cycle total and leaves the run's
+        RunStats in `stats` (None after a load or a failed run).
+
+        The plan is built, if it is not kept, before any memory access:
+        a ROM set that is not cfg's compressed one raises TypeError (or
+        TwiddleError for another PE count), a ROM address outside its
+        PE's ROM TwiddleError, and a memory address outside the memory
+        ScheduleError.  `stage_hook(stage, cycle)` fires after each
+        stage with its results in `mem` (the run does not read memory
+        back, so a hook must not write it).  Then the run counts the
+        port accesses the ledger grants it, and if the plan has a stop,
+        raises its error afresh: the BankConflictError the ledger named,
+        or ScheduleError for a stage that reads a word slot twice (a
+        bank conflict is reported as such).  Memory then holds every
+        completed stage, and the accesses granted before the stop.
+        """
         self.stats = None
         plan = _plan(self.trace, self.cfg.banks, self.roms)
-        if (self._loaded and self._loaded[0] is plan and self._out is None
-                and len(plan.load) == self.cfg.n  # touches only the load
-                and not (stage_hook or plan.stop)):
-            self._out = run_lowering(plan.lowering, self._loaded[1])
-            cycles = sum(plan.stats.stage_cycles)
-        else:
-            cycles = execute(self.trace, self.mem, self.roms, stage_hook)
+        held = self._held
+        source = (held[1] if held and held[0] is plan.load
+                  else self.mem.words.view(np.float64).take(plan.load))
+        each = None
+        if stage_hook:
+            cycles = plan.stats.stage_cycles
+
+            def each(j, state):  # a view: a run that raises keeps its buffers
+                self._hold(plan.puts[j], state[:len(plan.puts[j])])
+                stage_hook(plan.trace.stage_order[j], sum(cycles[:j + 1]))
+        self._hold(plan.store, run_lowering(plan.lowering, source, each),
+                   plan.granted)
+        if plan.stop:
+            raise plan.stop()
         self.stats = plan.stats
-        return cycles
+        return sum(plan.stats.stage_cycles)
 
     def read_result(self):
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
@@ -483,8 +467,9 @@ class Simulator:
         forward = self.cfg.direction is Direction.FORWARD
         if not (forward or plan.natural):
             raise RuntimeError("inverse run did not restore natural order")
-        if self._out is not None and self._loaded[0] is plan:
-            r = self._out[:len(plan.final)]
+        held = self._held
+        if held and held[0] is plan.store:
+            r = held[1][:len(plan.final)]
             if forward:  # the spectrum keeps r, and a second read rereads
                 r = r.copy()
         else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ringfft.banksim import BankConflictError, pe_butterfly
+from ringfft.banksim import BankConflictError, Simulator, pe_butterfly
 from ringfft.transform import Direction, slot_eval_map
 from ringfft.twiddles import (
     CompressedRom,
@@ -66,6 +66,31 @@ def load_natural(a, mem, s_m) -> None:
     hn = len(a) // 2
     for k in range(hn):
         poke(mem, k // s_m, k % s_m, complex(a[k], a[k + hn]))
+
+
+def simulate(trace, mem, roms, stage_hook=None) -> int:
+    """One `Simulator` run of trace from the memory image mem; returns
+    the cycle total.  mem's words and port accesses go into the
+    simulator's memory first, and come back to mem before each
+    `stage_hook(stage, cycle)` call and when the run ends, also when it
+    raises."""
+    sim = Simulator(trace.config, roms)
+    sim.mem.words[:] = mem.words
+    sim.mem.port_accesses = mem.port_accesses
+    sim.trace = trace
+
+    def copy_back():
+        mem.words[:] = sim.mem.words
+        mem.port_accesses = sim.mem.port_accesses
+
+    def hook(stage, cycle):
+        copy_back()
+        stage_hook(stage, cycle)
+
+    try:
+        return sim.run(hook if stage_hook else None)
+    finally:
+        copy_back()
 
 
 def reference_execute(trace, mem, roms, stage_hook=None) -> int:

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import load_natural, peek, poke, reference_execute
+from conftest import load_natural, peek, poke, reference_execute, simulate
 
 from ringfft import banksim
 from ringfft.banksim import (
@@ -12,7 +12,6 @@ from ringfft.banksim import (
     BankedMemory,
     RunStats,
     Simulator,
-    execute,
     pe_butterfly,
 )
 from ringfft.scheduler import (
@@ -143,7 +142,7 @@ def test_rom_address_past_its_rom_is_rejected(npe, direction):
     mem = BankedMemory(trace.config.banks)
     before = mem.words.copy()
     with pytest.raises(TwiddleError, match="out of range"):
-        execute(bad, mem, roms)
+        simulate(bad, mem, roms)
     assert mem.port_accesses == 0
     assert np.array_equal(mem.words, before)
 
@@ -157,7 +156,7 @@ def test_address_outside_the_memory_is_rejected(field, value):
     mem = BankedMemory(trace.config.banks)
     assert mem.n_banks == 4
     with pytest.raises(ScheduleError, match="outside the memory"):
-        execute(bad, mem, roms)
+        simulate(bad, mem, roms)
     assert mem.port_accesses == 0
 
 
@@ -188,7 +187,7 @@ def test_uncompressed_or_foreign_roms_are_a_type_error():
         with pytest.raises(TypeError, match=name):
             Simulator(cfg, bad)
         with pytest.raises(TypeError, match=name):
-            execute(build_schedule(cfg), BankedMemory(cfg.banks), bad)
+            simulate(build_schedule(cfg), BankedMemory(cfg.banks), bad)
 
 
 @pytest.mark.parametrize(
@@ -207,7 +206,7 @@ def test_rom_set_for_another_pe_count_is_rejected(cfg):
         mem = BankedMemory(cfg.banks)
         before = mem.words.copy()
         with pytest.raises(TwiddleError, match=match):
-            execute(trace, mem, roms)
+            simulate(trace, mem, roms)
         assert mem.port_accesses == 0
         assert np.array_equal(mem.words, before)
 
@@ -229,7 +228,7 @@ def test_rom_set_of_mixed_lengths_is_rejected_before_any_access():
     mem = BankedMemory(cfg.banks)
     before = mem.words.copy()
     with pytest.raises(TwiddleError, match=r"\(254 or 256 words per ROM\)"):
-        execute(build_schedule(cfg), mem, (roms[0], short))
+        simulate(build_schedule(cfg), mem, (roms[0], short))
     assert mem.port_accesses == 0
     assert np.array_equal(mem.words, before)
 
@@ -363,7 +362,7 @@ def _conflicting(trace):
 @pytest.mark.parametrize("cfg", FORWARD, ids=lambda c: f"{c.n}-{c.n_pe}")
 def test_folded_round_trip_equals_execute_and_the_reference(cfg, rng):
     # the simulator loads into a run's source and reads back from what
-    # the run returns; execute and the reference run from memory.  Each
+    # the run returns; `simulate` and the reference run from memory.  Each
     # direction's result, and the image `mem` shows after a load, a run
     # or a stopped run of an edited trace, must be the same bits
     roms = ROMS[cfg.n_pe][2]
@@ -399,7 +398,7 @@ def test_folded_round_trip_equals_execute_and_the_reference(cfg, rng):
         trace = build_schedule(sim_cfg)
         images = {}
         for stop in (False, True):
-            for run in (execute, reference_execute):
+            for run in (simulate, reference_execute):
                 mem = BankedMemory(cfg.banks)
                 _place(mem, cfg.s_m, trace.initial_slots, inputs[sim_cfg])
                 if stop:
@@ -412,7 +411,7 @@ def test_folded_round_trip_equals_execute_and_the_reference(cfg, rng):
                 images[stop, run] = (mem.words.view(np.uint64).copy(),
                                      mem.port_accesses)
             (words, ports), (want, want_ports) = (
-                images[stop, execute], images[stop, reference_execute])
+                images[stop, simulate], images[stop, reference_execute])
             assert ports == want_ports and np.array_equal(words, want)
         # the images a simulator builds when mem is read
         mem = BankedMemory(cfg.banks)
@@ -430,26 +429,25 @@ def test_folded_round_trip_equals_execute_and_the_reference(cfg, rng):
             assert np.array_equal(np.array(got).view(np.uint64),
                                   results[sim_cfg])
             assert np.array_equal(sim.mem.words.view(np.uint64),
-                                  images[False, execute][0])
-            assert sim.mem.port_accesses == images[False, execute][1]
+                                  images[False, simulate][0])
+            assert sim.mem.port_accesses == images[False, simulate][1]
             assert built in (None, sim.mem)
         sim = loaded(sim_cfg)
         sim.trace = _conflicting(sim.trace)
         with pytest.raises(BankConflictError):
             sim.run()
         assert np.array_equal(sim.mem.words.view(np.uint64),
-                              images[True, execute][0])
-        assert sim.mem.port_accesses == images[True, execute][1]
+                              images[True, simulate][0])
+        assert sim.mem.port_accesses == images[True, simulate][1]
 
 
 def test_a_run_without_hooks_builds_no_memory(monkeypatch, rng):
     # load, run and read of every configuration pair go from the loaded
-    # source to what the run returns: no memory image, no execute
+    # source to what the run returns: no memory image
     def refuse(*args, **kwargs):
         raise AssertionError("a hook-free run built or wrote memory")
 
     monkeypatch.setattr(banksim, "BankedMemory", refuse)
-    monkeypatch.setattr(banksim, "execute", refuse)
     for cfg in FORWARD:
         roms = ROMS[cfg.n_pe][2]
         a = rng.uniform(-1, 1, cfg.n).tolist()
@@ -466,7 +464,92 @@ def test_a_run_without_hooks_builds_no_memory(monkeypatch, rng):
                               np.array(ifft_inplace(spec)).view(np.uint64))
 
 
-# -- the lowered execute against the per-dispatch reference -----------------
+@pytest.mark.parametrize("direction", list(Direction))
+def test_stopped_and_hooked_runs_build_memory_only_when_it_is_read(
+        direction, monkeypatch, rng):
+    # a stopped run and a run with a stage hook hold their words too:
+    # the image is built on the first read of mem, and is then the
+    # memory the reference leaves at that point, port accesses included
+    built = []
+
+    class Counted(BankedMemory):
+        def __init__(self, n_banks):
+            built.append(n_banks)
+            super().__init__(n_banks)
+
+    monkeypatch.setattr(banksim, "BankedMemory", Counted)
+    cfg = ScheduleConfig(n=64, n_pe=2, direction=direction)
+    trace, roms = build_schedule(cfg), ROMS[2][2]
+    forward = direction is Direction.FORWARD
+    a = rng.uniform(-1, 1, cfg.n)
+    spec = fft_inplace(a.tolist())
+    # the words a load places: packed coefficients, or the spectrum
+    # with its odd slots conjugated back
+    words = a[:cfg.n // 2] + 1j * a[cfg.n // 2:]
+    if not forward:
+        words = np.array(spec.values)
+        words.imag[1::2] = -words.imag[1::2]
+
+    def loaded(run_trace=trace):
+        sim = Simulator(cfg, roms)
+        sim.trace = run_trace
+        if forward:
+            sim.load_polynomial(a.tolist())
+        else:
+            sim.load_spectrum(spec)
+        return sim
+
+    def reference(run_trace, hook=None):
+        ref = BankedMemory(cfg.banks)
+        _place(ref, cfg.s_m, trace.initial_slots, words)
+        try:
+            reference_execute(run_trace, ref, roms, hook and (
+                lambda stage, cycle: hook(ref.words.view(np.uint64).copy())))
+        except BankConflictError:
+            pass
+        return ref.words.view(np.uint64), ref.port_accesses
+
+    def image(sim):
+        return sim.mem.words.view(np.uint64), sim.mem.port_accesses
+
+    def bits(result):
+        return np.array(getattr(result, "values", result)).view(np.uint64)
+
+    bad = _conflicting(trace)
+    sim = loaded(bad)
+    with pytest.raises(BankConflictError):
+        sim.run()
+    assert built == []
+    got, want = image(sim), reference(bad)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert built == [cfg.banks]
+
+    built.clear()
+    sim, seen = loaded(), []
+    sim.run(lambda stage, cycle: seen.append((stage, cycle)))
+    result = bits(sim.read_result())
+    assert built == [] and len(seen) == cfg.stages
+    assert np.array_equal(result, bits(spec if forward
+                                       else ifft_inplace(spec)))
+
+    boundaries = []  # the reference's memory after each stage
+    want = reference(trace, boundaries.append)
+    sim, snaps = loaded(), []
+
+    def every_other(stage, cycle):
+        j = len(snaps)  # stage j of the run, read from the odd ones on
+        snaps.append(image(sim)[0].copy() if j % 2 else None)
+
+    sim.run(every_other)
+    assert built == [cfg.banks] and len(snaps) == len(boundaries)
+    for j in range(1, len(snaps), 2):
+        assert np.array_equal(snaps[j], boundaries[j])
+    got = image(sim)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(bits(sim.read_result()), result)
+
+
+# -- the lowered run against the per-dispatch reference ---------------------
 
 
 def _bits(snapshot):
@@ -474,12 +557,12 @@ def _bits(snapshot):
 
 
 def _run_both(trace, roms, words, reference_roms=None):
-    """Run the lowered execute on the compressed `roms` and the
+    """Run the lowered simulator on the compressed `roms` and the
     reference on `reference_roms` (default: the same ROMs) from the same
     memory image; returns (cycles, port accesses, stage snapshots) of
     each."""
     out = []
-    for run, source in ((execute, roms),
+    for run, source in ((simulate, roms),
                         (reference_execute, reference_roms or roms)):
         mem = BankedMemory(trace.config.banks)
         mem.words[:] = words
@@ -533,7 +616,7 @@ def test_bank_conflict_reported_like_reference(n, npe, batch_index, other):
                 bank0=batch[other].bank0, addr0=batch[other].addr0)
     _, _, roms = ROMS[npe]
     errors = []
-    for run in (execute, reference_execute):
+    for run in (simulate, reference_execute):
         mem = BankedMemory(trace.config.banks)
         with pytest.raises(BankConflictError) as exc:
             run(bad, mem, roms)
@@ -562,7 +645,7 @@ def test_bank_conflict_stops_before_its_stage_touches_memory(
         -1, 1, 2 * len(mem.words)).view(np.complex128)
     snaps = [mem.words.copy()]
     with pytest.raises(BankConflictError):
-        execute(bad, mem, roms, lambda stage, cycle: snaps.append(
+        simulate(bad, mem, roms, lambda stage, cycle: snaps.append(
             mem.words.copy()))
     assert len(snaps) == 1 + batch_index // trace.config.bt_pe_count
     assert np.array_equal(mem.words.view(np.uint64), snaps[-1].view(np.uint64))
@@ -607,7 +690,7 @@ def test_a_stopped_run_raises_afresh_each_time(kind, rng):
     for run in (1, 2):
         mem.words[:] = words
         with pytest.raises(error) as exc:
-            execute(bad, mem, roms)
+            simulate(bad, mem, roms)
         raised.append(exc.value)
         assert mem.port_accesses == run * granted
         assert np.array_equal(mem.words.view(np.uint64), boundaries[1])
@@ -636,7 +719,7 @@ def test_execute_takes_the_ledger_verdict_from_the_lowering(monkeypatch, rng):
     first = round_trip()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("execute called the port ledger")
+        raise AssertionError("a run called the port ledger")
 
     monkeypatch.setattr(banksim, "_port_ledger", refuse)
     second = round_trip()
@@ -708,7 +791,7 @@ def test_stage_reading_a_slot_twice_is_rejected():
                 bank1=d0.bank1, addr1=d0.addr1)
     _, _, roms = ROMS[1]
     with pytest.raises(ScheduleError, match="stage 0"):
-        execute(bad, BankedMemory(trace.config.banks), roms)
+        simulate(bad, BankedMemory(trace.config.banks), roms)
 
 
 def test_execute_lowers_the_trace_it_is_given(rng):
@@ -863,7 +946,7 @@ def test_overflowing_words_match_reference_to_the_bit(cfg, seed):
     words = (1.7e308 * rng.uniform(-1, 1, 2 * size)).view(np.complex128)
     words[::7] = complex(float("nan"), -float("nan"))
     mems = []
-    for run in (execute, reference_execute):
+    for run in (simulate, reference_execute):
         mem = BankedMemory(cfg.banks)
         mem.words[:] = words
         run(trace, mem, ROMS[cfg.n_pe][2])
@@ -913,8 +996,12 @@ def test_twiddle_pairs_go_with_their_trace_and_rom_set(monkeypatch, rng):
                 assert slot.trace is trace and slot.roms is roms
                 for w in slot.lowering.twiddles:
                     assert not any(t.flags.writeable for t in w)
-                # one fetch per rebuild, none per hit
-                assert len(tables) == rebuilt
+                # one fetch per rebuild, none per hit; a Simulator plans
+                # the cached trace when it is built, so a run of the
+                # edited one may also fetch for that
+                own = [t for t in tables if t[3] is trace.columns.rom_addr]
+                assert len(own) == rebuilt
+                assert len(tables) - len(own) <= (trace is edited)
                 tables.clear()
                 results[trace is edited] = lowered
             assert results[True] != results[False]
@@ -970,13 +1057,13 @@ def test_runs_that_overlap_on_one_plan_each_get_their_own_buffers(rng):
     def run(words):
         mem = BankedMemory(cfg.banks)
         mem.words[:] = words
-        execute(trace, mem, roms)
+        simulate(trace, mem, roms)
         return mem.words.view(np.uint64)
 
     inner = []
     outer = BankedMemory(cfg.banks)
     outer.words[:] = images[0]
-    execute(trace, outer, roms, lambda stage, cycle: inner.append(
+    simulate(trace, outer, roms, lambda stage, cycle: inner.append(
         run(images[1 + stage % 5])))
     assert np.array_equal(outer.words.view(np.uint64), want[0])
     assert all(np.array_equal(got, want[1 + s % 5])
@@ -1016,7 +1103,7 @@ def test_nested_runs_of_one_plan_leave_it_one_free_workspace():
     def nest(stage, cycle):
         if len(started) < 5:
             started.append(stage)
-            execute(trace, BankedMemory(cfg.banks), roms, nest)
+            simulate(trace, BankedMemory(cfg.banks), roms, nest)
 
     nest(None, 0)
     assert started == [None, 0, 0, 0, 0]

@@ -1,5 +1,5 @@
-"""Property test: `banksim.execute` runs hand-edited traces as the
-scalar per-dispatch reference does, word for word.
+"""Property test: a `Simulator` runs hand-edited traces as the scalar
+per-dispatch reference does, word for word.
 
 A plan lowers each stage into one gather from the previous stage's
 state, built from the trace's own columns, so an edited trace must run
@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import reference_execute
+from conftest import reference_execute, simulate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -20,7 +20,6 @@ from ringfft.banksim import (  # noqa: E402
     BankConflictError,
     BankedMemory,
     Simulator,
-    execute,
 )
 from ringfft.scheduler import (  # noqa: E402
     ScheduleConfig,
@@ -103,7 +102,7 @@ def test_edited_trace_runs_as_the_reference(trace, big, seed):
     words = rng.uniform(-1, 1, 2 * size).view(np.complex128)
     if big:  # overflows to inf and NaN, so addend order shows
         words *= 1.7e308
-    got = _run(execute, trace, words, hook=True)
+    got = _run(simulate, trace, words, hook=True)
     want = _run(reference_execute, trace, words, hook=True)
     assert got[:2] == want[:2]
     assert len(got[2]) == len(want[2])
@@ -116,7 +115,7 @@ def test_edited_trace_runs_as_the_reference(trace, big, seed):
     if isinstance(want[0], int):
         assert np.array_equal(want[3], done)
     assert np.array_equal(got[3], done)
-    bare = _run(execute, trace, words, hook=False)
+    bare = _run(simulate, trace, words, hook=False)
     assert bare[:2] == got[:2] and not bare[2]
     assert np.array_equal(bare[3], done)
 
@@ -183,7 +182,7 @@ def test_edits_reach_conflicts_partial_stages_and_clean_runs():
     def collect(trace):
         mem = BankedMemory(trace.config.banks)
         try:
-            execute(trace, mem, ROMS[trace.config.n_pe])
+            simulate(trace, mem, ROMS[trace.config.n_pe])
         except BankConflictError:
             outcomes.add("conflict")
         else:

@@ -97,3 +97,24 @@ def test_the_package_makes_no_matrix_product():
             getattr(node.func, "attr", None) in BLAS_CALLS
             or getattr(node.func, "id", None) in BLAS_CALLS)]
     assert found == []
+
+
+def test_the_simulator_has_one_run_path():
+    # every run, from held words or the memory image, with or without a
+    # stage hook or a stop, is the one `run_lowering` call in
+    # `Simulator.run`; a second runner would be a second run path
+    tree = ast.parse((PACKAGE / "banksim.py").read_text())
+
+    def sites(node):
+        return sum(isinstance(call, ast.Call) and "run_lowering" in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+            for call in ast.walk(node))
+
+    simulator = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "Simulator")
+    run = next(node for node in simulator.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert "execute" not in {node.name for node in ast.walk(tree)
+                             if isinstance(node, ast.FunctionDef)}
+    assert sites(tree) == sites(run) == 1
