@@ -181,11 +181,10 @@ class RunStats:
 
 
 class _Plan(NamedTuple):
-    """Everything a run of one trace reads besides the data, for one
-    memory geometry and ROM set; all arrays are read-only."""
+    """Everything a run of one trace reads besides the data, for its
+    configuration's memory and one ROM set; all arrays are read-only."""
     trace: ScheduleTrace    # what the plan was built from
     roms: tuple
-    n_banks: int
     lowering: Lowering      # the stages a run completes, from its source
     load: np.ndarray        # the memory part behind each source element
     puts: tuple             # per stage, the memory part of each state element
@@ -197,9 +196,8 @@ class _Plan(NamedTuple):
     stats: RunStats
 
 
-def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
-                roms) -> _Plan:
-    """The plan of trace for one memory geometry and ROM set.
+def _build_plan(trace: ScheduleTrace, roms) -> _Plan:
+    """The plan of trace on its configuration's memory, for ROM set roms.
 
     `roms` must be the compressed ROM set for the trace's PE count.
     `fetch_twiddles` checks it, and every ROM address, before the trace
@@ -207,6 +205,7 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     another set or an address outside it TwiddleError.
     """
     cfg = trace.config
+    n_banks, capacity = cfg.banks, S_MAX // (2 * cfg.banks)
     forward = cfg.direction is Direction.FORWARD
     pe, bank0, addr0, bank1, addr1, rom, in_ex, out_ex = trace.columns
     w = fetch_twiddles(roms, cfg.n_pe, pe, rom, forward)
@@ -304,7 +303,6 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
     return _Plan(
         trace=trace,
         roms=roms,
-        n_banks=n_banks,
         lowering=lowering,
         load=_frozen(load),
         puts=tuple(puts),
@@ -319,14 +317,15 @@ def _build_plan(trace: ScheduleTrace, n_banks: int, capacity: int,
 _plans: dict[ScheduleConfig, _Plan] = {}
 
 
-def _plan(trace: ScheduleTrace, n_banks: int, roms) -> _Plan:
-    """The plan of this very trace object on a memory of n_banks banks
-    and the ROM set `roms`, from its configuration's slot.
+def _plan(trace: ScheduleTrace, roms) -> _Plan:
+    """The plan of this very trace object and the ROM set `roms`, from
+    its configuration's slot.
 
     The slot's plan serves only the trace and ROM set objects it was
-    built from, and its bank count; anything else gets a new plan,
-    which takes the slot.  So a lookup never hashes their contents, and
-    a hand-edited trace never runs the cached schedule's plan.  The
+    built from; anything else gets a new plan, which takes the slot.
+    So a lookup never hashes their contents, and a hand-edited trace
+    never runs the cached schedule's plan.  The slot is keyed by the
+    trace's configuration, which also fixes its memory geometry.  The
     slot holds the objects it compares, so their ids cannot be reused
     while it is kept.  Callers pass each configuration's cached trace
     and ROM set, so a configuration's plan is built once per process.
@@ -334,10 +333,8 @@ def _plan(trace: ScheduleTrace, n_banks: int, roms) -> _Plan:
     `_build_plan`'s checks, so a hit skips them.
     """
     plan = _plans.get(trace.config)
-    if (plan is None or plan.trace is not trace or plan.roms is not roms
-            or plan.n_banks != n_banks):
-        plan = _plans[trace.config] = _build_plan(
-            trace, n_banks, S_MAX // (2 * n_banks), roms)
+    if plan is None or plan.trace is not trace or plan.roms is not roms:
+        plan = _plans[trace.config] = _build_plan(trace, roms)
     return plan
 
 
@@ -360,7 +357,7 @@ class Simulator:
         self.trace = build_schedule(cfg)
         self.roms = roms
         # rejects all but cfg's compressed ROM set before any other use
-        _plan(self.trace, cfg.banks, roms)
+        _plan(self.trace, roms)
         self.stats: RunStats | None = None
         self._mem: BankedMemory | None = None
         # what mem lacks: (memory parts, float64 words, port accesses)
@@ -389,7 +386,7 @@ class Simulator:
             self._mem.port_accesses += accesses
 
     def _load(self, source: np.ndarray) -> None:
-        plan = _plan(self.trace, self.cfg.banks, self.roms)
+        plan = _plan(self.trace, self.roms)
         if self._held is None and len(plan.load) == len(source):
             self._hold(plan.load, source)
         else:  # a second load, or a trace touching words outside it
@@ -441,7 +438,7 @@ class Simulator:
         completed stage, and the accesses granted before the stop.
         """
         self.stats = None
-        plan = _plan(self.trace, self.cfg.banks, self.roms)
+        plan = _plan(self.trace, self.roms)
         held = self._held
         source = (held[1] if held and held[0] is plan.load
                   else self.mem.words.view(np.float64).take(plan.load))
@@ -449,8 +446,8 @@ class Simulator:
         if stage_hook:
             cycles = plan.stats.stage_cycles
 
-            def each(j, state):  # a view: a run that raises keeps its buffers
-                self._hold(plan.puts[j], state[:len(plan.puts[j])])
+            def each(j, state):  # a copy: the buffers go back to the store
+                self._hold(plan.puts[j], state[:len(plan.puts[j])].copy())
                 stage_hook(plan.trace.stage_order[j], sum(cycles[:j + 1]))
         self._hold(plan.store, run_lowering(plan.lowering, source, each),
                    plan.granted)
@@ -463,7 +460,7 @@ class Simulator:
         """Forward -> internal-order Spectrum; inverse -> coefficients."""
         if self.stats is None:
             raise RuntimeError("run() the simulator before reading results")
-        plan = _plan(self.trace, self.cfg.banks, self.roms)
+        plan = _plan(self.trace, self.roms)
         forward = self.cfg.direction is Direction.FORWARD
         if not (forward or plan.natural):
             raise RuntimeError("inverse run did not restore natural order")

@@ -46,7 +46,8 @@ def _read_json(path: str):
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError: not JSON, or not UTF-8; RecursionError: too deep
         raise CliError(f"cannot read {path}: {e}")
 
 
@@ -135,14 +136,6 @@ def _emit(text: str, out: str | None, report=()) -> None:
         print(text)
 
 
-def _check_simulator_flags(args) -> None:
-    for flag, value in (("--stats", args.stats),
-                        ("--dump-stages", args.dump_stages),
-                        ("--npe", args.npe)):
-        if value is not None and args.engine != "simulator":
-            raise CliError(f"{flag} needs --engine simulator")
-
-
 # For each engine: its forward transform, its inverse, and the spectrum
 # order that inverse reads.  The simulator's are its runner's directions.
 _ENGINES = {
@@ -188,28 +181,25 @@ def _sim_run(x, direction: Direction, args):
     return out, report
 
 
-def _transform(args, x, inverse: bool):
-    """x through args.engine: the result, and the report lines printed
-    before it."""
+def cmd_transform(args) -> int:
+    """`fft` or `ifft`, by args.command: the simulator-only flags are
+    checked before the input file is read, then its result goes out
+    after the report lines of its engine."""
+    for flag, value in (("--stats", args.stats),
+                        ("--dump-stages", args.dump_stages),
+                        ("--npe", args.npe)):
+        if value is not None and args.engine != "simulator":
+            raise CliError(f"{flag} needs --engine simulator")
+    inverse = args.command == "ifft"
+    x = (_load_spectrum if inverse else _load_polynomial)(args.input)
     *transforms, order = _ENGINES[args.engine]
     if inverse and x.order_tag is not order:
         raise CliError(f"{args.engine} engine needs a {order.value} spectrum")
     if args.engine == "simulator":
-        return _sim_run(x, transforms[inverse], args)
-    return transforms[inverse](x), []
-
-
-def cmd_fft(args) -> int:
-    _check_simulator_flags(args)
-    out, report = _transform(args, _load_polynomial(args.input), inverse=False)
-    _emit(_spectrum_json(out), args.out, report)
-    return 0
-
-
-def cmd_ifft(args) -> int:
-    _check_simulator_flags(args)
-    out, report = _transform(args, _load_spectrum(args.input), inverse=True)
-    _emit(_poly_json(out), args.out, report)
+        out, report = _sim_run(x, transforms[inverse], args)
+    else:
+        out, report = transforms[inverse](x), []
+    _emit((_poly_json if inverse else _spectrum_json)(out), args.out, report)
     return 0
 
 
@@ -341,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write result to this file")
 
-    for name, func, help in (
-            ("fft", cmd_fft, "forward transform of a coefficient file"),
-            ("ifft", cmd_ifft, "inverse transform of a spectrum file")):
+    for name, help in (
+            ("fft", "forward transform of a coefficient file"),
+            ("ifft", "inverse transform of a spectrum file")):
         p = sub.add_parser(name, help=help)
         p.add_argument("input")
         p.add_argument("--engine", choices=tuple(_ENGINES), default="inplace")
@@ -356,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulator only: print the run's statistics "
                             "(RunStats) as one JSON line after cycles=")
         add_common(p)
-        p.set_defaults(func=func, dump_stages=None)
+        p.set_defaults(func=cmd_transform, dump_stages=None)
 
     p = sub.add_parser("polymul", help="negacyclic product of two files")
     p.add_argument("a")

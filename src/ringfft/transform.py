@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -502,7 +503,8 @@ def run_lowering(low: Lowering, source: np.ndarray, each=None) -> np.ndarray:
     and the readout gather; each(j, state), if given, sees the state
     after stage j, the program run stage by stage.  A run borrows its
     workspace (twiddles repeated across a batch's rows; one row reads
-    `low.twiddles` in place) from `low.free` and puts it back; the store
+    `low.twiddles` in place) from `low.free` and puts it back, also
+    when `each` raises, so `each` must copy what it keeps; the store
     keeps one per row shape, for the two shapes run last.  A run that
     overlaps another of the same shape (in another thread, or from
     `each`) finds it taken and builds its own.
@@ -512,25 +514,26 @@ def run_lowering(low: Lowering, source: np.ndarray, each=None) -> np.ndarray:
     first, program, bufs, final = ws
     stages = len(low.takes)
     # overflow yields inf/nan silently, as scalar complex arithmetic does
-    with np.errstate(over="ignore", invalid="ignore"):
-        if stages:
-            source.take(first, None, bufs[0], "clip")
-            if each is None:
-                for f, args in program:
-                    f(*args)
-            else:  # stage j's gather, if any, and its butterfly calls
-                per = (len(program) + 1) // stages
-                for j in range(stages):
-                    for f, args in program[max(j * per - 1, 0):
-                                           (j + 1) * per - 1]:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stages:
+                source.take(first, None, bufs[0], "clip")
+                if each is None:
+                    for f, args in program:
                         f(*args)
-                    each(j, bufs[j & 1])
-            source = bufs[~stages & 1]
-    out = source.take(final)
-    low.free[rows] = ws
-    for shape in list(low.free)[:-2]:
-        low.free.pop(shape, None)
-    return out
+                else:  # stage j's gather, if any, and its butterfly calls
+                    per = (len(program) + 1) // stages
+                    for j in range(stages):
+                        for f, args in program[max(j * per - 1, 0):
+                                               (j + 1) * per - 1]:
+                            f(*args)
+                        each(j, bufs[j & 1])
+                source = bufs[~stages & 1]
+        return source.take(final)
+    finally:
+        low.free[rows] = ws
+        for shape in list(low.free)[:-2]:
+            low.free.pop(shape, None)
 
 
 @lru_cache(maxsize=None)
@@ -611,30 +614,26 @@ def ifft_inplace(s: Spectrum) -> list[float]:
     return _run_lowered(spectrum_array(s), False).tolist()
 
 
-_POINTWISE_OPS = ("add", "sub", "mul", "div")
+_POINTWISE_OPS = {"add": operator.add, "sub": operator.sub,
+                  "mul": operator.mul, "div": operator.truediv}
 
 
 def pointwise_op(s1: Spectrum, s2: Spectrum, op: str) -> Spectrum:
     """Coefficient-wise complex arithmetic in the FFT domain."""
-    if op not in _POINTWISE_OPS:
-        raise DomainError(f"op must be one of {_POINTWISE_OPS}, got {op!r}")
+    names = tuple(_POINTWISE_OPS)  # by ==: an unhashable op is named too
+    if op not in names:
+        raise DomainError(f"op must be one of {names}, got {op!r}")
     if len(s1) != len(s2):
         raise DomainError("spectra must have equal length")
     if s1.order_tag is not s2.order_tag:
         raise OrderTagError("spectra must share the same ordering")
     x, y = s1.values, s2.values
-    if op == "add":
-        vals = tuple(a + b for a, b in zip(x, y))
-    elif op == "sub":
-        vals = tuple(a - b for a, b in zip(x, y))
-    elif op == "mul":
-        vals = tuple(a * b for a, b in zip(x, y))
-    else:
+    if op == "div":
         zeros = [i for i, b in enumerate(y) if b == 0]
         if zeros:
             raise PointwiseDivideError(zeros)
-        vals = tuple(a / b for a, b in zip(x, y))
-    return Spectrum(values=vals, order_tag=s1.order_tag)
+    return Spectrum(values=tuple(map(_POINTWISE_OPS[op], x, y)),
+                    order_tag=s1.order_tag)
 
 
 def polymul_negacyclic_oracle(a: Sequence[float], b: Sequence[float]) -> list[float]:

@@ -549,6 +549,46 @@ def test_stopped_and_hooked_runs_build_memory_only_when_it_is_read(
     assert np.array_equal(bits(sim.read_result()), result)
 
 
+@pytest.mark.parametrize("direction", list(Direction))
+def test_a_hook_that_raises_leaves_the_workspace_and_its_stage(direction,
+                                                               rng):
+    # the run puts its workspace back, and the simulator keeps its own
+    # copy of the stage the hook saw: a later run of another simulator
+    # reuses the buffers without touching it
+    cfg = ScheduleConfig(n=64, n_pe=2, direction=direction)
+    roms = ROMS[2][2]
+    forward = direction is Direction.FORWARD
+
+    def loaded(a):
+        sim = Simulator(cfg, roms)
+        if forward:
+            sim.load_polynomial(a.tolist())
+        else:
+            sim.load_spectrum(fft_inplace(a.tolist()))
+        return sim
+
+    class Stop(Exception):
+        pass
+
+    def stop(stage, cycle):
+        raise Stop
+
+    a = rng.uniform(-1, 1, cfg.n)
+    sim = loaded(a)
+    low = banksim._plan(sim.trace, roms).lowering
+    with pytest.raises(Stop):
+        sim.run(stop)
+    assert () in low.free
+    loaded(rng.uniform(-1, 1, cfg.n)).run()
+
+    ref = BankedMemory(cfg.banks)
+    ref.words[:] = loaded(a).mem.words
+    with pytest.raises(Stop):
+        reference_execute(sim.trace, ref, roms, stop)
+    assert np.array_equal(sim.mem.words.view(np.uint64),
+                          ref.words.view(np.uint64))
+
+
 # -- the lowered run against the per-dispatch reference ---------------------
 
 

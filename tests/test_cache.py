@@ -47,8 +47,7 @@ PLAN_DIGEST = \
 def test_plan_digest_pinned():
     h = hashlib.sha256()
     for cfg in CONFIGS:
-        plan = banksim._build_plan(build_schedule(cfg), cfg.banks,
-                                   banksim.BankedMemory(cfg.banks).capacity,
+        plan = banksim._build_plan(build_schedule(cfg),
                                    build_rom_set(S_MAX, cfg.n_pe)[2])
         for take, w, put in zip(plan.lowering.takes, plan.lowering.twiddles,
                                 plan.puts, strict=True):

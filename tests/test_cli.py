@@ -122,6 +122,33 @@ def test_parse_failure_exit(tmp_path, capsys):
     assert main(["fft", nan]) == 2
 
 
+@pytest.mark.parametrize("command", ["fft", "ifft", "polymul"])
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe[1.0]"],
+                         ids=["too-deep", "not-utf-8"])
+def test_unreadable_json_is_an_error_naming_the_file(tmp_path, capsys,
+                                                     command, content):
+    # json.load's RecursionError and UnicodeDecodeError are reported as
+    # the file's, with exit 2, not as a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [command, str(bad), *[str(bad)] * (command == "polymul")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {bad}: ")
+    assert captured.out == ""
+
+
+def test_fft_and_ifft_share_one_command_function(tmp_path):
+    parser = cli.build_parser()
+    fft, ifft = (parser.parse_args([name, str(tmp_path / "x.json")]).func
+                 for name in ("fft", "ifft"))
+    assert fft is ifft
+    for name in ("cmd_fft", "cmd_ifft", "_transform",
+                 "_check_simulator_flags"):
+        assert not hasattr(cli, name)
+
+
 def _unwritable(capsys, argv, path) -> None:
     """argv fails on its output path with exit 2, one error line and
     nothing on stdout: no report of a run whose result was not written."""

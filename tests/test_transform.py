@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import hashlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -323,6 +324,37 @@ def test_pointwise_ops(rng):
     assert max_abs_error(back.values, s.values) < 1e-12
 
 
+def test_pointwise_ops_are_the_python_loop_bit_for_bit(rng):
+    # infinities, NaN payloads of both signs and -0.0 go through each op
+    # as CPython's complex operators take them
+    parts = np.array([0x7FF8000000000123, 0xFFF8000000000456],
+                     np.uint64).view(np.float64).tolist()
+    parts += [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, 1e308, 5e-324]
+    pairs = [complex(real, imag) for real in parts for imag in parts]
+    x = [pairs[i] for i in rng.permutation(len(pairs))]
+    y = [pairs[i] for i in rng.permutation(len(pairs))]
+    y = [b if b != 0 else 1j for b in y]  # "div" refuses zero denominators
+    want = {"add": [a + b for a, b in zip(x, y)],
+            "sub": [a - b for a, b in zip(x, y)],
+            "mul": [a * b for a, b in zip(x, y)],
+            "div": [a / b for a, b in zip(x, y)]}
+    s1, s2 = (Spectrum(values=tuple(v), order_tag=OrderTag.FALCON_INTERNAL)
+              for v in (x, y))
+    for op, values in want.items():
+        got = pointwise_op(s1, s2, op).values
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(values).view(np.uint64))
+
+
+def test_pointwise_rejects_an_unknown_op():
+    s = fft_inplace([1.0, 2.0, 3.0, 4.0])
+    for op in ("pow", None, []):
+        with pytest.raises(DomainError, match=re.escape(
+                f"op must be one of ('add', 'sub', 'mul', 'div'), "
+                f"got {op!r}")):
+            pointwise_op(s, s, op)
+
+
 def test_pointwise_div_by_zero_reports_indices():
     s = Spectrum(values=(1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j),
                  order_tag=OrderTag.FALCON_INTERNAL)
@@ -550,7 +582,7 @@ def _lowerings():
             for rows in ((), (1,), (3,)):
                 yield (n, forward, rows), low, rows, n
     for cfg in CONFIGS:
-        plan = banksim._plan(build_schedule(cfg), cfg.banks,
+        plan = banksim._plan(build_schedule(cfg),
                              build_rom_set(S_MAX, cfg.n_pe)[2])
         yield cfg, plan.lowering, (), len(plan.load)
 
