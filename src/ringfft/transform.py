@@ -21,17 +21,21 @@ holds a(w(hn-1-2*r(m))).
 The network, `_network`'s per-stage (u, v, w) arrays, runs on one of
 two paths, chosen from the size alone.  Below VECTOR_MIN_HN words it
 is one flat loop over Python `complex` values through those arrays
-zipped into (j, j + ht, twiddle) triples; the tests check both paths
-against the network written as nested loops.  From VECTOR_MIN_HN words
-up it is lowered once per direction and size by `state_order` into a
-`Lowering`, which `run_lowering` runs as it runs the simulator's plans,
-as one flat program of numpy calls: per stage a gather into a working
-state and the `array_butterfly` calls, with B polynomials as a trailing
-axis of that state.  The forward's first gather packs (B, n) rows of
-coefficients and its readout lays down rows of spectrum words; the
-inverse the reverse, one spectrum as a 1-D state.  Both paths give the
-same bits.  `fft_batch` runs any number of same-length polynomials
-through one pass at every size.
+zipped into (j, j + ht, twiddle) triples; `polymul_via_fft` walks
+the forward program once, each butterfly on both operands, and folds
+the readout conjugation, the pointwise product and the inverse's input
+conjugation into the inverse's first stage, which pairs slot 2m with
+slot 2m + 1.  The tests check both paths against the network written
+as nested loops.  From VECTOR_MIN_HN words up it is lowered once per
+direction and size by `state_order` into a `Lowering`, which
+`run_lowering` runs as it runs the simulator's plans, as one flat
+program of numpy calls: per stage a gather into a working state and the
+`array_butterfly` calls, with B polynomials as a trailing axis of that
+state.  The forward's first gather packs (B, n) rows of coefficients
+and its readout lays down rows of spectrum words; the inverse the
+reverse, one spectrum as a 1-D state.  Both paths give the same bits.
+`fft_batch` runs any number of same-length polynomials through one pass
+at every size.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,7 +90,9 @@ class Spectrum:
     consumer that reads the array (`spectrum_array`, `len`, and from
     VECTOR_MIN_HN values up `ifft_inplace`) never lists them.  `words`
     is not an __init__ argument, so `dataclasses.replace` drops it, and
-    it takes no part in ==, hash or repr, which read the values.
+    it takes no part in ==, hash or repr, which read the values.  A
+    copy or an unpickled spectrum is rebuilt the way it was built (from
+    words, read-only and not yet listed, or from values).
     """
     values: tuple
     order_tag: OrderTag
@@ -114,6 +121,12 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.values if self.words is None else self.words)
+
+    def __reduce__(self):
+        # pickle and copy: the default state would revive words writeable
+        if self.words is None:
+            return type(self), (self.values, self.order_tag)
+        return type(self)._of_words, (self.words, self.order_tag)
 
 
 def spectrum_array(s: Spectrum) -> np.ndarray:
@@ -211,11 +224,12 @@ def slot_eval_map(hn: int) -> tuple[tuple[int, bool], ...]:
 
 # Half-size (n/2 words) from which single calls run the array network.
 # Below it the per-call numpy overhead outweighs the loop it replaces:
-# on a 2-vCPU host, against the flat scalar loop in interleaved runs,
-# the array path took 0.61x (polymul_via_fft), 0.77x (fft_inplace) and
-# 0.88x (ifft_inplace) the time at n = 128, but 1.04x, 1.23x and 1.56x
-# at n = 64.  One crossover serves all three, set by the product, which
-# FALCON runs at every size.
+# on a 2-vCPU host, against the scalar path in 1500 interleaved pairs,
+# the array path took 0.61x (polymul_via_fft), 0.73x (fft_inplace) and
+# 0.86x (ifft_inplace) the time at n = 128, but 1.00x, 1.20x and 1.39x
+# at n = 64 (0.70x, 1.02x, 1.11x and 1.16x, 1.58x, 1.68x with a
+# pure-Python loop run before each call).  One crossover serves all
+# three, set by the product, which FALCON runs at every size.
 VECTOR_MIN_HN = 64
 
 
@@ -276,13 +290,51 @@ def _coefficients_scalar(values) -> list[float]:
     """Input conjugation, inverse network, unpacking; scalar path."""
     vals = list(values)
     vals[1::2] = [z.conjugate() for z in vals[1::2]]
-    for j, k, w in _butterfly_program(False, len(vals)):
+    return _inverse_scalar(vals, _butterfly_program(False, len(vals)))
+
+
+def _inverse_scalar(vals: list, butterflies) -> list[float]:
+    """The inverse network's butterflies from `butterflies`, the program
+    of `_butterfly_program(False, len(vals))` or an iterator part way
+    through it, in place on vals, then scaling and unpacking; scalar
+    path."""
+    for j, k, w in butterflies:
         u = vals[j]
         v = vals[k]
         vals[j] = u + v
         vals[k] = (u - v) * w
     scale = 2.0 / (2 * len(vals))
     return [z.real * scale for z in vals] + [z.imag * scale for z in vals]
+
+
+def _polymul_scalar(ca: list[float], cb: list[float]) -> list[float]:
+    """`polymul_via_fft`'s scalar path, one pass per direction.  Every
+    value goes through the operations, in the order, of `_spectrum_scalar`
+    on each operand, their product and `_coefficients_scalar`, so every
+    bit is theirs, NaN signs and payloads included."""
+    x, y = _pack(ca), _pack(cb)
+    hn = len(x)
+    for j, k, w in _butterfly_program(True, hn):
+        u = x[j]
+        t = w * x[k]
+        x[j] = u + t
+        x[k] = u - t
+        u = y[j]
+        t = w * y[k]
+        y[j] = u + t
+        y[k] = u - t
+    if hn == 1:  # no butterfly, and slot 0 is not conjugated
+        x[0] = x[0] * y[0]
+    # the inverse's first stage pairs slot 2m with slot 2m + 1, so it
+    # also runs the readout conjugation of the odd slots, the product and
+    # the inverse's input conjugation
+    butterflies = iter(_butterfly_program(False, hn))
+    for j, k, w in islice(butterflies, hn // 2):
+        u = x[j] * y[j]
+        v = (x[k].conjugate() * y[k].conjugate()).conjugate()
+        x[j] = u + v
+        x[k] = (u - v) * w
+    return _inverse_scalar(x, butterflies)
 
 
 def negate_odd(im: np.ndarray) -> None:
@@ -656,14 +708,17 @@ def polymul_via_fft(a: Sequence[float], b: Sequence[float]) -> list[float]:
     Bit-identical to ifft_inplace(pointwise_op(fft_inplace(a),
     fft_inplace(b), "mul")).  On the array path both operands go as two
     rows through one forward pass, and their product, formed from those
-    rows of interleaved words, through a 1-D inverse."""
+    rows of interleaved words, through a 1-D inverse.  On the scalar
+    path one walk of the forward program does each butterfly on both
+    operands, and the inverse's first stage forms each pair's product
+    (conjugating the odd slot's factors and product, as the readout and
+    the inverse's input would) before its butterfly."""
     if not _array_path(a):
         ca = validate_polynomial(a)
         cb = validate_polynomial(b)
         if len(ca) != len(cb):
             raise DomainError("polynomials must have equal length")
-        return _coefficients_scalar(
-            [x * y for x, y in zip(_spectrum_scalar(ca), _spectrum_scalar(cb))])
+        return _polymul_scalar(ca, cb)
     with np.errstate(over="ignore", invalid="ignore"):
         sa, sb = _run_lowered(coefficient_rows((a, b)), True)
         ar, ai, br, bi = sa.real, sa.imag, sb.real, sb.imag

@@ -1,8 +1,10 @@
 import cmath
+import copy
 import dataclasses
 import decimal
 import hashlib
 import math
+import pickle
 import re
 import sys
 import threading
@@ -508,6 +510,42 @@ def test_array_path_overflow_matches_scalar_to_the_bit(rng, n, scale):
                                   _bits(want))
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_scalar_product_overflow_matches_both_oracles_to_the_bit(rng, n):
+    # the scalar product, in one pass per direction, at every size below
+    # the crossover: overflow gives inf of both signs, inf - inf NaNs, and
+    # a conjugation flips a NaN's sign; every bit must be the three-pass
+    # pipeline's and the nested loops'
+    assert n < 2 * transform.VECTOR_MIN_HN
+    huge = [rng.uniform(-1, 1, n) * (1.7e308 / 4) for _ in range(2)]
+    wide = [rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-1022, 1024, n)
+            for _ in range(2)]
+    word0 = np.zeros(n)
+    word0[[0, n // 2]] = 1.7e308  # word 0 = 1.7e308 * (1 + i)
+    one = np.zeros(n)
+    one[0] = 1.3e154  # its square is finite, n/2 of them summed are not
+    a0, a1, w0, w1, word0, one = (x.tolist() for x in (*huge, *wide, word0, one))
+    all_big = [1e300] * n
+    pairs = [(a0, a1), (w0, w1), (a0, w0), (all_big, all_big),
+             (word0, all_big), (one, one), (one, [-x for x in one])]
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in pairs:
+            p = polymul_via_fft(a, b)
+            assert np.array_equal(_bits(p), _bits(scalar_polymul(a, b)))
+            pipeline = ifft_inplace(pointwise_op(fft_inplace(a),
+                                                 fft_inplace(b), "mul"))
+            assert np.array_equal(_bits(p), _bits(pipeline))
+            got += p
+    got = np.array(got)
+    assert (got == np.inf).any() and (got == -np.inf).any()
+    signs = np.signbit(got[np.isnan(got)])
+    # at n = 2 nothing is conjugated, so every NaN is an inf - inf with
+    # the sign the hardware gives it
+    assert signs.size and (n == 2 or not signs.all() and signs.any())
+
+
 def test_plane_network_sums_w_times_v_in_cpython_order():
     # the array engine (`_run_lowered` on `array_butterfly`) at n = 4;
     # both parts of v NaN: each part of w*v sums two NaNs, and a sum
@@ -749,6 +787,33 @@ def test_spectra_of_words_list_their_values_on_first_read(rng, n):
         values = s.values
         assert vars(s)["values"] is values and s.values is values
         assert np.array_equal(_bits(values), s.words.view(np.uint64))
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy])
+@pytest.mark.parametrize("read_first", [False, True])
+def test_copied_spectra_keep_their_words_read_only(rng, copy_of, read_first):
+    # a copy or an unpickled spectrum of words is one of words again:
+    # read-only, bit-identical and not listed until read
+    a = rng.uniform(-1, 1, 256).tolist()
+    # overflow puts infs and NaNs of both signs in the words, and a NaN
+    # is == to no copy of itself
+    for s in fft_batch([a, [1.7e308] * 4 + a[4:]]):
+        if read_first:
+            s.values
+        t = copy_of(s)
+        assert t.order_tag is s.order_tag
+        assert not t.words.flags.writeable
+        with pytest.raises(ValueError):
+            t.words[0] = 99
+        assert "values" not in vars(t)
+        assert np.array_equal(t.words.view(np.uint64),
+                              s.words.view(np.uint64))
+        assert np.array_equal(_bits(t.values), _bits(s.values))
+    t = copy_of(fft_inplace(a))
+    assert t == fft_inplace(a) and not t.words.flags.writeable
+    bare = _internal(scalar_fft(a[:8]))
+    assert copy_of(bare).words is None and copy_of(bare) == bare
 
 
 @pytest.mark.parametrize("n", SIZES)
