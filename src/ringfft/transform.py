@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -357,9 +358,48 @@ def _array_path(a) -> bool:
         return False
 
 
+@lru_cache(maxsize=None)
+def _int64_row(n: int) -> struct.Struct:
+    """The native layout of n int64 words, one polynomial row."""
+    return struct.Struct(f"{n}q")
+
+
+def _int_rows(polys) -> np.ndarray | None:
+    """The polynomials of `polys`, a list or tuple, as the rows of one
+    float64 array when each is a list or tuple of one supported length
+    whose first coefficient is an int, and every coefficient packs as an
+    int64; else None.  The int64 -> float64 cast rounds to nearest-even,
+    as float() does on an int."""
+    if (type(polys) not in (list, tuple) or not polys
+            or not all(type(a) in (list, tuple) and a
+                       and type(a[0]) is int for a in polys)):
+        return None
+    n = len(polys[0])
+    if not 2 <= n <= S_MAX or n & (n - 1):  # ten formats at most
+        return None
+    row = _int64_row(n)
+    words = np.empty((len(polys), n), np.int64)
+    try:
+        # a row of another length does not pack either
+        for i, a in enumerate(polys):
+            row.pack_into(words, i * row.size, *a)
+    except Exception:  # whatever a coefficient's __index__ raises, too
+        return None
+    return words.astype(np.float64)
+
+
 def coefficient_rows(polys) -> np.ndarray:
     """The polynomials of `polys` as the rows of one float64 array,
     each converted once.
+
+    Rows of Python ints, each a list or tuple whose first coefficient is
+    an int, are packed as int64 words and cast to float64 at once.  Each
+    coefficient is then read by its integer value (its `__index__`), not
+    by its `__float__`: the two differ only for an int subclass, or an
+    object with `__index__`, whose `__float__` disagrees with its value,
+    and the scalar path, which calls float(), reads that one by its
+    `__float__`.  Rows that do not pack, for a float, a string, None or
+    an int beyond int64 in one, convert as below.
 
     An input numpy cannot read as same-length rows of finite numbers of
     a supported length goes through `validate_polynomial`, one
@@ -369,10 +409,12 @@ def coefficient_rows(polys) -> np.ndarray:
     both call a coefficient's own __float__, so what that raises passes
     through either way.
     """
-    try:
-        c = np.array(polys, np.float64)
-    except (TypeError, ValueError, OverflowError):
-        c = None
+    c = _int_rows(polys)
+    if c is None:
+        try:
+            c = np.array(polys, np.float64)
+        except (TypeError, ValueError, OverflowError):
+            c = None
     if (c is None or c.ndim != 2 or not 2 <= c.shape[1] <= S_MAX
             or c.shape[1] & (c.shape[1] - 1) or not np.isfinite(c).all()):
         rows = [validate_polynomial(a) for a in polys]

@@ -38,6 +38,9 @@ from .twiddles import (
 TABLE_CYCLES = {8: 4, 16: 12, 32: 32, 64: 80, 128: 192,
                 256: 448, 512: 1024, 1024: 2304}
 
+# the coefficient range of the small polynomials FALCON multiplies
+FALCON_COEF_MAX = 127
+
 
 class Check(NamedTuple):
     """The outcome of one invariant check.  `detail` goes on its report
@@ -101,6 +104,17 @@ def _same_bits(words, *others) -> bool:
     return all(np.array_equal(bits[0], b) for b in bits[1:])
 
 
+def uniform_polynomial(rng, n: int) -> list[float]:
+    """n Python floats drawn uniformly from [-1, 1)."""
+    return rng.uniform(-1.0, 1.0, n).tolist()
+
+
+def falcon_polynomial(rng, n: int) -> list[int]:
+    """n Python ints drawn uniformly from [-FALCON_COEF_MAX,
+    FALCON_COEF_MAX], as FALCON key generation multiplies them."""
+    return rng.integers(-FALCON_COEF_MAX, FALCON_COEF_MAX + 1, n).tolist()
+
+
 def rom_bit_exact(images, roms) -> bool:
     """For every PE and address, the wired -1 included, `fetch_twiddles`
     serves exactly the image's entry or the wired constant, conjugated
@@ -128,7 +142,8 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
               f"stored={stored} bytes={16 * stored}"),
     ]
 
-    # one input per configuration, forward then inverse on the simulator
+    # one input per configuration, forward then inverse on the simulator;
+    # the paper's configuration takes integer coefficients, as FALCON's
     all_bitexact = inverse_bitexact = all_roundtrip = True
     all_cycles = all_util = all_restore = True
     errors, conflicts = {}, []
@@ -137,7 +152,8 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
         if quick and n not in (4, 8, 32, 256, 1024):
             continue
         _, _, roms = build_rom_set(S_MAX, npe)
-        a = rng.uniform(-1.0, 1.0, n).tolist()
+        a = (falcon_polynomial(rng, n) if (n, npe) == (S_MAX, 2)
+             else uniform_polynomial(rng, n))
         try:
             sim = Simulator(fwd_cfg, roms)
             sim.load_polynomial(a)
@@ -205,9 +221,11 @@ def run_checks(seed: int = 2024, quick: bool = False) -> list[Check]:
                 {**dict.fromkeys((2, 4, 8, 16), 250), 512: 10, 1024: 10})
     ok = composed = True
     for n, count in products.items():
+        # the largest size multiplies integer polynomials, as FALCON does
+        draw = (falcon_polynomial if n == max(products)
+                else uniform_polynomial)
         for _ in range(count):
-            a = rng.uniform(-1.0, 1.0, n).tolist()
-            b = rng.uniform(-1.0, 1.0, n).tolist()
+            a, b = draw(rng, n), draw(rng, n)
             p = polymul_via_fft(a, b)
             ok &= (max_abs_error(p, polymul_negacyclic_oracle(a, b))
                    <= product_bound(n))

@@ -2,10 +2,21 @@
 
 Every entry point converts a polynomial's coefficients as `float()`
 would, and rejects what `float()` rejects with the same exception class
-and message; NaN and infinities are a `DomainError`.  The table below
-pins that for the scalar (n = 4) and the array (n = 1024) path.
+and message; NaN and infinities are a `DomainError`.  The tables below
+pin that for the scalar (n = 4) and the array (n = 1024) path, on rows
+of floats and on rows of Python ints.
+
+A row of ints (a list or tuple whose first coefficient is an int) is
+packed as int64 words on the array path, and in `coefficient_rows` at
+every size, so each coefficient is read by its integer value; the cast
+to float64 rounds as float() does.  A row that does not pack, for a
+float, a string, None or an int beyond int64 in it, converts as any
+other row.  The one difference from float() is an int subclass or an
+`__index__` object whose `__float__` disagrees with its value: the
+packed path reads its value, the scalar path its `__float__`.
 """
 
+import json
 import struct
 from decimal import Decimal
 from fractions import Fraction
@@ -15,12 +26,15 @@ import pytest
 
 from conftest import load_natural
 
+from ringfft import cli
 from ringfft.banksim import BankedMemory, Simulator
 from ringfft.scheduler import ScheduleConfig
 from ringfft.transform import (
     Direction,
     DomainError,
+    VECTOR_MIN_HN,
     coefficient_rows,
+    fft_batch,
     fft_inplace,
     polymul_negacyclic_oracle,
     polymul_via_fft,
@@ -65,6 +79,49 @@ REJECTED = [
 ]
 
 
+class _Index:
+    """An integer by `__index__` alone, as float() and struct read it."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+class _Skewed(int):
+    """An int whose float() is a half more than its value."""
+
+    def __float__(self) -> float:
+        return int(self) + 0.5
+
+
+# (label, last coefficient of a row of ints, the binary64 word it
+# converts to); the first five do not pack and take the row path above
+INT_CONVERTED = [
+    ("float 0.5", 0.5, 0x3FE0000000000000),
+    ("numeric string", "1.5", 0x3FF8000000000000),
+    ("int 2^63", 2 ** 63, 0x43E0000000000000),
+    ("int -2^63-1", -2 ** 63 - 1, 0xC3E0000000000000),
+    ("numpy uint64 2^64-1", np.uint64(2 ** 64 - 1), 0x43F0000000000000),
+    ("numpy int8 -7", np.int8(-7), 0xC01C000000000000),
+    ("numpy int64 -7", np.int64(-7), 0xC01C000000000000),
+    ("int 2^63-1", 2 ** 63 - 1, 0x43E0000000000000),
+    ("int -(2^63-1)", -(2 ** 63 - 1), 0xC3E0000000000000),
+    ("int 2^53+1", 2 ** 53 + 1, 0x4340000000000000),
+    ("int -(2^53+1)", -(2 ** 53 + 1), 0xC340000000000000),
+    ("int 2^53+3", 2 ** 53 + 3, 0x4340000000000002),
+    ("index-only object", _Index(2 ** 53 + 1), 0x4340000000000000),
+]
+
+# (label, last coefficient of a row of ints, exception class); the
+# message is float()'s
+INT_REJECTED = [
+    ("None", None, TypeError),
+    ("int 10^400", 10 ** 400, OverflowError),
+]
+
+
 def _float_message(value) -> str:
     try:
         float(value)
@@ -77,6 +134,21 @@ def _poly(n, coefficient):
     a = [0.25 * k - 3.0 for k in range(n)]
     a[1] = coefficient
     return a
+
+
+def _ints(n):
+    """n FALCON-sized Python ints, |c| <= 127."""
+    return [(37 * k) % 255 - 127 for k in range(n)]
+
+
+def _int_poly(n, coefficient):
+    a = _ints(n)
+    a[-1] = coefficient
+    return a
+
+
+def _floats(a):
+    return [float(x) for x in a]
 
 
 def _bits(values):
@@ -95,12 +167,13 @@ def _loads(n, poly):
     return sim.mem.words, mem.words
 
 
-def _entry_points(n, coefficient):
-    """Every call that converts `coefficient`, as a thunk."""
-    a = _poly(n, coefficient)
-    b = [1.0 - 0.5 * k for k in range(n)]
+def _entry_points(a, b):
+    """Every call that converts the polynomial a, as a thunk; b is the
+    second operand of the products and of the batch."""
+    n = len(a)
     return {
         "fft_inplace": lambda: fft_inplace(a).values,
+        "fft_batch": lambda: [s.values for s in fft_batch([a, b])],
         "polymul_via_fft(a, b)": lambda: polymul_via_fft(a, b),
         "polymul_via_fft(b, a)": lambda: polymul_via_fft(b, a),
         "polymul_negacyclic_oracle(a, b)":
@@ -117,8 +190,9 @@ def _entry_points(n, coefficient):
                          ids=[c[0] for c in CONVERTED])
 def test_coefficients_convert_as_float_does(n, label, coefficient, bits):
     assert struct.pack("<d", float(coefficient)) == struct.pack("<Q", bits)
-    want = _entry_points(n, _word(bits))
-    for name, call in _entry_points(n, coefficient).items():
+    b = [1.0 - 0.5 * k for k in range(n)]
+    want = _entry_points(_poly(n, _word(bits)), b)
+    for name, call in _entry_points(_poly(n, coefficient), b).items():
         assert np.array_equal(_bits(call()), _bits(want[name]())), name
 
 
@@ -128,11 +202,95 @@ def test_coefficients_convert_as_float_does(n, label, coefficient, bits):
 def test_coefficients_reject_as_float_does(n, label, coefficient, exc,
                                            message):
     message = message or _float_message(coefficient)
-    for name, call in _entry_points(n, coefficient).items():
+    b = [1.0 - 0.5 * k for k in range(n)]
+    for name, call in _entry_points(_poly(n, coefficient), b).items():
         with pytest.raises(exc) as info:
             call()
         assert type(info.value) is exc, name
         assert str(info.value) == message, name
+
+
+@pytest.mark.parametrize("n", [4, 1024])
+@pytest.mark.parametrize("form", [list, tuple])
+def test_int_rows_convert_as_their_floats(n, form):
+    a, b = form(_ints(n)), form(_int_poly(n, -5))
+    want = _entry_points(_floats(a), _floats(b))
+    for name, call in _entry_points(a, b).items():
+        assert np.array_equal(_bits(call()), _bits(want[name]())), name
+
+
+@pytest.mark.parametrize("n", [4, 1024])
+@pytest.mark.parametrize("label,coefficient,bits", INT_CONVERTED,
+                         ids=[c[0] for c in INT_CONVERTED])
+def test_int_row_coefficients_convert_as_float_does(n, label, coefficient,
+                                                    bits):
+    assert struct.pack("<d", float(coefficient)) == struct.pack("<Q", bits)
+    b = _ints(n)
+    want = _entry_points(_floats(_int_poly(n, _word(bits))), _floats(b))
+    for name, call in _entry_points(_int_poly(n, coefficient), b).items():
+        assert np.array_equal(_bits(call()), _bits(want[name]())), name
+
+
+@pytest.mark.parametrize("n", [4, 1024])
+@pytest.mark.parametrize("label,coefficient,exc", INT_REJECTED,
+                         ids=[r[0] for r in INT_REJECTED])
+def test_int_row_coefficients_reject_as_float_does(n, label, coefficient,
+                                                   exc):
+    message = _float_message(coefficient)
+    for name, call in _entry_points(_int_poly(n, coefficient),
+                                    _ints(n)).items():
+        with pytest.raises(exc) as info:
+            call()
+        assert type(info.value) is exc, name
+        assert str(info.value) == message, name
+
+
+@pytest.mark.parametrize("n", [4, 1024])
+def test_packed_rows_read_an_int_by_its_value(n):
+    # the one departure from float(): a packed row reads an int
+    # subclass by its value, the scalar path by its __float__
+    a, b = _int_poly(n, _Skewed(3)), _ints(n)
+    assert float(a[-1]) == 3.5
+    by_value, by_float = _floats(_int_poly(n, 3)), _floats(_int_poly(n, 3.5))
+    want = by_value if n // 2 >= VECTOR_MIN_HN else by_float
+    assert np.array_equal(_bits(fft_inplace(a).values),
+                          _bits(fft_inplace(want).values))
+    assert np.array_equal(_bits(polymul_via_fft(a, b)),
+                          _bits(polymul_via_fft(want, b)))
+    # coefficient_rows, and with it every simulator load, packs at any n
+    assert np.array_equal(_bits(coefficient_rows((a,))[0]), _bits(by_value))
+    assert np.array_equal(_bits(_loads(n, a)[0]),
+                          _bits(_loads(n, by_value)[0]))
+
+
+def _holds_int_rows(obj) -> bool:
+    """Whether obj is a list or tuple of ints, or of such rows, by its
+    first element."""
+    return (type(obj) in (list, tuple) and len(obj) > 0
+            and (type(obj[0]) is int or _holds_int_rows(obj[0])))
+
+
+def test_int_rows_never_reach_np_array(tmp_path, monkeypatch):
+    n = 1024
+    a, b = _ints(n), _int_poly(n, -5)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(a))
+    calls = [*_entry_points(a, b).values(),
+             lambda: coefficient_rows((a, b)),
+             lambda: cli._load_polynomial(str(path))]
+    for call in calls:
+        call()  # builds every cache first
+    seen = []
+    array = np.array
+
+    def spy(obj, *args, **kwargs):
+        seen.append(_holds_int_rows(obj))
+        return array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array", spy)
+    for call in calls:
+        call()
+    assert seen.count(True) == 0
 
 
 @pytest.mark.parametrize("n", [4, 1024])

@@ -1,18 +1,22 @@
 """Property tests: the golden model's entry points equal the scalar
-network bit for bit at every size, on either side of the crossover."""
+network bit for bit at every size, on either side of the crossover, and
+read a list of Python ints as the list of their floats."""
 
 import numpy as np
 import pytest
 from conftest import scalar_fft, scalar_ifft, scalar_polymul
 
 from ringfft import transform
-from ringfft.twiddles import S_MAX
+from ringfft.banksim import Simulator
+from ringfft.scheduler import ScheduleConfig
+from ringfft.twiddles import S_MAX, build_rom_set
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 hnp = pytest.importorskip("hypothesis.extra.numpy")
 
 from ringfft.transform import (  # noqa: E402
+    Direction,
     OrderTag,
     Spectrum,
     fft_batch,
@@ -27,6 +31,9 @@ COEFFICIENTS = st.floats(-1e100, 1e100, allow_nan=False)
 # up to the largest doubles, sums and products overflow to inf and
 # inf - inf gives NaN, whose sign and payload are compared too
 HUGE_COEFFICIENTS = st.floats(-1.7e308, 1.7e308, allow_nan=False)
+# FALCON's small coefficients, and ints past int64 and past float64's
+# 53 bits, which round
+INTEGERS = st.integers(-127, 127) | st.integers(-2 ** 64, 2 ** 64)
 
 
 @st.composite
@@ -73,3 +80,35 @@ def test_flat_scalar_network_equals_the_nested_loops(case):
                               _bits(scalar_ifft(spectrum)))
         assert np.array_equal(_bits(polymul_via_fft(a, b)),
                               _bits(scalar_polymul(a, b)))
+
+
+def _simulated(a):
+    """The spectrum words of a after a one-PE forward simulator run."""
+    cfg = ScheduleConfig(n=len(a), n_pe=1, direction=Direction.FORWARD)
+    sim = Simulator(cfg, build_rom_set(S_MAX, 1)[2])
+    sim.load_polynomial(a)
+    sim.run()
+    return sim.read_result().values
+
+
+@st.composite
+def int_operands(draw):
+    """n = 2..1024 and two lists of Python ints of that size."""
+    n = 1 << draw(st.integers(1, 10))
+    return tuple(draw(hnp.arrays(object, n, elements=INTEGERS)).tolist()
+                 for _ in range(2))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(int_operands())
+def test_int_lists_convert_as_their_floats(case):
+    a, b = case
+    fa, fb = ([float(x) for x in c] for c in case)
+    assert np.array_equal(_bits(fft_inplace(a).values),
+                          _bits(fft_inplace(fa).values))
+    for s, want in zip(fft_batch([a, b]), fft_batch([fa, fb]), strict=True):
+        assert np.array_equal(_bits(s.values), _bits(want.values))
+    assert np.array_equal(_bits(polymul_via_fft(a, b)),
+                          _bits(polymul_via_fft(fa, fb)))
+    if len(a) >= 4:  # the smallest simulated size
+        assert np.array_equal(_bits(_simulated(a)), _bits(_simulated(fa)))
